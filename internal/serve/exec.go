@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/partition"
 	"repro/internal/spec"
+	"repro/internal/vhdlgen"
 )
 
 // executeFn is the job execution entry point; a var so tests can
@@ -17,19 +20,16 @@ import (
 // interleavings without timing assumptions.
 var executeFn = execute
 
-// execute runs one request to completion and renders the response
-// body. The body is a pure function of (spec, op, options minus
-// Workers): no timestamps, no durations, no worker counts — that is
-// what licenses the cache to replay it byte for byte.
+// execute runs one request on sys, the system its key resolved, and
+// renders the response body. Synthesis refines sys in place, so each
+// system serves one execution. The body is a pure function of (spec,
+// op, options minus Workers): no timestamps, no durations, no worker
+// counts — that is what licenses the cache to replay it byte for byte.
 //
 // defaultWorkers replaces a zero Options.Workers so concurrent jobs
 // split the CPUs instead of each claiming all of them; results are
 // worker-invariant, so this affects latency only.
-func execute(ctx context.Context, req *Request, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
-	sys, err := req.resolve()
-	if err != nil {
-		return nil, err
-	}
+func execute(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
 	res := &ResultJSON{
 		Op:       req.Op,
 		SpecHash: specHash.String(),
@@ -59,7 +59,12 @@ func execute(ctx context.Context, req *Request, key Key, specHash spec.Digest, d
 	res.Buses = busesJSON(rep)
 	res.Verify = NewVerifyJSON(rep.Verify)
 	res.Repair = NewRepairJSON(rep.Repair)
-	vhdlDigest(res, emitVHDL(sys))
+	// The reply carries the refined listing's digest and size, not its
+	// text.
+	vhdl := vhdlgen.Emit(sys)
+	sum := sha256.Sum256([]byte(vhdl))
+	res.VHDLSHA256 = hex.EncodeToString(sum[:])
+	res.VHDLBytes = len(vhdl)
 	return encodeBody(res)
 }
 

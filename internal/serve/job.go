@@ -30,6 +30,11 @@ type job struct {
 	key      Key
 	specHash spec.Digest
 	req      *Request
+	// sys is the system the request's key resolved: parsed once in
+	// submit, refined by the run, and dropped when run returns so the
+	// retained jobs never pin refined systems. Only the worker running
+	// the job touches it after submit.
+	sys *spec.System
 
 	ctx    context.Context
 	cancel context.CancelFunc

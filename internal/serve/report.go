@@ -15,14 +15,10 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/repair"
 	"repro/internal/verify"
-	"repro/internal/vhdlgen"
 )
 
 // VerifyJSON is the machine-readable model-checking verdict, shared by
@@ -30,14 +26,14 @@ import (
 // shape. It is the deterministic subset of verify.Report: Elapsed is
 // deliberately absent (responses must be byte-identical across runs).
 type VerifyJSON struct {
-	Clean            bool            `json:"clean"`
-	Procs            int             `json:"procs"`
-	States           int             `json:"states"`
-	Transitions      int64           `json:"transitions"`
-	Depth            int             `json:"depth"`
-	Incomplete       bool            `json:"incomplete,omitempty"`
-	IncompleteReason string          `json:"incomplete_reason,omitempty"`
-	GoldenClocks     int64           `json:"golden_clocks"`
+	Clean            bool   `json:"clean"`
+	Procs            int    `json:"procs"`
+	States           int    `json:"states"`
+	Transitions      int64  `json:"transitions"`
+	Depth            int    `json:"depth"`
+	Incomplete       bool   `json:"incomplete,omitempty"`
+	IncompleteReason string `json:"incomplete_reason,omitempty"`
+	GoldenClocks     int64  `json:"golden_clocks"`
 	// Fingerprint is the order-independent digest of the reachable set —
 	// identical across worker counts and memory budgets, so it both
 	// witnesses determinism and keys incremental re-verification.
@@ -188,11 +184,3 @@ func busesJSON(rep *core.Report) []BusJSON {
 	}
 	return out
 }
-
-func vhdlDigest(res *ResultJSON, sysText string) {
-	sum := sha256.Sum256([]byte(sysText))
-	res.VHDLSHA256 = hex.EncodeToString(sum[:])
-	res.VHDLBytes = len(sysText)
-}
-
-var emitVHDL = vhdlgen.Emit

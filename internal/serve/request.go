@@ -222,13 +222,14 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // key computes the request's content address plus the spec's own
-// digest. It resolves a throwaway system: the hash must cover what the
-// request means, not how it was spelled (workload name vs identical
-// inline text).
-func (r *Request) key() (Key, spec.Digest, error) {
+// digest, and returns the system it resolved and hashed: the hash must
+// cover what the request means, not how it was spelled (workload name
+// vs identical inline text). Hashing leaves the system untouched, so a
+// miss hands it to its job and the spec is parsed once per request.
+func (r *Request) key() (Key, spec.Digest, *spec.System, error) {
 	sys, err := r.resolve()
 	if err != nil {
-		return Key{}, spec.Digest{}, err
+		return Key{}, spec.Digest{}, nil, err
 	}
 	sh := spec.Hash(sys)
 	h := sha256.New()
@@ -243,5 +244,5 @@ func (r *Request) key() (Key, spec.Digest, error) {
 	h.Write(r.Options.canonical())
 	var k Key
 	h.Sum(k[:0])
-	return k, sh, nil
+	return k, sh, sys, nil
 }

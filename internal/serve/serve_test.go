@@ -61,7 +61,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // swapExecutor installs a test executor and restores the real one on
 // cleanup. Tests using it cannot run in parallel with each other.
-func swapExecutor(t *testing.T, fn func(ctx context.Context, req *Request, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error)) {
+func swapExecutor(t *testing.T, fn func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error)) {
 	t.Helper()
 	old := executeFn
 	executeFn = fn
@@ -69,45 +69,52 @@ func swapExecutor(t *testing.T, fn func(ctx context.Context, req *Request, key K
 }
 
 // TestQueryEndToEnd drives the real pipeline over HTTP: synthesize +
-// verify a PQ variant, then replay it — the cached response must be
-// byte-identical to the fresh one, distinguished only by X-Cache.
+// verify a PQ variant, named and sent inline, then replay each — the
+// cached response must be byte-identical to the fresh one,
+// distinguished only by X-Cache.
 func TestQueryEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	req := `{"op":"synthesize","workload":"pq-solo","options":{"verify":true}}`
+	cases := []struct{ name, req string }{
+		{"workload", `{"op":"synthesize","workload":"pq-solo","options":{"verify":true}}`},
+		{"inline spec", inlineRequest(t, "../../testdata/pqsolo.sys", Options{Verify: true})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp1, body1 := postJSON(t, ts.URL+"/v1/query", tc.req)
+			if resp1.StatusCode != http.StatusOK {
+				t.Fatalf("fresh query: status %d: %s", resp1.StatusCode, body1)
+			}
+			if got := resp1.Header.Get("X-Cache"); got != "miss" {
+				t.Fatalf("fresh query X-Cache = %q, want miss", got)
+			}
+			var res ResultJSON
+			if err := json.Unmarshal(body1, &res); err != nil {
+				t.Fatalf("decode result: %v", err)
+			}
+			if res.Op != OpSynthesize || res.SpecHash == "" || res.Key == "" {
+				t.Fatalf("result header incomplete: %+v", res)
+			}
+			if len(res.Buses) == 0 {
+				t.Fatalf("no buses in result")
+			}
+			if res.Verify == nil || !res.Verify.Clean {
+				t.Fatalf("verify missing or not clean: %+v", res.Verify)
+			}
+			if res.VHDLSHA256 == "" || res.VHDLBytes == 0 {
+				t.Fatalf("vhdl digest missing: %+v", res)
+			}
 
-	resp1, body1 := postJSON(t, ts.URL+"/v1/query", req)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("fresh query: status %d: %s", resp1.StatusCode, body1)
-	}
-	if got := resp1.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("fresh query X-Cache = %q, want miss", got)
-	}
-	var res ResultJSON
-	if err := json.Unmarshal(body1, &res); err != nil {
-		t.Fatalf("decode result: %v", err)
-	}
-	if res.Op != OpSynthesize || res.SpecHash == "" || res.Key == "" {
-		t.Fatalf("result header incomplete: %+v", res)
-	}
-	if len(res.Buses) == 0 {
-		t.Fatalf("no buses in result")
-	}
-	if res.Verify == nil || !res.Verify.Clean {
-		t.Fatalf("verify missing or not clean: %+v", res.Verify)
-	}
-	if res.VHDLSHA256 == "" || res.VHDLBytes == 0 {
-		t.Fatalf("vhdl digest missing: %+v", res)
-	}
-
-	resp2, body2 := postJSON(t, ts.URL+"/v1/query", req)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("cached query: status %d", resp2.StatusCode)
-	}
-	if got := resp2.Header.Get("X-Cache"); got != "hit" {
-		t.Fatalf("cached query X-Cache = %q, want hit", got)
-	}
-	if !bytes.Equal(body1, body2) {
-		t.Fatalf("cached body differs from fresh body:\nfresh:  %s\ncached: %s", body1, body2)
+			resp2, body2 := postJSON(t, ts.URL+"/v1/query", tc.req)
+			if resp2.StatusCode != http.StatusOK {
+				t.Fatalf("cached query: status %d", resp2.StatusCode)
+			}
+			if got := resp2.Header.Get("X-Cache"); got != "hit" {
+				t.Fatalf("cached query X-Cache = %q, want hit", got)
+			}
+			if !bytes.Equal(body1, body2) {
+				t.Fatalf("cached body differs from fresh body:\nfresh:  %s\ncached: %s", body1, body2)
+			}
+		})
 	}
 }
 
@@ -133,11 +140,11 @@ func TestQuerySweep(t *testing.T) {
 func TestKeyWorkerInvariance(t *testing.T) {
 	a := &Request{Op: OpSynthesize, Workload: "pq", Options: Options{Workers: 1}}
 	b := &Request{Op: OpSynthesize, Workload: "pq", Options: Options{Workers: 7}}
-	ka, ha, err := a.key()
+	ka, ha, _, err := a.key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, hb, err := b.key()
+	kb, hb, _, err := b.key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +155,7 @@ func TestKeyWorkerInvariance(t *testing.T) {
 		t.Fatalf("spec digests differ: %s vs %s", ha, hb)
 	}
 	c := &Request{Op: OpSynthesize, Workload: "pq", Options: Options{Robust: true}}
-	kc, _, err := c.key()
+	kc, _, _, err := c.key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +163,7 @@ func TestKeyWorkerInvariance(t *testing.T) {
 		t.Fatalf("robust option did not change the key")
 	}
 	d := &Request{Op: OpVerify, Workload: "pq"}
-	kd, _, err := d.key()
+	kd, _, _, err := d.key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func TestKeyWorkerInvariance(t *testing.T) {
 func TestInflightDedup(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -235,7 +242,7 @@ func TestInflightDedup(t *testing.T) {
 // unwinds, and the cancel latency lands in the metrics.
 func TestCancelOnDisconnect(t *testing.T) {
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		<-ctx.Done() // a canceled engine run returns ctx.Err(), never a body
 		return nil, ctx.Err()
@@ -282,7 +289,7 @@ func TestCancelOnDisconnect(t *testing.T) {
 func TestDedupSurvivesOneWaiterLeaving(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -340,7 +347,7 @@ func TestDedupSurvivesOneWaiterLeaving(t *testing.T) {
 func TestQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -382,7 +389,7 @@ func TestQueueFull(t *testing.T) {
 func TestAsyncJobLifecycle(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		progress(50000, 40) // past the throttle thresholds → published
 		select {
@@ -475,7 +482,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 // TestExplicitJobCancel: DELETE on a sole-waiter job cancels it.
 func TestExplicitJobCancel(t *testing.T) {
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()

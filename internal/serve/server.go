@@ -141,8 +141,9 @@ func (s *Server) run(j *job) {
 		if defaultWorkers < 1 {
 			defaultWorkers = 1
 		}
-		body, err = executeFn(j.ctx, j.req, j.key, j.specHash, defaultWorkers, j.progressHook())
+		body, err = executeFn(j.ctx, j.req, j.sys, j.key, j.specHash, defaultWorkers, j.progressHook())
 	}
+	j.sys = nil
 	ended := time.Now()
 	if lat := j.cancelLatency(ended); lat > 0 {
 		s.cancelNsSum.Add(lat.Nanoseconds())
@@ -195,7 +196,7 @@ const (
 // in-flight dedup (joins the existing job with a new reference), or a
 // fresh job enqueued on the pool.
 func (s *Server) submit(req *Request) (*job, []byte, submitStatus, error) {
-	key, specHash, err := req.key()
+	key, specHash, sys, err := req.key()
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -216,6 +217,7 @@ func (s *Server) submit(req *Request) (*job, []byte, submitStatus, error) {
 	id := fmt.Sprintf("j%06d", s.nextID.Add(1))
 	j := newJob(id, key, req, s.baseCtx)
 	j.specHash = specHash
+	j.sys = sys
 	s.inflight[key] = j
 	s.retainJobLocked(j)
 	s.mu.Unlock()
@@ -231,6 +233,7 @@ func (s *Server) submit(req *Request) (*job, []byte, submitStatus, error) {
 			delete(s.inflight, key)
 		}
 		s.mu.Unlock()
+		j.sys = nil
 		j.err = errBusy
 		close(j.done)
 		j.cancel()

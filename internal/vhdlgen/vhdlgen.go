@@ -8,99 +8,158 @@
 // intended for inspection and diffing. The executable semantics of a
 // refined system live in internal/sim, which interprets the same IR the
 // emitter prints, so what you read is what ran.
+//
+// The renderer appends every line into one byte buffer: expressions,
+// types and literals are written in place (strconv for integers, a bit
+// loop for vector literals), never built as intermediate strings.
 package vhdlgen
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
+	"repro/internal/bits"
 	"repro/internal/spec"
 )
 
 // Emit renders the whole system.
 func Emit(sys *spec.System) string {
-	var e emitter
-	e.printf("-- System %s (refined specification)", sys.Name)
-	e.printf("-- Generated by interface synthesis: bus + protocol generation.")
+	// 8 KiB holds PQ's 6.9 KB listing without regrowing.
+	e := emitter{buf: make([]byte, 0, 8<<10)}
+	e.line("-- System ", sys.Name, " (refined specification)")
+	e.line("-- Generated by interface synthesis: bus + protocol generation.")
 	e.blank()
 
 	// Bus record types and global signals.
 	for _, bus := range sys.Buses {
 		if bus.Record.Name != "" {
-			e.emitRecord(bus.Record)
+			e.record(bus.Record)
 			e.blank()
 		}
 	}
 	for _, g := range sys.Globals {
-		e.printf("signal %s : %s ;", g.Name, typeName(g.Type))
+		e.open("signal ", g.Name, " : ")
+		e.typ(g.Type)
+		e.close(" ;")
 	}
 	if len(sys.Globals) > 0 {
 		e.blank()
 	}
 
 	for _, m := range sys.Modules {
-		e.emitModule(m)
+		e.module(m)
 		e.blank()
 	}
 
 	// Channel-to-bus map as a trailer comment, like Fig. 3's channel
 	// annotations.
 	for _, bus := range sys.Buses {
-		e.printf("-- bus %s : width %d, protocol %s, %d control + %d id lines",
-			bus.Name, bus.Width, bus.Protocol, bus.Protocol.ControlLines(), bus.IDBits())
+		e.open("-- bus ", bus.Name, " : width ")
+		e.int(bus.Width)
+		e.put(", protocol ", bus.Protocol.String(), ", ")
+		e.int(bus.Protocol.ControlLines())
+		e.put(" control + ")
+		e.int(bus.IDBits())
+		e.close(" id lines")
 		for _, c := range bus.Channels {
 			dir := "reading"
 			if c.Dir == spec.Write {
 				dir = "writing"
 			}
-			id := c.ID.String()
-			if id == "" {
-				id = "-"
+			e.open("--   ")
+			mark := len(e.buf)
+			e.put(c.Name)
+			e.pad(mark, 6)
+			e.put(" id ")
+			mark = len(e.buf)
+			if c.ID.Width() == 0 {
+				e.put("-")
 			}
-			e.printf("--   %-6s id %-4s : process %s %s variable %s (%d data + %d addr bits)",
-				c.Name, id, c.Accessor.Name, dir, c.Var.Name, c.DataBits(), c.AddrBits())
+			e.buf = appendBits(e.buf, c.ID)
+			e.pad(mark, 4)
+			e.put(" : process ", c.Accessor.Name, " ", dir, " variable ", c.Var.Name, " (")
+			e.int(c.DataBits())
+			e.put(" data + ")
+			e.int(c.AddrBits())
+			e.close(" addr bits)")
 		}
 	}
-	return e.String()
+	return string(e.buf)
 }
 
 // EmitBehavior renders a single behavior as a process.
 func EmitBehavior(b *spec.Behavior) string {
 	var e emitter
-	e.emitBehavior(b)
-	return e.String()
+	e.behavior(b)
+	return string(e.buf)
 }
 
 // EmitProcedure renders a single procedure (e.g. a generated SendCH0 for
 // comparison with the paper's Fig. 4).
 func EmitProcedure(p *spec.Procedure) string {
 	var e emitter
-	e.emitProcedure(p, "")
-	return e.String()
+	e.procedure(p)
+	return string(e.buf)
 }
 
+// emitter appends indented lines to buf. A line is either written
+// whole by line, or opened, extended with put/expr/typ/int and closed.
 type emitter struct {
-	b      strings.Builder
-	indent string
+	buf   []byte
+	depth int // indent level, two spaces each
 }
 
-func (e *emitter) String() string { return e.b.String() }
-
-func (e *emitter) printf(format string, args ...any) {
-	e.b.WriteString(e.indent)
-	fmt.Fprintf(&e.b, format, args...)
-	e.b.WriteByte('\n')
+// open starts a line at the current indent.
+func (e *emitter) open(parts ...string) {
+	for i := 0; i < e.depth; i++ {
+		e.buf = append(e.buf, "  "...)
+	}
+	e.put(parts...)
 }
 
-func (e *emitter) blank() { e.b.WriteByte('\n') }
+func (e *emitter) put(parts ...string) {
+	for _, p := range parts {
+		e.buf = append(e.buf, p...)
+	}
+}
 
-func (e *emitter) push() { e.indent += "  " }
-func (e *emitter) pop()  { e.indent = e.indent[:len(e.indent)-2] }
+// close ends the open line.
+func (e *emitter) close(parts ...string) {
+	e.put(parts...)
+	e.buf = append(e.buf, '\n')
+}
 
-func (e *emitter) emitRecord(r spec.RecordType) {
-	e.printf("type %s is record", r.Name)
-	e.push()
+func (e *emitter) line(parts ...string) {
+	e.open(parts...)
+	e.close()
+}
+
+func (e *emitter) blank() { e.buf = append(e.buf, '\n') }
+
+func (e *emitter) int(v int)        { e.buf = strconv.AppendInt(e.buf, int64(v), 10) }
+func (e *emitter) expr(x spec.Expr) { e.buf = appendExpr(e.buf, x) }
+func (e *emitter) typ(t spec.Type)  { e.buf = appendType(e.buf, t) }
+
+// pad appends spaces until the text written since mark is width runes
+// wide, as fmt's %-*s does.
+func (e *emitter) pad(mark, width int) {
+	for n := utf8.RuneCount(e.buf[mark:]); n < width; n++ {
+		e.buf = append(e.buf, ' ')
+	}
+}
+
+// decl writes "<kind> <name> : <type>".
+func (e *emitter) decl(v *spec.Variable) {
+	e.put(v.Kind.String(), " ", v.Name, " : ")
+	e.typ(v.Type)
+}
+
+func (e *emitter) record(r spec.RecordType) {
+	e.line("type ", r.Name, " is record")
+	e.depth++
 	// Group consecutive same-type fields like the paper: "START, DONE : bit ;"
 	i := 0
 	for i < len(r.Fields) {
@@ -108,205 +167,240 @@ func (e *emitter) emitRecord(r spec.RecordType) {
 		for j+1 < len(r.Fields) && r.Fields[j+1].Type.Equal(r.Fields[i].Type) {
 			j++
 		}
-		names := make([]string, 0, j-i+1)
-		for k := i; k <= j; k++ {
-			names = append(names, r.Fields[k].Name)
+		e.open(r.Fields[i].Name)
+		for k := i + 1; k <= j; k++ {
+			e.put(", ", r.Fields[k].Name)
 		}
-		e.printf("%s : %s ;", strings.Join(names, ", "), typeName(r.Fields[i].Type))
+		e.put(" : ")
+		e.typ(r.Fields[i].Type)
+		e.close(" ;")
 		i = j + 1
 	}
-	e.pop()
-	e.printf("end record ;")
+	e.depth--
+	e.line("end record ;")
 }
 
-func (e *emitter) emitModule(m *spec.Module) {
-	e.printf("-- module %s", m.Name)
+func (e *emitter) module(m *spec.Module) {
+	e.line("-- module ", m.Name)
 	for _, v := range m.Variables {
-		e.printf("-- %s", declString(v))
+		e.open("-- ")
+		e.decl(v)
+		e.close()
 	}
 	for _, b := range m.Behaviors {
-		e.emitBehavior(b)
+		e.behavior(b)
 		e.blank()
 	}
 }
 
-func (e *emitter) emitBehavior(b *spec.Behavior) {
+func (e *emitter) behavior(b *spec.Behavior) {
 	tag := ""
 	if b.Server {
 		tag = "  -- generated variable process"
 	}
-	e.printf("process %s%s", b.Name, tag)
-	e.push()
+	e.line("process ", b.Name, tag)
+	e.depth++
 	for _, v := range b.Variables {
-		e.printf("%s ;", declString(v))
+		e.open()
+		e.decl(v)
+		e.close(" ;")
 	}
 	for _, p := range b.Procedures {
-		e.emitProcedure(p, b.Name)
+		e.procedure(p)
 	}
-	e.pop()
-	e.printf("begin")
-	e.push()
-	e.stmts(b.Body)
-	e.pop()
-	e.printf("end process %s ;", b.Name)
+	e.depth--
+	e.line("begin")
+	e.block(b.Body)
+	e.line("end process ", b.Name, " ;")
 }
 
-func (e *emitter) emitProcedure(p *spec.Procedure, owner string) {
-	params := make([]string, len(p.Params))
+func (e *emitter) procedure(p *spec.Procedure) {
+	e.open("procedure ", p.Name, "(")
 	for i, prm := range p.Params {
-		params[i] = fmt.Sprintf("%s : %s %s", prm.Var.Name, prm.Mode, typeName(prm.Var.Type))
+		if i > 0 {
+			e.put("; ")
+		}
+		e.put(prm.Var.Name, " : ", prm.Mode.String(), " ")
+		e.typ(prm.Var.Type)
 	}
-	e.printf("procedure %s(%s) is", p.Name, strings.Join(params, "; "))
-	e.push()
+	e.close(") is")
+	e.depth++
 	for _, l := range p.Locals {
-		e.printf("variable %s : %s ;", l.Name, typeName(l.Type))
+		e.open("variable ", l.Name, " : ")
+		e.typ(l.Type)
+		e.close(" ;")
 	}
-	e.pop()
-	e.printf("begin")
-	e.push()
-	e.stmts(p.Body)
-	e.pop()
-	e.printf("end %s ;", p.Name)
+	e.depth--
+	e.line("begin")
+	e.block(p.Body)
+	e.line("end ", p.Name, " ;")
 }
 
-func (e *emitter) stmts(stmts []spec.Stmt) {
+// block writes statements one indent level deeper.
+func (e *emitter) block(stmts []spec.Stmt) {
+	e.depth++
 	for _, s := range stmts {
 		e.stmt(s)
 	}
+	e.depth--
 }
 
 func (e *emitter) stmt(s spec.Stmt) {
 	switch s := s.(type) {
 	case *spec.Assign:
-		op := ":="
+		op := " := "
 		if base := spec.BaseVar(s.LHS); base != nil && base.Kind == spec.KindSignal {
-			op = "<="
+			op = " <= "
 		} else if s.Kind == spec.AssignSignal {
-			op = "<="
+			op = " <= "
 		}
-		e.printf("%s %s %s ;", expr(s.LHS), op, expr(s.RHS))
+		e.open()
+		e.expr(s.LHS)
+		e.put(op)
+		e.expr(s.RHS)
+		e.close(" ;")
 	case *spec.If:
-		e.printf("if %s then", expr(s.Cond))
-		e.push()
-		e.stmts(s.Then)
-		e.pop()
+		e.open("if ")
+		e.expr(s.Cond)
+		e.close(" then")
+		e.block(s.Then)
 		for _, arm := range s.Elifs {
-			e.printf("elsif %s then", expr(arm.Cond))
-			e.push()
-			e.stmts(arm.Body)
-			e.pop()
+			e.open("elsif ")
+			e.expr(arm.Cond)
+			e.close(" then")
+			e.block(arm.Body)
 		}
 		if len(s.Else) > 0 {
-			e.printf("else")
-			e.push()
-			e.stmts(s.Else)
-			e.pop()
+			e.line("else")
+			e.block(s.Else)
 		}
-		e.printf("end if ;")
+		e.line("end if ;")
 	case *spec.For:
-		e.printf("for %s in %s to %s loop", s.Var.Name, expr(s.From), expr(s.To))
-		e.push()
-		e.stmts(s.Body)
-		e.pop()
-		e.printf("end loop ;")
+		e.open("for ", s.Var.Name, " in ")
+		e.expr(s.From)
+		e.put(" to ")
+		e.expr(s.To)
+		e.close(" loop")
+		e.block(s.Body)
+		e.line("end loop ;")
 	case *spec.While:
-		e.printf("while %s loop", expr(s.Cond))
-		e.push()
-		e.stmts(s.Body)
-		e.pop()
-		e.printf("end loop ;")
+		e.open("while ")
+		e.expr(s.Cond)
+		e.close(" loop")
+		e.block(s.Body)
+		e.line("end loop ;")
 	case *spec.Loop:
-		e.printf("loop")
-		e.push()
-		e.stmts(s.Body)
-		e.pop()
-		e.printf("end loop ;")
+		e.line("loop")
+		e.block(s.Body)
+		e.line("end loop ;")
 	case *spec.Exit:
-		e.printf("exit ;")
+		e.line("exit ;")
 	case *spec.Return:
-		e.printf("return ;")
+		e.line("return ;")
 	case *spec.Wait:
-		e.printf("%s ;", waitString(s))
+		e.open("wait")
+		if len(s.On) > 0 {
+			e.put(" on ", s.On[0].Name)
+			for _, v := range s.On[1:] {
+				e.put(", ", v.Name)
+			}
+		}
+		if s.Until != nil {
+			e.put(" until ")
+			e.expr(s.Until)
+		}
+		if s.HasFor {
+			e.put(" for ")
+			e.buf = strconv.AppendInt(e.buf, s.For, 10)
+			e.put(" ns")
+		}
+		e.close(" ;")
 		if s.TimedOut != nil && s.Until != nil {
 			// The standard VHDL idiom for detecting a bounded-wait
 			// expiry: re-evaluate the condition after the wait.
-			e.printf("%s := not (%s) ;", s.TimedOut.Name, expr(s.Until))
+			e.open(s.TimedOut.Name, " := not (")
+			e.expr(s.Until)
+			e.close(") ;")
 		}
 	case *spec.Call:
-		args := make([]string, len(s.Args))
+		e.open(s.Proc.Name, "(")
 		for i, a := range s.Args {
-			args[i] = expr(a)
+			if i > 0 {
+				e.put(", ")
+			}
+			e.expr(a)
 		}
-		e.printf("%s(%s) ;", s.Proc.Name, strings.Join(args, ", "))
+		e.close(") ;")
 	case *spec.Null:
-		e.printf("null ;")
+		e.line("null ;")
 	default:
-		e.printf("-- <unprintable %T>", s)
+		e.line("-- <unprintable ", goType(s), ">")
 	}
 }
 
-func waitString(s *spec.Wait) string {
-	var parts []string
-	if len(s.On) > 0 {
-		names := make([]string, len(s.On))
-		for i, v := range s.On {
-			names[i] = v.Name
-		}
-		parts = append(parts, "on "+strings.Join(names, ", "))
-	}
-	if s.Until != nil {
-		parts = append(parts, "until "+expr(s.Until))
-	}
-	if s.HasFor {
-		parts = append(parts, fmt.Sprintf("for %d ns", s.For))
-	}
-	if len(parts) == 0 {
-		return "wait"
-	}
-	return "wait " + strings.Join(parts, " ")
-}
-
-// expr renders an expression in VHDL syntax.
-func expr(x spec.Expr) string {
+// appendExpr appends an expression in VHDL syntax.
+func appendExpr(b []byte, x spec.Expr) []byte {
 	switch x := x.(type) {
 	case *spec.IntLit:
-		return fmt.Sprintf("%d", x.Value)
+		return strconv.AppendInt(b, x.Value, 10)
 	case *spec.VecLit:
+		q := byte('"')
 		if x.Value.Width() == 1 {
-			return fmt.Sprintf("'%s'", x.Value)
+			q = '\''
 		}
-		return fmt.Sprintf("%q", x.Value.String())
+		b = appendBits(append(b, q), x.Value)
+		return append(b, q)
 	case *spec.BoolLit:
-		if x.Value {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, x.Value)
 	case *spec.VarRef:
-		return x.Var.Name
+		return append(b, x.Var.Name...)
 	case *spec.Index:
-		return fmt.Sprintf("%s(%s)", expr(x.Arr), expr(x.Index))
+		b = append(appendExpr(b, x.Arr), '(')
+		return append(appendExpr(b, x.Index), ')')
 	case *spec.SliceExpr:
-		return fmt.Sprintf("%s(%s downto %s)", expr(x.X), expr(x.Hi), expr(x.Lo))
+		b = append(appendExpr(b, x.X), '(')
+		b = append(appendExpr(b, x.Hi), " downto "...)
+		return append(appendExpr(b, x.Lo), ')')
 	case *spec.FieldRef:
-		return fmt.Sprintf("%s.%s", expr(x.X), x.Field)
+		b = append(appendExpr(b, x.X), '.')
+		return append(b, x.Field...)
 	case *spec.Binary:
-		return fmt.Sprintf("(%s %s %s)", expr(x.X), binOp(x.Op), expr(x.Y))
+		b = append(appendExpr(append(b, '('), x.X), ' ')
+		b = append(append(b, binOp(x.Op)...), ' ')
+		return append(appendExpr(b, x.Y), ')')
 	case *spec.Unary:
 		if x.Op == spec.OpNeg {
-			return fmt.Sprintf("(-%s)", expr(x.X))
+			b = append(b, "(-"...)
+		} else {
+			b = append(b, "(not "...)
 		}
-		return fmt.Sprintf("(not %s)", expr(x.X))
+		return append(appendExpr(b, x.X), ')')
 	case *spec.Conv:
 		switch t := x.To.(type) {
 		case spec.IntegerType:
-			return fmt.Sprintf("conv_integer(%s)", expr(x.X))
+			b = append(b, "conv_integer("...)
+			return append(appendExpr(b, x.X), ')')
 		case spec.BitVectorType:
-			return fmt.Sprintf("conv_bit_vector(%s, %d)", expr(x.X), t.Width)
+			b = append(appendExpr(append(b, "conv_bit_vector("...), x.X), ", "...)
+			return append(strconv.AppendInt(b, int64(t.Width), 10), ')')
 		default:
-			return fmt.Sprintf("conv<%s>(%s)", x.To, expr(x.X))
+			b = append(append(append(b, "conv<"...), x.To.String()...), ">("...)
+			return append(appendExpr(b, x.X), ')')
 		}
 	}
-	return fmt.Sprintf("<%T>", x)
+	return append(append(append(b, '<'), goType(x)...), '>')
+}
+
+// appendBits appends a vector's bits, most significant first.
+func appendBits(b []byte, v bits.Vector) []byte {
+	for i := v.Width() - 1; i >= 0; i-- {
+		if v.Bit(i) {
+			b = append(b, '1')
+		} else {
+			b = append(b, '0')
+		}
+	}
+	return b
 }
 
 func binOp(op spec.Op) string {
@@ -319,31 +413,42 @@ func binOp(op spec.Op) string {
 	return op.String()
 }
 
-func typeName(t spec.Type) string {
+// appendType appends a type as declared in VHDL: records by name,
+// arrays with their index range.
+func appendType(b []byte, t spec.Type) []byte {
 	switch t := t.(type) {
 	case spec.RecordType:
-		return t.Name
+		return append(b, t.Name...)
 	case spec.ArrayType:
-		return fmt.Sprintf("array(%d to %d) of %s", t.Lo, t.Lo+t.Length-1, typeName(t.Elem))
+		b = strconv.AppendInt(append(b, "array("...), int64(t.Lo), 10)
+		b = strconv.AppendInt(append(b, " to "...), int64(t.Lo+t.Length-1), 10)
+		return appendType(append(b, ") of "...), t.Elem)
+	case spec.BitVectorType:
+		b = strconv.AppendInt(append(b, "bit_vector("...), int64(t.Width-1), 10)
+		return append(b, " downto 0)"...)
 	default:
-		return t.String()
+		return append(b, t.String()...)
 	}
 }
 
-func declString(v *spec.Variable) string {
-	return fmt.Sprintf("%s %s : %s", v.Kind, v.Name, typeName(v.Type))
+// goType names a value's dynamic type as fmt's %T verb does, for IR
+// nodes the renderer does not know.
+func goType(x any) string {
+	if x == nil {
+		return "<nil>"
+	}
+	return reflect.TypeOf(x).String()
 }
 
 // Summary renders a compact synthesis report: buses, their wires and the
-// per-channel procedure names, in channel-ID order.
+// per-channel procedure names, in channel-ID order (protocol generation
+// assigns IDs by position on the bus).
 func Summary(sys *spec.System) string {
 	var b strings.Builder
 	for _, bus := range sys.Buses {
 		fmt.Fprintf(&b, "bus %s: %d data + %d control + %d id = %d lines, protocol %s\n",
 			bus.Name, bus.Width, bus.Protocol.ControlLines(), bus.IDBits(), bus.TotalLines(), bus.Protocol)
-		chans := append([]*spec.Channel{}, bus.Channels...)
-		sort.Slice(chans, func(i, j int) bool { return chans[i].Name < chans[j].Name })
-		for _, c := range chans {
+		for _, c := range bus.Channels {
 			fmt.Fprintf(&b, "  %-6s id=%-4s %s -> %s (%d bits/message)\n",
 				c.Name, c.ID, c.Accessor.Name, c.Var.Name, c.MessageBits())
 		}

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/protogen"
 	"repro/internal/spec"
+	"repro/internal/workloads"
 )
 
 func buildRefinedPQ(t *testing.T) *spec.System {
@@ -129,6 +131,35 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// TestSummaryChannelIDOrder: Summary lists each bus's channels in ID
+// order, which is their position on the bus. Sorting names as strings
+// would put Ethernet-4's ch10..ch12 before ch2.
+func TestSummaryChannelIDOrder(t *testing.T) {
+	sys := synthesized(t, workloads.Ethernet(4), core.Options{Workers: 1})
+	var lines []string
+	for _, l := range strings.Split(Summary(sys), "\n") {
+		if strings.HasPrefix(l, "  ") {
+			lines = append(lines, l)
+		}
+	}
+	var want []*spec.Channel
+	for _, bus := range sys.Buses {
+		want = append(want, bus.Channels...)
+	}
+	if len(lines) != len(want) || len(want) < 10 {
+		t.Fatalf("%d channel lines for %d channels:\n%s", len(lines), len(want), Summary(sys))
+	}
+	for i, c := range want {
+		f := strings.Fields(lines[i])
+		if f[0] != c.Name || f[1] != "id="+c.ID.String() {
+			t.Errorf("line %d = %q, want channel %s id=%s", i, lines[i], c.Name, c.ID)
+		}
+		if i > 0 && want[i-1].ID.CompareUnsigned(c.ID) >= 0 {
+			t.Errorf("channel %s (id %s) listed after %s (id %s)", c.Name, c.ID, want[i-1].Name, want[i-1].ID)
+		}
+	}
+}
+
 func TestEmitIsDeterministic(t *testing.T) {
 	a := Emit(buildRefinedPQ(t))
 	b := Emit(buildRefinedPQ(t))
@@ -139,11 +170,11 @@ func TestEmitIsDeterministic(t *testing.T) {
 
 func TestConvRendering(t *testing.T) {
 	v := spec.NewVar("v", spec.BitVector(8))
-	if got := expr(spec.ToInt(spec.Ref(v))); got != "conv_integer(v)" {
+	if got := string(appendExpr(nil, spec.ToInt(spec.Ref(v)))); got != "conv_integer(v)" {
 		t.Errorf("ToInt = %q", got)
 	}
 	i := spec.NewVar("i", spec.Integer)
-	if got := expr(spec.ToVec(spec.Ref(i), 7)); got != "conv_bit_vector(i, 7)" {
+	if got := string(appendExpr(nil, spec.ToVec(spec.Ref(i), 7))); got != "conv_bit_vector(i, 7)" {
 		t.Errorf("ToVec = %q", got)
 	}
 }
