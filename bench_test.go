@@ -112,11 +112,11 @@ func BenchmarkRefinedSimulation(b *testing.B) {
 		if _, err := protogen.Generate(sys, bus, protogen.Config{Protocol: spec.FullHandshake}); err != nil {
 			b.Fatal(err)
 		}
-		s, err := sim.New(sys, sim.Config{})
+		s, err := sim.NewEngine(sys)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err = s.Run()
+		res, err = s.Run(sim.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,11 +287,11 @@ func BenchmarkSynthesizedEthernet(b *testing.B) {
 		if _, err := core.Synthesize(sys, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
-		s, err := sim.New(sys, sim.Config{})
+		s, err := sim.NewEngine(sys)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.Run(sim.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

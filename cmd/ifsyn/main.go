@@ -298,11 +298,11 @@ func main() {
 			}
 			simCfg.OnEvent = vcdWriter.OnEvent
 		}
-		s, err := sim.New(sys, simCfg)
+		eng, err := sim.NewEngine(sys)
 		if err != nil {
 			fatal(err)
 		}
-		res, err := s.Run()
+		res, err := eng.Run(simCfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -312,7 +312,7 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "waveforms written to %s\n", *vcdPath)
 		}
-		fmt.Fprintf(os.Stderr, "\nsimulated %d clocks, %d deltas, %d statements\n",
+		fmt.Fprintf(os.Stderr, "\nsimulated %d clocks, %d deltas, %d instructions\n",
 			res.Clocks, res.Deltas, res.Steps)
 		keys := make([]string, 0, len(res.Finals))
 		for k := range res.Finals {

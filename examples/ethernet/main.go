@@ -60,11 +60,11 @@ func main() {
 }
 
 func run(sys *spec.System) *sim.Result {
-	s, err := sim.New(sys, sim.Config{})
+	eng, err := sim.NewEngine(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := eng.Run(sim.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,11 +64,11 @@ func main() {
 		}
 		cfg.OnEvent = w.OnEvent
 	}
-	s, err := sim.New(f.Sys, cfg)
+	eng, err := sim.NewEngine(f.Sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := eng.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,11 +73,11 @@ func main() {
 }
 
 func run(sys *spec.System, cost *estimate.CostModel) *sim.Result {
-	s, err := sim.New(sys, sim.Config{Cost: cost})
+	eng, err := sim.NewEngine(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := eng.Run(sim.Config{Cost: cost})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,11 +48,11 @@ func main() {
 	}
 
 	fmt.Println("=== simulating the refined specification ===")
-	s, err := sim.New(sys, sim.Config{})
+	eng, err := sim.NewEngine(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := eng.Run(sim.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

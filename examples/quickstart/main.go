@@ -61,11 +61,11 @@ func main() {
 	fmt.Println(vhdlgen.Summary(sys))
 
 	// 4. Simulate the refined system.
-	s, err := sim.New(sys, sim.Config{})
+	eng, err := sim.NewEngine(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := eng.Run(sim.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -62,11 +62,11 @@ func TestEndToEndParseSynthesizeSimulate(t *testing.T) {
 		t.Fatal("no bus-generation trace")
 	}
 
-	s, err := sim.New(sys, sim.Config{})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestSynthesizeHalfHandshake(t *testing.T) {
 	if rep.Buses[0].Bus.Protocol != spec.HalfHandshake {
 		t.Error("protocol not propagated")
 	}
-	s, err := sim.New(sys, sim.Config{})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestDMAFileFlow(t *testing.T) {
 	if _, err := Synthesize(sys, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(sys, sim.Config{})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +243,11 @@ end system;`
 	if len(rep.Buses) != 2 {
 		t.Fatalf("buses = %d, want 2", len(rep.Buses))
 	}
-	s, err := sim.New(sys, sim.Config{})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +283,11 @@ func TestAutopartitionedFlatSystem(t *testing.T) {
 	if _, err := Synthesize(sys, Options{Arbitrate: true}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(sys, sim.Config{})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,11 @@ end system;`
 	fmt.Printf("channels: %d, bus width: %d pins\n",
 		len(rep.ChannelsDerived), rep.Buses[0].Bus.Width)
 
-	s, err := sim.New(sys, sim.Config{})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,11 +27,11 @@ func TestFLCFullySynthesizedWithArbitration(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s, err := sim.New(f.Sys, sim.Config{})
+		s, err := sim.NewEngine(f.Sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.Run(sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,11 +82,11 @@ func TestSynthesizeRepairMode(t *testing.T) {
 	}
 	// The caller's system was refined with the repaired config: it must
 	// execute fault-free to completion and deliver.
-	s, err := sim.New(sys, sim.Config{})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		t.Fatalf("repaired refinement does not run: %v", err)
 	}

@@ -12,11 +12,11 @@ import (
 
 func simulate(t *testing.T, sys *spec.System, seed int64) *sim.Result {
 	t.Helper()
-	s, err := sim.New(sys, sim.Config{MaxClocks: 2_000_000})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{MaxClocks: 2_000_000})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

@@ -175,11 +175,11 @@ func Fig7SimCheck(widths []int) ([]Fig7SimPoint, error) {
 			return nil, err
 		}
 		model := estimate.DefaultModel()
-		s, err := sim.New(f.Sys, sim.Config{Cost: &model})
+		eng, err := sim.NewEngine(f.Sys)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.Run()
+		res, err := eng.Run(sim.Config{Cost: &model})
 		if err != nil {
 			return nil, fmt.Errorf("width %d: %w", w, err)
 		}

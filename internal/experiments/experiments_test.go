@@ -65,19 +65,31 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig7SimCheckShape(t *testing.T) {
-	points, err := Fig7SimCheck([]int{1, 2, 4, 8, 16, 23, 24})
+	// Simulated FLC completion times with the default cost model, as
+	// the goroutine-per-process kernel measured them: monotone
+	// non-increasing in the width, flat past 23 pins.
+	want := []int64{
+		79285, 59573, 53301, 48821, 47925, 46133, 45237, // widths 1-7
+		43445, 43445, 43445, 43445, // 8-11
+		42549, 42549, 42549, 42549, // 12-15
+		41653, 41653, 41653, 41653, 41653, 41653, 41653, // 16-22
+		40757, 40757, // 23-24
+	}
+	var widths []int
+	for w := 1; w <= len(want); w++ {
+		widths = append(widths, w)
+	}
+	points, err := Fig7SimCheck(widths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(points); i++ {
-		if points[i].Clocks > points[i-1].Clocks {
-			t.Fatalf("simulated clocks increased from width %d (%d) to %d (%d)",
-				points[i-1].Width, points[i-1].Clocks, points[i].Width, points[i].Clocks)
-		}
+	if len(points) != len(want) {
+		t.Fatalf("%d points, want %d", len(points), len(want))
 	}
-	last, prev := points[len(points)-1], points[len(points)-2]
-	if prev.Width == 23 && last.Width == 24 && last.Clocks != prev.Clocks {
-		t.Errorf("simulated plateau violated: %d clocks at 23, %d at 24", prev.Clocks, last.Clocks)
+	for i, p := range points {
+		if p.Width != widths[i] || p.Clocks != want[i] {
+			t.Errorf("width %d: simulated %d clocks, want %d", p.Width, p.Clocks, want[i])
+		}
 	}
 }
 

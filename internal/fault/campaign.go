@@ -81,11 +81,6 @@ type Config struct {
 	// DefaultExemplars. This is what lets a 10⁷-run campaign hold its
 	// report in O(classes + exemplars) memory instead of O(runs).
 	MaxExemplars int
-	// Unpooled forces every run onto the classic goroutine-per-process
-	// kernel instead of the pooled batch engine. The two kernels are
-	// bit-identical (and cross-checked in tests); this exists for
-	// benchmark baselines and as an escape hatch.
-	Unpooled bool
 }
 
 // DefaultExemplars is the per-outcome exemplar retention bound.
@@ -181,11 +176,10 @@ type chunkAgg struct {
 
 // Campaign runs a seeded fault-injection campaign: one golden run, then
 // cfg.Runs faulty runs sharded in chunks across workers, each injecting
-// freshly drawn faults into its own simulator run. Runs execute on the
-// pooled batch kernel (sim.NewEngine) when the system compiles for it,
-// falling back to the classic kernel otherwise; both produce identical
-// reports. Everything is derived from cfg.Seed, so a campaign is
-// reproducible byte for byte at any worker count.
+// freshly drawn faults into its own simulator run. The system is
+// compiled once (sim.NewEngine) and every run borrows a pooled runner.
+// Everything is derived from cfg.Seed, so a campaign is reproducible
+// byte for byte at any worker count.
 func Campaign(sys *spec.System, bus *spec.Bus, cfg Config) (*Report, error) {
 	return CampaignCtx(context.Background(), sys, bus, cfg)
 }
@@ -209,13 +203,11 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 		maxEx = DefaultExemplars
 	}
 
-	var eng *sim.Engine
-	if !cfg.Unpooled {
-		// A compile failure (recursive procedure, exotic construct) is
-		// not a campaign error: the classic kernel runs everything.
-		eng, _ = sim.NewEngine(sys)
+	eng, err := sim.NewEngine(sys)
+	if err != nil {
+		return nil, fmt.Errorf("fault: %w", err)
 	}
-	golden, err := execute(eng, sys, cfg.Sim)
+	golden, err := eng.Run(cfg.Sim)
 	if err != nil {
 		return nil, fmt.Errorf("fault: golden run failed: %w", err)
 	}
@@ -263,7 +255,7 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 			})
 			rr := RunResult{Run: i, Seed: seed, Faults: faults}
 			inj.Reset(faults)
-			res, rerr := execute(eng, sys, scfg)
+			res, rerr := eng.Run(scfg)
 			if rerr != nil {
 				rr.Err = rerr.Error()
 				rr.Outcome = classifyError(rerr)
@@ -325,19 +317,6 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 		}
 	}
 	return rep, nil
-}
-
-// execute runs one simulation on the pooled engine when available, the
-// classic kernel otherwise.
-func execute(eng *sim.Engine, sys *spec.System, cfg sim.Config) (*sim.Result, error) {
-	if eng != nil {
-		return eng.Run(cfg)
-	}
-	s, err := sim.New(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
 }
 
 func effectiveWorkers(workers int) int {

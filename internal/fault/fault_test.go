@@ -62,11 +62,11 @@ func runWith(t *testing.T, sys *spec.System, faults []Fault) (*sim.Result, error
 	t.Helper()
 	cfg := sim.Config{MaxClocks: 200_000}
 	NewInjector(faults).Attach(&cfg)
-	s, err := sim.New(sys, cfg)
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Run()
+	return s.Run(cfg)
 }
 
 func checkPQFinals(t *testing.T, res *sim.Result) {
@@ -273,9 +273,11 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestCampaignPooledMatchesUnpooled: the pooled batch kernel and the
-// classic kernel must classify identically — same report, same
-// exemplars — on the hardened scenarios the acceptance criteria name.
+// TestCampaignPooledMatchesUnpooled: a campaign compiles the system
+// once and reuses pooled runners (and one injector per chunk) across
+// its runs. Re-running every run unpooled — a freshly compiled Engine
+// and a fresh injector each — must reproduce the report's totals and
+// exemplars exactly, so no state leaks from one pooled run to the next.
 func TestCampaignPooledMatchesUnpooled(t *testing.T) {
 	for _, pc := range []struct {
 		name string
@@ -286,20 +288,40 @@ func TestCampaignPooledMatchesUnpooled(t *testing.T) {
 	} {
 		t.Run(pc.name, func(t *testing.T) {
 			sys, bus, ref := refinePQ(t, pc.cfg)
-			run := func(unpooled bool) *Report {
-				rep, err := Campaign(sys, bus, Config{
-					Runs: 64, Seed: 99, AbortVars: ref.AbortKeys(), Unpooled: unpooled,
-				})
+			const runs, seed = 64, 99
+			rep, err := Campaign(sys, bus, Config{Runs: runs, Seed: seed, AbortVars: ref.AbortKeys()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			golds := goldenFinals(rep.Golden, ref.AbortKeys())
+			totals := make(map[Outcome]int)
+			exemplars := make(map[Outcome][]RunResult)
+			for i := 0; i < runs; i++ {
+				rr := RunResult{Run: i, Seed: runSeed(seed, i)}
+				rr.Faults = Randomize(bus, Plan{Seed: rr.Seed})
+				cfg := sim.Config{MaxClocks: 16*rep.Golden.Clocks + 4096, FinalsOnly: true}
+				NewInjector(rr.Faults).Attach(&cfg)
+				eng, err := sim.NewEngine(sys)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return rep
+				if res, err := eng.Run(cfg); err != nil {
+					rr.Err = err.Error()
+					rr.Outcome = classifyError(err)
+				} else {
+					rr.Clocks = res.Clocks
+					rr.Aborts = sumAborts(res, ref.AbortKeys())
+					rr.Outcome = classifyFinals(golds, res, rr.Aborts)
+				}
+				totals[rr.Outcome]++
+				if len(exemplars[rr.Outcome]) < DefaultExemplars {
+					exemplars[rr.Outcome] = append(exemplars[rr.Outcome], rr)
+				}
 			}
-			pooled, unpooled := run(false), run(true)
-			if pooled.String() != unpooled.String() {
-				t.Errorf("pooled report differs from unpooled:\n%s\nvs:\n%s", pooled.String(), unpooled.String())
+			if !reflect.DeepEqual(rep.Totals, totals) {
+				t.Errorf("pooled totals %v, unpooled %v", rep.Totals, totals)
 			}
-			if !reflect.DeepEqual(pooled.Exemplars, unpooled.Exemplars) {
+			if !reflect.DeepEqual(rep.Exemplars, exemplars) {
 				t.Error("pooled exemplars differ from unpooled")
 			}
 		})

@@ -126,11 +126,11 @@ func TestFunctionalSimulationUnrefined(t *testing.T) {
 	// The FLC computes a deterministic control output with abstract
 	// (direct-access) channels.
 	f := New(DefaultConfig())
-	s, err := sim.New(f.Sys, sim.Config{})
+	s, err := sim.NewEngine(f.Sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func TestRefinedBusBPreservesFunction(t *testing.T) {
 	// output with the unrefined run — the FLC-scale version of the
 	// paper's functional-equivalence claim.
 	ref := New(DefaultConfig())
-	s1, err := sim.New(ref.Sys, sim.Config{})
+	s1, err := sim.NewEngine(ref.Sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := s1.Run()
+	base, err := s1.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestRefinedBusBPreservesFunction(t *testing.T) {
 	if _, err := protogen.Generate(f.Sys, bus, protogen.Config{Protocol: spec.FullHandshake}); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := sim.New(f.Sys, sim.Config{})
+	s2, err := sim.NewEngine(f.Sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := s2.Run()
+	refined, err := s2.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestDifferentInputsChangeOutput(t *testing.T) {
 	outs := map[int64]bool{}
 	for _, cfg := range []Config{{Temperature: 10, Humidity: 10}, {Temperature: 80, Humidity: 40}, {Temperature: 120, Humidity: 100}} {
 		f := New(cfg)
-		s, err := sim.New(f.Sys, sim.Config{})
+		s, err := sim.NewEngine(f.Sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.Run(sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,11 +23,11 @@ func TestFLCTextRoundTrip(t *testing.T) {
 		t.Fatalf("reparse: %v", err)
 	}
 	run := func(sys *spec.System) *sim.Result {
-		s, err := sim.New(sys, sim.Config{})
+		s, err := sim.NewEngine(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
+		res, err := s.Run(sim.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

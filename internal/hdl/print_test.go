@@ -53,11 +53,11 @@ func TestPrintedSystemSimulatesIdentically(t *testing.T) {
 		}
 
 		run := func(sys *spec.System) *sim.Result {
-			s, err := sim.New(sys, sim.Config{})
+			s, err := sim.NewEngine(sys)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			res, err := s.Run()
+			res, err := s.Run(sim.Config{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

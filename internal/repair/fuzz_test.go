@@ -74,7 +74,7 @@ func FuzzRepairMutations(f *testing.F) {
 		if cfg.Robust && cfg.Protocol == spec.FullHandshake && len(abortKeys) == 0 {
 			t.Fatalf("robust generation lost its abort counters: %+v", cfg)
 		}
-		if _, err := sim.New(sys, sim.Config{}); err != nil {
+		if _, err := sim.NewEngine(sys); err != nil {
 			t.Fatalf("refined system under %+v is not executable: %v", cfg, err)
 		}
 	})

@@ -2,6 +2,10 @@ package repair
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -9,10 +13,10 @@ import (
 	"repro/internal/verify"
 )
 
-// cexTrace captures one simulator replay of a counterexample, rendered
-// to strings so the two kernels compare directly. Steps is deliberately
-// absent (the kernels count executed work differently); everything
-// observable — the full event stream, time, final state — must match.
+// cexTrace captures one simulator replay of a counterexample: the full
+// event stream, time, final state and error. Steps is deliberately
+// absent: the Engine counts compiled instructions, the classic kernel
+// that recorded the golden counted source statements.
 type cexTrace struct {
 	events     []string
 	clocks     int64
@@ -21,125 +25,134 @@ type cexTrace struct {
 	sigEvents  map[string]int64
 	processEnd map[string]int64
 	err        string
-	buildErr   string
 }
 
-func (tr *cexTrace) fill(res *sim.Result, err error) {
+func traceEngine(e *sim.Engine, cfg sim.Config) cexTrace {
+	var tr cexTrace
+	cfg.OnEvent = func(now int64, sig *spec.Variable, val sim.Value) {
+		tr.events = append(tr.events, fmt.Sprintf("t=%d %s=%s", now, sig.Name, fullString(val)))
+	}
+	res, err := e.Run(cfg)
 	if err != nil {
 		tr.err = err.Error()
-		return
+		return tr
 	}
 	tr.clocks = res.Clocks
 	tr.deltas = res.Deltas
 	tr.finals = make(map[string]string, len(res.Finals))
 	for k, v := range res.Finals {
-		tr.finals[k] = v.String()
+		tr.finals[k] = fullString(v)
 	}
 	tr.sigEvents = res.SignalEvents
 	tr.processEnd = res.ProcessEnd
-}
-
-func traceClassic(sys *spec.System, cfg sim.Config) cexTrace {
-	var tr cexTrace
-	cfg.OnEvent = func(now int64, sig *spec.Variable, val sim.Value) {
-		tr.events = append(tr.events, fmt.Sprintf("t=%d %s=%s", now, sig.Name, val))
-	}
-	s, err := sim.New(sys, cfg)
-	if err != nil {
-		tr.buildErr = err.Error()
-		return tr
-	}
-	res, err := s.Run()
-	tr.fill(res, err)
 	return tr
 }
 
-func traceBatch(e *sim.Engine, cfg sim.Config) cexTrace {
-	var tr cexTrace
-	cfg.OnEvent = func(now int64, sig *spec.Variable, val sim.Value) {
-		tr.events = append(tr.events, fmt.Sprintf("t=%d %s=%s", now, sig.Name, val))
+// fullString renders a value completely: unlike ArrayVal.String it
+// never elides the elements past index 8.
+func fullString(v sim.Value) string {
+	switch v := v.(type) {
+	case sim.ArrayVal:
+		parts := make([]string, len(v.Elems))
+		for i, e := range v.Elems {
+			parts[i] = fullString(e)
+		}
+		return fmt.Sprintf("%d:(%s)", v.Lo, strings.Join(parts, ", "))
+	case sim.RecordVal:
+		parts := make([]string, len(v.Fields))
+		for i, f := range v.Fields {
+			parts[i] = v.Type.Fields[i].Name + ": " + fullString(f)
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
 	}
-	res, err := e.Run(cfg)
-	tr.fill(res, err)
-	return tr
+	return v.String()
 }
 
-func diffTraces(a, b cexTrace) string {
-	if a.buildErr != b.buildErr {
-		return fmt.Sprintf("build: %q vs %q", a.buildErr, b.buildErr)
+// render is the golden text of a trace: one line per signal event, then
+// either the error or the result, maps in key order.
+func (tr cexTrace) render() string {
+	var b strings.Builder
+	for _, e := range tr.events {
+		fmt.Fprintf(&b, "event %s\n", e)
 	}
-	if a.err != b.err {
-		return fmt.Sprintf("outcome: %q vs %q", a.err, b.err)
+	if tr.err != "" {
+		fmt.Fprintf(&b, "error %s\n", tr.err)
+		return b.String()
 	}
-	for i := 0; i < len(a.events) && i < len(b.events); i++ {
-		if a.events[i] != b.events[i] {
-			return fmt.Sprintf("event %d: %q vs %q", i, a.events[i], b.events[i])
-		}
+	fmt.Fprintf(&b, "clocks %d\ndeltas %d\n", tr.clocks, tr.deltas)
+	for _, k := range sortedKeys(tr.finals) {
+		fmt.Fprintf(&b, "final %s %s\n", k, tr.finals[k])
 	}
-	if len(a.events) != len(b.events) {
-		return fmt.Sprintf("event count: %d vs %d", len(a.events), len(b.events))
+	for _, k := range sortedKeys(tr.sigEvents) {
+		fmt.Fprintf(&b, "signal-events %s %d\n", k, tr.sigEvents[k])
 	}
-	if a.clocks != b.clocks {
-		return fmt.Sprintf("clocks: %d vs %d", a.clocks, b.clocks)
+	for _, k := range sortedKeys(tr.processEnd) {
+		fmt.Fprintf(&b, "process-end %s %d\n", k, tr.processEnd[k])
 	}
-	if a.deltas != b.deltas {
-		return fmt.Sprintf("deltas: %d vs %d", a.deltas, b.deltas)
-	}
-	for k, v := range a.finals {
-		if b.finals[k] != v {
-			return fmt.Sprintf("finals[%s]: %q vs %q", k, v, b.finals[k])
-		}
-	}
-	if len(a.finals) != len(b.finals) {
-		return fmt.Sprintf("finals size: %d vs %d", len(a.finals), len(b.finals))
-	}
-	for _, pair := range []struct {
-		name string
-		x, y map[string]int64
-	}{{"signal events", a.sigEvents, b.sigEvents}, {"process end", a.processEnd, b.processEnd}} {
-		for k, v := range pair.x {
-			if pair.y[k] != v {
-				return fmt.Sprintf("%s[%s]: %d vs %d", pair.name, k, v, pair.y[k])
-			}
-		}
-		if len(pair.x) != len(pair.y) {
-			return fmt.Sprintf("%s size: %d vs %d", pair.name, len(pair.x), len(pair.y))
-		}
-	}
-	return ""
+	return b.String()
 }
 
-// TestRepairCexCrossKernel replays every counterexample the repair loop
-// produced — faulty, scheduled interleavings at the edge of the
-// protocol's behavior — through both simulator kernels and diffs the
-// complete observable traces. Repair counterexamples are exactly the
-// adversarial inputs most likely to expose a kernel divergence, so the
-// loop doubles as a differential test generator. Both cached runs feed
-// it: the lost-ack repair (one protocol shape) and the escalating run,
-// whose counterexamples span the half handshake, the flushed half
-// handshake, and the reselected full handshake. The configuration is
-// rebuilt per run: the attached fault injector is stateful.
-func TestRepairCexCrossKernel(t *testing.T) {
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// repairCexes returns every counterexample both cached repair runs
+// produced: the lost-ack repair (one protocol shape) and the escalating
+// run, whose counterexamples span the half handshake, the flushed half
+// handshake, and the reselected full handshake.
+func repairCexes(t *testing.T) []*verify.Counterexample {
 	cexes := append([]*verify.Counterexample{}, runLostAck(t).Counterexamples...)
 	cexes = append(cexes, runEscalation(t).Counterexamples...)
 	if len(cexes) == 0 {
 		t.Fatal("repair loops produced no counterexamples")
 	}
-	for i, c := range cexes {
+	return cexes
+}
+
+// cexGolden holds the replays of repairCexes as the goroutine-per-process
+// kernel this repository used to carry recorded them, before it was
+// deleted. Nothing can regenerate the file; it is only compared against.
+var cexGolden = filepath.Join("testdata", "cex_replays.classic")
+
+// TestRepairCexCrossKernel replays every counterexample the repair loop
+// produced — faulty, scheduled interleavings at the edge of the
+// protocol's behavior — on the Engine and diffs the complete observable
+// traces against the classic kernel's frozen replays. Repair
+// counterexamples are exactly the adversarial inputs most likely to
+// expose a kernel divergence, so the loop doubles as a differential
+// test generator. Each counterexample also replays twice on one pooled
+// Engine: the second run must not see injector or runner state leaked
+// from the first. The configuration is rebuilt per run: the attached
+// fault injector is stateful.
+func TestRepairCexCrossKernel(t *testing.T) {
+	want, err := os.ReadFile(cexGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for i, c := range repairCexes(t) {
 		e, err := sim.NewEngine(c.System())
 		if err != nil {
 			t.Fatalf("cex %d: NewEngine: %v", i, err)
 		}
-		classic := traceClassic(c.System(), c.SimConfig())
-		batch := traceBatch(e, c.SimConfig())
-		if d := diffTraces(classic, batch); d != "" {
-			t.Fatalf("cex %d (%s): batch kernel diverges from classic: %s", i, c.Kind, d)
+		first := traceEngine(e, c.SimConfig()).render()
+		if again := traceEngine(e, c.SimConfig()).render(); again != first {
+			t.Fatalf("cex %d (%s): second run on the pooled engine diverges (reset leak)", i, c.Kind)
 		}
-		// Second batch run on the same pooled engine: replaying the same
-		// faults must not leak injector or runner state.
-		again := traceBatch(e, c.SimConfig())
-		if d := diffTraces(classic, again); d != "" {
-			t.Fatalf("cex %d (%s): second batch run diverges (reset leak): %s", i, c.Kind, d)
+		fmt.Fprintf(&got, "== cex %d %s\n%s", i, c.Kind, first)
+	}
+	w, g := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			t.Fatalf("line %d: classic %q, engine %q", i+1, w[i], g[i])
 		}
+	}
+	if len(w) != len(g) {
+		t.Fatalf("classic replays have %d lines, engine %d", len(w), len(g))
 	}
 }

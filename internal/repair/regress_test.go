@@ -55,11 +55,11 @@ func replayPinned(t *testing.T, cfg protogen.Config) *sim.Result {
 		Schedule:  func(now int64, runnable []string) []string { return order },
 	}
 	fault.NewInjector([]fault.Fault{pinnedDrop}).Attach(&scfg)
-	s, err := sim.New(sys, scfg)
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(scfg)
 	if err != nil {
 		t.Fatalf("pinned replay did not terminate: %v", err)
 	}

@@ -170,11 +170,11 @@ func TestUnarbitratedConcurrentAccessCorrupts(t *testing.T) {
 	if _, err := protogen.Generate(sys, bus, protogen.Config{Protocol: spec.FullHandshake}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sys, Config{MaxClocks: 100000})
+	s, err := NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(Config{MaxClocks: 100000})
 	if err != nil {
 		return // deadlock/timeout: hazard manifested
 	}

@@ -8,23 +8,21 @@ import (
 	"repro/internal/spec"
 )
 
-// Engine is a reusable, pooled simulator for one system: behaviors are
-// compiled to flat programs and every variable is resolved to a dense
-// slot index once, at construction; each Run then borrows a runner from
-// an internal pool, resets its slot arrays from shared immutable
-// templates, and executes the delta-cycle loop inline — no goroutines,
-// no channels, no per-run maps. Fault campaigns run the same system
-// 10⁵–10⁷ times, which is exactly the regime where sim.New's per-run
-// setup (goroutine + resume channel per process, fresh map tables)
-// dominates wall time.
+// Engine is the simulator: a reusable, pooled executor for one system.
+// Behaviors are compiled to flat programs and every variable is
+// resolved to a dense slot index once, at construction; each Run then
+// borrows a runner from an internal pool, resets its slot arrays from
+// shared immutable templates, and executes the delta-cycle loop on the
+// caller's goroutine — no channels, no per-run maps. A single
+// simulation compiles once and runs once; fault campaigns compile once
+// and run the same system 10⁵–10⁷ times.
 //
-// An Engine run is bit-identical to the classic kernel on everything a
-// caller can observe except Result.Steps: Clocks, Deltas, ProcessEnd,
-// Finals, SignalEvents, the OnEvent/Mutate/Schedule hook sequences, and
-// error strings all match (batch_test.go enforces this). Steps counts
-// executed *instructions* of the compiled program rather than source
-// statements, so its value differs; the MaxStepsPerSlice runaway guard
-// correspondingly trips on instruction counts.
+// Everything a caller can observe — Clocks, Deltas, ProcessEnd,
+// Finals, SignalEvents, the OnEvent/Mutate/Schedule hook sequences and
+// error strings — is pinned, with and without a cost model, against
+// reference traces frozen under testdata/classic (batch_test.go).
+// Result.Steps and the MaxStepsPerSlice runaway guard count compiled
+// instructions.
 //
 // Engine is safe for concurrent Run calls: runners are pooled and each
 // call uses its own.
@@ -66,11 +64,10 @@ type Engine struct {
 	pool  sync.Pool
 }
 
-// NewEngine compiles the system for pooled execution. It returns an
-// error if the system does not validate or uses a construct the batch
-// compiler cannot lower faithfully (recursive procedures, non-lvalue
-// assignment targets); callers should fall back to New, whose
-// interpreter handles every construct with runtime checks.
+// NewEngine compiles the system. It returns an error if the system does
+// not validate or uses a construct the compiler cannot lower: a
+// recursive procedure (the error names it) or a non-lvalue assignment
+// target.
 func NewEngine(sys *spec.System) (*Engine, error) {
 	if errs := sys.Validate(); len(errs) > 0 {
 		return nil, fmt.Errorf("sim: invalid system: %w", errs[0])
@@ -112,7 +109,7 @@ func NewEngine(sys *spec.System) (*Engine, error) {
 	for _, b := range sys.Behaviors() {
 		prog, err := e.compile(b)
 		if err != nil {
-			return nil, fmt.Errorf("sim: batch compile: %w", err)
+			return nil, fmt.Errorf("sim: compile: %w", err)
 		}
 		e.progs = append(e.progs, prog)
 	}
@@ -134,18 +131,17 @@ func NewEngine(sys *spec.System) (*Engine, error) {
 	// Element stores into never-aliased array variables may mutate the
 	// container in place once the run owns it; decided only now, because
 	// a shared array could escape in a behavior compiled later.
-	if !e.bufUnsafe {
-		for _, prog := range e.progs {
-			for i := range prog.code {
-				in := &prog.code[i]
-				if in.op != bopAssign || in.lref.sp == slotSignal || len(in.path) == 0 || in.path[0].kind != 0 {
-					continue
-				}
-				if _, ok := in.base.Type.(spec.ArrayType); ok && !e.arrEscapes[in.base] {
-					in.aOwn = true
-				}
+	for _, prog := range e.progs {
+		for i := range prog.costCode {
+			in := &prog.costCode[i]
+			if e.bufUnsafe || in.op != bopAssign || in.lref.sp == slotSignal || len(in.path) == 0 || in.path[0].kind != 0 {
+				continue
+			}
+			if _, ok := in.base.Type.(spec.ArrayType); ok && !e.arrEscapes[in.base] {
+				in.aOwn = true
 			}
 		}
+		prog.code = stripCharges(prog.costCode)
 	}
 	e.pool.New = func() any { return newRunner(e) }
 	return e, nil
@@ -154,18 +150,10 @@ func NewEngine(sys *spec.System) (*Engine, error) {
 // System returns the system the engine was compiled for.
 func (e *Engine) System() *spec.System { return e.sys }
 
-// Run executes the system once under cfg, exactly like New(sys,
-// cfg).Run() but on a pooled runner. Configurations with a cost model
-// need the interpreter's statement-level lag accounting and are
-// delegated to the classic kernel.
+// Run executes the system to completion under cfg on a pooled runner:
+// every non-server process finished, or an error (deadlock, runaway
+// process, time limit, runtime fault).
 func (e *Engine) Run(cfg Config) (*Result, error) {
-	if cfg.Cost != nil {
-		s, err := New(e.sys, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return s.Run()
-	}
 	r := e.pool.Get().(*runner)
 	r.reset(cfg)
 	res, err := r.run()
@@ -241,8 +229,16 @@ type bdelayed struct {
 
 // bproc is one compiled process within a runner.
 type bproc struct {
-	r      *runner
-	prog   *bprogram
+	r    *runner
+	prog *bprogram
+	// code is the program this run executes: prog.code, or
+	// prog.costCode under a cost model, whose bopCharge instructions
+	// add charges[pc] to lag.
+	code    []binstr
+	charges []int64
+	// lag accumulates cost-model clocks not yet elapsed as simulated
+	// time.
+	lag    int64
 	ev     Evaluator
 	locals []Value
 	pc     int32
@@ -366,6 +362,19 @@ func (r *runner) reset(cfg Config) {
 		r.sharedOwn[i] = false
 	}
 	for _, p := range r.procs {
+		p.code = p.prog.code
+		if cfg.Cost != nil {
+			p.code = p.prog.costCode
+			p.charges = p.charges[:0]
+			for i := range p.code {
+				var c int64
+				if p.code[i].op == bopCharge {
+					c = p.code[i].clocks(cfg.Cost)
+				}
+				p.charges = append(p.charges, c)
+			}
+		}
+		p.lag = 0
 		copy(p.locals, p.prog.localInit)
 		for i := range p.localOwn {
 			p.localOwn[i] = false
@@ -390,8 +399,7 @@ func (r *runner) reset(cfg Config) {
 	r.graceEnd = -1
 }
 
-// run is the delta-cycle loop — a direct port of kernel.run with the
-// goroutine ping-pong replaced by inline stepProc calls.
+// run is the delta-cycle loop.
 func (r *runner) run() (*Result, error) {
 	runnable := r.runnableBuf[:0]
 	for i := range r.procs {
@@ -418,12 +426,18 @@ func (r *runner) run() (*Result, error) {
 			}
 		}
 
+		// When every foreground process has finished, keep simulating
+		// for a short grace window so variable processes can complete
+		// in-flight commits (a server latches the last bus word one
+		// clock after the accessor's handshake completes).
 		if r.foregroundDone() {
 			if r.graceEnd < 0 {
 				r.graceEnd = r.now + graceClocks
 			}
 		}
 
+		// Advance time to the earliest deadline (process wait deadlines
+		// and delayed signal commits alike).
 		next := int64(-1)
 		for _, p := range r.procs {
 			if p.state == stateWaiting && !p.wForever && p.wDeadline >= 0 {
@@ -447,6 +461,9 @@ func (r *runner) run() (*Result, error) {
 			return nil, fmt.Errorf("sim: exceeded MaxClocks=%d at clock %d", r.cfg.MaxClocks, r.now)
 		}
 		r.now = next
+		// Delayed signal commits due now bypass Config.Mutate (they are
+		// the hook's own doing) and wake sensitive processes like any
+		// other event.
 		if r.applyDelayed() {
 			if r.flush() {
 				runnable = r.wake(runnable)
@@ -462,7 +479,10 @@ func (r *runner) run() (*Result, error) {
 	}
 }
 
-// reorder applies the Config.Schedule hook, matching kernel.reorder.
+// reorder applies the Config.Schedule hook to one delta cycle's
+// runnable set (already in default id order). Listed processes run in
+// the hook's order; unlisted ones keep their relative default order and
+// run after every listed one.
 func (r *runner) reorder(runnable []int32) {
 	if r.cfg.Schedule == nil || len(runnable) < 2 {
 		return
@@ -496,8 +516,8 @@ func (r *runner) stepProc(p *bproc) error {
 	return nil
 }
 
-// flush applies pending signal updates (kernel.flush), stamping changed
-// slots for wake; reports whether any event fired.
+// flush applies pending signal updates, stamping changed slots for
+// wake; reports whether any event fired.
 func (r *runner) flush() bool {
 	r.stamp++
 	any := false
@@ -547,8 +567,9 @@ func (r *runner) flush() bool {
 	return any
 }
 
-// wake appends the processes woken by the last flush's events
-// (kernel.wakeOnEvents).
+// wake appends the processes woken by the last flush's events: those
+// sensitive to a changed signal whose until condition (if any) now
+// holds.
 func (r *runner) wake(runnable []int32) []int32 {
 	for i, p := range r.procs {
 		if p.state != stateWaiting || p.wForever {
@@ -574,7 +595,8 @@ func (r *runner) wake(runnable []int32) []int32 {
 	return runnable
 }
 
-// applyDelayed commits due delayed updates (kernel.applyDelayed).
+// applyDelayed schedules every delayed signal commit due at the current
+// clock, reporting whether any was applied.
 func (r *runner) applyDelayed() bool {
 	applied := false
 	rest := r.delayed[:0]
@@ -596,8 +618,7 @@ func (r *runner) applyDelayed() bool {
 	return applied
 }
 
-// schedule registers a pending signal update for the current delta
-// (kernel.schedule).
+// schedule registers a pending signal update for the current delta.
 func (r *runner) schedule(idx int32, val Value) {
 	s := &r.sig[idx]
 	if s.pending == nil {
@@ -678,7 +699,7 @@ func (p *bproc) evFail(format string, args ...any) {
 }
 
 // lookup resolves a variable read against the program's slot table,
-// with the interpreter's error for never-initialized scratch slots.
+// failing "not in scope" for never-initialized scratch slots.
 func (p *bproc) lookup(v *spec.Variable) Value {
 	ref, ok := p.prog.res[v]
 	if !ok {
@@ -713,7 +734,7 @@ func (p *bproc) exec() {
 			}
 		}
 	}()
-	code := p.prog.code
+	code := p.code
 	if p.inWait {
 		p.inWait = false
 		m := code[p.pc].wait
@@ -730,9 +751,7 @@ func (p *bproc) exec() {
 		p.sliceSteps++
 		p.r.steps++
 		if p.sliceSteps > p.r.cfg.MaxStepsPerSlice {
-			// Counts compiled instructions, not source statements, so the
-			// reported number differs from the classic kernel's.
-			fail("process %s executed %d statements without yielding (runaway zero-delay loop?)",
+			fail("process %s executed %d instructions without yielding (runaway zero-delay loop?)",
 				p.prog.beh.Name, p.sliceSteps)
 		}
 		in := &code[p.pc]
@@ -759,6 +778,20 @@ func (p *bproc) exec() {
 			p.state = stateWaiting
 			p.inWait = true
 			return
+		case bopCharge:
+			p.lag += p.charges[p.pc]
+			p.pc++
+			if in.realize && p.lag > 0 {
+				// The computation elapses before the next instruction
+				// runs: a timed suspension as long as the lag.
+				p.wMeta = &lagWait
+				p.wDeadline = p.r.now + p.lag
+				p.wForever = false
+				p.wHasCheck = false
+				p.lag = 0
+				p.state = stateWaiting
+				return
+			}
 		default: // bopEnd
 			p.state = stateFinished
 			p.endAt = p.r.now
@@ -767,11 +800,11 @@ func (p *bproc) exec() {
 	}
 }
 
-// execAssign evaluates the right-hand side and stores it, replicating
-// interp.go's assign: signal targets are delta-scheduled (partial
-// stores build on the pending value), variable targets update in place,
-// and a plain store to a never-initialized scratch slot fails "not
-// writable" like the interpreter's missing storage cell.
+// execAssign evaluates the right-hand side and stores it. Signal
+// targets are delta-scheduled (partial stores build on the pending
+// value, so a later field update in the same delta cannot revert an
+// earlier one), variable targets update in place, and a plain store to
+// a never-initialized scratch slot fails "not writable".
 func (p *bproc) execAssign(in *binstr) {
 	val := p.evalExpr(in.crhs, in.rhs)
 	ref := in.lref
@@ -795,8 +828,8 @@ func (p *bproc) execAssign(in *binstr) {
 						rv.Fields[i] = Coerce(val, rv.Type.Fields[i].Type)
 						return
 					}
-					// Unknown field: fall through so applyPath raises the
-					// interpreter's exact error.
+					// Unknown field: fall through so applyPath raises its
+					// store error.
 				}
 			} else if s.pending == nil && p.r.useBufs {
 				// First field store of this delta on a buffer-eligible
@@ -899,14 +932,17 @@ func (p *bproc) setRaw(ref slotRef, val Value) {
 }
 
 // setStorage writes a setLocal-style target (timeout flag), coercing to
-// the variable's declared type like the interpreter.
+// the variable's declared type.
 func (p *bproc) setStorage(ref slotRef, v *spec.Variable, val Value) {
 	p.setRaw(ref, Coerce(val, v.Type))
 }
 
-// execWait replicates interp.go's execWait. It reports true when the
-// process continues without suspending (immediate-check hit), false
-// when it suspends with the wait state recorded on the process.
+// execWait executes a wait. It reports true when the process continues
+// without suspending (an until condition that already holds), false
+// when it suspends with the wait state recorded on the process. A pure
+// timed wait absorbs the process's cost-model lag into its deadline;
+// every other wait found the lag already elapsed (the bopCharge before
+// it).
 func (p *bproc) execWait(m *waitMeta) bool {
 	s := m.w
 	if m.badOn != nil {
@@ -928,13 +964,18 @@ func (p *bproc) execWait(m *waitMeta) bool {
 		if s.For < 0 {
 			p.failf("negative wait duration %d", s.For)
 		}
-		p.wDeadline = p.r.now + s.For
+		p.wDeadline = p.r.now + s.For + p.lag
+		p.lag = 0
 	}
 	p.wMeta = m
 	p.wForever = m.forever
 	p.wHasCheck = s.Until != nil
 	return false
 }
+
+// lagWait is the wait state of a process whose cost-model lag is
+// elapsing: no sensitivity, no condition, only the deadline.
+var lagWait waitMeta
 
 // insertionSortInt32 sorts a small id slice ascending; runnable sets
 // are at most the process count, where insertion sort beats sort.Slice

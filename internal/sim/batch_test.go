@@ -2,6 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,9 +15,9 @@ import (
 )
 
 // batchTrace captures everything a run exposes, rendered to strings so
-// traces from the two kernels compare directly. Steps is deliberately
-// absent: the batch kernel counts compiled instructions, the classic
-// kernel counts source statements (see batch.go).
+// a run compares directly against a golden. Steps is deliberately
+// absent: the Engine counts compiled instructions, the classic kernel
+// that recorded the goldens counted source statements.
 type batchTrace struct {
 	events     []string
 	clocks     int64
@@ -23,28 +26,12 @@ type batchTrace struct {
 	sigEvents  map[string]int64
 	processEnd map[string]int64
 	err        string
-	buildErr   string
-}
-
-func traceClassic(sys *spec.System, cfg Config) batchTrace {
-	var tr batchTrace
-	cfg.OnEvent = func(now int64, sig *spec.Variable, val Value) {
-		tr.events = append(tr.events, fmt.Sprintf("t=%d %s=%s", now, sig.Name, val))
-	}
-	s, err := New(sys, cfg)
-	if err != nil {
-		tr.buildErr = err.Error()
-		return tr
-	}
-	res, err := s.Run()
-	tr.fill(res, err)
-	return tr
 }
 
 func traceEngine(e *Engine, cfg Config) batchTrace {
 	var tr batchTrace
 	cfg.OnEvent = func(now int64, sig *spec.Variable, val Value) {
-		tr.events = append(tr.events, fmt.Sprintf("t=%d %s=%s", now, sig.Name, val))
+		tr.events = append(tr.events, fmt.Sprintf("t=%d %s=%s", now, sig.Name, fullString(val)))
 	}
 	res, err := e.Run(cfg)
 	tr.fill(res, err)
@@ -60,81 +47,138 @@ func (tr *batchTrace) fill(res *Result, err error) {
 	tr.deltas = res.Deltas
 	tr.finals = make(map[string]string, len(res.Finals))
 	for k, v := range res.Finals {
-		tr.finals[k] = v.String()
+		tr.finals[k] = fullString(v)
 	}
 	tr.sigEvents = res.SignalEvents
 	tr.processEnd = res.ProcessEnd
 }
 
-func diffTraces(a, b batchTrace) string {
-	if a.buildErr != b.buildErr {
-		return fmt.Sprintf("build: %q vs %q", a.buildErr, b.buildErr)
+// fullString renders a value completely: unlike ArrayVal.String it
+// never elides the elements past index 8.
+func fullString(v Value) string {
+	switch v := v.(type) {
+	case ArrayVal:
+		parts := make([]string, len(v.Elems))
+		for i, e := range v.Elems {
+			parts[i] = fullString(e)
+		}
+		return fmt.Sprintf("%d:(%s)", v.Lo, strings.Join(parts, ", "))
+	case RecordVal:
+		parts := make([]string, len(v.Fields))
+		for i, f := range v.Fields {
+			parts[i] = v.Type.Fields[i].Name + ": " + fullString(f)
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
 	}
-	if a.err != b.err {
-		return fmt.Sprintf("outcome: %q vs %q", a.err, b.err)
+	return v.String()
+}
+
+// render is the golden text of a trace: one line per signal event, then
+// either the error or the result, maps in key order.
+func (tr batchTrace) render() string {
+	var b strings.Builder
+	for _, e := range tr.events {
+		fmt.Fprintf(&b, "event %s\n", e)
 	}
-	for i := 0; i < len(a.events) && i < len(b.events); i++ {
-		if a.events[i] != b.events[i] {
-			return fmt.Sprintf("event %d: %q vs %q", i, a.events[i], b.events[i])
+	if tr.err != "" {
+		fmt.Fprintf(&b, "error %s\n", tr.err)
+		return b.String()
+	}
+	fmt.Fprintf(&b, "clocks %d\ndeltas %d\n", tr.clocks, tr.deltas)
+	for _, k := range sortedKeys(tr.finals) {
+		fmt.Fprintf(&b, "final %s %s\n", k, tr.finals[k])
+	}
+	for _, k := range sortedKeys(tr.sigEvents) {
+		fmt.Fprintf(&b, "signal-events %s %d\n", k, tr.sigEvents[k])
+	}
+	for _, k := range sortedKeys(tr.processEnd) {
+		fmt.Fprintf(&b, "process-end %s %d\n", k, tr.processEnd[k])
+	}
+	return b.String()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// goldenCase is one run whose classic-kernel trace is frozen under
+// testdata/classic/<name>.trace. The goldens were recorded with the
+// goroutine-per-process kernel this package used to carry, before it
+// was deleted; nothing can regenerate them, so they are never
+// rewritten, only compared against.
+type goldenCase struct {
+	name  string
+	sys   *spec.System
+	mkCfg func() Config // fresh per run: hooks may be stateful
+}
+
+// withCost returns c and its variant under the default cost model.
+func withCost(c goldenCase) []goldenCase {
+	model := estimate.DefaultModel()
+	plain := c.mkCfg
+	costed := c
+	costed.name += ".cost"
+	costed.mkCfg = func() Config {
+		cfg := plain()
+		cfg.Cost = &model
+		return cfg
+	}
+	return []goldenCase{c, costed}
+}
+
+// checkGolden runs the case on a fresh Engine and compares the trace
+// with its golden line by line. It then runs the same Engine again to
+// pin the pooled runner's reset invariant.
+func checkGolden(t *testing.T, c goldenCase) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "classic", c.name+".trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(c.sys)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for run := 1; run <= 2; run++ {
+		if d := diffLines(string(want), traceEngine(e, c.mkCfg()).render()); d != "" {
+			t.Fatalf("%s: run %d diverges from the classic golden: %s", c.name, run, d)
 		}
 	}
-	if len(a.events) != len(b.events) {
-		return fmt.Sprintf("event count: %d vs %d", len(a.events), len(b.events))
-	}
-	if a.clocks != b.clocks {
-		return fmt.Sprintf("clocks: %d vs %d", a.clocks, b.clocks)
-	}
-	if a.deltas != b.deltas {
-		return fmt.Sprintf("deltas: %d vs %d", a.deltas, b.deltas)
-	}
-	for _, pair := range []struct {
-		name string
-		x, y map[string]string
-	}{{"finals", a.finals, b.finals}} {
-		for k, v := range pair.x {
-			if pair.y[k] != v {
-				return fmt.Sprintf("%s[%s]: %q vs %q", pair.name, k, v, pair.y[k])
-			}
-		}
-		if len(pair.x) != len(pair.y) {
-			return fmt.Sprintf("%s size: %d vs %d", pair.name, len(pair.x), len(pair.y))
+}
+
+// diffLines reports the first line where got differs from want.
+func diffLines(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d: golden %q, engine %q", i+1, w[i], g[i])
 		}
 	}
-	for _, pair := range []struct {
-		name string
-		x, y map[string]int64
-	}{{"signal events", a.sigEvents, b.sigEvents}, {"process end", a.processEnd, b.processEnd}} {
-		for k, v := range pair.x {
-			if pair.y[k] != v {
-				return fmt.Sprintf("%s[%s]: %d vs %d", pair.name, k, v, pair.y[k])
-			}
-		}
-		if len(pair.x) != len(pair.y) {
-			return fmt.Sprintf("%s size: %d vs %d", pair.name, len(pair.x), len(pair.y))
-		}
+	if len(w) != len(g) {
+		return fmt.Sprintf("golden has %d lines, engine %d", len(w), len(g))
 	}
 	return ""
 }
 
-// checkEquivalent runs the system under both kernels (building cfg
-// fresh per run, since hooks may be stateful) and fails on the first
-// observable difference. It also runs the engine a second time on the
-// same pooled runner to pin the reset invariant.
-func checkEquivalent(t *testing.T, sys *spec.System, mkCfg func() Config) {
-	t.Helper()
-	e, err := NewEngine(sys)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+// goldenCases lists every frozen run: each batch scenario with and
+// without a cost model, the mutate+schedule PQ case, and the error
+// cases.
+func goldenCases() []goldenCase {
+	var cases []goldenCase
+	scenarios := batchScenarios()
+	for _, name := range sortedKeys(scenarios) {
+		cases = append(cases, withCost(goldenCase{name, scenarios[name], func() Config { return Config{} }})...)
 	}
-	classic := traceClassic(sys, mkCfg())
-	pooled := traceEngine(e, mkCfg())
-	if d := diffTraces(classic, pooled); d != "" {
-		t.Fatalf("pooled kernel diverges from classic: %s", d)
+	cases = append(cases, withCost(mutateScheduleCase())...)
+	for _, c := range errorCases() {
+		cases = append(cases, withCost(c)...)
 	}
-	again := traceEngine(e, mkCfg())
-	if d := diffTraces(classic, again); d != "" {
-		t.Fatalf("second pooled run diverges (reset leak): %s", d)
-	}
+	return cases
 }
 
 // batchScenarios exercises every construct the compiler lowers.
@@ -361,6 +405,75 @@ func batchScenarios() map[string]*spec.System {
 		scenarios["records-and-slices"] = sys
 	}
 	{
+		// Cost-accounting edges: computation lag realized before a
+		// signal assignment, before event waits, folded into a pure
+		// timed wait and at process end; a server's forever wait after
+		// computation; copy-out into a signal (which realizes nothing);
+		// a parameterless call; exit inside a call inside a for; loops
+		// whose bodies open with another loop.
+		sys := spec.NewSystem("t")
+		m := sys.AddModule("m")
+		a := m.AddBehavior(spec.NewBehavior("A"))
+		c := m.AddBehavior(spec.NewBehavior("C"))
+		srv := m.AddBehavior(spec.NewBehavior("SRV"))
+		srv.Server = true
+		sig := sys.AddGlobal(spec.NewSignal("S", spec.Integer))
+		tsig := sys.AddGlobal(spec.NewSignal("T", spec.Bit))
+		mv := func(name string) *spec.Variable { return m.AddVariable(spec.NewVar(name, spec.Integer)) }
+		k, n, cnt, w, w2, q, q2, r, z, c1, c2 := mv("k"), mv("n"), mv("cnt"), mv("w"), mv("w2"), mv("q"), mv("q2"), mv("r"), mv("z"), mv("c1"), mv("c2")
+		inc := func(v *spec.Variable) spec.Stmt {
+			return spec.AssignVar(spec.Ref(v), spec.Add(spec.Ref(v), spec.Int(1)))
+		}
+		exitWhen := func(v *spec.Variable, n int64) spec.Stmt {
+			return &spec.If{Cond: spec.Ge(spec.Ref(v), spec.Int(n)), Then: []spec.Stmt{&spec.Exit{}}}
+		}
+		bump := &spec.Procedure{Name: "bump", Body: []spec.Stmt{inc(n)}}
+		po := spec.NewVar("o", spec.Integer)
+		setout := &spec.Procedure{
+			Name:   "setout",
+			Params: []spec.Param{{Var: po, Mode: spec.ModeOut}},
+			Body:   []spec.Stmt{spec.AssignVar(spec.Ref(po), spec.Int(7))},
+		}
+		px := spec.NewVar("x", spec.Integer)
+		stop := &spec.Procedure{
+			Name:   "stop",
+			Params: []spec.Param{{Var: px, Mode: spec.ModeInOut}},
+			Body:   []spec.Stmt{inc(px), &spec.Exit{}, spec.AssignVar(spec.Ref(px), spec.Int(100))},
+		}
+		a.Procedures = []*spec.Procedure{bump, setout, stop}
+		j := a.AddVar("j", spec.Integer)
+		a.Body = []spec.Stmt{
+			spec.AssignVar(spec.Ref(k), spec.Mul(spec.Int(3), spec.Int(4))),
+			&spec.Call{Proc: setout, Args: []spec.Expr{spec.Ref(sig)}},
+			&spec.Call{Proc: bump},
+			&spec.For{Var: j, From: spec.Int(1), To: spec.Int(3), Body: []spec.Stmt{
+				&spec.Call{Proc: stop, Args: []spec.Expr{spec.Ref(cnt)}},
+			}},
+			&spec.Loop{Body: []spec.Stmt{
+				&spec.While{Cond: spec.Lt(spec.Ref(w), spec.Int(3)), Body: []spec.Stmt{inc(w)}},
+				inc(w2),
+				exitWhen(w2, 2),
+			}},
+			&spec.Loop{Body: []spec.Stmt{
+				&spec.Loop{Body: []spec.Stmt{inc(q), &spec.Exit{}}},
+				inc(q2),
+				exitWhen(q2, 2),
+			}},
+			spec.AssignSig(spec.Ref(tsig), spec.VecString("1")),
+			spec.AssignVar(spec.Ref(r), spec.Int(1)),
+			spec.WaitFor(5),
+			inc(r),
+		}
+		c.Body = []spec.Stmt{
+			spec.WaitOn(sig),
+			spec.AssignVar(spec.Ref(c1), spec.Ref(sig)),
+			spec.WaitUntil(spec.Eq(spec.Ref(tsig), spec.VecString("1"))),
+			spec.AssignVar(spec.Ref(c2), spec.Add(spec.Ref(c1), spec.Int(1))),
+		}
+		srv.Body = []spec.Stmt{inc(z), &spec.Wait{}}
+		scenarios["cost-edges"] = sys
+	}
+	{
 		// PQ, the paper's Fig. 3 system (unrefined: timed stagger only).
 		sys, _ := buildPQ()
 		scenarios["pq-original"] = sys
@@ -384,27 +497,17 @@ func batchScenarios() map[string]*spec.System {
 	return scenarios
 }
 
-// TestEngineMatchesClassic is the tentpole's bit-exactness claim: on
-// every scenario the pooled kernel's run is observably identical to the
-// classic kernel's, including on a reused runner.
-func TestEngineMatchesClassic(t *testing.T) {
-	for name, sys := range batchScenarios() {
-		t.Run(name, func(t *testing.T) {
-			checkEquivalent(t, sys, func() Config { return Config{} })
-		})
-	}
-}
-
-// TestEngineMatchesClassicUnderMutation drives the refined PQ system
-// with a stateful Mutate hook (suppress the first DONE-window change,
-// re-commit it 10 clocks later) plus a Schedule hook — the exact shape
-// a fault campaign uses.
-func TestEngineMatchesClassicUnderMutation(t *testing.T) {
+// mutateScheduleCase drives the hardened PQ system with a stateful
+// Mutate hook (suppress the first change from clock 3 on, re-commit it
+// 10 clocks later) plus a Schedule hook that reverses every delta's
+// default order — the shape a fault campaign or a counterexample
+// replay uses.
+func mutateScheduleCase() goldenCase {
 	sys, bus := buildPQ()
 	if _, err := protogen.Generate(sys, bus, protogen.Config{Protocol: spec.FullHandshake, Robust: true}); err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	mkCfg := func() Config {
+	return goldenCase{"pq-robust-mutate-schedule", sys, func() Config {
 		fired := false
 		return Config{
 			Mutate: func(now int64, s *spec.Variable, old, next Value) Mutation {
@@ -415,8 +518,6 @@ func TestEngineMatchesClassicUnderMutation(t *testing.T) {
 				return Mutation{Now: old.Copy(), Later: next.Copy(), Delay: 10}
 			},
 			Schedule: func(now int64, runnable []string) []string {
-				// Reverse the default order: equivalence must hold for any
-				// deterministic schedule.
 				out := make([]string, len(runnable))
 				for i, n := range runnable {
 					out[len(runnable)-1-i] = n
@@ -424,15 +525,14 @@ func TestEngineMatchesClassicUnderMutation(t *testing.T) {
 				return out
 			},
 		}
-	}
-	checkEquivalent(t, sys, mkCfg)
+	}}
 }
 
-// TestEngineMatchesClassicErrors: failure paths must agree to the exact
-// error string — deadlock reports (including wait descriptions and bus
-// state) and the MaxClocks budget.
-func TestEngineMatchesClassicErrors(t *testing.T) {
-	t.Run("deadlock", func(t *testing.T) {
+// errorCases are runs that fail: a deadlock (wait descriptions and bus
+// state in the message), the MaxClocks budget, and a runtime fault.
+func errorCases() []goldenCase {
+	var cases []goldenCase
+	{
 		sys := spec.NewSystem("t")
 		m := sys.AddModule("m")
 		b := m.AddBehavior(spec.NewBehavior("stuck"))
@@ -445,17 +545,17 @@ func TestEngineMatchesClassicErrors(t *testing.T) {
 		sig := sys.AddGlobal(spec.NewSignal("BUSY", rec))
 		b.Body = []spec.Stmt{
 			spec.AssignSig(spec.FieldOf(spec.Ref(sig), "A"), spec.VecString("1")),
-			spec.WaitUntilFor(spec.Eq(spec.FieldOf(spec.Ref(sig), "DATA"), spec.ToVec(spec.Int(9), 8)), 0, nil),
+			spec.WaitUntil(spec.Eq(spec.FieldOf(spec.Ref(sig), "DATA"), spec.ToVec(spec.Int(9), 8))),
 		}
 		srv.Body = []spec.Stmt{&spec.Wait{}} // wait forever
-		checkEquivalent(t, sys, func() Config { return Config{} })
-	})
-	t.Run("max-clocks", func(t *testing.T) {
+		cases = append(cases, goldenCase{"error-deadlock", sys, func() Config { return Config{} }})
+	}
+	{
 		b := spec.NewBehavior("slow")
 		b.Body = []spec.Stmt{&spec.Loop{Body: []spec.Stmt{spec.WaitFor(1000)}}}
-		checkEquivalent(t, oneModuleSystem(b), func() Config { return Config{MaxClocks: 5000} })
-	})
-	t.Run("runtime-fault", func(t *testing.T) {
+		cases = append(cases, goldenCase{"error-max-clocks", oneModuleSystem(b), func() Config { return Config{MaxClocks: 5000} }})
+	}
+	{
 		sys := spec.NewSystem("t")
 		m := sys.AddModule("m")
 		b := m.AddBehavior(spec.NewBehavior("oob"))
@@ -463,27 +563,92 @@ func TestEngineMatchesClassicErrors(t *testing.T) {
 		b.Body = []spec.Stmt{
 			spec.AssignVar(spec.At(spec.Ref(mem), spec.Int(9)), spec.Int(1)),
 		}
-		checkEquivalent(t, sys, func() Config { return Config{} })
-	})
+		cases = append(cases, goldenCase{"error-runtime-fault", sys, func() Config { return Config{} }})
+	}
+	return cases
+}
+
+// TestEngineMatchesClassic: on every scenario the Engine's run is
+// observably identical to the classic kernel's frozen trace, including
+// on a reused pooled runner.
+func TestEngineMatchesClassic(t *testing.T) {
+	scenarios := batchScenarios()
+	for _, name := range sortedKeys(scenarios) {
+		t.Run(name, func(t *testing.T) {
+			checkGolden(t, goldenCase{name, scenarios[name], func() Config { return Config{} }})
+		})
+	}
+}
+
+// TestEngineCostMatchesClassic: under the default cost model the
+// Engine's statement-level lag accounting reproduces the classic
+// interpreter's clocks, event times and deltas on every scenario.
+func TestEngineCostMatchesClassic(t *testing.T) {
+	scenarios := batchScenarios()
+	for _, name := range sortedKeys(scenarios) {
+		t.Run(name, func(t *testing.T) {
+			checkGolden(t, withCost(goldenCase{name, scenarios[name], func() Config { return Config{} }})[1])
+		})
+	}
+}
+
+// TestEngineMatchesClassicUnderMutation pins the hook sequences: the
+// mutate+schedule PQ run, with and without a cost model.
+func TestEngineMatchesClassicUnderMutation(t *testing.T) {
+	for _, c := range withCost(mutateScheduleCase()) {
+		checkGolden(t, c)
+	}
+}
+
+// TestEngineMatchesClassicErrors: failure paths agree with the classic
+// kernel to the exact error string.
+func TestEngineMatchesClassicErrors(t *testing.T) {
+	for _, c := range errorCases() {
+		t.Run(strings.TrimPrefix(c.name, "error-"), func(t *testing.T) {
+			for _, v := range withCost(c) {
+				checkGolden(t, v)
+			}
+		})
+	}
 	t.Run("runaway", func(t *testing.T) {
-		// Step counts differ by design, so only the error *kind* is
-		// compared here, not the string.
+		// The guard counts instructions, so only the error kind is
+		// pinned, not the count in the message.
 		b := spec.NewBehavior("spin")
 		b.Body = []spec.Stmt{&spec.Loop{Body: []spec.Stmt{&spec.Null{}}}}
-		sys := oneModuleSystem(b)
-		e, err := NewEngine(sys)
+		e, err := NewEngine(oneModuleSystem(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Run(Config{MaxStepsPerSlice: 1000}); err == nil || !strings.Contains(err.Error(), "without yielding") {
-			t.Fatalf("err = %v, want runaway detection", err)
+		if _, err := e.Run(Config{MaxStepsPerSlice: 1000}); err == nil || !strings.Contains(err.Error(), "1001 instructions without yielding") {
+			t.Fatalf("err = %v, want runaway detection after 1000 instructions", err)
 		}
 	})
 }
 
+// TestClassicGoldensAllUsed: every frozen trace belongs to a case, so
+// none is silently skipped.
+func TestClassicGoldensAllUsed(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "classic", "*.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := make(map[string]bool)
+	for _, c := range goldenCases() {
+		known[c.name+".trace"] = true
+	}
+	for _, f := range files {
+		if !known[filepath.Base(f)] {
+			t.Errorf("golden %s has no case", f)
+		}
+	}
+	if len(files) != len(known) {
+		t.Errorf("%d goldens for %d cases", len(files), len(known))
+	}
+}
+
 // TestEngineConcurrentRuns: one Engine, many goroutines — every run
 // must be independent and identical (the campaign scheduler relies on
-// this).
+// this), with and without a cost model.
 func TestEngineConcurrentRuns(t *testing.T) {
 	sys, bus := buildPQ()
 	if _, err := protogen.Generate(sys, bus, protogen.Config{Protocol: spec.FullHandshake}); err != nil {
@@ -493,7 +658,9 @@ func TestEngineConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := traceEngine(e, Config{})
+	model := estimate.DefaultModel()
+	cfgs := [2]Config{{}, {Cost: &model}}
+	want := [2]string{traceEngine(e, cfgs[0]).render(), traceEngine(e, cfgs[1]).render()}
 	var wg sync.WaitGroup
 	diffs := make([]string, 16)
 	for g := 0; g < 16; g++ {
@@ -501,7 +668,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < 8; r++ {
-				if d := diffTraces(want, traceEngine(e, Config{})); d != "" {
+				if d := diffLines(want[g%2], traceEngine(e, cfgs[g%2]).render()); d != "" {
 					diffs[g] = d
 					return
 				}
@@ -546,9 +713,10 @@ func TestEngineAllocsPerRun(t *testing.T) {
 	}
 }
 
-// TestEngineRejectsRecursion: the batch compiler inlines calls, so a
-// recursive procedure must be a construction error (the caller then
-// falls back to the classic kernel, which bounds recursion at runtime).
+// TestEngineRejectsRecursion: calls are inlined, so a recursive
+// procedure is a construction error that names the procedure. The
+// system itself validates: recursion is refused only by the compilers
+// of the simulator and the checker.
 func TestEngineRejectsRecursion(t *testing.T) {
 	sys := spec.NewSystem("t")
 	m := sys.AddModule("m")
@@ -560,33 +728,10 @@ func TestEngineRejectsRecursion(t *testing.T) {
 	}
 	b.Procedures = []*spec.Procedure{proc}
 	b.Body = []spec.Stmt{&spec.Call{Proc: proc, Args: []spec.Expr{spec.Int(1)}}}
-	if _, err := NewEngine(sys); err == nil || !strings.Contains(err.Error(), "recurses") {
-		t.Fatalf("NewEngine = %v, want recursion rejection", err)
+	if errs := sys.Validate(); len(errs) > 0 {
+		t.Fatalf("Validate = %v, want a valid system", errs)
 	}
-}
-
-// TestEngineCostFallback: a cost model needs the interpreter's lag
-// accounting; Engine.Run must transparently produce the classic
-// kernel's result.
-func TestEngineCostFallback(t *testing.T) {
-	sys, bus := buildPQ()
-	if _, err := protogen.Generate(sys, bus, protogen.Config{Protocol: spec.FullHandshake}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := estimate.DefaultModel()
-	mkCfg := func() Config {
-		return Config{Cost: &model}
-	}
-	classic := traceClassic(sys, mkCfg())
-	pooled := traceEngine(e, mkCfg())
-	if d := diffTraces(classic, pooled); d != "" {
-		t.Fatalf("cost-model fallback diverges: %s", d)
-	}
-	if classic.clocks == 0 {
-		t.Fatal("cost model charged no clocks; fallback not exercised")
+	if _, err := NewEngine(sys); err == nil || !strings.Contains(err.Error(), "procedure rec recurses") {
+		t.Fatalf("NewEngine = %v, want recursion rejection naming rec", err)
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"repro/internal/spec"
 )
 
-// VerifyDeterministic runs the system twice under configurations built
-// by mkCfg and fails if the two runs diverge in any observable way:
-// signal event streams, final clock, final variable values, or error
-// outcome. The Config.Mutate and Config.Schedule hooks are documented
-// as required-deterministic but nothing in the kernel can enforce that;
-// this is the enforcement — a debug mode for tests and for validating
-// counterexample replays (internal/verify).
+// VerifyDeterministic compiles the system once and runs it twice under
+// configurations built by mkCfg, failing if the two runs diverge in any
+// observable way: signal event streams, final clock, final variable
+// values, or error outcome. The Config.Mutate and Config.Schedule hooks
+// are documented as required-deterministic but nothing in the kernel
+// can enforce that; this is the enforcement — a debug mode for tests
+// and for validating counterexample replays (internal/verify).
 //
 // mkCfg is a factory, not a Config value, because hooks are often
 // stateful (a fault injector counts events as it fires): replaying with
@@ -20,14 +20,12 @@ import (
 // wrong reason. Each invocation must return a freshly constructed,
 // equivalent Config.
 func VerifyDeterministic(sys *spec.System, mkCfg func() Config) error {
-	a := recordRun(sys, mkCfg())
-	b := recordRun(sys, mkCfg())
-	if a.buildErr != "" || b.buildErr != "" {
-		if a.buildErr != b.buildErr {
-			return fmt.Errorf("sim: nondeterministic construction: %q vs %q", a.buildErr, b.buildErr)
-		}
-		return fmt.Errorf("sim: cannot verify determinism: %s", a.buildErr)
+	e, err := NewEngine(sys)
+	if err != nil {
+		return fmt.Errorf("sim: cannot verify determinism: %w", err)
 	}
+	a := recordRun(e, mkCfg())
+	b := recordRun(e, mkCfg())
 	if a.err != b.err {
 		return fmt.Errorf("sim: nondeterministic outcome: run 1 %s, run 2 %s", orOK(a.err), orOK(b.err))
 	}
@@ -56,14 +54,13 @@ func VerifyDeterministic(sys *spec.System, mkCfg func() Config) error {
 }
 
 type runTrace struct {
-	events   []string
-	clocks   int64
-	finals   map[string]string
-	err      string
-	buildErr string
+	events []string
+	clocks int64
+	finals map[string]string
+	err    string
 }
 
-func recordRun(sys *spec.System, cfg Config) runTrace {
+func recordRun(e *Engine, cfg Config) runTrace {
 	var t runTrace
 	prev := cfg.OnEvent
 	cfg.OnEvent = func(now int64, sig *spec.Variable, val Value) {
@@ -72,12 +69,7 @@ func recordRun(sys *spec.System, cfg Config) runTrace {
 			prev(now, sig, val)
 		}
 	}
-	s, err := New(sys, cfg)
-	if err != nil {
-		t.buildErr = err.Error()
-		return t
-	}
-	res, err := s.Run()
+	res, err := e.Run(cfg)
 	if err != nil {
 		t.err = err.Error()
 		return t

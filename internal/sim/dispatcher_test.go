@@ -69,11 +69,11 @@ func TestPaperIDDispatcherDeadlocks(t *testing.T) {
 			spec.WaitUntil(spec.Neq(idField, spec.Ref(idPrev))),
 		}, loop.Body[1:]...)
 	}
-	s, err := New(sys, Config{MaxClocks: 100000})
+	s, err := NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Run()
+	_, err = s.Run(Config{MaxClocks: 100000})
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("paper-style dispatcher did not deadlock: err = %v", err)

@@ -9,9 +9,10 @@ import (
 )
 
 // Evaluator implements the simulator's expression and lvalue semantics
-// over caller-supplied storage. The process interpreter in this package
-// and the FSM executor in internal/verify both run specification
-// statements; any divergence between their value semantics would make
+// over caller-supplied storage. The Engine in this package (for every
+// expression its compiler leaves to the tree walker, and for every
+// lvalue path) and the FSM executor in internal/verify both run
+// specification statements; any divergence between their value semantics would make
 // model-checking verdicts about simulated behavior meaningless, so the
 // semantics live here exactly once and both engines plug in their own
 // variable storage via Lookup and Store callbacks.

@@ -6,7 +6,7 @@ import (
 )
 
 // This file compiles expressions into flat postfix programs for the
-// batch kernel. The tree-walking Evaluator costs an interface dispatch,
+// Engine. The tree-walking Evaluator costs an interface dispatch,
 // a type switch and a map-backed variable lookup per node; at millions
 // of runs per campaign that walk dominates the whole simulator. A
 // compiled expression replaces it with a loop over a few preresolved
@@ -16,17 +16,17 @@ import (
 //
 //   - Operand order is the tree walk's order (left to right), so a
 //     failing operand fails at the same point in the run.
-//   - The interpreter checks that an indexed value is an array *before*
+//   - The tree walker checks that an indexed value is an array *before*
 //     evaluating the index; xCheckArr reproduces that early check.
 //   - Every op that can fail carries its originating spec node so the
-//     failure message renders the same expression text the interpreter
+//     failure message renders the same expression text the tree walker
 //     would print.
 //   - Value computation is shared, not duplicated: binary operators go
 //     through the same applyBinary the tree walker uses, and the
 //     conversion/slice/field semantics are copied line for line.
 //
 // A construct the compiler does not handle simply yields a nil cexpr
-// and the kernel falls back to the tree walker for that expression.
+// and the Engine falls back to the tree walker for that expression.
 
 type copKind uint8
 
@@ -214,7 +214,7 @@ func (p *bproc) evalExpr(ce *cexpr, e spec.Expr) Value {
 
 // evalC runs a compiled expression on the process's reusable stack.
 // Failure messages match the tree walker's byte for byte (batch_test.go
-// cross-checks error strings against the classic kernel).
+// checks error strings against the classic-kernel goldens).
 func (p *bproc) evalC(ce *cexpr) Value {
 	st := p.stack[:0] // pre-sized to the program's deepest expression
 	ops := ce.ops
@@ -405,7 +405,7 @@ func fillPathHints(path []accessor, base spec.Type) {
 // that grammar compiled; any node outside it (or any runtime shape the
 // static types did not predict) makes evalF report no answer and the
 // caller re-evaluates generically, so failures and exotic cases keep
-// the interpreter's exact behavior.
+// the tree walker's exact behavior.
 
 type fcondKind uint8
 

@@ -15,13 +15,18 @@ type Config struct {
 	// means the default of 10 million clocks.
 	MaxClocks int64
 	// MaxStepsPerSlice aborts a process that executes this many
-	// statements without yielding (a runaway zero-delay loop); zero
-	// means the default of 5 million.
+	// compiled instructions without yielding (a runaway zero-delay
+	// loop); zero means the default of 5 million.
 	MaxStepsPerSlice int64
 	// Cost, when non-nil, charges every executed statement its
 	// cost-model clocks, so measured process times include computation
-	// as the estimator models it. When nil, computation is
-	// instantaneous and only explicit waits advance time.
+	// as the estimator models it: each assignment, each evaluated
+	// branch or while condition, each loop iteration and each call.
+	// The accumulated lag elapses as simulated time before the
+	// process's next signal assignment, before its next wait (a pure
+	// timed wait absorbs it into its deadline) and at its end. When
+	// nil, computation is instantaneous and only explicit waits advance
+	// time.
 	Cost *estimate.CostModel
 	// OnEvent, when non-nil, is called for every signal value change,
 	// after the change takes effect.
@@ -33,8 +38,8 @@ type Config struct {
 	// deterministic for reproducible runs (VerifyDeterministic replays a
 	// run twice and reports divergence); it is never invoked for the
 	// delayed re-commits it schedules itself. The hook must not retain
-	// old or next (or their containers) past the call — the batch
-	// kernel recycles record containers between deltas; Copy what must
+	// old or next (or their containers) past the call — the Engine
+	// recycles record containers between deltas; Copy what must
 	// outlive the hook, as Mutation.Later merging does.
 	Mutate func(now int64, sig *spec.Variable, old, next Value) Mutation
 	// Schedule, when non-nil, reorders the runnable processes of each
@@ -88,7 +93,10 @@ type Result struct {
 	Clocks int64
 	// Deltas counts executed delta cycles.
 	Deltas int64
-	// Steps counts executed statements across all processes.
+	// Steps counts executed compiled instructions across all
+	// processes. Under a cost model it includes the instructions that
+	// charge and realize computation time, so it is not comparable
+	// with a run without one.
 	Steps int64
 	// ProcessEnd maps each foreground behavior to its finish time.
 	ProcessEnd map[string]int64
@@ -127,6 +135,10 @@ func (e *DeadlockError) Error() string {
 // maxDeltas bounds total delta cycles as a livelock backstop.
 const maxDeltas = 50_000_000
 
+// graceClocks is the settle window granted to server processes after the
+// last foreground process finishes.
+const graceClocks = 8
+
 // procState is a process's scheduling state.
 type procState int
 
@@ -134,294 +146,15 @@ const (
 	stateReady procState = iota
 	stateWaiting
 	stateFinished
-	stateKilled
 	stateError
 )
 
-// waitSpec describes why a process is suspended.
-type waitSpec struct {
-	sensitivity []*spec.Variable
-	check       func() bool
-	deadline    int64 // -1: none
-	forever     bool
-	desc        string
-	condStr     string
-}
+// simError is panicked on runtime errors inside a process and recovered
+// where the process runs, turning into a simulation error.
+type simError struct{ err error }
 
-// process is one executing behavior.
-type process struct {
-	id     int
-	beh    *spec.Behavior
-	k      *kernel
-	resume chan bool // true = continue, false = abort
-	frames []frame
-	ev     Evaluator
-	state  procState
-	wait   waitSpec
-	err    error
-	endAt  int64
-	steps  int64
-	// lag accumulates cost-model clocks not yet converted into a timed
-	// yield (flushed at the next wait).
-	lag int64
-	// timedOut records whether the last bounded wait expired before its
-	// condition held (consumed by execWait for Wait.TimedOut).
-	timedOut bool
-}
-
-// signalState is the kernel-side storage of one signal.
-type signalState struct {
-	v       *spec.Variable
-	current Value
-	pending Value // nil if no update scheduled this delta
-	events  int64
-	// skipMutate marks a pending update that came from a Mutation's
-	// delayed re-commit, which must not pass through Config.Mutate
-	// again.
-	skipMutate bool
-	// muteHook is set when a Mutation returned SkipSig: the hook
-	// promised to never touch this signal, so flush stops calling it.
-	muteHook bool
-}
-
-// delayedUpdate is a signal value a Mutation deferred to a later clock.
-// base records the commit's actual outcome at schedule time, so the
-// apply can re-drive only the components the mutation suppressed.
-type delayedUpdate struct {
-	at   int64
-	sig  *signalState
-	val  Value
-	base Value
-}
-
-// effective is the value a reader in the *same* delta as a writer
-// observes for scheduling follow-up field updates: pending if scheduled,
-// else current. (Reads via eval always see current.)
-func (s *signalState) effective() Value {
-	if s.pending != nil {
-		return s.pending
-	}
-	return s.current
-}
-
-// kernel owns simulation state and runs the delta-cycle loop.
-type kernel struct {
-	sys     *spec.System
-	cfg     Config
-	procs   []*process
-	signals map[*spec.Variable]*signalState
-	shared  map[*spec.Variable]Value // module-level variables
-	now     int64
-	deltas  int64
-	steps   int64
-	yieldCh chan *process
-	dirty   []*signalState // signals with pending updates this delta
-	delayed []delayedUpdate
-	// graceEnd is the clock at which the post-completion grace window
-	// closes; -1 until every foreground process has finished.
-	graceEnd int64
-}
-
-// graceClocks is the settle window granted to server processes after the
-// last foreground process finishes.
-const graceClocks = 8
-
-// Simulator executes a specification system.
-type Simulator struct {
-	k *kernel
-}
-
-// New builds a simulator for the system. The system must validate.
-func New(sys *spec.System, cfg Config) (*Simulator, error) {
-	if errs := sys.Validate(); len(errs) > 0 {
-		return nil, fmt.Errorf("sim: invalid system: %w", errs[0])
-	}
-	if cfg.MaxClocks <= 0 {
-		cfg.MaxClocks = 10_000_000
-	}
-	if cfg.MaxStepsPerSlice <= 0 {
-		cfg.MaxStepsPerSlice = 5_000_000
-	}
-	k := &kernel{
-		sys:      sys,
-		cfg:      cfg,
-		signals:  make(map[*spec.Variable]*signalState),
-		shared:   make(map[*spec.Variable]Value),
-		yieldCh:  make(chan *process),
-		graceEnd: -1,
-	}
-	// Global signals.
-	for _, g := range sys.Globals {
-		if g.Kind != spec.KindSignal {
-			k.shared[g] = InitialValue(g)
-			continue
-		}
-		k.signals[g] = &signalState{v: g, current: InitialValue(g)}
-	}
-	// Module variables (shared storage) and processes.
-	for _, m := range sys.Modules {
-		for _, v := range m.Variables {
-			if v.Kind == spec.KindSignal {
-				k.signals[v] = &signalState{v: v, current: InitialValue(v)}
-			} else {
-				k.shared[v] = InitialValue(v)
-			}
-		}
-	}
-	for _, b := range sys.Behaviors() {
-		p := &process{
-			id:     len(k.procs),
-			beh:    b,
-			k:      k,
-			resume: make(chan bool),
-			state:  stateReady,
-		}
-		p.ev = p.evaluator()
-		base := frame{vars: make(map[*spec.Variable]Value)}
-		for _, v := range b.Variables {
-			base.vars[v] = InitialValue(v)
-		}
-		p.frames = []frame{base}
-		k.procs = append(k.procs, p)
-	}
-	return &Simulator{k: k}, nil
-}
-
-// Run executes the system to completion: every non-server process
-// finished, or an error (deadlock, runaway process, time limit, runtime
-// fault).
-func (s *Simulator) Run() (*Result, error) {
-	return s.k.run()
-}
-
-func (k *kernel) run() (*Result, error) {
-	// Launch the process goroutines; each blocks on its resume channel.
-	for _, p := range k.procs {
-		go p.top()
-	}
-	defer k.killAll()
-
-	runnable := append([]*process{}, k.procs...)
-	for {
-		// Delta cycles.
-		for len(runnable) > 0 {
-			k.deltas++
-			if k.deltas > maxDeltas {
-				return nil, fmt.Errorf("sim: exceeded %d delta cycles at clock %d (livelock?)", int64(maxDeltas), k.now)
-			}
-			sort.Slice(runnable, func(i, j int) bool { return runnable[i].id < runnable[j].id })
-			k.reorder(runnable)
-			for _, p := range runnable {
-				if err := k.step(p); err != nil {
-					return nil, err
-				}
-			}
-			runnable = runnable[:0]
-			events := k.flush()
-			if len(events) > 0 {
-				runnable = append(runnable, k.wakeOnEvents(events)...)
-			}
-		}
-
-		// When every foreground process has finished, keep simulating
-		// for a short grace window so variable processes can complete
-		// in-flight commits (a server latches the last bus word one
-		// clock after the accessor's handshake completes).
-		if k.foregroundDone() {
-			if k.graceEnd < 0 {
-				k.graceEnd = k.now + graceClocks
-			}
-		}
-
-		// Advance time to the earliest deadline (process wait deadlines
-		// and delayed signal commits alike).
-		next := int64(-1)
-		for _, p := range k.procs {
-			if p.state == stateWaiting && !p.wait.forever && p.wait.deadline >= 0 {
-				if next < 0 || p.wait.deadline < next {
-					next = p.wait.deadline
-				}
-			}
-		}
-		for _, d := range k.delayed {
-			if next < 0 || d.at < next {
-				next = d.at
-			}
-		}
-		if k.graceEnd >= 0 && (next < 0 || next > k.graceEnd) {
-			return k.result(), nil
-		}
-		if next < 0 {
-			return nil, k.deadlock()
-		}
-		if next > k.cfg.MaxClocks {
-			return nil, fmt.Errorf("sim: exceeded MaxClocks=%d at clock %d", k.cfg.MaxClocks, k.now)
-		}
-		k.now = next
-		// Delayed signal commits due now bypass Config.Mutate (they are
-		// the hook's own doing) and wake sensitive processes like any
-		// other event.
-		if n := k.applyDelayed(); n {
-			runnable = append(runnable, k.wakeOnEvents(k.flush())...)
-		}
-		for _, p := range k.procs {
-			if p.state == stateWaiting && !p.wait.forever && p.wait.deadline == k.now {
-				p.timedOut = p.wait.check != nil && !p.wait.check()
-				p.state = stateReady
-				p.wait = waitSpec{deadline: -1}
-				runnable = append(runnable, p)
-			}
-		}
-	}
-}
-
-// reorder applies the Config.Schedule hook to one delta cycle's
-// runnable set (already in default id order). Listed processes run in
-// the hook's order; unlisted ones keep their relative default order and
-// run after every listed one.
-func (k *kernel) reorder(runnable []*process) {
-	if k.cfg.Schedule == nil || len(runnable) < 2 {
-		return
-	}
-	names := make([]string, len(runnable))
-	for i, p := range runnable {
-		names[i] = p.beh.Name
-	}
-	rank := make(map[string]int, len(runnable))
-	for _, n := range k.cfg.Schedule(k.now, names) {
-		if _, ok := rank[n]; !ok {
-			rank[n] = len(rank)
-		}
-	}
-	sort.SliceStable(runnable, func(i, j int) bool {
-		ri, iok := rank[runnable[i].beh.Name]
-		rj, jok := rank[runnable[j].beh.Name]
-		if iok != jok {
-			return iok
-		}
-		return iok && ri < rj
-	})
-}
-
-// applyDelayed schedules every delayed signal commit due at the current
-// clock, reporting whether any was applied.
-func (k *kernel) applyDelayed() bool {
-	applied := false
-	rest := k.delayed[:0]
-	for _, d := range k.delayed {
-		if d.at > k.now {
-			rest = append(rest, d)
-			continue
-		}
-		if d.sig.pending == nil {
-			k.dirty = append(k.dirty, d.sig)
-		}
-		d.sig.pending = mergeDelayed(d.sig.effective(), d.base, d.val)
-		d.sig.skipMutate = true
-		applied = true
-	}
-	k.delayed = rest
-	return applied
+func fail(format string, args ...any) {
+	panic(simError{fmt.Errorf(format, args...)})
 }
 
 // mergeDelayed builds the value a delayed re-commit drives: for records,
@@ -443,142 +176,10 @@ func mergeDelayed(cur, base, val Value) Value {
 	return out
 }
 
-// step resumes one process and waits for it to yield.
-func (k *kernel) step(p *process) error {
-	p.steps = 0
-	p.resume <- true
-	<-k.yieldCh
-	if p.state == stateError {
-		return fmt.Errorf("sim: process %s failed at clock %d: %w", p.beh.Name, k.now, p.err)
-	}
-	return nil
-}
-
-// flush applies pending signal updates, returning the signals whose
-// values changed (events).
-func (k *kernel) flush() []*signalState {
-	var events []*signalState
-	for _, s := range k.dirty {
-		if s.pending == nil {
-			continue
-		}
-		if k.cfg.Mutate != nil && !s.skipMutate && !s.muteHook {
-			m := k.cfg.Mutate(k.now, s.v, s.current, s.pending)
-			if m.Now == nil && m.Later == nil {
-				if m.Done {
-					k.cfg.Mutate = nil
-				}
-				if m.SkipSig {
-					s.muteHook = true
-				}
-			}
-			if m.Now != nil {
-				s.pending = m.Now
-			}
-			if m.Later != nil && m.Delay > 0 {
-				k.delayed = append(k.delayed, delayedUpdate{
-					at: k.now + m.Delay, sig: s, val: m.Later, base: s.pending.Copy(),
-				})
-			}
-		}
-		s.skipMutate = false
-		if !s.pending.Equal(s.current) {
-			s.current = s.pending
-			s.events++
-			events = append(events, s)
-			if k.cfg.OnEvent != nil {
-				k.cfg.OnEvent(k.now, s.v, s.current)
-			}
-		}
-		s.pending = nil
-	}
-	k.dirty = k.dirty[:0]
-	return events
-}
-
-// wakeOnEvents returns the processes to wake: sensitive to one of the
-// events and (for wait-until) whose condition now holds.
-func (k *kernel) wakeOnEvents(events []*signalState) []*process {
-	changed := make(map[*spec.Variable]bool, len(events))
-	for _, e := range events {
-		changed[e.v] = true
-	}
-	var woken []*process
-	for _, p := range k.procs {
-		if p.state != stateWaiting || p.wait.forever {
-			continue
-		}
-		hit := false
-		for _, s := range p.wait.sensitivity {
-			if changed[s] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		if p.wait.check != nil && !p.wait.check() {
-			continue
-		}
-		p.timedOut = false
-		p.state = stateReady
-		p.wait = waitSpec{deadline: -1}
-		woken = append(woken, p)
-	}
-	return woken
-}
-
-// schedule registers a pending signal update for the current delta.
-func (k *kernel) schedule(v *spec.Variable, val Value) {
-	s := k.signals[v]
-	if s.pending == nil {
-		k.dirty = append(k.dirty, s)
-	}
-	s.pending = val
-}
-
-func (k *kernel) foregroundDone() bool {
-	for _, p := range k.procs {
-		if !p.beh.Server && p.state != stateFinished && p.state != stateError {
-			return false
-		}
-	}
-	return true
-}
-
-func (k *kernel) deadlock() error {
-	var waiting []string
-	for _, p := range k.procs {
-		if p.state != stateWaiting {
-			continue
-		}
-		name := p.beh.Name
-		if p.beh.Server {
-			name += " (server)"
-		}
-		waiting = append(waiting, fmt.Sprintf("%s: %s", name, p.wait.desc))
-	}
-	return &DeadlockError{Now: k.now, Waiting: waiting, Bus: k.busState()}
-}
-
-// busState renders the value of every global record signal (the
+// busStateOf renders the value of every global record signal (the
 // generated buses) field by field, control lines first, for deadlock
-// diagnostics.
-func (k *kernel) busState() []string {
-	return busStateOf(k.sys, func(v *spec.Variable) (Value, bool) {
-		s, ok := k.signals[v]
-		if !ok {
-			return nil, false
-		}
-		return s.current, true
-	})
-}
-
-// busStateOf is the kernel-independent bus renderer: get reports the
-// current value of a signal variable, or ok=false if v is not a signal.
-// Both the classic and the pooled kernel build their DeadlockError bus
-// dumps through it so the diagnostics stay byte-identical.
+// diagnostics: get reports the current value of a signal variable, or
+// ok=false if v is not a signal.
 func busStateOf(sys *spec.System, get func(v *spec.Variable) (Value, bool)) []string {
 	globals := append([]*spec.Variable{}, sys.Globals...)
 	sort.Slice(globals, func(i, j int) bool { return globals[i].Name < globals[j].Name })
@@ -612,101 +213,7 @@ func busStateOf(sys *spec.System, get func(v *spec.Variable) (Value, bool)) []st
 	return out
 }
 
-func (k *kernel) result() *Result {
-	res := &Result{
-		Clocks: k.now,
-		Deltas: k.deltas,
-		Steps:  k.steps,
-		Finals: make(map[string]Value),
-	}
-	for _, m := range k.sys.Modules {
-		for _, v := range m.Variables {
-			if val, ok := k.shared[v]; ok {
-				res.Finals[m.Name+"."+v.Name] = val.Copy()
-			}
-		}
-	}
-	if k.cfg.FinalsOnly {
-		return res
-	}
-	res.ProcessEnd = make(map[string]int64)
-	res.SignalEvents = make(map[string]int64)
-	for _, p := range k.procs {
-		if !p.beh.Server && p.state == stateFinished {
-			res.ProcessEnd[p.beh.Name] = p.endAt
-		}
-	}
-	for v, s := range k.signals {
-		res.SignalEvents[v.Name] = s.events
-	}
-	return res
-}
-
-// killAll aborts every unfinished process goroutine.
-func (k *kernel) killAll() {
-	for _, p := range k.procs {
-		if p.state == stateWaiting || p.state == stateReady {
-			p.resume <- false
-			<-k.yieldCh
-		}
-	}
-}
-
-// ---- process side ----
-
-// top is the process goroutine body.
-func (p *process) top() {
-	defer func() {
-		if r := recover(); r != nil {
-			switch e := r.(type) {
-			case abortSentinel:
-				p.state = stateKilled
-			case simError:
-				p.state = stateError
-				p.err = e.err
-			default:
-				p.state = stateError
-				p.err = fmt.Errorf("internal fault: %v", r)
-			}
-			p.k.yieldCh <- p
-		}
-	}()
-	if !<-p.resume {
-		panic(abortSentinel{})
-	}
-	p.execStmts(p.beh.Body)
-	p.flushLag()
-	p.state = stateFinished
-	p.endAt = p.k.now
-	p.k.yieldCh <- p
-}
-
-// yield suspends the process with the given wait and blocks until the
-// kernel resumes it.
-func (p *process) yield(w waitSpec) {
-	p.flushLagInto(&w)
-	p.state = stateWaiting
-	w.desc = p.describeWait(w)
-	p.wait = w
-	p.k.yieldCh <- p
-	if !<-p.resume {
-		panic(abortSentinel{})
-	}
-}
-
-func (p *process) describeWait(w waitSpec) string {
-	var names []string
-	if len(w.sensitivity) > 0 {
-		names = make([]string, len(w.sensitivity))
-		for i, s := range w.sensitivity {
-			names[i] = s.Name
-		}
-	}
-	return formatWait(names, w.check != nil, w.condStr, w.deadline, w.forever)
-}
-
-// formatWait renders a suspended wait for deadlock diagnostics; shared
-// by both kernels so the DeadlockError text is identical.
+// formatWait renders a suspended wait for deadlock diagnostics.
 func formatWait(sens []string, hasCheck bool, condStr string, deadline int64, forever bool) string {
 	var parts []string
 	if len(sens) > 0 {
@@ -722,85 +229,4 @@ func formatWait(sens []string, hasCheck bool, condStr string, deadline int64, fo
 		parts = append(parts, "forever")
 	}
 	return strings.Join(parts, " ")
-}
-
-// countStep enforces the runaway-process guard and counts statements.
-func (p *process) countStep() {
-	p.steps++
-	p.k.steps++
-	if p.steps > p.k.cfg.MaxStepsPerSlice {
-		fail("process %s executed %d statements without yielding (runaway zero-delay loop?)",
-			p.beh.Name, p.steps)
-	}
-}
-
-// ---- cost charging ----
-
-// charge accumulates cost-model clocks; they are realized as simulated
-// time at the next wait (flushLag) so computation does not interleave
-// extra delta cycles into handshakes.
-func (p *process) charge(c int64) {
-	if c > 0 {
-		p.lag += c
-	}
-}
-
-// flushLag converts accumulated computation clocks into a timed wait.
-func (p *process) flushLag() {
-	if p.lag == 0 {
-		return
-	}
-	d := p.lag
-	p.lag = 0
-	p.yield(waitSpec{deadline: p.k.now + d})
-}
-
-// flushLagInto folds pending computation clocks into an about-to-happen
-// pure timed wait; event waits have already been flushed by execWait.
-func (p *process) flushLagInto(w *waitSpec) {
-	if p.lag == 0 {
-		return
-	}
-	if w.deadline >= 0 && len(w.sensitivity) == 0 && w.check == nil {
-		w.deadline += p.lag
-		p.lag = 0
-		return
-	}
-	// Defensive: an event wait with unflushed lag (should not happen —
-	// execWait flushes first). Realize it as a timed suspension.
-	d := p.lag
-	p.lag = 0
-	p.yield(waitSpec{deadline: p.k.now + d})
-}
-
-func (p *process) costAssign(s *spec.Assign) int64 {
-	m := p.k.cfg.Cost
-	if m == nil {
-		return 0
-	}
-	return m.AssignClocks + m.ExprCost(s.RHS) + m.LValueCost(s.LHS)
-}
-
-func (p *process) costBranch(cond spec.Expr) int64 {
-	m := p.k.cfg.Cost
-	if m == nil {
-		return 0
-	}
-	return m.BranchClocks + m.ExprCost(cond)
-}
-
-func (p *process) costLoop() int64 {
-	m := p.k.cfg.Cost
-	if m == nil {
-		return 0
-	}
-	return m.LoopClocks
-}
-
-func (p *process) costCall() int64 {
-	m := p.k.cfg.Cost
-	if m == nil {
-		return 0
-	}
-	return m.CallClocks
 }

@@ -150,11 +150,11 @@ func TestDeadlockErrorBusState(t *testing.T) {
 	w.Body = []spec.Stmt{
 		spec.WaitUntil(spec.Eq(spec.FieldOf(spec.Ref(sig), "B"), spec.VecString("1"))),
 	}
-	s, err := New(sys, Config{})
+	s, err := NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Run()
+	_, err = s.Run(Config{})
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v, want DeadlockError", err)

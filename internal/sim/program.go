@@ -3,33 +3,36 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/estimate"
 	"repro/internal/spec"
 )
 
-// This file compiles behaviors into flat programs for the pooled batch
-// kernel (batch.go). The classic kernel (kernel.go) interprets the
-// statement tree directly and suspends processes by blocking their
-// goroutines; that costs one goroutine plus two channel handoffs per
-// delta-cycle step, and a fresh set of frame maps per run — fine for a
-// single simulation, ruinous for fault campaigns that need millions of
-// short runs. Compilation flattens control flow so that a process's
+// This file compiles behaviors into flat programs for the Engine
+// (batch.go). Compilation flattens control flow so that a process's
 // entire continuation is a single program counter, which lets a plain
 // in-loop scheduler suspend and resume processes with an integer store,
 // and resolves every variable to a dense slot index so a run needs no
 // per-run maps at all.
 //
-// The compiler must preserve the tree interpreter's semantics exactly —
-// the batch kernel's runs are required to be bit-identical to the
-// classic kernel's (see batch_test.go, and the pooled-vs-unpooled
-// campaign cross-check in internal/fault). Where the interpreter is
-// subtle — for-loop counters survive body writes to the loop variable;
-// `exit` outside a loop unwinds the enclosing procedure like `return`
-// (the call's copy-out still runs); scratch variables come into scope
-// on first setLocal-style write — the lowering reproduces it statement
-// by statement. The constructs it cannot reproduce (recursive
-// procedures, non-lvalue assignment targets) are compile errors, and
-// NewEngine's caller falls back to the classic kernel, which handles
-// them at runtime.
+// The lowering pins down the statement semantics where they are subtle:
+// for-loop counters are hidden, so body writes to the loop variable do
+// not change the iteration count; `exit` leaves the innermost loop or
+// procedure call (exiting a call returns from it, and the call's
+// copy-out still runs), `return` leaves the innermost call, and either
+// ends the behavior at top level; scratch variables come into scope on
+// their first setLocal-style write. Recursive procedures and
+// non-lvalue assignment targets are compile errors: calls are inlined,
+// and a store the compiler cannot resolve has no runtime meaning.
+//
+// Each behavior compiles to two programs from one instruction stream.
+// The cost program holds a bopCharge instruction wherever the cost
+// model charges a statement (each source assignment, each evaluated
+// branch or while condition, each loop iteration, each call) and
+// wherever accumulated computation must elapse as simulated time
+// (before a source signal assignment, before a wait that is not a pure
+// timed wait, and at process end). The plain program is the same
+// stream with every bopCharge removed, so a run without a cost model
+// executes no accounting at all.
 
 // bop is the instruction set of a compiled behavior.
 type bop uint8
@@ -40,6 +43,7 @@ const (
 	bopJump              // jump to target
 	bopClear             // local slot := zero value (procedure activation entry)
 	bopWait              // suspend per waitMeta
+	bopCharge            // add the cost-model charge to the lag; maybe let it elapse
 	bopEnd               // process finished
 )
 
@@ -80,12 +84,17 @@ type binstr struct {
 	// shared array could escape in another behavior.
 	aOwn bool
 	path []accessor
-	// create marks compiler-synthesized assigns with the interpreter's
-	// setLocal semantics (loop counters, wait timeout flags, parameter
-	// copy-in): they may initialize a scratch local, where an ordinary
-	// assignment to a never-written scratch variable fails "not
-	// writable".
+	// create marks compiler-synthesized assigns (loop counters, wait
+	// timeout flags, parameter copy-in): they may initialize a scratch
+	// local, where an ordinary assignment to a never-written scratch
+	// variable fails "not writable".
 	create bool
+	// bopCharge: which CostModel charge to add (costBranch charges for
+	// cond, costAssign for stmt), and whether the accumulated lag must
+	// elapse before the next instruction runs.
+	charge  costKind
+	realize bool
+	stmt    *spec.Assign
 
 	wait *waitMeta // bopWait
 
@@ -96,14 +105,14 @@ type binstr struct {
 }
 
 // waitMeta is the precomputed static part of a wait statement: the
-// sensitivity list in the interpreter's order (the `on` signals, then
-// the signals read by the `until` condition), the rendered condition,
-// and the failure cases the interpreter detects at runtime.
+// sensitivity list (the `on` signals, then the signals read by the
+// `until` condition), the rendered condition, and the failure cases
+// detected when the wait executes.
 type waitMeta struct {
 	w *spec.Wait
 	// sensNames are the sensitivity names for deadlock descriptions —
-	// including condition signals absent from the system, which the
-	// interpreter lists even though they can never fire.
+	// including condition signals absent from the system, which are
+	// listed even though they can never fire.
 	sensNames []string
 	// sensIdx are the signal slots that can actually wake the process.
 	sensIdx []int32
@@ -113,7 +122,7 @@ type waitMeta struct {
 	cuntil *cexpr
 	funtil *fcond
 	// badOn, when non-nil, is the first non-signal variable in the `on`
-	// list; executing the wait fails exactly like the interpreter.
+	// list; executing the wait fails.
 	badOn *spec.Variable
 	// noSense marks a `wait until` with no sensitivity and no timeout:
 	// legal if the condition holds immediately, a runtime error
@@ -125,17 +134,48 @@ type waitMeta struct {
 	timedOutRef slotRef
 }
 
-// bprogram is one behavior compiled for the batch kernel. It is
+// costKind names the CostModel charge a bopCharge adds.
+type costKind uint8
+
+const (
+	costNone   costKind = iota // realization point only
+	costAssign                 // AssignClocks + rhs + lvalue address cost
+	costBranch                 // BranchClocks + condition cost
+	costLoop                   // LoopClocks, once per iteration
+	costCall                   // CallClocks
+)
+
+// clocks is a bopCharge's charge under model m; a negative total
+// charges nothing.
+func (in *binstr) clocks(m *estimate.CostModel) int64 {
+	var c int64
+	switch in.charge {
+	case costAssign:
+		c = m.AssignClocks + m.ExprCost(in.stmt.RHS) + m.LValueCost(in.stmt.LHS)
+	case costBranch:
+		c = m.BranchClocks + m.ExprCost(in.cond)
+	case costLoop:
+		c = m.LoopClocks
+	case costCall:
+		c = m.CallClocks
+	}
+	return max(c, 0)
+}
+
+// bprogram is one behavior compiled for the Engine. It is
 // immutable after compilation and shared by every runner of an Engine.
 type bprogram struct {
-	beh  *spec.Behavior
-	code []binstr
+	beh *spec.Behavior
+	// code is the plain program; costCode the same stream with the
+	// cost model's bopCharge instructions (see the file comment).
+	code     []binstr
+	costCode []binstr
 	// locals are this process's dense variable slots: declared behavior
 	// variables (localInit holds their initial values), inlined
 	// procedure parameters and locals (initialized per activation by the
 	// compiled copy-in/clear prologue), and scratch variables — nil in
-	// localInit and at reset, like the interpreter's created-on-first-
-	// set frame entries; reading a still-nil slot fails "not in scope".
+	// localInit and at reset, created by their first setLocal-style
+	// write; reading a still-nil slot fails "not in scope".
 	locals    []*spec.Variable
 	localInit []Value
 	// res resolves every variable the program can touch to its slot.
@@ -148,8 +188,7 @@ type bprogram struct {
 
 // scope is one enclosing loop or inlined call during compilation. Exit
 // jumps to the end of the innermost scope of either kind (a loop ends
-// at its bottom; the interpreter swallows ctrlExit at the call
-// boundary, so exiting a call is returning from it). Return jumps to
+// at its bottom; exiting a call is returning from it). Return jumps to
 // the end of the innermost call scope, skipping loops.
 type scope struct {
 	isCall  bool
@@ -176,9 +215,11 @@ func (e *Engine) compile(beh *spec.Behavior) (*bprogram, error) {
 		c.addLocal(v, InitialValue(v))
 	}
 	c.stmts(beh.Body)
-	end := c.emit(binstr{op: bopEnd})
+	end := c.here()
+	c.emit(binstr{op: bopCharge, charge: costNone, realize: true})
+	c.emit(binstr{op: bopEnd})
 	for _, at := range c.endRefs {
-		prog.code[at].target = int32(end)
+		prog.costCode[at].target = end
 	}
 	if c.err != nil {
 		return nil, fmt.Errorf("behavior %s: %w", beh.Name, c.err)
@@ -187,11 +228,36 @@ func (e *Engine) compile(beh *spec.Behavior) (*bprogram, error) {
 }
 
 func (c *bcompiler) emit(i binstr) int {
-	c.prog.code = append(c.prog.code, i)
-	return len(c.prog.code) - 1
+	c.prog.costCode = append(c.prog.costCode, i)
+	return len(c.prog.costCode) - 1
 }
 
-func (c *bcompiler) here() int32 { return int32(len(c.prog.code)) }
+func (c *bcompiler) here() int32 { return int32(len(c.prog.costCode)) }
+
+// stripCharges derives the plain program from the cost program: every
+// bopCharge removed, jump targets moved to the next kept instruction.
+func stripCharges(code []binstr) []binstr {
+	newIdx := make([]int32, len(code)+1)
+	var n int32
+	for i := range code {
+		newIdx[i] = n
+		if code[i].op != bopCharge {
+			n++
+		}
+	}
+	newIdx[len(code)] = n
+	plain := make([]binstr, 0, n)
+	for _, in := range code {
+		if in.op == bopCharge {
+			continue
+		}
+		if in.op == bopBranch || in.op == bopJump {
+			in.target = newIdx[in.target]
+		}
+		plain = append(plain, in)
+	}
+	return plain
+}
 
 func (c *bcompiler) fail(format string, args ...any) {
 	if c.err == nil {
@@ -212,11 +278,11 @@ func (c *bcompiler) addLocal(v *spec.Variable, init Value) slotRef {
 	return ref
 }
 
-// resolve maps a variable to its slot, mirroring the interpreter's
-// lookup order: process frames first (our local slots), then module
-// variables and non-signal globals, then signals. A variable known
-// nowhere becomes a scratch local, nil until first written — reading it
-// fails "not in scope" at runtime exactly like the interpreter.
+// resolve maps a variable to its slot. Lookup order: process locals
+// (behavior variables, inlined procedure slots), then module variables
+// and non-signal globals, then signals. A variable known nowhere
+// becomes a scratch local, nil until first written — reading it fails
+// "not in scope" at runtime.
 func (c *bcompiler) resolve(v *spec.Variable) slotRef {
 	if ref, ok := c.prog.res[v]; ok {
 		return ref
@@ -235,8 +301,8 @@ func (c *bcompiler) resolve(v *spec.Variable) slotRef {
 }
 
 // resolveStorage resolves a setLocal-style target (loop variable,
-// timeout flag): locals, then shared storage, never signals — matching
-// the interpreter's storageCell order with frame-creation fallback.
+// timeout flag): locals, then shared storage, never signals; a
+// variable found in neither becomes a scratch local.
 func (c *bcompiler) resolveStorage(v *spec.Variable) slotRef {
 	if ref, ok := c.prog.res[v]; ok {
 		return ref
@@ -333,6 +399,11 @@ func (c *bcompiler) stmts(list []spec.Stmt) {
 func (c *bcompiler) stmt(s spec.Stmt) {
 	switch s := s.(type) {
 	case *spec.Assign:
+		// Another process can observe a signal store, so the lag must
+		// elapse before it: a completion flag must not take effect
+		// before the computation it reports on.
+		_, toSignal := c.e.sigIdx[spec.BaseVar(s.LHS)]
+		c.emit(binstr{op: bopCharge, charge: costAssign, stmt: s, realize: toSignal})
 		c.compileAssign(s.LHS, s.RHS, false)
 	case *spec.If:
 		c.compileIf(s)
@@ -376,7 +447,7 @@ func (c *bcompiler) jumpOut(callsOnly bool) {
 func (c *bcompiler) popScope() {
 	top := len(c.scopes) - 1
 	for _, j := range c.scopes[top].patches {
-		c.prog.code[j].target = c.here()
+		c.prog.costCode[j].target = c.here()
 	}
 	c.scopes = c.scopes[:top]
 }
@@ -384,10 +455,6 @@ func (c *bcompiler) popScope() {
 func (c *bcompiler) compileAssign(lhs, rhs spec.Expr, create bool) {
 	base, path := flattenLValue(lhs)
 	if base == nil {
-		// The interpreter fails at runtime only if the statement is
-		// reached; the compiler cannot tell a reachable bad store from a
-		// dead one, so it refuses the behavior and the classic kernel
-		// (via fallback) produces the faithful runtime error.
 		c.fail("assignment to non-lvalue %s", lhs)
 		return
 	}
@@ -414,12 +481,13 @@ func (c *bcompiler) compileIf(s *spec.If) {
 	arm := func(cond spec.Expr, body []spec.Stmt, last bool) {
 		c.scanExpr(cond)
 		c.markEscapes(cond)
+		c.emit(binstr{op: bopCharge, charge: costBranch, cond: cond})
 		br := c.emit(binstr{op: bopBranch, cond: cond, ccond: c.compileExpr(cond), fcond: c.compileCond(cond)})
 		c.stmts(body)
 		if !last {
 			toEnd = append(toEnd, c.emit(binstr{op: bopJump}))
 		}
-		c.prog.code[br].target = c.here()
+		c.prog.costCode[br].target = c.here()
 	}
 	lastArm := len(s.Elifs)
 	arm(s.Cond, s.Then, lastArm == 0 && len(s.Else) == 0)
@@ -428,15 +496,16 @@ func (c *bcompiler) compileIf(s *spec.If) {
 	}
 	c.stmts(s.Else)
 	for _, j := range toEnd {
-		c.prog.code[j].target = c.here()
+		c.prog.costCode[j].target = c.here()
 	}
 }
 
-// compileFor reproduces the interpreter's for loop exactly: From and To
-// are evaluated once into hidden integer counters before the first
-// iteration, and the loop variable is (re)assigned from the hidden
-// counter at the top of every iteration — a body that writes the loop
-// variable does not change the iteration count.
+// compileFor lowers a for loop: From and To are evaluated once into
+// hidden integer counters before the first iteration, and the loop
+// variable is (re)assigned from the hidden counter at the top of every
+// iteration — a body that writes the loop variable does not change the
+// iteration count. The hidden-counter bookkeeping is free under the
+// cost model; each iteration is charged LoopClocks.
 func (c *bcompiler) compileFor(s *spec.For) {
 	i := c.newTemp("i")
 	to := c.newTemp("to")
@@ -445,12 +514,13 @@ func (c *bcompiler) compileFor(s *spec.For) {
 	head := c.here()
 	forCond := spec.Le(spec.Ref(i), spec.Ref(to))
 	br := c.emit(binstr{op: bopBranch, cond: forCond, ccond: c.compileExpr(forCond), fcond: c.compileCond(forCond)})
+	c.emit(binstr{op: bopCharge, charge: costLoop})
 	c.compileAssign(spec.Ref(s.Var), spec.Ref(i), true)
 	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
 	c.compileAssign(spec.Ref(i), spec.Add(spec.Ref(i), spec.Int(1)), true)
 	c.emit(binstr{op: bopJump, target: head})
-	c.prog.code[br].target = c.here()
+	c.prog.costCode[br].target = c.here()
 	c.popScope()
 }
 
@@ -458,16 +528,18 @@ func (c *bcompiler) compileWhile(s *spec.While) {
 	head := c.here()
 	c.scanExpr(s.Cond)
 	c.markEscapes(s.Cond)
+	c.emit(binstr{op: bopCharge, charge: costBranch, cond: s.Cond})
 	br := c.emit(binstr{op: bopBranch, cond: s.Cond, ccond: c.compileExpr(s.Cond), fcond: c.compileCond(s.Cond)})
 	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
 	c.emit(binstr{op: bopJump, target: head})
-	c.prog.code[br].target = c.here()
+	c.prog.costCode[br].target = c.here()
 	c.popScope()
 }
 
 func (c *bcompiler) compileLoop(s *spec.Loop) {
 	head := c.here()
+	c.emit(binstr{op: bopCharge, charge: costLoop})
 	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
 	c.emit(binstr{op: bopJump, target: head})
@@ -491,9 +563,9 @@ func (c *bcompiler) compileWait(s *spec.Wait) {
 		m.funtil = c.compileCond(s.Until)
 		m.condStr = s.Until.String()
 		for _, v := range spec.SignalsRead(s.Until) {
-			// The interpreter lists every signal the condition reads in
-			// the sensitivity (and so in deadlock descriptions), but only
-			// system signals generate events and can wake the process.
+			// Every signal the condition reads is in the sensitivity
+			// (and so in deadlock descriptions), but only system
+			// signals generate events and can wake the process.
 			m.sensNames = append(m.sensNames, v.Name)
 			if idx, ok := c.e.sigIdx[v]; ok {
 				m.sensIdx = append(m.sensIdx, int32(idx))
@@ -510,21 +582,27 @@ func (c *bcompiler) compileWait(s *spec.Wait) {
 		m.timedOut = s.TimedOut
 		m.timedOutRef = c.resolveStorage(s.TimedOut)
 	}
+	// Conditions must see the signal updates this process scheduled
+	// while it computed, so the lag elapses before any wait except a
+	// pure timed one, which absorbs the lag into its deadline
+	// (bproc.execWait).
+	if s.Until != nil || len(s.On) > 0 || !s.HasFor {
+		c.emit(binstr{op: bopCharge, charge: costNone, realize: true})
+	}
 	c.emit(binstr{op: bopWait, wait: m})
 }
 
-// batchCallDepth bounds static call nesting. The batch compiler inlines
-// calls, so recursion (and pathological nesting) must be rejected at
-// compile time; the classic kernel's runtime guard handles it after the
-// fallback.
+// batchCallDepth bounds static call nesting: calls are inlined, so
+// recursion (and pathological nesting) is rejected at compile time.
 const batchCallDepth = 64
 
 // compileCall inlines the procedure: copy-in assignments for in/inout
 // parameters, zero-cleared out parameters and locals, the body (with
-// Return lowered to a jump past it), then copy-out assignments — in
-// exactly the interpreter's frame-setup order. Distinct call sites
-// share the procedure's slots, which is safe because every activation
-// re-initializes each one on entry.
+// Return lowered to a jump past it), then copy-out assignments. Distinct
+// call sites share the procedure's slots, which is safe because every
+// activation re-initializes each one on entry. Copy-out is not a source
+// assignment: it charges nothing and realizes no lag, even into a
+// signal.
 func (c *bcompiler) compileCall(s *spec.Call) {
 	proc := s.Proc
 	if proc == nil {
@@ -536,7 +614,7 @@ func (c *bcompiler) compileCall(s *spec.Call) {
 		return
 	}
 	if c.active[proc] {
-		c.fail("procedure %s recurses; the batch compiler inlines calls", proc.Name)
+		c.fail("procedure %s recurses; calls are inlined", proc.Name)
 		return
 	}
 	if len(c.active) >= batchCallDepth {
@@ -546,6 +624,7 @@ func (c *bcompiler) compileCall(s *spec.Call) {
 	c.active[proc] = true
 	defer delete(c.active, proc)
 
+	c.emit(binstr{op: bopCharge, charge: costCall})
 	for _, prm := range proc.Params {
 		c.addLocal(prm.Var, nil)
 	}

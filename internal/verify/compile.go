@@ -62,14 +62,23 @@ type program struct {
 	temps  int
 }
 
+// scope is one enclosing loop or inlined call during compilation,
+// collecting the forward jumps that leave it. Exit leaves the innermost
+// scope of either kind (exiting a call returns from it); Return leaves
+// the innermost call scope, skipping loops. This is the simulator's
+// lowering (internal/sim's compiler), so both engines agree on where
+// every exit lands.
+type scope struct {
+	isCall  bool
+	patches []int
+}
+
 type compiler struct {
-	m    *machine
-	prog *program
-	// exits / rets collect forward jumps awaiting their target: one
-	// patch list per enclosing loop (Exit) and per inlined call
-	// (Return); endRefs collects top-level Returns.
-	exits   [][]int
-	rets    [][]int
+	m      *machine
+	prog   *program
+	scopes []scope
+	// endRefs collects exits and returns outside any scope: they end
+	// the behavior.
 	endRefs []int
 	active  map[*spec.Procedure]bool
 	err     error
@@ -181,21 +190,9 @@ func (c *compiler) stmt(s spec.Stmt) {
 	case *spec.Loop:
 		c.compileLoop(s)
 	case *spec.Exit:
-		if len(c.exits) == 0 {
-			c.fail("exit outside a loop")
-			return
-		}
-		j := c.emit(instr{op: opJump})
-		top := len(c.exits) - 1
-		c.exits[top] = append(c.exits[top], j)
+		c.jumpOut(false)
 	case *spec.Return:
-		j := c.emit(instr{op: opJump})
-		if len(c.rets) > 0 {
-			top := len(c.rets) - 1
-			c.rets[top] = append(c.rets[top], j)
-		} else {
-			c.endRefs = append(c.endRefs, j)
-		}
+		c.jumpOut(true)
 	case *spec.Wait:
 		c.compileWait(s)
 	case *spec.Call:
@@ -205,6 +202,30 @@ func (c *compiler) stmt(s spec.Stmt) {
 	default:
 		c.fail("cannot compile %T", s)
 	}
+}
+
+// jumpOut emits the forward jump for Exit (callsOnly=false: innermost
+// loop or call scope) or Return (callsOnly=true: innermost call scope);
+// with no matching scope both end the behavior.
+func (c *compiler) jumpOut(callsOnly bool) {
+	j := c.emit(instr{op: opJump})
+	for i := len(c.scopes) - 1; i >= 0; i-- {
+		if callsOnly && !c.scopes[i].isCall {
+			continue
+		}
+		c.scopes[i].patches = append(c.scopes[i].patches, j)
+		return
+	}
+	c.endRefs = append(c.endRefs, j)
+}
+
+// popScope closes the innermost scope: its collected jumps land here.
+func (c *compiler) popScope() {
+	top := len(c.scopes) - 1
+	for _, j := range c.scopes[top].patches {
+		c.prog.code[j].target = c.here()
+	}
+	c.scopes = c.scopes[:top]
 }
 
 func (c *compiler) compileAssign(s *spec.Assign) {
@@ -240,55 +261,46 @@ func (c *compiler) compileIf(s *spec.If) {
 	}
 }
 
-// compileFor lowers a for loop to explicit counter updates. The bound
-// is evaluated once into a temp, matching the simulator (which
-// evaluates From and To before the first iteration).
+// compileFor lowers a for loop as the simulator does: From and To are
+// evaluated once into hidden integer counters before the first
+// iteration, and the loop variable is assigned from the hidden counter
+// at the top of every iteration, so a body that writes the loop
+// variable does not change the iteration count.
 func (c *compiler) compileFor(s *spec.For) {
-	c.addLocal(s.Var)
+	i := c.newTemp("i", spec.Integer)
 	to := c.newTemp("to", spec.Integer)
 	c.scanExpr(s.From)
 	c.scanExpr(s.To)
-	c.emit(instr{op: opAssign, assign: spec.AssignVar(spec.Ref(s.Var), s.From)})
+	c.emit(instr{op: opAssign, assign: spec.AssignVar(spec.Ref(i), s.From)})
 	c.emit(instr{op: opAssign, assign: spec.AssignVar(spec.Ref(to), s.To)})
 	head := c.here()
-	br := c.emit(instr{op: opBranch, cond: spec.Le(spec.Ref(s.Var), spec.Ref(to))})
-	c.exits = append(c.exits, nil)
+	br := c.emit(instr{op: opBranch, cond: spec.Le(spec.Ref(i), spec.Ref(to))})
+	c.compileAssign(spec.AssignVar(spec.Ref(s.Var), spec.Ref(i)))
+	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
-	c.emit(instr{op: opAssign, assign: spec.AssignVar(spec.Ref(s.Var), spec.Add(spec.Ref(s.Var), spec.Int(1)))})
+	c.emit(instr{op: opAssign, assign: spec.AssignVar(spec.Ref(i), spec.Add(spec.Ref(i), spec.Int(1)))})
 	c.emit(instr{op: opJump, target: head})
-	c.patchLoopEnd(br)
+	c.prog.code[br].target = c.here()
+	c.popScope()
 }
 
 func (c *compiler) compileWhile(s *spec.While) {
 	head := c.here()
 	c.scanExpr(s.Cond)
 	br := c.emit(instr{op: opBranch, cond: s.Cond})
-	c.exits = append(c.exits, nil)
+	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
 	c.emit(instr{op: opJump, target: head})
-	c.patchLoopEnd(br)
+	c.prog.code[br].target = c.here()
+	c.popScope()
 }
 
 func (c *compiler) compileLoop(s *spec.Loop) {
 	head := c.here()
-	c.exits = append(c.exits, nil)
+	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
 	c.emit(instr{op: opJump, target: head})
-	c.patchLoopEnd(-1)
-}
-
-// patchLoopEnd closes the innermost loop: the guard branch (if any) and
-// every Exit jump land just past the loop body.
-func (c *compiler) patchLoopEnd(guard int) {
-	end := c.here()
-	if guard >= 0 {
-		c.prog.code[guard].target = end
-	}
-	top := len(c.exits) - 1
-	for _, j := range c.exits[top] {
-		c.prog.code[j].target = end
-	}
-	c.exits = c.exits[:top]
+	c.popScope()
 }
 
 func (c *compiler) compileWait(s *spec.Wait) {
@@ -357,13 +369,9 @@ func (c *compiler) compileCall(s *spec.Call) {
 	for _, l := range proc.Locals {
 		c.emit(instr{op: opClear, v: l})
 	}
-	c.rets = append(c.rets, nil)
+	c.scopes = append(c.scopes, scope{isCall: true})
 	c.stmts(proc.Body)
-	top := len(c.rets) - 1
-	for _, j := range c.rets[top] {
-		c.prog.code[j].target = c.here()
-	}
-	c.rets = c.rets[:top]
+	c.popScope()
 	for i, prm := range proc.Params {
 		if prm.Mode == spec.ModeOut || prm.Mode == spec.ModeInOut {
 			if spec.BaseVar(s.Args[i]) == nil {

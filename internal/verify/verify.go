@@ -222,8 +222,8 @@ func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error
 	goldenClocks := int64(-1)
 	var goldenFinals map[string]string
 	replayClocks := cfg.MaxClocks
-	if gs, err := sim.New(sys, sim.Config{MaxClocks: cfg.MaxClocks}); err == nil {
-		if res, runErr := gs.Run(); runErr == nil {
+	if eng, err := sim.NewEngine(sys); err == nil {
+		if res, runErr := eng.Run(sim.Config{MaxClocks: cfg.MaxClocks}); runErr == nil {
 			goldenClocks = res.Clocks
 			if b := res.Clocks*4 + 2000; b < replayClocks {
 				replayClocks = b

@@ -14,11 +14,11 @@ import (
 
 func runSim(t *testing.T, sys *spec.System) *sim.Result {
 	t.Helper()
-	s, err := sim.New(sys, sim.Config{})
+	s, err := sim.NewEngine(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.Run(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

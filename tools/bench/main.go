@@ -7,10 +7,7 @@
 //     state) and wall time, appended to BENCH_verify.json.
 //   - suite "fault": fault-campaign throughput (runs/sec), allocation
 //     footprint (bytes and allocs per run) and the outcome histogram,
-//     appended to BENCH_fault.json. The robust-unpooled scenario runs
-//     the same campaign on the classic goroutine-per-process kernel,
-//     so each record carries its own pooled-vs-classic speedup
-//     evidence.
+//     appended to BENCH_fault.json.
 //   - suite "repair": end-to-end CEGIS repair trajectories on the
 //     exhaustively-provable PQSolo workload, appended to
 //     BENCH_repair.json: iterations, applied mutations, escalation
@@ -248,9 +245,8 @@ func scenarios() []scenario {
 // keys a campaign needs. Each measurement synthesizes from scratch for
 // the same reason the verify scenarios do: protogen mutates the spec.
 type faultScenario struct {
-	name     string
-	unpooled bool
-	build    func(workers int) (*spec.System, *spec.Bus, []string, error)
+	name  string
+	build func(workers int) (*spec.System, *spec.Bus, []string, error)
 }
 
 func faultPQ(parity bool, workers int) (*spec.System, *spec.Bus, []string, error) {
@@ -282,12 +278,8 @@ func faultScenarios() []faultScenario {
 		return faultPQ(true, w)
 	}
 	return []faultScenario{
-		{"robust-pooled", false, robust},
-		{"robust-parity-pooled", false, parity},
-		// Same campaign on the classic goroutine-per-process kernel:
-		// the pooled/unpooled runs-per-sec ratio is the speedup of the
-		// batch engine, measured in the same process on the same seeds.
-		{"robust-unpooled", true, robust},
+		{"robust-pooled", robust},
+		{"robust-parity-pooled", parity},
 	}
 }
 
@@ -307,7 +299,6 @@ func measureFault(sc faultScenario, runs, workers, reps int) (FaultMeasurement, 
 			Seed:      1,
 			AbortVars: abortVars,
 			Workers:   workers,
-			Unpooled:  sc.unpooled,
 		})
 		wall := time.Since(start)
 		runtime.ReadMemStats(&m1)
