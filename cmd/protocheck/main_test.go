@@ -56,6 +56,29 @@ func TestJSONVerdictClean(t *testing.T) {
 	}
 }
 
+// TestJSONVerdictPQ: the full PQ refinement, ideal-wire and robust,
+// pinned byte for byte — state and transition counts and the
+// reachable-set fingerprint, not only the verdict.
+func TestJSONVerdictPQ(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"pq_clean.json", []string{"-json"}},
+		{"pq_robust_clean.json", []string{"-robust", "-json"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			var v jsonVerdict
+			if err := json.Unmarshal(checkGolden(t, tc.args, 0, tc.golden), &v); err != nil {
+				t.Fatalf("output is not valid JSON: %v", err)
+			}
+			if !v.Match || v.Verify == nil || !v.Verify.Clean {
+				t.Fatalf("unexpected verdict: %+v", v)
+			}
+		})
+	}
+}
+
 // TestJSONVerdictViolations: a 1-drop budget wedges the ideal-wire
 // handshake; the document must carry the violations and the
 // counterexample's replay outcome.

@@ -29,17 +29,19 @@ import (
 type Engine struct {
 	sys *spec.System
 
-	sigVars []*spec.Variable
-	sigInit []Value
-	sigIdx  map[*spec.Variable]int
-
-	sharedVars []*spec.Variable
-	sharedInit []Value
-	sharedIdx  map[*spec.Variable]int
+	// globals are the global storage slots: sys.Globals, then each
+	// module's variables in module order, shared variables and signals
+	// side by side. sigIdx and sharedIdx map a variable of either kind
+	// to its slot; sigSlots lists the signal slots in ascending order.
+	globals   []*spec.Variable
+	globInit  []Value
+	sigIdx    map[*spec.Variable]int
+	sharedIdx map[*spec.Variable]int
+	sigSlots  []int32
 
 	// finalKeys/finalSlots precompute the Result.Finals map: the
-	// "Module.Var" key and shared-slot index of every module variable,
-	// so building a run's result concatenates no strings.
+	// "Module.Var" key and global slot of every module variable, so
+	// building a run's result concatenates no strings.
 	finalKeys  []string
 	finalSlots []int
 
@@ -54,13 +56,12 @@ type Engine struct {
 	sigBufOK   []bool
 
 	// sigRecFields holds each record signal's declared field list (nil
-	// for non-records). A committed value whose RecordType.Fields IS
-	// this slice (pointer-equal) provably has the declared layout, so
-	// per-read field-index and field-name guards can be settled once per
-	// commit instead of once per evaluation (bsignal.curFields).
+	// for every other slot). A value whose RecordType.Fields IS this
+	// slice (pointer-equal) provably has the declared layout, so a
+	// buffered store may trust its compile-time field index.
 	sigRecFields [][]spec.Field
 
-	progs []*bprogram
+	progs []*Program
 	pool  sync.Pool
 }
 
@@ -80,14 +81,14 @@ func NewEngine(sys *spec.System) (*Engine, error) {
 		arrEscapes: make(map[*spec.Variable]bool),
 	}
 	addVar := func(v *spec.Variable) {
+		gi := len(e.globals)
+		e.globals = append(e.globals, v)
+		e.globInit = append(e.globInit, InitialValue(v))
 		if v.Kind == spec.KindSignal {
-			e.sigIdx[v] = len(e.sigVars)
-			e.sigVars = append(e.sigVars, v)
-			e.sigInit = append(e.sigInit, InitialValue(v))
+			e.sigIdx[v] = gi
+			e.sigSlots = append(e.sigSlots, int32(gi))
 		} else {
-			e.sharedIdx[v] = len(e.sharedVars)
-			e.sharedVars = append(e.sharedVars, v)
-			e.sharedInit = append(e.sharedInit, InitialValue(v))
+			e.sharedIdx[v] = gi
 		}
 	}
 	for _, g := range sys.Globals {
@@ -113,19 +114,13 @@ func NewEngine(sys *spec.System) (*Engine, error) {
 		}
 		e.progs = append(e.progs, prog)
 	}
-	e.sigRecFields = make([][]spec.Field, len(e.sigVars))
-	for i, v := range e.sigVars {
+	e.sigRecFields = make([][]spec.Field, len(e.globals))
+	e.sigBufOK = make([]bool, len(e.globals))
+	for _, gi := range e.sigSlots {
+		v := e.globals[gi]
 		if rt, ok := v.Type.(spec.RecordType); ok && len(rt.Fields) > 0 {
-			e.sigRecFields[i] = rt.Fields
-		}
-	}
-	e.sigBufOK = make([]bool, len(e.sigVars))
-	for i, v := range e.sigVars {
-		if e.bufUnsafe {
-			break
-		}
-		if rt, ok := v.Type.(spec.RecordType); ok && !e.recEscapes[v] && len(rt.Fields) > 0 {
-			e.sigBufOK[i] = true
+			e.sigRecFields[gi] = rt.Fields
+			e.sigBufOK[gi] = !e.bufUnsafe && !e.recEscapes[v]
 		}
 	}
 	// Element stores into never-aliased array variables may mutate the
@@ -134,7 +129,7 @@ func NewEngine(sys *spec.System) (*Engine, error) {
 	for _, prog := range e.progs {
 		for i := range prog.costCode {
 			in := &prog.costCode[i]
-			if e.bufUnsafe || in.op != bopAssign || in.lref.sp == slotSignal || len(in.path) == 0 || in.path[0].kind != 0 {
+			if e.bufUnsafe || in.op != OpAssign || in.lref.sp == SignalSlot || len(in.path) == 0 || in.path[0].kind != 0 {
 				continue
 			}
 			if _, ok := in.base.Type.(spec.ArrayType); ok && !e.arrEscapes[in.base] {
@@ -150,6 +145,14 @@ func NewEngine(sys *spec.System) (*Engine, error) {
 // System returns the system the engine was compiled for.
 func (e *Engine) System() *spec.System { return e.sys }
 
+// Globals returns the variables of the global slots: sys.Globals, then
+// each module's variables in module order.
+func (e *Engine) Globals() []*spec.Variable { return e.globals }
+
+// Programs returns the compiled programs, one per behavior in
+// sys.Behaviors() order. They are immutable and safe to share.
+func (e *Engine) Programs() []*Program { return e.progs }
+
 // Run executes the system to completion under cfg on a pooled runner:
 // every non-server process finished, or an error (deadlock, runaway
 // process, time limit, runtime fault).
@@ -161,17 +164,11 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	return res, err
 }
 
-// bsignal is the runner-side storage of one signal slot.
+// bsignal is the runner-side delta state of one signal slot; its
+// committed value lives in runner.glob.
 type bsignal struct {
-	current Value
-	// curFields caches current's field slice when current is a
-	// RecordVal in the signal's exact declared layout (see
-	// Engine.sigRecFields); nil otherwise. Readers holding a
-	// compile-time field index may index it directly — the layout
-	// check already happened at commit.
-	curFields []Value
-	pending   Value // nil if no update scheduled this delta
-	events    int64
+	pending Value // nil if no update scheduled this delta
+	events  int64
 	// skipMutate marks a pending update that came from a Mutation's
 	// delayed re-commit, which must not pass through Config.Mutate
 	// again.
@@ -204,11 +201,13 @@ func recFieldsOf(decl []spec.Field, v Value) []Value {
 	return nil
 }
 
-func (s *bsignal) effective() Value {
-	if s.pending != nil {
+// effective is signal slot idx's value as this delta's writers see it:
+// the pending value, else the committed one.
+func (r *runner) effective(idx int32) Value {
+	if s := &r.sig[idx]; s.pending != nil {
 		return s.pending
 	}
-	return s.current
+	return r.glob[idx]
 }
 
 // recBuf is one reusable record container for a buffered signal: the
@@ -227,24 +226,23 @@ type bdelayed struct {
 	base Value
 }
 
-// bproc is one compiled process within a runner.
+// bproc is one compiled process within a runner. Its Frame reads the
+// process's locals and the runner's global slots.
 type bproc struct {
-	r    *runner
-	prog *bprogram
+	Frame
+	r *runner
 	// code is the program this run executes: prog.code, or
-	// prog.costCode under a cost model, whose bopCharge instructions
+	// prog.costCode under a cost model, whose OpCharge instructions
 	// add charges[pc] to lag.
-	code    []binstr
+	code    []Instr
 	charges []int64
 	// lag accumulates cost-model clocks not yet elapsed as simulated
 	// time.
-	lag    int64
-	ev     Evaluator
-	locals []Value
-	pc     int32
-	state  procState
-	err    error
-	endAt  int64
+	lag   int64
+	pc    int32
+	state procState
+	err   error
+	endAt int64
 	// wait state, valid while state == stateWaiting:
 	wMeta     *waitMeta
 	wDeadline int64 // -1: none
@@ -255,8 +253,6 @@ type bproc struct {
 	inWait     bool
 	timedOut   bool
 	sliceSteps int64
-	// stack is the reusable operand stack for compiled expressions.
-	stack []Value
 	// localOwn marks local slots whose container this run built itself
 	// (copy-on-write store); eligible aOwn stores then mutate in place.
 	localOwn []bool
@@ -270,8 +266,12 @@ type runner struct {
 	e   *Engine
 	cfg Config
 
+	// glob holds every global slot's value: each shared variable, and
+	// each signal's committed value. The per-signal and per-variable
+	// slices below (sig, recBufs, sharedOwn, changedAt) are indexed by
+	// global slot too; entries of the other kind stay unused.
+	glob    []Value
 	sig     []bsignal
-	shared  []Value
 	procs   []*bproc
 	dirty   []int32
 	delayed []bdelayed
@@ -302,20 +302,21 @@ type runner struct {
 }
 
 func newRunner(e *Engine) *runner {
+	n := len(e.globals)
 	r := &runner{
 		e:         e,
-		sig:       make([]bsignal, len(e.sigVars)),
-		shared:    make([]Value, len(e.sharedVars)),
-		sharedOwn: make([]bool, len(e.sharedVars)),
-		changedAt: make([]int64, len(e.sigVars)),
+		glob:      make([]Value, n),
+		sig:       make([]bsignal, n),
+		sharedOwn: make([]bool, n),
+		changedAt: make([]int64, n),
+		recBufs:   make([][2]recBuf, n),
 		graceEnd:  -1,
 	}
-	r.recBufs = make([][2]recBuf, len(e.sigVars))
 	for i, ok := range e.sigBufOK {
 		if !ok {
 			continue
 		}
-		rt := e.sigVars[i].Type.(spec.RecordType)
+		rt := e.globals[i].Type.(spec.RecordType)
 		for k := 0; k < 2; k++ {
 			f := make([]Value, len(rt.Fields))
 			r.recBufs[i][k] = recBuf{fields: f, val: RecordVal{Type: rt, Fields: f}}
@@ -323,13 +324,13 @@ func newRunner(e *Engine) *runner {
 	}
 	for _, prog := range e.progs {
 		p := &bproc{
-			r: r, prog: prog,
-			locals:    make([]Value, len(prog.locals)),
+			r:         r,
 			localOwn:  make([]bool, len(prog.locals)),
-			stack:     make([]Value, 0, prog.maxStack),
 			wDeadline: -1,
 		}
-		p.ev = Evaluator{Lookup: p.lookup, Fail: p.evFail}
+		p.init(prog, p.evFail)
+		p.Locals = make([]Value, len(prog.locals))
+		p.Globals = r.glob
 		r.procs = append(r.procs, p)
 	}
 	return r
@@ -352,10 +353,10 @@ func (r *runner) reset(cfg Config) {
 	}
 	r.cfg = cfg
 	r.useBufs = cfg.OnEvent == nil
-	for i := range r.sig {
-		r.sig[i] = bsignal{current: r.e.sigInit[i], curFields: recFieldsOf(r.e.sigRecFields[i], r.e.sigInit[i])}
+	for _, i := range r.e.sigSlots {
+		r.sig[i] = bsignal{}
 	}
-	copy(r.shared, r.e.sharedInit)
+	copy(r.glob, r.e.globInit)
 	// Slot containers now come from the engine's shared templates; no
 	// slot owns its container until a copy-on-write store replaces it.
 	for i := range r.sharedOwn {
@@ -368,14 +369,14 @@ func (r *runner) reset(cfg Config) {
 			p.charges = p.charges[:0]
 			for i := range p.code {
 				var c int64
-				if p.code[i].op == bopCharge {
+				if p.code[i].op == OpCharge {
 					c = p.code[i].clocks(cfg.Cost)
 				}
 				p.charges = append(p.charges, c)
 			}
 		}
 		p.lag = 0
-		copy(p.locals, p.prog.localInit)
+		copy(p.Locals, p.prog.localInit)
 		for i := range p.localOwn {
 			p.localOwn[i] = false
 		}
@@ -527,7 +528,7 @@ func (r *runner) flush() bool {
 			continue
 		}
 		if r.cfg.Mutate != nil && !s.skipMutate && !s.muteHook {
-			m := r.cfg.Mutate(r.now, r.e.sigVars[idx], s.current, s.pending)
+			m := r.cfg.Mutate(r.now, r.e.globals[idx], r.glob[idx], s.pending)
 			if m.Now == nil && m.Later == nil {
 				if m.Done {
 					r.cfg.Mutate = nil
@@ -549,15 +550,14 @@ func (r *runner) flush() bool {
 		// The pending value is about to be committed (visible via hooks
 		// and reads) or dropped; either way it is no longer private.
 		s.pendingOwned = false
-		if !s.pending.Equal(s.current) {
-			s.current = s.pending
-			s.curFields = recFieldsOf(r.e.sigRecFields[idx], s.current)
+		if !s.pending.Equal(r.glob[idx]) {
+			r.glob[idx] = s.pending
 			s.events++
 			s.pending = nil
 			r.changedAt[idx] = r.stamp
 			any = true
 			if r.cfg.OnEvent != nil {
-				r.cfg.OnEvent(r.now, r.e.sigVars[idx], s.current)
+				r.cfg.OnEvent(r.now, r.e.globals[idx], r.glob[idx])
 			}
 			continue
 		}
@@ -609,7 +609,7 @@ func (r *runner) applyDelayed() bool {
 		if s.pending == nil {
 			r.dirty = append(r.dirty, d.idx)
 		}
-		s.pending = mergeDelayed(s.effective(), d.base, d.val)
+		s.pending = mergeDelayed(r.effective(d.idx), d.base, d.val)
 		s.skipMutate = true
 		s.pendingOwned = false
 		applied = true
@@ -655,7 +655,7 @@ func (r *runner) deadlock() error {
 		if !ok {
 			return nil, false
 		}
-		return r.sig[idx].current, true
+		return r.glob[idx], true
 	})
 	return &DeadlockError{Now: r.now, Waiting: waiting, Bus: bus}
 }
@@ -670,20 +670,20 @@ func (r *runner) result() *Result {
 	// Values are immutable at runtime, so the Result can share them with
 	// the (about to be re-pooled) runner without copying.
 	for i, key := range r.e.finalKeys {
-		res.Finals[key] = r.shared[r.e.finalSlots[i]]
+		res.Finals[key] = r.glob[r.e.finalSlots[i]]
 	}
 	if r.cfg.FinalsOnly {
 		return res
 	}
 	res.ProcessEnd = make(map[string]int64, len(r.procs))
-	res.SignalEvents = make(map[string]int64, len(r.e.sigVars))
+	res.SignalEvents = make(map[string]int64, len(r.e.sigSlots))
 	for _, p := range r.procs {
 		if !p.prog.beh.Server && p.state == stateFinished {
 			res.ProcessEnd[p.prog.beh.Name] = p.endAt
 		}
 	}
-	for i, v := range r.e.sigVars {
-		res.SignalEvents[v.Name] = r.sig[i].events
+	for _, i := range r.e.sigSlots {
+		res.SignalEvents[r.e.globals[i].Name] = r.sig[i].events
 	}
 	return res
 }
@@ -696,28 +696,6 @@ func (p *bproc) failf(format string, args ...any) {
 
 func (p *bproc) evFail(format string, args ...any) {
 	fail("process "+p.prog.beh.Name+": "+format, args...)
-}
-
-// lookup resolves a variable read against the program's slot table,
-// failing "not in scope" for never-initialized scratch slots.
-func (p *bproc) lookup(v *spec.Variable) Value {
-	ref, ok := p.prog.res[v]
-	if !ok {
-		// Every compiled expression was scanned, so its variables are
-		// resolved; this is reachable only from hook-supplied expressions.
-		p.failf("variable %s not in scope", v.Name)
-	}
-	switch ref.sp {
-	case slotShared:
-		return p.r.shared[ref.idx]
-	case slotSignal:
-		return p.r.sig[ref.idx].current
-	}
-	val := p.locals[ref.idx]
-	if val == nil {
-		p.failf("variable %s not in scope", v.Name)
-	}
-	return val
 }
 
 // exec runs the process until it suspends, finishes or fails, starting
@@ -756,21 +734,24 @@ func (p *bproc) exec() {
 		}
 		in := &code[p.pc]
 		switch in.op {
-		case bopAssign:
+		case OpAssign:
 			p.execAssign(in)
 			p.pc++
-		case bopBranch:
+		case OpBranch:
 			if p.condBool(in.fcond, in.ccond, in.cond) {
 				p.pc++
 			} else {
 				p.pc = in.target
 			}
-		case bopJump:
+		case OpJump:
 			p.pc = in.target
-		case bopClear:
-			p.locals[in.slot] = in.clearVal
+		case OpClear:
+			// The slot now holds the shared template, which it does not
+			// own: an in-place store must copy it first.
+			p.Locals[in.slot] = in.clearVal
+			p.localOwn[in.slot] = false
 			p.pc++
-		case bopWait:
+		case OpWait:
 			if p.execWait(in.wait) {
 				p.pc++
 				continue
@@ -778,7 +759,7 @@ func (p *bproc) exec() {
 			p.state = stateWaiting
 			p.inWait = true
 			return
-		case bopCharge:
+		case OpCharge:
 			p.lag += p.charges[p.pc]
 			p.pc++
 			if in.realize && p.lag > 0 {
@@ -792,7 +773,7 @@ func (p *bproc) exec() {
 				p.state = stateWaiting
 				return
 			}
-		default: // bopEnd
+		default: // OpEnd
 			p.state = stateFinished
 			p.endAt = p.r.now
 			return
@@ -805,10 +786,10 @@ func (p *bproc) exec() {
 // value, so a later field update in the same delta cannot revert an
 // earlier one), variable targets update in place, and a plain store to
 // a never-initialized scratch slot fails "not writable".
-func (p *bproc) execAssign(in *binstr) {
+func (p *bproc) execAssign(in *Instr) {
 	val := p.evalExpr(in.crhs, in.rhs)
 	ref := in.lref
-	if ref.sp == slotSignal {
+	if ref.sp == SignalSlot {
 		s := &p.r.sig[ref.idx]
 		if len(in.path) == 0 {
 			p.r.schedule(ref.idx, Coerce(val, in.base.Type))
@@ -836,11 +817,11 @@ func (p *bproc) execAssign(in *binstr) {
 				// signal: build the pending value in the recycled buffer
 				// that is not the current container, copying the committed
 				// fields and overwriting the target — an allocation-free
-				// equivalent of applyPath's rebuild. curFields is the
-				// commit-time proof that current has the declared layout,
-				// which also validates the compile-time field hint (both
-				// derive from the same declared type).
-				if flds := s.curFields; flds != nil {
+				// equivalent of applyPath's rebuild. recFieldsOf proves
+				// that the committed value has the declared layout, which
+				// also validates the compile-time field hint (both derive
+				// from the same declared type).
+				if flds := recFieldsOf(p.r.e.sigRecFields[ref.idx], p.Globals[ref.idx]); flds != nil {
 					if bufs := &p.r.recBufs[ref.idx]; bufs[0].fields != nil && len(flds) == len(bufs[0].fields) {
 						if i := int(a.fieldIdx); i >= 0 && i < len(flds) {
 							k := 0
@@ -857,12 +838,12 @@ func (p *bproc) execAssign(in *binstr) {
 				}
 			}
 		}
-		p.r.schedule(ref.idx, p.ev.applyPath(s.effective(), in.path, val))
+		p.r.schedule(ref.idx, p.ev.applyPath(p.r.effective(ref.idx), in.path, val))
 		s.pendingOwned = true
 		return
 	}
 	if len(in.path) == 0 {
-		if ref.sp == slotLocal && !in.create && p.locals[ref.idx] == nil {
+		if ref.sp == LocalSlot && !in.create && p.Locals[ref.idx] == nil {
 			p.failf("variable %s not writable", in.base.Name)
 		}
 		p.setRaw(ref, Coerce(val, in.base.Type))
@@ -871,7 +852,7 @@ func (p *bproc) execAssign(in *binstr) {
 		p.setOwn(ref, false)
 		return
 	}
-	cur := p.getRaw(ref)
+	cur := p.load(ref)
 	if cur == nil {
 		p.failf("variable %s not writable", in.base.Name)
 	}
@@ -902,32 +883,25 @@ func (p *bproc) execAssign(in *binstr) {
 // ownSlot reports whether a non-signal slot's container was built by
 // this run (so eligible stores may mutate it in place).
 func (p *bproc) ownSlot(ref slotRef) bool {
-	if ref.sp == slotShared {
+	if ref.sp == SharedSlot {
 		return p.r.sharedOwn[ref.idx]
 	}
 	return p.localOwn[ref.idx]
 }
 
 func (p *bproc) setOwn(ref slotRef, own bool) {
-	if ref.sp == slotShared {
+	if ref.sp == SharedSlot {
 		p.r.sharedOwn[ref.idx] = own
 	} else {
 		p.localOwn[ref.idx] = own
 	}
 }
 
-func (p *bproc) getRaw(ref slotRef) Value {
-	if ref.sp == slotShared {
-		return p.r.shared[ref.idx]
-	}
-	return p.locals[ref.idx]
-}
-
 func (p *bproc) setRaw(ref slotRef, val Value) {
-	if ref.sp == slotShared {
-		p.r.shared[ref.idx] = val
+	if ref.sp == SharedSlot {
+		p.Globals[ref.idx] = val
 	} else {
-		p.locals[ref.idx] = val
+		p.Locals[ref.idx] = val
 	}
 }
 
@@ -941,7 +915,7 @@ func (p *bproc) setStorage(ref slotRef, v *spec.Variable, val Value) {
 // without suspending (an until condition that already holds), false
 // when it suspends with the wait state recorded on the process. A pure
 // timed wait absorbs the process's cost-model lag into its deadline;
-// every other wait found the lag already elapsed (the bopCharge before
+// every other wait found the lag already elapsed (the OpCharge before
 // it).
 func (p *bproc) execWait(m *waitMeta) bool {
 	s := m.w

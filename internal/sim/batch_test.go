@@ -715,8 +715,8 @@ func TestEngineAllocsPerRun(t *testing.T) {
 
 // TestEngineRejectsRecursion: calls are inlined, so a recursive
 // procedure is a construction error that names the procedure. The
-// system itself validates: recursion is refused only by the compilers
-// of the simulator and the checker.
+// system itself validates: recursion is refused only by the compiler,
+// which the model checker shares.
 func TestEngineRejectsRecursion(t *testing.T) {
 	sys := spec.NewSystem("t")
 	m := sys.AddModule("m")

@@ -8,14 +8,12 @@ import (
 	"repro/internal/spec"
 )
 
-// Evaluator implements the simulator's expression and lvalue semantics
-// over caller-supplied storage. The Engine in this package (for every
-// expression its compiler leaves to the tree walker, and for every
-// lvalue path) and the FSM executor in internal/verify both run
-// specification statements; any divergence between their value semantics would make
-// model-checking verdicts about simulated behavior meaningless, so the
-// semantics live here exactly once and both engines plug in their own
-// variable storage via Lookup and Store callbacks.
+// Evaluator is the tree-walking form of the statement language's
+// expression semantics, over storage reached through Lookup. A Frame
+// owns one: it walks the expressions its compiler leaves uncompiled and
+// the index and slice bounds along a store's lvalue path, and the
+// compiled expressions share its operator semantics (applyBinary), so
+// values and failure messages are the same on either path.
 type Evaluator struct {
 	// Lookup resolves a variable read to its current value. It must not
 	// return nil; unknown variables should be reported via Fail.
@@ -347,18 +345,6 @@ func Coerce(v Value, t spec.Type) Value {
 	return v
 }
 
-// AsBool converts a value to a boolean the way simulation conditions do
-// (a vector is true iff non-zero). It panics on non-scalar shapes.
-func AsBool(v Value) bool { return asBool(v) }
-
-// AsInt converts a value to an integer the way simulation arithmetic
-// does (vectors are read unsigned). It panics on non-numeric shapes.
-func AsInt(v Value) int64 { return asInt(v) }
-
-// AsVec converts a value to a bit vector of the given width, truncating
-// or zero-extending, the way simulation assignments do.
-func AsVec(v Value, width int) bits.Vector { return asVec(v, width) }
-
 // ---- lvalue stores ----
 
 // accessor is one step of an lvalue path, outermost last.
@@ -397,25 +383,6 @@ func flattenLValue(lhs spec.Expr) (*spec.Variable, []accessor) {
 			return nil, nil
 		}
 	}
-}
-
-// Store writes val into the lvalue. The base variable's current value is
-// obtained from load only when a partial update (index, field or slice
-// store) needs it; the final value is handed to store. Containers off
-// the update path are shared with the loaded value, never mutated — safe
-// for both in-place variable storage and scheduled signal values. The
-// stored base variable is returned.
-func (ev *Evaluator) Store(lhs spec.Expr, val Value, load func(*spec.Variable) Value, store func(*spec.Variable, Value)) *spec.Variable {
-	base, path := flattenLValue(lhs)
-	if base == nil {
-		ev.fail("assignment to non-lvalue %s", lhs)
-	}
-	if len(path) == 0 {
-		store(base, Coerce(val, base.Type))
-		return base
-	}
-	store(base, ev.applyPath(load(base), path, val))
-	return base
 }
 
 // applyPath rebuilds the containers along the accessor path with the

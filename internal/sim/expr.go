@@ -5,12 +5,12 @@ import (
 	"repro/internal/spec"
 )
 
-// This file compiles expressions into flat postfix programs for the
-// Engine. The tree-walking Evaluator costs an interface dispatch,
-// a type switch and a map-backed variable lookup per node; at millions
-// of runs per campaign that walk dominates the whole simulator. A
-// compiled expression replaces it with a loop over a few preresolved
-// ops and a reusable value stack.
+// This file compiles expressions into flat postfix programs, which a
+// Frame evaluates (frame.go). The tree-walking Evaluator costs an
+// interface dispatch, a type switch and a map-backed variable lookup
+// per node; at millions of runs per campaign that walk dominates the
+// whole simulator. A compiled expression replaces it with a loop over
+// a few preresolved ops and a reusable value stack.
 //
 // Faithfulness rules the design:
 //
@@ -26,15 +26,14 @@ import (
 //     conversion/slice/field semantics are copied line for line.
 //
 // A construct the compiler does not handle simply yields a nil cexpr
-// and the Engine falls back to the tree walker for that expression.
+// and the Frame falls back to the tree walker for that expression.
 
 type copKind uint8
 
 const (
 	xConst copKind = iota
 	xLoadLocal
-	xLoadShared
-	xLoadSignal
+	xLoadGlobal
 	xCheckArr // verify the indexed value is an array before the index runs
 	xIndex
 	xSlice  // dynamic bounds: pops lo, hi, x
@@ -71,7 +70,7 @@ type cexpr struct {
 
 // exprBuilder accumulates ops for one expression.
 type exprBuilder struct {
-	prog *bprogram
+	prog *Program
 	ops  []cop
 	ok   bool
 }
@@ -90,7 +89,7 @@ func (c *bcompiler) compileExpr(e spec.Expr) *cexpr {
 	d := 0
 	for i := range ce.ops {
 		switch ce.ops[i].kind {
-		case xConst, xLoadLocal, xLoadShared, xLoadSignal:
+		case xConst, xLoadLocal, xLoadGlobal:
 			d++
 		case xIndex, xBinary:
 			d--
@@ -125,13 +124,10 @@ func (b *exprBuilder) emit(e spec.Expr) {
 			b.ok = false
 			return
 		}
-		switch ref.sp {
-		case slotShared:
-			b.push(cop{kind: xLoadShared, idx: ref.idx})
-		case slotSignal:
-			b.push(cop{kind: xLoadSignal, idx: ref.idx})
-		default:
+		if ref.sp == LocalSlot {
 			b.push(cop{kind: xLoadLocal, idx: ref.idx, v: e.Var})
+		} else {
+			b.push(cop{kind: xLoadGlobal, idx: ref.idx})
 		}
 	case *spec.Index:
 		b.emit(e.Arr)
@@ -205,18 +201,18 @@ func staticExprType(e spec.Expr) spec.Type {
 
 // evalExpr evaluates via the compiled form when one exists, else the
 // tree walker.
-func (p *bproc) evalExpr(ce *cexpr, e spec.Expr) Value {
+func (f *Frame) evalExpr(ce *cexpr, e spec.Expr) Value {
 	if ce != nil {
-		return p.evalC(ce)
+		return f.evalC(ce)
 	}
-	return p.ev.Eval(e)
+	return f.ev.Eval(e)
 }
 
-// evalC runs a compiled expression on the process's reusable stack.
+// evalC runs a compiled expression on the frame's reusable stack.
 // Failure messages match the tree walker's byte for byte (batch_test.go
 // checks error strings against the classic-kernel goldens).
-func (p *bproc) evalC(ce *cexpr) Value {
-	st := p.stack[:0] // pre-sized to the program's deepest expression
+func (f *Frame) evalC(ce *cexpr) Value {
+	st := f.stack[:0] // pre-sized to the program's deepest expression
 	ops := ce.ops
 	for i := range ops {
 		op := &ops[i]
@@ -224,25 +220,23 @@ func (p *bproc) evalC(ce *cexpr) Value {
 		case xConst:
 			st = append(st, op.val)
 		case xLoadLocal:
-			v := p.locals[op.idx]
+			v := f.Locals[op.idx]
 			if v == nil {
-				p.evFail("variable %s not in scope", op.v.Name)
+				f.ev.fail("variable %s not in scope", op.v.Name)
 			}
 			st = append(st, v)
-		case xLoadShared:
-			st = append(st, p.r.shared[op.idx])
-		case xLoadSignal:
-			st = append(st, p.r.sig[op.idx].current)
+		case xLoadGlobal:
+			st = append(st, f.Globals[op.idx])
 		case xCheckArr:
 			if _, ok := st[len(st)-1].(ArrayVal); !ok {
-				p.evFail("indexing non-array %s", op.orig.(*spec.Index).Arr)
+				f.ev.fail("indexing non-array %s", op.orig.(*spec.Index).Arr)
 			}
 		case xIndex:
 			n := len(st)
 			av := st[n-2].(ArrayVal) // xCheckArr already verified
 			idx := int(asInt(st[n-1])) - av.Lo
 			if idx < 0 || idx >= len(av.Elems) {
-				p.evFail("index %d out of range for %s (len %d)", idx+av.Lo, op.orig.(*spec.Index).Arr, len(av.Elems))
+				f.ev.fail("index %d out of range for %s (len %d)", idx+av.Lo, op.orig.(*spec.Index).Arr, len(av.Elems))
 			}
 			st[n-2] = av.Elems[idx]
 			st = st[:n-1]
@@ -250,12 +244,12 @@ func (p *bproc) evalC(ce *cexpr) Value {
 			n := len(st)
 			xv, ok := st[n-3].(VecVal)
 			if !ok {
-				p.evFail("slicing non-vector %s", op.orig.(*spec.SliceExpr).X)
+				f.ev.fail("slicing non-vector %s", op.orig.(*spec.SliceExpr).X)
 			}
 			hi := int(asInt(st[n-2]))
 			lo := int(asInt(st[n-1]))
 			if lo < 0 || hi >= xv.V.Width() || hi < lo {
-				p.evFail("slice (%d downto %d) out of range for %s", hi, lo, op.orig.(*spec.SliceExpr).X)
+				f.ev.fail("slice (%d downto %d) out of range for %s", hi, lo, op.orig.(*spec.SliceExpr).X)
 			}
 			st[n-3] = boxVec(xv.V.Slice(hi, lo))
 			st = st[:n-2]
@@ -263,25 +257,25 @@ func (p *bproc) evalC(ce *cexpr) Value {
 			n := len(st)
 			xv, ok := st[n-1].(VecVal)
 			if !ok {
-				p.evFail("slicing non-vector %s", op.orig.(*spec.SliceExpr).X)
+				f.ev.fail("slicing non-vector %s", op.orig.(*spec.SliceExpr).X)
 			}
 			hi, lo := int(op.idx), int(op.lo)
 			if lo < 0 || hi >= xv.V.Width() || hi < lo {
-				p.evFail("slice (%d downto %d) out of range for %s", hi, lo, op.orig.(*spec.SliceExpr).X)
+				f.ev.fail("slice (%d downto %d) out of range for %s", hi, lo, op.orig.(*spec.SliceExpr).X)
 			}
 			st[n-1] = boxVec(xv.V.Slice(hi, lo))
 		case xField:
 			n := len(st)
 			rv, ok := st[n-1].(RecordVal)
 			if !ok {
-				p.evFail("field access on non-record %s", op.orig.(*spec.FieldRef).X)
+				f.ev.fail("field access on non-record %s", op.orig.(*spec.FieldRef).X)
 			}
 			fi := int(op.idx)
 			if fi < 0 || fi >= len(rv.Type.Fields) || rv.Type.Fields[fi].Name != op.name {
 				fi = rv.FieldIndex(op.name)
 			}
 			if fi < 0 {
-				p.evFail("no field %s on %s", op.name, op.orig.(*spec.FieldRef).X)
+				f.ev.fail("no field %s on %s", op.name, op.orig.(*spec.FieldRef).X)
 			}
 			st[n-1] = rv.Fields[fi]
 		case xBinary:
@@ -318,7 +312,7 @@ func (p *bproc) evalC(ce *cexpr) Value {
 				}
 			}
 			if v == nil {
-				v = p.ev.applyBinary(op.op, x, y)
+				v = f.ev.applyBinary(op.op, x, y)
 			}
 			st[n-2] = v
 			st = st[:n-1]
@@ -330,7 +324,7 @@ func (p *bproc) evalC(ce *cexpr) Value {
 			case VecVal:
 				st[n-1] = boxVec(x.V.Not())
 			default:
-				p.evFail("not on %s", st[n-1])
+				f.ev.fail("not on %s", st[n-1])
 			}
 		case xNeg:
 			n := len(st)
@@ -352,7 +346,7 @@ func (p *bproc) evalC(ce *cexpr) Value {
 			case spec.BoolType:
 				st[n-1] = boxBool(asBool(x))
 			default:
-				p.evFail("unsupported conversion to %s", op.to)
+				f.ev.fail("unsupported conversion to %s", op.to)
 			}
 		}
 	}
@@ -427,11 +421,11 @@ type fcond struct {
 
 	ref slotRef // fBoolVar, fCmpInt
 
-	sig   int32       // fCmpSigVec: signal slot
-	fi    int32       // fCmpSigVec: field index
-	fname string      // fCmpSigVec: field name guard
-	vec   bits.Vector // fCmpSigVec: literal
-	neg   bool        // fCmpSigVec: Neq
+	sig  int32        // fCmpSigVec: signal's global slot
+	fi   int32        // fCmpSigVec: field index in the declared layout
+	decl []spec.Field // fCmpSigVec: the signal's declared fields
+	vec  bits.Vector  // fCmpSigVec: literal
+	neg  bool         // fCmpSigVec: Neq
 
 	op   spec.Op // fCmpInt comparison
 	ival int64   // fCmpInt literal
@@ -505,7 +499,7 @@ func (c *bcompiler) compileSigVecCmp(e *spec.Binary) *fcond {
 		return nil
 	}
 	ref, ok := c.prog.res[vr.Var]
-	if !ok || ref.sp != slotSignal {
+	if !ok || ref.sp != SignalSlot {
 		return nil
 	}
 	rt, ok := vr.Var.Type.(spec.RecordType)
@@ -521,7 +515,7 @@ func (c *bcompiler) compileSigVecCmp(e *spec.Binary) *fcond {
 		}
 		return &fcond{
 			kind: fCmpSigVec, sig: ref.idx, fi: int32(i),
-			fname: fr.Field, vec: vl.Value, neg: e.Op == spec.OpNeq,
+			decl: rt.Fields, vec: vl.Value, neg: e.Op == spec.OpNeq,
 		}
 	}
 	return nil
@@ -552,92 +546,72 @@ func (c *bcompiler) compileIntCmp(e *spec.Binary) *fcond {
 // container, odd width) and the caller must evaluate generically. Both
 // operands of and/or evaluate regardless of the first's value, exactly
 // like the tree walker.
-func (p *bproc) evalF(f *fcond) (val, ok bool) {
-	switch f.kind {
+func (f *Frame) evalF(c *fcond) (val, ok bool) {
+	switch c.kind {
 	case fAnd:
-		av, ok := p.evalF(f.a)
+		av, ok := f.evalF(c.a)
 		if !ok {
 			return false, false
 		}
-		bv, ok := p.evalF(f.b)
+		bv, ok := f.evalF(c.b)
 		return av && bv, ok
 	case fOr:
-		av, ok := p.evalF(f.a)
+		av, ok := f.evalF(c.a)
 		if !ok {
 			return false, false
 		}
-		bv, ok := p.evalF(f.b)
+		bv, ok := f.evalF(c.b)
 		return av || bv, ok
 	case fNot:
-		av, ok := p.evalF(f.a)
+		av, ok := f.evalF(c.a)
 		return !av, ok
 	case fConst:
-		return f.bval, true
+		return c.bval, true
 	case fBoolVar:
-		bv, ok := p.loadRaw(f.ref).(BoolVal)
+		bv, ok := f.load(c.ref).(BoolVal)
 		return bv.V, ok
 	case fCmpSigVec:
-		// The commit-time layout check (curFields) already validated the
-		// compile-time field index; the slow re-validating path only
-		// runs for values outside the declared layout.
-		sg := &p.r.sig[f.sig]
-		if flds := sg.curFields; flds != nil {
-			vv, ok := flds[f.fi].(VecVal)
-			if !ok || vv.V.Width() != f.vec.Width() {
-				return false, false
-			}
-			return vv.V.Equal(f.vec) != f.neg, true
-		}
-		rv, ok := sg.current.(RecordVal)
-		if !ok || int(f.fi) >= len(rv.Fields) || int(f.fi) >= len(rv.Type.Fields) || rv.Type.Fields[f.fi].Name != f.fname {
+		// recFieldsOf proves the value has the declared layout, which
+		// validates the compile-time field index; any other shape
+		// evaluates generically.
+		flds := recFieldsOf(c.decl, f.Globals[c.sig])
+		if flds == nil {
 			return false, false
 		}
-		vv, ok := rv.Fields[f.fi].(VecVal)
-		if !ok || vv.V.Width() != f.vec.Width() {
+		vv, ok := flds[c.fi].(VecVal)
+		if !ok || vv.V.Width() != c.vec.Width() {
 			return false, false
 		}
-		return vv.V.Equal(f.vec) != f.neg, true
+		return vv.V.Equal(c.vec) != c.neg, true
 	case fCmpInt:
-		iv, ok := p.loadRaw(f.ref).(IntVal)
+		iv, ok := f.load(c.ref).(IntVal)
 		if !ok {
 			return false, false
 		}
-		switch f.op {
+		switch c.op {
 		case spec.OpEq:
-			return iv.V == f.ival, true
+			return iv.V == c.ival, true
 		case spec.OpNeq:
-			return iv.V != f.ival, true
+			return iv.V != c.ival, true
 		case spec.OpLt:
-			return iv.V < f.ival, true
+			return iv.V < c.ival, true
 		case spec.OpLe:
-			return iv.V <= f.ival, true
+			return iv.V <= c.ival, true
 		case spec.OpGt:
-			return iv.V > f.ival, true
+			return iv.V > c.ival, true
 		case spec.OpGe:
-			return iv.V >= f.ival, true
+			return iv.V >= c.ival, true
 		}
 	}
 	return false, false
 }
 
-// loadRaw reads a slot without scope checks; callers type-assert and
-// fall back to the generic (checking, failing) path on nil.
-func (p *bproc) loadRaw(ref slotRef) Value {
-	switch ref.sp {
-	case slotShared:
-		return p.r.shared[ref.idx]
-	case slotSignal:
-		return p.r.sig[ref.idx].current
-	}
-	return p.locals[ref.idx]
-}
-
 // condBool evaluates a condition, preferring the fast form.
-func (p *bproc) condBool(f *fcond, ce *cexpr, e spec.Expr) bool {
-	if f != nil {
-		if v, ok := p.evalF(f); ok {
+func (f *Frame) condBool(c *fcond, ce *cexpr, e spec.Expr) bool {
+	if c != nil {
+		if v, ok := f.evalF(c); ok {
 			return v
 		}
 	}
-	return asBool(p.evalExpr(ce, e))
+	return asBool(f.evalExpr(ce, e))
 }

@@ -1,0 +1,145 @@
+package sim
+
+import (
+	"sort"
+
+	"repro/internal/spec"
+)
+
+// This file is the read side of the compiled programs, shared by the
+// Engine and by any other executor that steps them (the model checker
+// in internal/verify): the instruction stream, expression and
+// condition evaluation, and the persistent lvalue rebuild. Every store
+// stays with the executor, so each keeps its own ownership rules — the
+// Engine mutates containers it provably owns in place, the checker
+// shares values between states and never mutates one.
+
+// Frame evaluates one compiled program's expressions against storage
+// its caller owns: the process's local slots and the global slots in
+// Engine.Globals order, where a signal holds its committed value (a
+// write pending in the current delta is invisible to reads). A Frame
+// only reads; it is not safe for concurrent use.
+type Frame struct {
+	Locals, Globals []Value
+	prog            *Program
+	stack           []Value
+	ev              Evaluator
+}
+
+// NewFrame returns a Frame for prog with no storage bound. fail
+// receives every runtime error and must not return (it may panic).
+func NewFrame(prog *Program, fail func(format string, args ...any)) *Frame {
+	f := &Frame{}
+	f.init(prog, fail)
+	return f
+}
+
+func (f *Frame) init(prog *Program, fail func(format string, args ...any)) {
+	f.prog = prog
+	f.stack = make([]Value, 0, prog.maxStack)
+	f.ev = Evaluator{Lookup: f.lookup, Fail: fail}
+}
+
+// lookup resolves a tree-walker variable read against the program's
+// slot table, failing "not in scope" for never-initialized scratch
+// slots.
+func (f *Frame) lookup(v *spec.Variable) Value {
+	ref, ok := f.prog.res[v]
+	if !ok {
+		// Every compiled expression was scanned, so its variables are
+		// resolved; this is reachable only from hook-supplied expressions.
+		f.ev.fail("variable %s not in scope", v.Name)
+	}
+	val := f.load(ref)
+	if val == nil {
+		f.ev.fail("variable %s not in scope", v.Name)
+	}
+	return val
+}
+
+// load reads a slot without scope checks.
+func (f *Frame) load(ref slotRef) Value {
+	if ref.sp == LocalSlot {
+		return f.Locals[ref.idx]
+	}
+	return f.Globals[ref.idx]
+}
+
+// Cond evaluates an OpBranch's condition.
+func (f *Frame) Cond(in *Instr) bool { return f.condBool(in.fcond, in.ccond, in.cond) }
+
+// Until evaluates the until condition of an OpWait that has one.
+func (f *Frame) Until(in *Instr) bool {
+	m := in.wait
+	return f.condBool(m.funtil, m.cuntil, m.w.Until)
+}
+
+// RHS evaluates an OpAssign's right-hand side.
+func (f *Frame) RHS(in *Instr) Value { return f.evalExpr(in.crhs, in.rhs) }
+
+// Apply returns an OpAssign's destination value after storing val into
+// it: val coerced to the variable's type for a whole store, otherwise
+// cur with the containers along the lvalue path rebuilt and the leaf
+// replaced. cur is never mutated; containers off the path are shared.
+func (f *Frame) Apply(in *Instr, cur, val Value) Value {
+	if len(in.path) == 0 {
+		return Coerce(val, in.base.Type)
+	}
+	return f.ev.applyPath(cur, in.path, val)
+}
+
+// Behavior returns the behavior the program was compiled from.
+func (p *Program) Behavior() *spec.Behavior { return p.beh }
+
+// Locals returns the variables of the program's local slots.
+func (p *Program) Locals() []*spec.Variable { return p.locals }
+
+// Code returns the plain program: no OpCharge, no cost model.
+func (p *Program) Code() []Instr { return p.code }
+
+// GlobalRefs returns the global slots the program reads or writes,
+// ascending: every global an expression or a store target names,
+// including the base of every assigned lvalue and any shared timeout
+// flag.
+func (p *Program) GlobalRefs() []int {
+	var refs []int
+	for _, ref := range p.res {
+		if ref.sp != LocalSlot {
+			refs = append(refs, int(ref.idx))
+		}
+	}
+	sort.Ints(refs)
+	return refs
+}
+
+// Op returns the instruction's opcode.
+func (in *Instr) Op() Op { return in.op }
+
+// Target returns the pc an OpJump jumps to, or an OpBranch jumps to
+// when its condition is false.
+func (in *Instr) Target() int32 { return in.target }
+
+// Dest returns an OpAssign's destination slot.
+func (in *Instr) Dest() (Space, int) { return in.lref.sp, int(in.lref.idx) }
+
+// Field returns the record field an OpAssign's lvalue selects directly
+// on its variable (B.START, B.DATA(3 downto 0)), or "" for a whole
+// store and for a first step that indexes or slices.
+func (in *Instr) Field() string {
+	if len(in.path) > 0 && in.path[0].kind == 1 {
+		return in.path[0].field
+	}
+	return ""
+}
+
+// Clear returns an OpClear's local slot and the immutable zero value it
+// receives.
+func (in *Instr) Clear() (int, Value) { return int(in.slot), in.clearVal }
+
+// Wait returns an OpWait's statement.
+func (in *Instr) Wait() *spec.Wait { return in.wait.w }
+
+// Flag returns the slot of an OpWait's timeout flag (Wait().TimedOut,
+// when set): a local, or a shared module variable. The flag's value is
+// coerced to the variable's type on store.
+func (in *Instr) Flag() (Space, int) { return in.wait.timedOutRef.sp, int(in.wait.timedOutRef.idx) }

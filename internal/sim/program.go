@@ -8,7 +8,9 @@ import (
 )
 
 // This file compiles behaviors into flat programs for the Engine
-// (batch.go). Compilation flattens control flow so that a process's
+// (batch.go); the model checker (internal/verify) steps the same plain
+// programs through a Frame (frame.go), so the statement language has
+// one compiler. Compilation flattens control flow so that a process's
 // entire continuation is a single program counter, which lets a plain
 // in-loop scheduler suspend and resume processes with an integer store,
 // and resolves every variable to a dense slot index so a run needs no
@@ -25,52 +27,57 @@ import (
 // and a store the compiler cannot resolve has no runtime meaning.
 //
 // Each behavior compiles to two programs from one instruction stream.
-// The cost program holds a bopCharge instruction wherever the cost
+// The cost program holds an OpCharge instruction wherever the cost
 // model charges a statement (each source assignment, each evaluated
 // branch or while condition, each loop iteration, each call) and
 // wherever accumulated computation must elapse as simulated time
 // (before a source signal assignment, before a wait that is not a pure
 // timed wait, and at process end). The plain program is the same
-// stream with every bopCharge removed, so a run without a cost model
+// stream with every OpCharge removed, so a run without a cost model
 // executes no accounting at all.
 
-// bop is the instruction set of a compiled behavior.
-type bop uint8
+// Op is the instruction set of a compiled behavior.
+type Op uint8
 
+// The opcodes. A plain program (Program.Code) never holds OpCharge.
 const (
-	bopAssign bop = iota // evaluate rhs, store into the lvalue
-	bopBranch            // fall through when cond holds, else jump to target
-	bopJump              // jump to target
-	bopClear             // local slot := zero value (procedure activation entry)
-	bopWait              // suspend per waitMeta
-	bopCharge            // add the cost-model charge to the lag; maybe let it elapse
-	bopEnd               // process finished
+	OpAssign Op = iota // evaluate rhs, store into the lvalue
+	OpBranch           // fall through when cond holds, else jump to target
+	OpJump             // jump to target
+	OpClear            // local slot := zero value (procedure activation entry)
+	OpWait             // suspend per waitMeta
+	OpCharge           // add the cost-model charge to the lag; maybe let it elapse
+	OpEnd              // process finished
 )
 
-// slotSpace says which storage array a resolved variable lives in.
-type slotSpace uint8
+// Space says which storage array a resolved variable lives in: the
+// process's local slots, or the global slots (Engine.Globals), where
+// shared variables and signals sit side by side.
+type Space uint8
 
+// The storage spaces.
 const (
-	slotLocal slotSpace = iota
-	slotShared
-	slotSignal
+	LocalSlot Space = iota
+	SharedSlot
+	SignalSlot
 )
 
-// slotRef is a resolved variable: storage space plus dense index.
+// slotRef is a resolved variable: storage space plus dense index (a
+// local slot, or a global slot for SharedSlot and SignalSlot).
 type slotRef struct {
-	sp  slotSpace
+	sp  Space
 	idx int32
 }
 
-// binstr is one compiled instruction.
-type binstr struct {
-	op     bop
-	target int32 // bopBranch (taken when cond is false), bopJump
+// Instr is one compiled instruction; frame.go exposes its read side.
+type Instr struct {
+	op     Op
+	target int32 // OpBranch (taken when cond is false), OpJump
 	cond   spec.Expr
 	ccond  *cexpr // compiled cond; nil falls back to the tree walker
 	fcond  *fcond // fast boolean form; nil falls back to ccond/cond
 
-	// bopAssign: the lvalue pre-flattened to base slot + accessor path,
+	// OpAssign: the lvalue pre-flattened to base slot + accessor path,
 	// so the runtime store is a slot write (plain) or one applyPath
 	// rebuild (indexed/field/slice), with no per-statement closures.
 	rhs  spec.Expr
@@ -89,16 +96,16 @@ type binstr struct {
 	// local, where an ordinary assignment to a never-written scratch
 	// variable fails "not writable".
 	create bool
-	// bopCharge: which CostModel charge to add (costBranch charges for
+	// OpCharge: which CostModel charge to add (costBranch charges for
 	// cond, costAssign for stmt), and whether the accumulated lag must
 	// elapse before the next instruction runs.
 	charge  costKind
 	realize bool
 	stmt    *spec.Assign
 
-	wait *waitMeta // bopWait
+	wait *waitMeta // OpWait
 
-	// bopClear: slot re-initialized to clearVal (an immutable zero-value
+	// OpClear: slot re-initialized to clearVal (an immutable zero-value
 	// template shared by every activation and every pooled run).
 	slot     int32
 	clearVal Value
@@ -134,7 +141,7 @@ type waitMeta struct {
 	timedOutRef slotRef
 }
 
-// costKind names the CostModel charge a bopCharge adds.
+// costKind names the CostModel charge an OpCharge adds.
 type costKind uint8
 
 const (
@@ -145,9 +152,9 @@ const (
 	costCall                   // CallClocks
 )
 
-// clocks is a bopCharge's charge under model m; a negative total
+// clocks is an OpCharge's charge under model m; a negative total
 // charges nothing.
-func (in *binstr) clocks(m *estimate.CostModel) int64 {
+func (in *Instr) clocks(m *estimate.CostModel) int64 {
 	var c int64
 	switch in.charge {
 	case costAssign:
@@ -162,14 +169,15 @@ func (in *binstr) clocks(m *estimate.CostModel) int64 {
 	return max(c, 0)
 }
 
-// bprogram is one behavior compiled for the Engine. It is
-// immutable after compilation and shared by every runner of an Engine.
-type bprogram struct {
+// Program is one behavior compiled for the Engine. It is immutable
+// after compilation and shared by every runner of an Engine and by any
+// other executor stepping it through a Frame (frame.go).
+type Program struct {
 	beh *spec.Behavior
 	// code is the plain program; costCode the same stream with the
-	// cost model's bopCharge instructions (see the file comment).
-	code     []binstr
-	costCode []binstr
+	// cost model's OpCharge instructions (see the file comment).
+	code     []Instr
+	costCode []Instr
 	// locals are this process's dense variable slots: declared behavior
 	// variables (localInit holds their initial values), inlined
 	// procedure parameters and locals (initialized per activation by the
@@ -182,7 +190,7 @@ type bprogram struct {
 	res   map[*spec.Variable]slotRef
 	temps int
 	// maxStack is the deepest operand stack any compiled expression of
-	// this program needs; the runner pre-sizes bproc.stack with it.
+	// this program needs; every Frame pre-sizes its stack with it.
 	maxStack int
 }
 
@@ -198,15 +206,15 @@ type scope struct {
 // bcompiler compiles one behavior against an Engine's global layout.
 type bcompiler struct {
 	e       *Engine
-	prog    *bprogram
+	prog    *Program
 	scopes  []scope
-	endRefs []int // jumps to the final bopEnd
+	endRefs []int // jumps to the final OpEnd
 	active  map[*spec.Procedure]bool
 	err     error
 }
 
-func (e *Engine) compile(beh *spec.Behavior) (*bprogram, error) {
-	prog := &bprogram{
+func (e *Engine) compile(beh *spec.Behavior) (*Program, error) {
+	prog := &Program{
 		beh: beh,
 		res: make(map[*spec.Variable]slotRef),
 	}
@@ -216,8 +224,8 @@ func (e *Engine) compile(beh *spec.Behavior) (*bprogram, error) {
 	}
 	c.stmts(beh.Body)
 	end := c.here()
-	c.emit(binstr{op: bopCharge, charge: costNone, realize: true})
-	c.emit(binstr{op: bopEnd})
+	c.emit(Instr{op: OpCharge, charge: costNone, realize: true})
+	c.emit(Instr{op: OpEnd})
 	for _, at := range c.endRefs {
 		prog.costCode[at].target = end
 	}
@@ -227,7 +235,7 @@ func (e *Engine) compile(beh *spec.Behavior) (*bprogram, error) {
 	return prog, nil
 }
 
-func (c *bcompiler) emit(i binstr) int {
+func (c *bcompiler) emit(i Instr) int {
 	c.prog.costCode = append(c.prog.costCode, i)
 	return len(c.prog.costCode) - 1
 }
@@ -235,23 +243,23 @@ func (c *bcompiler) emit(i binstr) int {
 func (c *bcompiler) here() int32 { return int32(len(c.prog.costCode)) }
 
 // stripCharges derives the plain program from the cost program: every
-// bopCharge removed, jump targets moved to the next kept instruction.
-func stripCharges(code []binstr) []binstr {
+// OpCharge removed, jump targets moved to the next kept instruction.
+func stripCharges(code []Instr) []Instr {
 	newIdx := make([]int32, len(code)+1)
 	var n int32
 	for i := range code {
 		newIdx[i] = n
-		if code[i].op != bopCharge {
+		if code[i].op != OpCharge {
 			n++
 		}
 	}
 	newIdx[len(code)] = n
-	plain := make([]binstr, 0, n)
+	plain := make([]Instr, 0, n)
 	for _, in := range code {
-		if in.op == bopCharge {
+		if in.op == OpCharge {
 			continue
 		}
-		if in.op == bopBranch || in.op == bopJump {
+		if in.op == OpBranch || in.op == OpJump {
 			in.target = newIdx[in.target]
 		}
 		plain = append(plain, in)
@@ -271,7 +279,7 @@ func (c *bcompiler) addLocal(v *spec.Variable, init Value) slotRef {
 	if ref, ok := c.prog.res[v]; ok {
 		return ref
 	}
-	ref := slotRef{sp: slotLocal, idx: int32(len(c.prog.locals))}
+	ref := slotRef{sp: LocalSlot, idx: int32(len(c.prog.locals))}
 	c.prog.res[v] = ref
 	c.prog.locals = append(c.prog.locals, v)
 	c.prog.localInit = append(c.prog.localInit, init)
@@ -288,12 +296,12 @@ func (c *bcompiler) resolve(v *spec.Variable) slotRef {
 		return ref
 	}
 	if idx, ok := c.e.sharedIdx[v]; ok {
-		ref := slotRef{sp: slotShared, idx: int32(idx)}
+		ref := slotRef{sp: SharedSlot, idx: int32(idx)}
 		c.prog.res[v] = ref
 		return ref
 	}
 	if idx, ok := c.e.sigIdx[v]; ok {
-		ref := slotRef{sp: slotSignal, idx: int32(idx)}
+		ref := slotRef{sp: SignalSlot, idx: int32(idx)}
 		c.prog.res[v] = ref
 		return ref
 	}
@@ -308,7 +316,7 @@ func (c *bcompiler) resolveStorage(v *spec.Variable) slotRef {
 		return ref
 	}
 	if idx, ok := c.e.sharedIdx[v]; ok {
-		ref := slotRef{sp: slotShared, idx: int32(idx)}
+		ref := slotRef{sp: SharedSlot, idx: int32(idx)}
 		c.prog.res[v] = ref
 		return ref
 	}
@@ -403,7 +411,7 @@ func (c *bcompiler) stmt(s spec.Stmt) {
 		// elapse before it: a completion flag must not take effect
 		// before the computation it reports on.
 		_, toSignal := c.e.sigIdx[spec.BaseVar(s.LHS)]
-		c.emit(binstr{op: bopCharge, charge: costAssign, stmt: s, realize: toSignal})
+		c.emit(Instr{op: OpCharge, charge: costAssign, stmt: s, realize: toSignal})
 		c.compileAssign(s.LHS, s.RHS, false)
 	case *spec.If:
 		c.compileIf(s)
@@ -432,7 +440,7 @@ func (c *bcompiler) stmt(s spec.Stmt) {
 // loop or call scope) or Return (callsOnly=true: innermost call scope);
 // with no matching scope both end the behavior.
 func (c *bcompiler) jumpOut(callsOnly bool) {
-	j := c.emit(binstr{op: bopJump})
+	j := c.emit(Instr{op: OpJump})
 	for i := len(c.scopes) - 1; i >= 0; i-- {
 		if callsOnly && !c.scopes[i].isCall {
 			continue
@@ -473,7 +481,7 @@ func (c *bcompiler) compileAssign(lhs, rhs spec.Expr, create bool) {
 		ref = c.resolve(base)
 	}
 	fillPathHints(path, base.Type)
-	c.emit(binstr{op: bopAssign, rhs: rhs, crhs: c.compileExpr(rhs), base: base, lref: ref, path: path, create: create})
+	c.emit(Instr{op: OpAssign, rhs: rhs, crhs: c.compileExpr(rhs), base: base, lref: ref, path: path, create: create})
 }
 
 func (c *bcompiler) compileIf(s *spec.If) {
@@ -481,11 +489,11 @@ func (c *bcompiler) compileIf(s *spec.If) {
 	arm := func(cond spec.Expr, body []spec.Stmt, last bool) {
 		c.scanExpr(cond)
 		c.markEscapes(cond)
-		c.emit(binstr{op: bopCharge, charge: costBranch, cond: cond})
-		br := c.emit(binstr{op: bopBranch, cond: cond, ccond: c.compileExpr(cond), fcond: c.compileCond(cond)})
+		c.emit(Instr{op: OpCharge, charge: costBranch, cond: cond})
+		br := c.emit(Instr{op: OpBranch, cond: cond, ccond: c.compileExpr(cond), fcond: c.compileCond(cond)})
 		c.stmts(body)
 		if !last {
-			toEnd = append(toEnd, c.emit(binstr{op: bopJump}))
+			toEnd = append(toEnd, c.emit(Instr{op: OpJump}))
 		}
 		c.prog.costCode[br].target = c.here()
 	}
@@ -513,13 +521,13 @@ func (c *bcompiler) compileFor(s *spec.For) {
 	c.compileAssign(spec.Ref(to), s.To, true)
 	head := c.here()
 	forCond := spec.Le(spec.Ref(i), spec.Ref(to))
-	br := c.emit(binstr{op: bopBranch, cond: forCond, ccond: c.compileExpr(forCond), fcond: c.compileCond(forCond)})
-	c.emit(binstr{op: bopCharge, charge: costLoop})
+	br := c.emit(Instr{op: OpBranch, cond: forCond, ccond: c.compileExpr(forCond), fcond: c.compileCond(forCond)})
+	c.emit(Instr{op: OpCharge, charge: costLoop})
 	c.compileAssign(spec.Ref(s.Var), spec.Ref(i), true)
 	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
 	c.compileAssign(spec.Ref(i), spec.Add(spec.Ref(i), spec.Int(1)), true)
-	c.emit(binstr{op: bopJump, target: head})
+	c.emit(Instr{op: OpJump, target: head})
 	c.prog.costCode[br].target = c.here()
 	c.popScope()
 }
@@ -528,21 +536,21 @@ func (c *bcompiler) compileWhile(s *spec.While) {
 	head := c.here()
 	c.scanExpr(s.Cond)
 	c.markEscapes(s.Cond)
-	c.emit(binstr{op: bopCharge, charge: costBranch, cond: s.Cond})
-	br := c.emit(binstr{op: bopBranch, cond: s.Cond, ccond: c.compileExpr(s.Cond), fcond: c.compileCond(s.Cond)})
+	c.emit(Instr{op: OpCharge, charge: costBranch, cond: s.Cond})
+	br := c.emit(Instr{op: OpBranch, cond: s.Cond, ccond: c.compileExpr(s.Cond), fcond: c.compileCond(s.Cond)})
 	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
-	c.emit(binstr{op: bopJump, target: head})
+	c.emit(Instr{op: OpJump, target: head})
 	c.prog.costCode[br].target = c.here()
 	c.popScope()
 }
 
 func (c *bcompiler) compileLoop(s *spec.Loop) {
 	head := c.here()
-	c.emit(binstr{op: bopCharge, charge: costLoop})
+	c.emit(Instr{op: OpCharge, charge: costLoop})
 	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
-	c.emit(binstr{op: bopJump, target: head})
+	c.emit(Instr{op: OpJump, target: head})
 	c.popScope()
 }
 
@@ -587,9 +595,9 @@ func (c *bcompiler) compileWait(s *spec.Wait) {
 	// pure timed one, which absorbs the lag into its deadline
 	// (bproc.execWait).
 	if s.Until != nil || len(s.On) > 0 || !s.HasFor {
-		c.emit(binstr{op: bopCharge, charge: costNone, realize: true})
+		c.emit(Instr{op: OpCharge, charge: costNone, realize: true})
 	}
-	c.emit(binstr{op: bopWait, wait: m})
+	c.emit(Instr{op: OpWait, wait: m})
 }
 
 // batchCallDepth bounds static call nesting: calls are inlined, so
@@ -624,7 +632,7 @@ func (c *bcompiler) compileCall(s *spec.Call) {
 	c.active[proc] = true
 	defer delete(c.active, proc)
 
-	c.emit(binstr{op: bopCharge, charge: costCall})
+	c.emit(Instr{op: OpCharge, charge: costCall})
 	for _, prm := range proc.Params {
 		c.addLocal(prm.Var, nil)
 	}
@@ -637,12 +645,12 @@ func (c *bcompiler) compileCall(s *spec.Call) {
 			c.compileAssign(spec.Ref(prm.Var), s.Args[i], true)
 		default:
 			ref := c.prog.res[prm.Var]
-			c.emit(binstr{op: bopClear, slot: ref.idx, clearVal: ZeroValue(prm.Var.Type)})
+			c.emit(Instr{op: OpClear, slot: ref.idx, clearVal: ZeroValue(prm.Var.Type)})
 		}
 	}
 	for _, l := range proc.Locals {
 		ref := c.prog.res[l]
-		c.emit(binstr{op: bopClear, slot: ref.idx, clearVal: ZeroValue(l.Type)})
+		c.emit(Instr{op: OpClear, slot: ref.idx, clearVal: ZeroValue(l.Type)})
 	}
 	c.scopes = append(c.scopes, scope{isCall: true})
 	c.stmts(proc.Body)

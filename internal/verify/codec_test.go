@@ -22,10 +22,7 @@ import (
 func exploreStates(t *testing.T, pcfg protogen.Config, vcfg Config) []*state {
 	t.Helper()
 	sys, _ := refinePQ(t, pcfg)
-	m, err := newMachine(sys, withDefaults(vcfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMachine(t, sys, vcfg)
 	sr := newSearcher(m)
 	if err := sr.run(); err != nil {
 		t.Fatal(err)

@@ -5,16 +5,23 @@ import (
 
 	"repro/internal/hdl"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
-// TestLoweringMatchesSimulator: the checker lowers for loops, exit and
-// return exactly as the simulator does, so on valid .sys text its
-// final values agree with the golden simulation and the verdict is
-// clean. Each case once gave a wrong verdict: a for loop that used its
-// variable as its own counter (a body write changed the trip count), an
-// exit inside a procedure that bound to the caller's loop instead of
-// returning from the call, and the same procedure refused outside any
-// loop.
+// TestLoweringMatchesSimulator: the checker steps the simulator's own
+// compiled programs, so its final values agree with the golden
+// simulation and the verdict is clean. Each case once gave a wrong
+// verdict: a for loop that used its variable as its own counter (a body
+// write changed the trip count), an exit inside a procedure that bound
+// to the caller's loop instead of returning from the call, the same
+// procedure refused outside any loop, and a module variable used as a
+// bounded wait's timeout flag (the checker kept the flag in a process
+// local, so the module variable never changed). .sys text has no
+// timeout-flag syntax, so that case is built in Go. The last case
+// clears a procedure-local array on every call: the simulator once
+// mutated the shared zero template in place from the second call on,
+// so a pooled Engine's next run (and the checker, which clears to the
+// same template after the golden run) started from a dirty "zero".
 func TestLoweringMatchesSimulator(t *testing.T) {
 	const bump = `
       procedure bump is
@@ -24,8 +31,10 @@ func TestLoweringMatchesSimulator(t *testing.T) {
         X := X + 100;
       end procedure;`
 	cases := []struct {
-		name, src, final string
-		want             int64
+		name, src string
+		build     func() *spec.System // used instead of src when set
+		final     string
+		want      sim.Value
 	}{
 		{"for-hidden-counter", `
 system ForCounter is
@@ -41,7 +50,7 @@ system ForCounter is
   module d is
     variable Y : integer;
   end module;
-end system;`, "d.Y", 4},
+end system;`, nil, "d.Y", sim.IntVal{V: 4}},
 		{"exit-in-call-in-loop", `
 system ExitInLoopCall is
   module m is
@@ -55,7 +64,7 @@ system ExitInLoopCall is
   module d is
     variable X : integer;
   end module;
-end system;`, "d.X", 3},
+end system;`, nil, "d.X", sim.IntVal{V: 3}},
 		{"exit-in-call-at-top", `
 system ExitInCall is
   module m is
@@ -67,28 +76,73 @@ system ExitInCall is
   module d is
     variable X : integer;
   end module;
-end system;`, "d.X", 1},
+end system;`, nil, "d.X", sim.IntVal{V: 1}},
+		{"shared-timeout-flag", "", func() *spec.System {
+			sys := spec.NewSystem("SharedFlag")
+			g := sys.AddGlobal(spec.NewSignal("G", spec.Bit))
+			flag := sys.AddModule("d").AddVariable(spec.NewVar("T", spec.Bool))
+			b := sys.AddModule("m").AddBehavior(spec.NewBehavior("B"))
+			// G is never driven, so the wait times out and sets d.T.
+			b.Body = []spec.Stmt{spec.WaitUntilFor(spec.Eq(spec.Ref(g), spec.VecString("1")), 3, flag)}
+			return sys
+		}, "d.T", sim.BoolVal{V: true}},
+		{"cleared-local-array", `
+system ClearedLocal is
+  module m is
+    behavior B is
+      procedure twice is
+        variable a : array (0 to 3) of integer;
+      begin
+        a(0) := a(0) + 1;
+        a(0) := a(0) + 1;
+        X := X + a(0);
+      end procedure;
+    begin
+      twice;
+      twice;
+    end behavior;
+  end module;
+  module d is
+    variable X : integer;
+  end module;
+end system;`, nil, "d.X", sim.IntVal{V: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := hdl.Parse(tc.src)
-			if err != nil {
-				t.Fatal(err)
+			var sys *spec.System
+			if tc.build != nil {
+				sys = tc.build()
+			} else {
+				var err error
+				if sys, err = hdl.Parse(tc.src); err != nil {
+					t.Fatal(err)
+				}
 			}
 			eng, err := sim.NewEngine(sys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Run(sim.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Finals[tc.final]; !got.Equal(sim.IntVal{V: tc.want}) {
-				t.Fatalf("simulated %s = %v, want %d", tc.final, got, tc.want)
+			// Twice: a pooled Engine's runs must not see each other.
+			for run := 1; run <= 2; run++ {
+				res, err := eng.Run(sim.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Finals[tc.final]; got == nil || !got.Equal(tc.want) {
+					t.Fatalf("run %d: simulated %s = %v, want %v", run, tc.final, got, tc.want)
+				}
 			}
 			rep := mustCheck(t, sys, Config{})
 			if !rep.Clean() || rep.GoldenClocks < 0 {
 				t.Fatalf("verdict not clean (golden clocks %d):\n%s", rep.GoldenClocks, rep.Format())
+			}
+			// The partial-order reduction must see the store: the
+			// checked variable is in B's footprint, read and written.
+			m := newTestMachine(t, sys, Config{})
+			for gi, name := range m.gname {
+				if name == tc.final && (!m.progs[0].writes[gi] || !m.progs[0].reads[gi]) {
+					t.Fatalf("%s missing from B's footprint (read %v, written %v)", name, m.progs[0].reads[gi], m.progs[0].writes[gi])
+				}
 			}
 		})
 	}

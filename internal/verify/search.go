@@ -74,8 +74,11 @@ type searcher struct {
 	depth       int32
 	incomplete  string
 	// wpool recycles per-worker expansion buffers (key arena, confirm
-	// scratch, successor slice) across layers.
-	wpool sync.Pool
+	// scratch, successor slice) across layers. It is allocated apart
+	// from the searcher: the runtime's pool registry keeps a used pool
+	// reachable until the next collection, and an embedded one would
+	// keep the whole search, every stored state, alive with it.
+	wpool *sync.Pool
 	// nodeArena chunk-allocates node storage: one allocation per 4096
 	// admissions instead of one per node.
 	nodeArena []node
@@ -147,6 +150,7 @@ func newSearcher(m *machine) *searcher {
 		m:         m,
 		store:     newStore(),
 		vioKeys:   make(map[vioKey]bool),
+		wpool:     new(sync.Pool),
 		memBudget: m.cfg.MemBudget,
 	}
 	s.store.lossy = m.cfg.Lossy

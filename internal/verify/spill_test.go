@@ -125,10 +125,7 @@ func TestLossyMode(t *testing.T) {
 // makes sealed states re-expandable at all.
 func TestDecodeRoundTrip(t *testing.T) {
 	sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
-	m, err := newMachine(sys, withDefaults(Config{MaxDrops: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newTestMachine(t, sys, Config{MaxDrops: 1})
 	sr := newSearcher(m)
 	if err := sr.run(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -17,24 +18,22 @@ const maxProcs = 30
 // execute (a runaway zero-delay loop would otherwise hang the checker).
 const maxSegmentSteps = 200_000
 
-// machine is the compiled product system: one program per process plus
-// the global storage layout and the bus-line bookkeeping the checks
-// need.
+// machine is the product system: one program per process plus the
+// global storage layout and the bus-line bookkeeping the checks need.
 type machine struct {
 	sys   *spec.System
 	cfg   Config
 	progs []*program
-	// Global storage slots: sys.Globals first, then module variables in
-	// module order. Signals and shared variables live side by side; the
-	// executor distinguishes them via isSignal.
-	globals  []*spec.Variable
-	gslot    map[*spec.Variable]int
-	isSignal []bool
-	gname    []string // "Module.Var" for module variables, plain name for globals
-	buses    []*busModel
-	bySlot   map[int]*busModel
-	drops    []dropTarget
-	nTrack   int // total tracked bus fields (lastW width)
+	// Global storage slots, the simulator's (sim.Engine.Globals):
+	// sys.Globals first, then module variables in module order, signals
+	// and shared variables side by side.
+	globals []*spec.Variable
+	gslot   map[*spec.Variable]int
+	gname   []string // "Module.Var" for module variables, plain name for globals
+	buses   []*busModel
+	bySlot  map[int]*busModel
+	drops   []dropTarget
+	nTrack  int // total tracked bus fields (lastW width)
 	// indep[p] has bit q set when p and q have disjoint-enough global
 	// footprints to commute (neither writes what the other touches).
 	indep  []uint32
@@ -72,12 +71,32 @@ type dropTarget struct {
 	name  string // "B.START"
 }
 
-func newMachine(sys *spec.System, cfg Config) (*machine, error) {
+// program is one process as the checker steps it: the simulator's
+// compiled plain program, plus what the checker derives from it once.
+type program struct {
+	compiled *sim.Program
+	beh      *spec.Behavior
+	code     []sim.Instr
+	locals   []*spec.Variable
+	// fields[pc] is the bus-record field bits the OpAssign at pc drives
+	// (zero for every other instruction): the driver-conflict check's
+	// input.
+	fields []uint64
+	// reads/writes are the program's global footprint, per global slot,
+	// for the independence relation of the partial-order reduction. An
+	// assigned global is read as well as written.
+	reads, writes []bool
+}
+
+// newMachine builds the product system from eng, the simulator compiled
+// for sys, so the checker steps the very programs the simulator runs.
+func newMachine(sys *spec.System, cfg Config, eng *sim.Engine) (*machine, error) {
 	m := &machine{
-		sys:    sys,
-		cfg:    cfg,
-		gslot:  make(map[*spec.Variable]int),
-		bySlot: make(map[int]*busModel),
+		sys:     sys,
+		cfg:     cfg,
+		globals: eng.Globals(),
+		gslot:   make(map[*spec.Variable]int),
+		bySlot:  make(map[int]*busModel),
 	}
 	for _, b := range sys.Buses {
 		switch b.Protocol {
@@ -86,19 +105,19 @@ func newMachine(sys *spec.System, cfg Config) (*machine, error) {
 			return nil, fmt.Errorf("verify: bus %s uses protocol %v; the model checker supports full and half handshakes only", b.Name, b.Protocol)
 		}
 	}
-	addGlobal := func(v *spec.Variable, name string) {
-		m.gslot[v] = len(m.globals)
-		m.globals = append(m.globals, v)
-		m.isSignal = append(m.isSignal, v.Kind == spec.KindSignal)
-		m.gname = append(m.gname, name)
-	}
-	for _, g := range sys.Globals {
-		addGlobal(g, g.Name)
-	}
+	modName := make(map[*spec.Variable]string)
 	for _, mod := range sys.Modules {
 		for _, v := range mod.Variables {
-			addGlobal(v, mod.Name+"."+v.Name)
+			modName[v] = mod.Name + "." + v.Name
 		}
+	}
+	for i, v := range m.globals {
+		m.gslot[v] = i
+		name, ok := modName[v]
+		if !ok {
+			name = v.Name
+		}
+		m.gname = append(m.gname, name)
 	}
 
 	dropFields := cfg.DropFields
@@ -155,25 +174,93 @@ func newMachine(sys *spec.System, cfg Config) (*machine, error) {
 		}
 	}
 
-	behs := sys.Behaviors()
-	if len(behs) == 0 {
+	progs := eng.Programs()
+	if len(progs) == 0 {
 		return nil, fmt.Errorf("verify: system has no behaviors")
 	}
-	if len(behs) > maxProcs {
-		return nil, fmt.Errorf("verify: %d processes exceed the checker's limit of %d", len(behs), maxProcs)
+	if len(progs) > maxProcs {
+		return nil, fmt.Errorf("verify: %d processes exceed the checker's limit of %d", len(progs), maxProcs)
 	}
-	for i, b := range behs {
-		prog, err := m.compile(b)
+	for i, sp := range progs {
+		prog, err := m.newProgram(sp)
 		if err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
+			return nil, fmt.Errorf("verify: behavior %s: %w", sp.Behavior().Name, err)
 		}
 		m.progs = append(m.progs, prog)
-		if !b.Server {
+		if !prog.beh.Server {
 			m.fgMask |= 1 << uint(i)
 		}
 	}
 	m.buildIndependence()
 	return m, nil
+}
+
+// newProgram derives the checker's view of one compiled program, and
+// refuses the waits the checker cannot model.
+func (m *machine) newProgram(sp *sim.Program) (*program, error) {
+	code := sp.Code()
+	prog := &program{
+		compiled: sp,
+		beh:      sp.Behavior(),
+		code:     code,
+		locals:   sp.Locals(),
+		fields:   make([]uint64, len(code)),
+		reads:    make([]bool, len(m.globals)),
+		writes:   make([]bool, len(m.globals)),
+	}
+	for _, gi := range sp.GlobalRefs() {
+		prog.reads[gi] = true
+	}
+	for pc := range code {
+		in := &code[pc]
+		switch in.Op() {
+		case sim.OpAssign:
+			space, idx := in.Dest()
+			if space == sim.LocalSlot {
+				continue
+			}
+			prog.writes[idx] = true
+			if bm := m.bySlot[idx]; bm != nil {
+				prog.fields[pc] = bm.fieldMask(in.Field())
+			}
+		case sim.OpWait:
+			w := in.Wait()
+			switch {
+			case len(w.On) > 0:
+				return nil, errors.New("'wait on' sensitivity lists are not supported by the model checker " +
+					"(fixed-delay and hardwired-port buses are rate-matched by construction; simulate them instead)")
+			case w.Until == nil && !w.HasFor:
+				return nil, errors.New("'wait' forever cannot be model-checked (the process would never terminate)")
+			case w.HasFor && w.For < 0:
+				return nil, fmt.Errorf("negative wait duration %d", w.For)
+			}
+			if w.TimedOut != nil {
+				if space, idx := in.Flag(); space == sim.SharedSlot {
+					prog.writes[idx] = true
+				}
+			}
+		}
+	}
+	return prog, nil
+}
+
+// fieldMask returns the record-field bits a store into the bus signal
+// drives, given the field its lvalue selects (sim.Instr.Field): every
+// tracked field when it selects none, else that field.
+func (bm *busModel) fieldMask(field string) uint64 {
+	var mask uint64
+	if field == "" {
+		for f := range bm.trackOf {
+			mask |= 1 << uint(f)
+		}
+		return mask
+	}
+	for i, f := range bm.rec.Fields {
+		if f.Name == field {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
 }
 
 // buildIndependence computes the static commutation relation from
@@ -190,13 +277,8 @@ func (m *machine) buildIndependence() {
 		return
 	}
 	conflict := func(a, b *program) bool {
-		for v := range a.writes {
-			if b.reads[v] || b.writes[v] {
-				return true
-			}
-		}
-		for v := range b.writes {
-			if a.reads[v] {
+		for g := range m.globals {
+			if a.writes[g] && (b.reads[g] || b.writes[g]) || b.writes[g] && a.reads[g] {
 				return true
 			}
 		}
@@ -330,8 +412,8 @@ func (s *state) encode() string {
 	return b.String()
 }
 
-// verifyFail is panicked by the executor's Evaluator on runtime errors
-// and recovered at the segment boundary.
+// verifyFail is panicked by a Frame on runtime errors and recovered at
+// the segment boundary.
 type verifyFail struct{ err error }
 
 // commitEvent is one signal commit of a segment whose value actually
@@ -367,8 +449,7 @@ type pendingWrite struct {
 }
 
 // execCtx is a worker's reusable segment-execution context: the pending
-// and commit scratch buffers plus an Evaluator whose closures are bound
-// once to the ctx instead of being rebuilt per call, so repeated
+// and commit scratch buffers plus one sim.Frame per process, so repeated
 // exec/evalCond calls allocate nothing beyond the successor states they
 // produce. Not safe for concurrent use — each worker (and each
 // sequential caller) owns its own.
@@ -376,83 +457,56 @@ type execCtx struct {
 	m       *machine
 	st      *state
 	p       int
-	prog    *program
 	pending []pendingWrite
 	res     segResult
-	gi      int // signal slot the current Store call targets
-	ev      sim.Evaluator
-	// Store callbacks, bound once. sig* accumulate into the pending
-	// buffer (delta semantics); mem* write through directly.
-	sigLoad  func(*spec.Variable) sim.Value
-	sigStore func(*spec.Variable, sim.Value)
-	memLoad  func(*spec.Variable) sim.Value
-	memStore func(*spec.Variable, sim.Value)
+	frames  []*sim.Frame
 }
 
 func (m *machine) newExecCtx() *execCtx {
 	ec := &execCtx{m: m}
-	ec.ev = sim.Evaluator{
-		Lookup: func(v *spec.Variable) sim.Value {
-			if i, ok := ec.prog.lslot[v]; ok {
-				return ec.st.l[ec.p][i]
-			}
-			if i, ok := m.gslot[v]; ok {
-				// Signal reads see committed values even while this
-				// segment has pending writes — the simulator's delta
-				// semantics.
-				return ec.st.g[i]
-			}
-			panic(verifyFail{fmt.Errorf("variable %s not in scope", v.Name)})
-		},
-		Fail: func(format string, args ...any) {
-			panic(verifyFail{fmt.Errorf(format, args...)})
-		},
+	fail := func(format string, args ...any) {
+		panic(verifyFail{fmt.Errorf(format, args...)})
 	}
-	ec.sigLoad = func(*spec.Variable) sim.Value {
-		// Writers build on their own pending value so a later field
-		// update cannot revert an earlier one.
-		if pw := ec.findPending(ec.gi); pw != nil {
-			return pw.val
-		}
-		return ec.st.g[ec.gi]
-	}
-	ec.sigStore = func(_ *spec.Variable, nv sim.Value) {
-		if pw := ec.findPending(ec.gi); pw != nil {
-			pw.val = nv
-			return
-		}
-		ec.pending = append(ec.pending, pendingWrite{slot: ec.gi, val: nv})
-	}
-	ec.memLoad = func(v *spec.Variable) sim.Value { return ec.ev.Lookup(v) }
-	ec.memStore = func(v *spec.Variable, nv sim.Value) {
-		if i, ok := ec.prog.lslot[v]; ok {
-			ec.st.l[ec.p][i] = nv
-			return
-		}
-		if i, ok := m.gslot[v]; ok {
-			ec.st.g[i] = nv
-			return
-		}
-		panic(verifyFail{fmt.Errorf("variable %s not writable", v.Name)})
+	for _, prog := range m.progs {
+		ec.frames = append(ec.frames, sim.NewFrame(prog.compiled, fail))
 	}
 	return ec
 }
 
-func (ec *execCtx) findPending(gi int) *pendingWrite {
+// bind points process p's frame at st's storage.
+func (ec *execCtx) bind(st *state, p int) *sim.Frame {
+	ec.st, ec.p = st, p
+	fr := ec.frames[p]
+	fr.Locals, fr.Globals = st.l[p], st.g
+	return fr
+}
+
+// pendingFor returns signal slot gi's pending write, starting one from
+// the committed value. Writers build on their own pending value so a
+// later field update cannot revert an earlier one.
+func (ec *execCtx) pendingFor(gi int) *pendingWrite {
 	for i := range ec.pending {
 		if ec.pending[i].slot == gi {
 			return &ec.pending[i]
 		}
 	}
-	return nil
+	ec.pending = append(ec.pending, pendingWrite{slot: gi, val: ec.st.g[gi]})
+	return &ec.pending[len(ec.pending)-1]
 }
 
-func (ec *execCtx) setLocal(v *spec.Variable, val sim.Value) {
-	i, ok := ec.prog.lslot[v]
-	if !ok {
-		panic(verifyFail{fmt.Errorf("local %s has no slot", v.Name)})
+// setFlag stores a wait's timeout flag, when it has one, in the slot
+// the simulator stores it in: a process local or a shared variable.
+func (ec *execCtx) setFlag(in *sim.Instr, timedOut bool) {
+	v := in.Wait().TimedOut
+	if v == nil {
+		return
 	}
-	ec.st.l[ec.p][i] = sim.Coerce(val, v.Type)
+	val := sim.Coerce(sim.BoolVal{V: timedOut}, v.Type)
+	if space, idx := in.Flag(); space == sim.SharedSlot {
+		ec.st.g[idx] = val
+	} else {
+		ec.st.l[ec.p][idx] = val
+	}
 }
 
 // commit applies the pending signal writes slot-ordered, as the
@@ -506,7 +560,7 @@ func (m *machine) exec(ec *execCtx, parent *state, p int) (res *segResult, err e
 	// segment, so give p a private slice and keep sharing the rest.
 	st.l[p] = append(make([]sim.Value, 0, len(parent.l[p])), parent.l[p]...)
 	prog := m.progs[p]
-	ec.st, ec.p, ec.prog = st, p, prog
+	fr := ec.bind(st, p)
 	ec.pending = ec.pending[:0]
 	ec.res = segResult{st: st, commits: ec.res.commits[:0]}
 	res = &ec.res
@@ -527,18 +581,15 @@ func (m *machine) exec(ec *execCtx, parent *state, p int) (res *segResult, err e
 		return nil, fmt.Errorf("verify: process %s already finished", prog.beh.Name)
 	}
 	if st.ps[p].blocked {
-		in := prog.code[st.ps[p].pc]
-		if in.op != opWait {
+		in := &prog.code[st.ps[p].pc]
+		if in.Op() != sim.OpWait {
 			return nil, fmt.Errorf("verify: process %s blocked on non-wait instruction", prog.beh.Name)
 		}
-		w := in.wait
-		condMet := w.Until != nil && sim.AsBool(ec.ev.Eval(w.Until))
+		condMet := in.Wait().Until != nil && fr.Until(in)
 		if !condMet && st.ps[p].rem != 0 {
 			return nil, fmt.Errorf("verify: process %s resumed while not enabled", prog.beh.Name)
 		}
-		if w.TimedOut != nil {
-			ec.setLocal(w.TimedOut, sim.BoolVal{V: !condMet})
-		}
+		ec.setFlag(in, !condMet)
 		st.ps[p].blocked = false
 		st.ps[p].rem = -1
 		st.ps[p].pc++
@@ -550,48 +601,47 @@ func (m *machine) exec(ec *execCtx, parent *state, p int) (res *segResult, err e
 		if steps > maxSegmentSteps {
 			return nil, fmt.Errorf("verify: process %s executed %d instructions without yielding (runaway zero-delay loop?)", prog.beh.Name, steps)
 		}
-		in := &prog.code[st.ps[p].pc]
-		switch in.op {
-		case opEnd:
+		pc := st.ps[p].pc
+		in := &prog.code[pc]
+		switch in.Op() {
+		case sim.OpEnd:
 			st.ps[p].fin = true
 			ec.commit()
 			return res, nil
-		case opJump:
-			st.ps[p].pc = in.target
-		case opBranch:
-			if sim.AsBool(ec.ev.Eval(in.cond)) {
+		case sim.OpJump:
+			st.ps[p].pc = in.Target()
+		case sim.OpBranch:
+			if fr.Cond(in) {
 				st.ps[p].pc++
 			} else {
-				st.ps[p].pc = in.target
+				st.ps[p].pc = in.Target()
 			}
-		case opClear:
-			ec.setLocal(in.v, sim.ZeroValue(in.v.Type))
+		case sim.OpClear:
+			slot, zero := in.Clear()
+			st.l[p][slot] = zero
 			st.ps[p].pc++
-		case opAssign:
-			a := in.assign
-			val := ec.ev.Eval(a.RHS)
-			base := spec.BaseVar(a.LHS)
-			gi, isGlobal := m.gslot[base]
-			if isGlobal && m.isSignal[gi] {
-				ec.gi = gi
-				ec.ev.Store(a.LHS, val, ec.sigLoad, ec.sigStore)
-				if bm := m.bySlot[gi]; bm != nil {
-					if pw := ec.findPending(gi); pw != nil {
-						pw.fields |= writtenMask(a.LHS, bm)
-					}
-				}
-			} else {
-				ec.ev.Store(a.LHS, val, ec.memLoad, ec.memStore)
+		case sim.OpAssign:
+			// Signal stores accumulate in the pending buffer (delta
+			// semantics); variable stores write through. Apply never
+			// mutates the value it rebuilds, so states may share values.
+			val := fr.RHS(in)
+			switch space, idx := in.Dest(); space {
+			case sim.SignalSlot:
+				pw := ec.pendingFor(idx)
+				pw.val = fr.Apply(in, pw.val, val)
+				pw.fields |= prog.fields[pc]
+			case sim.SharedSlot:
+				st.g[idx] = fr.Apply(in, st.g[idx], val)
+			default:
+				st.l[p][idx] = fr.Apply(in, st.l[p][idx], val)
 			}
 			st.ps[p].pc++
-		case opWait:
-			w := in.wait
-			if w.Until != nil && sim.AsBool(ec.ev.Eval(w.Until)) {
+		case sim.OpWait:
+			w := in.Wait()
+			if w.Until != nil && fr.Until(in) {
 				// Immediate pass-through without suspending, like the
 				// simulator's in-slice check against committed values.
-				if w.TimedOut != nil {
-					ec.setLocal(w.TimedOut, sim.BoolVal{V: false})
-				}
+				ec.setFlag(in, false)
 				st.ps[p].pc++
 				continue
 			}
@@ -604,7 +654,7 @@ func (m *machine) exec(ec *execCtx, parent *state, p int) (res *segResult, err e
 			ec.commit()
 			return res, nil
 		default:
-			return nil, fmt.Errorf("verify: process %s: bad opcode %d", prog.beh.Name, in.op)
+			return nil, fmt.Errorf("verify: process %s: bad opcode %d", prog.beh.Name, in.Op())
 		}
 	}
 }
@@ -675,38 +725,6 @@ func (m *machine) checkDrivers(st *state, p int, bm *busModel, old, nv sim.Recor
 	}
 }
 
-// writtenMask returns the field bits an assignment drives. A
-// whole-record assignment drives every tracked field.
-func writtenMask(lhs spec.Expr, bm *busModel) uint64 {
-	for {
-		switch l := lhs.(type) {
-		case *spec.VarRef:
-			var mask uint64
-			for f := range bm.trackOf {
-				mask |= 1 << uint(f)
-			}
-			return mask
-		case *spec.FieldRef:
-			if _, ok := l.X.(*spec.VarRef); ok {
-				var mask uint64
-				for i, f := range bm.rec.Fields {
-					if f.Name == l.Field {
-						mask |= 1 << uint(i)
-					}
-				}
-				return mask
-			}
-			lhs = l.X
-		case *spec.SliceExpr:
-			lhs = l.X
-		case *spec.Index:
-			lhs = l.Arr
-		default:
-			return 0
-		}
-	}
-}
-
 func valIsZero(v sim.Value) bool {
 	switch v := v.(type) {
 	case sim.VecVal:
@@ -732,9 +750,9 @@ func (m *machine) enabledMask(ec *execCtx, st *state) (uint32, error) {
 			mask |= 1 << uint(p)
 			continue
 		}
-		w := prog.code[st.ps[p].pc].wait
-		if w.Until != nil {
-			ok, err := m.evalCond(ec, st, p, w.Until)
+		in := &prog.code[st.ps[p].pc]
+		if in.Wait().Until != nil {
+			ok, err := m.evalCond(ec, st, p, in)
 			if err != nil {
 				return 0, err
 			}
@@ -750,22 +768,20 @@ func (m *machine) enabledMask(ec *execCtx, st *state) (uint32, error) {
 	return mask, nil
 }
 
-// evalCond evaluates a wait condition against st through ec's bound
-// evaluator (reads only — ec's pending buffer is never consulted by
-// Lookup, so a ctx fresh from exec is safe to reuse here).
-func (m *machine) evalCond(ec *execCtx, st *state, p int, cond spec.Expr) (ok bool, err error) {
-	prog := m.progs[p]
+// evalCond evaluates the until condition of process p's wait in against
+// st (reads only — a Frame never sees ec's pending buffer, so a ctx
+// fresh from exec is safe to reuse here).
+func (m *machine) evalCond(ec *execCtx, st *state, p int, in *sim.Instr) (ok bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			vf, isVF := r.(verifyFail)
 			if !isVF {
 				panic(r)
 			}
-			ok, err = false, fmt.Errorf("verify: process %s: %w", prog.beh.Name, vf.err)
+			ok, err = false, fmt.Errorf("verify: process %s: %w", m.progs[p].beh.Name, vf.err)
 		}
 	}()
-	ec.st, ec.p, ec.prog = st, p, prog
-	return sim.AsBool(ec.ev.Eval(cond)), nil
+	return ec.bind(st, p).Until(in), nil
 }
 
 // tick advances quiescent time: with no process enabled, the minimum
@@ -824,7 +840,7 @@ func (m *machine) describeState(st *state) string {
 			name += " (server)"
 		}
 		if st.ps[p].blocked {
-			w := prog.code[st.ps[p].pc].wait
+			w := prog.code[st.ps[p].pc].Wait()
 			desc := ""
 			if w.Until != nil {
 				desc = "until " + w.Until.String()

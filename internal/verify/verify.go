@@ -1,3 +1,23 @@
+// Package verify is an exhaustive, bounded model checker for the
+// protocol processes that protocol generation emits. It steps the
+// simulator's own compiled programs (sim.Engine) as communicating FSMs,
+// explores the product state space with a parallel breadth-first search
+// over a deduplicating state store (with a sleep-set partial-order
+// reduction), and checks deadlock-freedom, driver mutual exclusion on
+// shared bus lines, bounded-response liveness and end-to-end data
+// delivery. Any violation is reported with a minimal interleaving
+// Counterexample that replays deterministically through internal/sim.
+//
+// The checker and the simulator share one compiler and one read side —
+// instruction stream, compiled expressions and conditions, lvalue
+// rebuild (sim.Frame) — so statement semantics cannot drift between the
+// two; only the stores differ, because the checker shares values
+// between states and never mutates one in place. Its scheduling model
+// is a sound abstraction of the simulator's: within a delta cycle any
+// enabled process may run next (the checker branches over all of them,
+// a superset of the simulator's fixed process order), while relative
+// timeout ordering is preserved exactly by per-process remaining-clock
+// counters and a deterministic quiescent tick.
 package verify
 
 import (
@@ -196,9 +216,11 @@ func withDefaults(cfg Config) Config {
 // the configured bounds) and reports every property violation with a
 // minimal, replayable counterexample.
 //
-// The golden fault-free simulation runs first: its finals are the
-// data-delivery reference and its duration bounds counterexample
-// replays. If the golden run itself fails, the delivery check is
+// The system is compiled once, by sim.NewEngine; a system the simulator
+// cannot compile is an error. That Engine runs the golden fault-free
+// simulation first — its finals are the data-delivery reference and its
+// duration bounds counterexample replays — and supplies the programs the
+// search steps. If the golden run itself fails, the delivery check is
 // skipped — the search will find the underlying defect directly.
 func Check(sys *spec.System, cfg Config) (*Report, error) {
 	return CheckCtx(context.Background(), sys, cfg)
@@ -214,7 +236,11 @@ func Check(sys *spec.System, cfg Config) (*Report, error) {
 func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error) {
 	cfg = withDefaults(cfg)
 	start := time.Now()
-	m, err := newMachine(sys, cfg)
+	eng, err := sim.NewEngine(sys)
+	if err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	m, err := newMachine(sys, cfg, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -222,28 +248,26 @@ func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error
 	goldenClocks := int64(-1)
 	var goldenFinals map[string]string
 	replayClocks := cfg.MaxClocks
-	if eng, err := sim.NewEngine(sys); err == nil {
-		if res, runErr := eng.Run(sim.Config{MaxClocks: cfg.MaxClocks}); runErr == nil {
-			goldenClocks = res.Clocks
-			if b := res.Clocks*4 + 2000; b < replayClocks {
-				replayClocks = b
+	if res, runErr := eng.Run(sim.Config{MaxClocks: cfg.MaxClocks}); runErr == nil {
+		goldenClocks = res.Clocks
+		if b := res.Clocks*4 + 2000; b < replayClocks {
+			replayClocks = b
+		}
+		slotOf := make(map[string]int, len(m.gname))
+		for i, n := range m.gname {
+			slotOf[n] = i
+		}
+		m.expected = make([]sim.Value, len(m.globals))
+		goldenFinals = make(map[string]string, len(res.Finals))
+		for k, v := range res.Finals {
+			goldenFinals[k] = v.String()
+			if slot, ok := slotOf[k]; ok {
+				m.expected[slot] = v
 			}
-			slotOf := make(map[string]int, len(m.gname))
-			for i, n := range m.gname {
-				slotOf[n] = i
-			}
-			m.expected = make([]sim.Value, len(m.globals))
-			goldenFinals = make(map[string]string, len(res.Finals))
-			for k, v := range res.Finals {
-				goldenFinals[k] = v.String()
-				if slot, ok := slotOf[k]; ok {
-					m.expected[slot] = v
-				}
-			}
-			for _, k := range cfg.AbortVars {
-				if slot, ok := slotOf[k]; ok {
-					m.abortSlots = append(m.abortSlots, slot)
-				}
+		}
+		for _, k := range cfg.AbortVars {
+			if slot, ok := slotOf[k]; ok {
+				m.abortSlots = append(m.abortSlots, slot)
 			}
 		}
 	}

@@ -2,10 +2,13 @@ package verify
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/protogen"
+	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/workloads"
 )
@@ -36,6 +39,21 @@ func mustCheck(t testing.TB, sys *spec.System, cfg Config) *Report {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// newTestMachine builds the checker's machine for sys the way CheckCtx
+// does, for tests that drive the searcher directly.
+func newTestMachine(t testing.TB, sys *spec.System, cfg Config) *machine {
+	t.Helper()
+	eng, err := sim.NewEngine(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := newMachine(sys, withDefaults(cfg), eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func hasKind(rep *Report, k Kind) *Violation {
@@ -382,18 +400,40 @@ func TestLivelockDetected(t *testing.T) {
 	}
 }
 
-// TestWaitOnRejected: sensitivity-list waits are outside the checker's
-// model (fixed-delay buses are rate-matched by construction) and must
-// be rejected at compile time, not mis-modelled.
+// TestWaitOnRejected: constructs outside the checker's model are
+// refused with an error naming the construct, never mis-modelled:
+// sensitivity-list waits (fixed-delay buses are rate-matched by
+// construction), waits that never end, and recursive procedures (calls
+// are inlined, so the simulator's compiler refuses them too).
 func TestWaitOnRejected(t *testing.T) {
-	sys := spec.NewSystem("WO")
-	m := sys.AddModule("m")
-	sig := sys.AddGlobal(spec.NewSignal("G", spec.Bit))
-	a := m.AddBehavior(spec.NewBehavior("A"))
-	a.Body = []spec.Stmt{spec.WaitOn(sig)}
-	_, err := Check(sys, Config{})
-	if err == nil || !strings.Contains(err.Error(), "not supported") {
-		t.Fatalf("WaitOn not rejected: %v", err)
+	cases := []struct {
+		name string
+		body func(b *spec.Behavior, sig *spec.Variable) []spec.Stmt
+		want string
+	}{
+		{"wait-on", func(_ *spec.Behavior, sig *spec.Variable) []spec.Stmt {
+			return []spec.Stmt{spec.WaitOn(sig)}
+		}, "'wait on' sensitivity lists are not supported"},
+		{"wait-forever", func(*spec.Behavior, *spec.Variable) []spec.Stmt {
+			return []spec.Stmt{&spec.Wait{}}
+		}, "'wait' forever cannot be model-checked"},
+		{"recursion", func(b *spec.Behavior, _ *spec.Variable) []spec.Stmt {
+			proc := &spec.Procedure{Name: "rec"}
+			proc.Body = []spec.Stmt{spec.CallProc(proc)}
+			b.Procedures = []*spec.Procedure{proc}
+			return []spec.Stmt{spec.CallProc(proc)}
+		}, "procedure rec recurses"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := spec.NewSystem("WO")
+			sig := sys.AddGlobal(spec.NewSignal("G", spec.Bit))
+			a := sys.AddModule("m").AddBehavior(spec.NewBehavior("A"))
+			a.Body = tc.body(a, sig)
+			if _, err := Check(sys, Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Check = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -415,5 +455,27 @@ func TestCounterexampleVCD(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("VCD output missing %q:\n%.400s", want, out)
 		}
+	}
+}
+
+// TestSearchFreedAtNextGC: a finished search is garbage at the next
+// collection. A sync.Pool embedded in the searcher once kept it, and
+// every state it stored, alive through one more collection (the
+// runtime's pool registry points into the struct), so a caller running
+// searches back to back started each one on top of the last.
+func TestSearchFreedAtNextGC(t *testing.T) {
+	sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
+	sr := newSearcher(newTestMachine(t, sys, Config{MaxDrops: 1}))
+	if err := sr.run(); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(sr, func(*searcher) { close(freed) })
+	sr = nil
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the searcher survived a collection after its search")
 	}
 }
