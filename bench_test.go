@@ -7,6 +7,8 @@
 package repro_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/busgen"
@@ -221,36 +223,47 @@ func BenchmarkSweepParallel(b *testing.B) {
 	b.ReportMetric(float64(points), "points")
 }
 
-// BenchmarkHDLParse measures the front end on the Fig. 3 source.
+// BenchmarkHDLParse measures the front end (lex, parse, elaborate) on
+// every testdata/*.sys plus printed mesh-6, at 24 KB the largest spec
+// the end-to-end benchmark sends; MB/s counts source bytes.
 func BenchmarkHDLParse(b *testing.B) {
-	src := `
-system PQ is
-  module comp1 is
-    behavior P is
-      variable AD : integer;
-    begin
-      AD := 5;
-      X <= 32;
-      MEM(AD) := X + 7;
-    end behavior;
-    behavior Q is
-      variable COUNT : bit_vector(15 downto 0);
-    begin
-      COUNT := 9;
-      MEM(60) := COUNT;
-    end behavior;
-  end module;
-  module comp2 is
-    variable X : bit_vector(15 downto 0);
-    variable MEM : array(0 to 63) of bit_vector(15 downto 0);
-  end module;
-end system;`
+	srcs := frontEndCorpus(b)
+	n := 0
+	for _, src := range srcs {
+		n += len(src)
+	}
+	b.SetBytes(int64(n))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hdl.Parse(src); err != nil {
-			b.Fatal(err)
+		for _, src := range srcs {
+			if _, err := hdl.Parse(src); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+}
+
+// frontEndCorpus returns the text of every testdata/*.sys and of
+// printed mesh-6.
+func frontEndCorpus(b *testing.B) []string {
+	files, err := filepath.Glob("testdata/*.sys")
+	if err != nil || len(files) == 0 {
+		b.Fatalf("testdata: %v (%d files)", err, len(files))
+	}
+	var srcs []string
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs = append(srcs, string(text))
+	}
+	mesh, err := hdl.Print(workloads.Mesh(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return append(srcs, mesh)
 }
 
 // BenchmarkFullSynthesisFLC measures the complete flow — channel

@@ -307,3 +307,49 @@ func TestAutopartitionedFlatSystem(t *testing.T) {
 		t.Errorf("outB = %v, want 600", outB)
 	}
 }
+
+// unsupportedRemoteAccess holds specs that parse and validate but make
+// a remote access no channel transfer expresses, with the message
+// protocol generation reports for each.
+var unsupportedRemoteAccess = []struct{ name, src, want string }{
+	{"slice-write", `system S is
+  module comp1 is
+    behavior P is
+    begin
+      X(3 downto 0) := "1010";
+    end behavior;
+  end module;
+  module comp2 is
+    variable X : bit_vector(7 downto 0);
+  end module;
+end system;
+`, "protogen: unsupported remote write target"},
+	{"whole-array-read", `system S is
+  module comp1 is
+    behavior P is
+      variable Y : array(0 to 3) of bit_vector(7 downto 0);
+    begin
+      Y := X;
+    end behavior;
+  end module;
+  module comp2 is
+    variable X : array(0 to 3) of bit_vector(7 downto 0);
+  end module;
+end system;
+`, "protogen: whole-array read of remote X in behavior P"},
+}
+
+// TestSynthesizeRejectsUnsupportedRemoteAccess: text reaches protocol
+// generation, so an access it cannot rewrite is an error, never a panic
+// (which in ifsynd fires on a job worker with no recover).
+func TestSynthesizeRejectsUnsupportedRemoteAccess(t *testing.T) {
+	for _, c := range unsupportedRemoteAccess {
+		sys, err := hdl.Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := Synthesize(sys, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package hdl
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -9,13 +10,29 @@ import (
 )
 
 // Parse parses and elaborates a source text into a specification system.
+// A lexical or syntax error, like most elaboration errors, is an *Error
+// whose line and column (counted in bytes) are 1-based. Statements,
+// expressions and types nested deeper than 256 levels are rejected.
 func Parse(src string) (*spec.System, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	sys, err := parse(src)
+	var e *Error
+	if errors.As(err, &e) {
+		e.Line, e.Col = lineCol(src, e.off)
 	}
-	p := &parser{toks: toks}
+	return sys, err
+}
+
+func parse(src string) (*spec.System, error) {
+	p := newParser(src)
 	ast, err := p.parseSystem()
+	// A lexical error anywhere in the text outranks a syntax error, so
+	// past a syntax error the rest of the text is still scanned.
+	for err != nil && p.tok.kind != tokEOF {
+		p.next()
+	}
+	if p.lx.err != nil {
+		return nil, p.lx.err
+	}
 	if err != nil {
 		return nil, err
 	}

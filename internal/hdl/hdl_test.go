@@ -1,6 +1,8 @@
 package hdl
 
 import (
+	"errors"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -61,8 +63,24 @@ func TestParsePQ(t *testing.T) {
 	}
 }
 
+// lexAll pulls every token from a lexer, as the parser does.
+func lexAll(src string) ([]token, error) {
+	lx := lexer{src: src}
+	var toks []token
+	for {
+		t := lx.next()
+		if lx.err != nil {
+			return nil, lx.err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexerBasics(t *testing.T) {
-	toks, err := lex(`x := "1010"; y <= X"0A"; -- comment
+	toks, err := lexAll(`x := "1010"; y <= X"0A"; -- comment
 z := '1';`)
 	if err != nil {
 		t.Fatal(err)
@@ -88,19 +106,23 @@ z := '1';`)
 
 func TestLexerErrors(t *testing.T) {
 	for _, src := range []string{`x := "01`, `'2'`, `@`, `y := X"0`} {
-		if _, err := lex(src); err == nil {
-			t.Errorf("lex(%q) accepted", src)
+		if _, err := lexAll(src); err == nil {
+			t.Errorf("lexAll(%q) accepted", src)
 		}
 	}
 }
 
 func TestLexerPositions(t *testing.T) {
-	toks, err := lex("a\n  b")
+	src := "a\n  b"
+	toks, err := lexAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[1].line != 2 || toks[1].col != 3 {
-		t.Fatalf("position = %d:%d", toks[1].line, toks[1].col)
+	if toks[1].off != 4 {
+		t.Fatalf("offset = %d, want 4", toks[1].off)
+	}
+	if line, col := lineCol(src, toks[1].off); line != 2 || col != 3 {
+		t.Fatalf("position = %d:%d", line, col)
 	}
 }
 
@@ -403,7 +425,7 @@ end system;`
 }
 
 func TestHexLiteralElaboration(t *testing.T) {
-	toks, err := lex(`X"0A"`)
+	toks, err := lexAll(`X"0A"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,5 +639,59 @@ end system;`
 	sl, ok := a.RHS.(*spec.SliceExpr)
 	if !ok || sl.Width != 1 {
 		t.Fatalf("bit select = %v", a.RHS)
+	}
+}
+
+// TestParseRejectsDeepNesting: nesting past maxDepth is a positioned
+// error, not a stack overflow (which no recover can catch) or an
+// elaboration quadratic in the depth. The parenthesized initializer is
+// about 2 MB, under ifsynd's 8 MiB body limit.
+func TestParseRejectsDeepNesting(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"parentheses", inModule("    variable v : integer := " +
+			strings.Repeat("(", 1000000) + "1" + strings.Repeat(")", 1000000) + ";\n")},
+		{"not", inBehavior("      variable b : boolean;\n",
+			"      b := "+strings.Repeat("not ", 100000)+"b;\n")},
+		{"if", inBehavior("      variable b : boolean;\n",
+			strings.Repeat("      if b then\n", 1000)+"      null;\n"+strings.Repeat("      end if;\n", 1000))},
+		{"operator-chain", inBehavior("      variable n : integer;\n",
+			"      n := n"+strings.Repeat(" + n", 100000)+";\n")},
+		{"postfix-chain", inBehavior("      variable n : integer;\n",
+			"      n := n"+strings.Repeat(".f", 100000)+";\n")},
+		{"array-type", inModule("    variable v : " + strings.Repeat("array(0 to 1) of ", 100000) + "bit;\n")},
+	}
+	want := regexp.MustCompile(`^\d+:\d+: nesting deeper than 256 levels$`)
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		var perr *Error
+		if !errors.As(err, &perr) || !want.MatchString(err.Error()) {
+			t.Errorf("%s: err = %v, want a positioned nesting error", c.name, err)
+		}
+	}
+	// 100 nested parentheses are 200 levels: still accepted.
+	src := inModule("    variable v : integer := " + strings.Repeat("(", 100) + "1" + strings.Repeat(")", 100) + ";\n")
+	if _, err := Parse(src); err != nil {
+		t.Errorf("100 nested parentheses: %v", err)
+	}
+}
+
+// TestKeywordFolding: every keyword is found in any letter case and
+// maps to its lower-case spelling without allocating; words that only
+// resemble one are identifiers.
+func TestKeywordFolding(t *testing.T) {
+	for kw := range keywords {
+		for _, w := range []string{kw, strings.ToUpper(kw), strings.ToUpper(kw[:1]) + kw[1:]} {
+			if got, ok := keyword(w); !ok || got != kw {
+				t.Errorf("keyword(%q) = %q, %v; want %q", w, got, ok, kw)
+			}
+		}
+		for _, w := range []string{kw[:len(kw)-1], kw + "s", kw + "_", "q" + kw} {
+			if got, ok := keyword(w); ok {
+				t.Errorf("keyword(%q) = %q, want an identifier", w, got)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { keyword("Bit_Vector") }); n != 0 {
+		t.Errorf("keyword folding allocates %.0f times", n)
 	}
 }

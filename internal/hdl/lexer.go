@@ -44,45 +44,76 @@ const (
 	tokSymbol
 )
 
-// token is one lexeme with its position.
+// token is one lexeme. Its text is a substring of the source, except
+// that keywords are spelled in lower case and underscores are dropped
+// from numbers and bit-vector literals. Its position is the byte offset
+// of its first byte; line and column are derived from that only when an
+// error is reported.
 type token struct {
+	text string
+	off  int
 	kind tokKind
-	text string // keywords lowercased; identifiers preserved
-	line int
-	col  int
 }
 
 func (t token) String() string {
 	switch t.kind {
 	case tokEOF:
 		return "end of input"
-	case tokVecLit, tokHexVecLit:
-		return fmt.Sprintf("%q", t.text)
 	case tokBitLit:
 		return fmt.Sprintf("'%s'", t.text)
 	}
 	return fmt.Sprintf("%q", t.text)
 }
 
-var keywords = map[string]bool{
-	"system": true, "module": true, "behavior": true, "process": true,
-	"variable": true, "signal": true, "procedure": true, "channel": true,
-	"server": true, "is": true, "begin": true, "end": true,
-	"if": true, "then": true, "elsif": true, "else": true,
-	"for": true, "in": true, "to": true, "downto": true, "loop": true,
-	"while": true, "exit": true, "return": true, "null": true,
-	"wait": true, "on": true, "until": true,
-	"and": true, "or": true, "xor": true, "not": true, "mod": true,
-	"bit": true, "bit_vector": true, "integer": true, "boolean": true,
-	"array": true, "of": true, "true": true, "false": true,
-	"out": true, "inout": true, "reads": true, "writes": true,
-	"sll": true, "srl": true,
+// keywords maps each keyword to itself, so a lookup with a case-folded
+// key yields the lower-case spelling without building a string.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range []string{
+		"system", "module", "behavior", "process",
+		"variable", "signal", "procedure", "channel",
+		"server", "is", "begin", "end",
+		"if", "then", "elsif", "else",
+		"for", "in", "to", "downto", "loop",
+		"while", "exit", "return", "null",
+		"wait", "on", "until",
+		"and", "or", "xor", "not", "mod",
+		"bit", "bit_vector", "integer", "boolean",
+		"array", "of", "true", "false",
+		"out", "inout", "reads", "writes",
+		"sll", "srl",
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword, "bit_vector".
+const maxKeywordLen = 10
+
+// keyword reports whether word is a keyword in any letter case, and
+// returns its lower-case spelling. It folds case in a stack buffer.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // Error is a front-end diagnostic with position information.
 type Error struct {
 	Line, Col int
 	Msg       string
+	off       int // byte offset; Parse sets Line and Col from it
 }
 
 func (e *Error) Error() string {
@@ -90,117 +121,110 @@ func (e *Error) Error() string {
 }
 
 func errAt(t token, format string, args ...any) *Error {
-	return &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	return &Error{off: t.off, Msg: fmt.Sprintf(format, args...)}
 }
 
-// lex tokenizes the source. Comments run from "--" to end of line.
-func lex(src string) ([]token, error) {
-	var toks []token
-	line, col := 1, 1
-	i := 0
-	n := len(src)
-	advance := func(k int) {
-		for j := 0; j < k; j++ {
-			if src[i] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
+// lineCol converts a byte offset into a 1-based line and a 1-based
+// column counted in bytes.
+func lineCol(src string, off int) (line, col int) {
+	before := src[:off]
+	return strings.Count(before, "\n") + 1, off - strings.LastIndexByte(before, '\n')
+}
+
+// lexer produces tokens one at a time on the parser's demand.
+// Comments run from "--" to end of line.
+type lexer struct {
+	src string
+	pos int    // offset of the next unread byte
+	err *Error // the first lexical error; every later token is EOF
+}
+
+func (lx *lexer) fail(off int, format string, args ...any) token {
+	lx.err = &Error{off: off, Msg: fmt.Sprintf(format, args...)}
+	lx.pos = len(lx.src)
+	return token{kind: tokEOF, off: off}
+}
+
+// next scans the token that starts at or after lx.pos.
+func (lx *lexer) next() token {
+	src := lx.src
+	i := lx.pos
+	for i < len(src) {
+		if c := src[i]; c == ' ' || c == '\t' || c == '\r' || c == '\n' {
 			i++
+		} else if c == '-' && i+1 < len(src) && src[i+1] == '-' {
+			if nl := strings.IndexByte(src[i:], '\n'); nl >= 0 {
+				i += nl + 1
+			} else {
+				i = len(src)
+			}
+		} else {
+			break
 		}
 	}
-	for i < n {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			advance(1)
-		case c == '-' && i+1 < n && src[i+1] == '-':
-			for i < n && src[i] != '\n' {
-				advance(1)
-			}
-		case isLetter(c):
-			start, sl, sc := i, line, col
-			for i < n && (isLetter(src[i]) || isDigit(src[i])) {
-				advance(1)
-			}
-			word := src[start:i]
-			lower := strings.ToLower(word)
+	lx.pos = i
+	if i == len(src) {
+		return token{kind: tokEOF, off: i}
+	}
+	start := i
+	c := src[i]
+	switch {
+	case isLetter(c):
+		for i++; i < len(src) && (isLetter(src[i]) || isDigit(src[i])); i++ {
+		}
+		word := src[start:i]
+		if (c == 'x' || c == 'X') && i == start+1 && i < len(src) && src[i] == '"' {
 			// X"AB" hex bit-vector literal
-			if lower == "x" && i < n && src[i] == '"' {
-				advance(1)
-				hstart := i
-				for i < n && src[i] != '"' {
-					advance(1)
-				}
-				if i >= n {
-					return nil, &Error{Line: sl, Col: sc, Msg: "unterminated hex literal"}
-				}
-				hex := src[hstart:i]
-				advance(1)
-				toks = append(toks, token{kind: tokHexVecLit, text: hex, line: sl, col: sc})
-				continue
+			end := strings.IndexByte(src[i+1:], '"')
+			if end < 0 {
+				return lx.fail(start, "unterminated hex literal")
 			}
-			if keywords[lower] {
-				toks = append(toks, token{kind: tokKeyword, text: lower, line: sl, col: sc})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: word, line: sl, col: sc})
-			}
-		case isDigit(c):
-			start, sl, sc := i, line, col
-			for i < n && (isDigit(src[i]) || src[i] == '_') {
-				advance(1)
-			}
-			toks = append(toks, token{kind: tokNumber, text: strings.ReplaceAll(src[start:i], "_", ""), line: sl, col: sc})
-		case c == '\'':
-			sl, sc := line, col
-			if i+2 < n && (src[i+1] == '0' || src[i+1] == '1') && src[i+2] == '\'' {
-				toks = append(toks, token{kind: tokBitLit, text: string(src[i+1]), line: sl, col: sc})
-				advance(3)
-			} else {
-				return nil, &Error{Line: sl, Col: sc, Msg: "invalid bit literal (expected '0' or '1')"}
-			}
-		case c == '"':
-			sl, sc := line, col
-			advance(1)
-			start := i
-			for i < n && src[i] != '"' {
-				advance(1)
-			}
-			if i >= n {
-				return nil, &Error{Line: sl, Col: sc, Msg: "unterminated string literal"}
-			}
-			lit := src[start:i]
-			advance(1)
-			for _, ch := range lit {
-				if ch != '0' && ch != '1' && ch != '_' {
-					return nil, &Error{Line: sl, Col: sc, Msg: fmt.Sprintf("invalid bit-vector literal %q", lit)}
-				}
-			}
-			toks = append(toks, token{kind: tokVecLit, text: strings.ReplaceAll(lit, "_", ""), line: sl, col: sc})
-		default:
-			sl, sc := line, col
-			two := ""
-			if i+1 < n {
-				two = src[i : i+2]
-			}
-			switch two {
-			case ":=", "<=", ">=", "/=", "=>", "**":
-				toks = append(toks, token{kind: tokSymbol, text: two, line: sl, col: sc})
-				advance(2)
-				continue
-			}
-			switch c {
-			case '(', ')', ';', ':', ',', '.', '&', '+', '-', '*', '/', '=', '<', '>':
-				toks = append(toks, token{kind: tokSymbol, text: string(c), line: sl, col: sc})
-				advance(1)
-			default:
-				return nil, &Error{Line: sl, Col: sc, Msg: fmt.Sprintf("unexpected character %q", c)}
+			lx.pos = i + 1 + end + 1
+			return token{kind: tokHexVecLit, text: src[i+1 : i+1+end], off: start}
+		}
+		lx.pos = i
+		if kw, ok := keyword(word); ok {
+			return token{kind: tokKeyword, text: kw, off: start}
+		}
+		return token{kind: tokIdent, text: word, off: start}
+	case isDigit(c):
+		for i++; i < len(src) && (isDigit(src[i]) || src[i] == '_'); i++ {
+		}
+		lx.pos = i
+		return token{kind: tokNumber, text: strings.ReplaceAll(src[start:i], "_", ""), off: start}
+	case c == '\'':
+		if i+2 < len(src) && (src[i+1] == '0' || src[i+1] == '1') && src[i+2] == '\'' {
+			lx.pos = i + 3
+			return token{kind: tokBitLit, text: src[i+1 : i+2], off: start}
+		}
+		return lx.fail(start, "invalid bit literal (expected '0' or '1')")
+	case c == '"':
+		end := strings.IndexByte(src[i+1:], '"')
+		if end < 0 {
+			return lx.fail(start, "unterminated string literal")
+		}
+		lit := src[i+1 : i+1+end]
+		for j := 0; j < len(lit); j++ {
+			if b := lit[j]; b != '0' && b != '1' && b != '_' {
+				return lx.fail(start, "invalid bit-vector literal %q", lit)
 			}
 		}
+		lx.pos = i + 1 + end + 1
+		return token{kind: tokVecLit, text: strings.ReplaceAll(lit, "_", ""), off: start}
 	}
-	toks = append(toks, token{kind: tokEOF, line: line, col: col})
-	return toks, nil
+	if i+1 < len(src) {
+		switch two := src[i : i+2]; two {
+		case ":=", "<=", ">=", "/=", "=>", "**":
+			lx.pos = i + 2
+			return token{kind: tokSymbol, text: two, off: start}
+		}
+	}
+	switch c {
+	case '(', ')', ';', ':', ',', '.', '&', '+', '-', '*', '/', '=', '<', '>':
+		lx.pos = i + 1
+		return token{kind: tokSymbol, text: src[i : i+1], off: start}
+	}
+	return lx.fail(start, "unexpected character %q", c)
 }
 
 func isLetter(c byte) bool {

@@ -1,6 +1,6 @@
 package hdl
 
-import "fmt"
+import "strconv"
 
 // ---- AST ----
 
@@ -201,20 +201,49 @@ func (s *astCall) stmtPos() token   { return s.tok }
 // ---- parser ----
 
 type parser struct {
-	toks []token
-	pos  int
+	lx    lexer
+	tok   token // the lookahead
+	depth int   // current nesting, see descend
 }
 
-func (p *parser) peek() token  { return p.toks[p.pos] }
-func (p *parser) peek2() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func newParser(src string) *parser {
+	p := &parser{lx: lexer{src: src}}
+	p.tok = p.lx.next()
+	return p
+}
+
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.kind != tokEOF {
+		p.tok = p.lx.next()
 	}
 	return t
 }
+
+// maxDepth bounds the nesting of statements, expressions and types.
+// Recursive descent, and every later pass over the tree, spends stack
+// in proportion to it, and a left-nested operator chain costs its
+// elaboration time quadratic in its length; a Go stack overflow cannot
+// be recovered, so untrusted text must not choose it. The deepest
+// testdata/*.sys reaches 14, the deepest of 12,000 generated benchmark
+// inputs 20.
+const maxDepth = 256
+
+// descend counts one more level of nesting: each entry into a
+// statement, an expression, a unary operator or a type, and each
+// operator or postfix suffix that extends a left-nested chain. The
+// caller restores the depth when it returns.
+func (p *parser) descend() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return errAt(p.tok, "nesting deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) restore(depth int) { p.depth = depth }
 
 func (p *parser) accept(kind tokKind, text string) bool {
 	t := p.peek()
@@ -393,6 +422,10 @@ func (p *parser) parseVarDecl() (*astVar, error) {
 // parseType parses bit | boolean | integer | bit_vector(h downto l) |
 // array(l to h) of <type>.
 func (p *parser) parseType() (*astType, error) {
+	defer p.restore(p.depth)
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
 	t := p.peek()
 	if t.kind != tokKeyword {
 		return nil, errAt(t, "expected type, found %s", t)
@@ -595,6 +628,10 @@ func (p *parser) parseStmts() ([]astStmt, error) {
 }
 
 func (p *parser) parseStmt() (astStmt, error) {
+	defer p.restore(p.depth)
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
 	t := p.peek()
 	if t.kind == tokKeyword {
 		switch t.text {
@@ -625,15 +662,8 @@ func (p *parser) parseStmt() (astStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case p.accept(tokSymbol, ":="), func() bool {
-		if p.peek().kind == tokSymbol && p.peek().text == "<=" {
-			p.next()
-			return true
-		}
-		return false
-	}():
-		signal := p.toks[p.pos-1].text == "<="
+	if op := p.peek(); op.kind == tokSymbol && (op.text == ":=" || op.text == "<=") {
+		p.next()
 		rhs, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -641,25 +671,24 @@ func (p *parser) parseStmt() (astStmt, error) {
 		if err := p.symbol(";"); err != nil {
 			return nil, err
 		}
-		return &astAssign{tok: t, lhs: lhs, rhs: rhs, signal: signal}, nil
-	default:
-		// Procedure call statement: lhs must be name(args) or name.
-		switch e := lhs.(type) {
-		case *astApply:
-			if name, ok := e.fn.(*astName); ok && e.hi == nil {
-				if err := p.symbol(";"); err != nil {
-					return nil, err
-				}
-				return &astCall{tok: t, name: name.tok.text, args: e.args}, nil
-			}
-		case *astName:
+		return &astAssign{tok: t, lhs: lhs, rhs: rhs, signal: op.text == "<="}, nil
+	}
+	// Procedure call statement: lhs must be name(args) or name.
+	switch e := lhs.(type) {
+	case *astApply:
+		if name, ok := e.fn.(*astName); ok && e.hi == nil {
 			if err := p.symbol(";"); err != nil {
 				return nil, err
 			}
-			return &astCall{tok: t, name: e.tok.text}, nil
+			return &astCall{tok: t, name: name.tok.text, args: e.args}, nil
 		}
-		return nil, errAt(p.peek(), "expected ':=', '<=' or procedure call, found %s", p.peek())
+	case *astName:
+		if err := p.symbol(";"); err != nil {
+			return nil, err
+		}
+		return &astCall{tok: t, name: e.tok.text}, nil
 	}
+	return nil, errAt(p.peek(), "expected ':=', '<=' or procedure call, found %s", p.peek())
 }
 
 func (p *parser) parseIf() (astStmt, error) {
@@ -816,9 +845,16 @@ func (p *parser) parseWait() (astStmt, error) {
 
 // parseExpr parses with precedence: or < and < relational < additive
 // (+, -, &) < multiplicative (*, /, mod, sll, srl) < unary < postfix.
-func (p *parser) parseExpr() (astExpr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (astExpr, error) {
+	defer p.restore(p.depth)
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (astExpr, error) {
+	defer p.restore(p.depth)
 	x, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -827,6 +863,9 @@ func (p *parser) parseOr() (astExpr, error) {
 		t := p.peek()
 		if t.kind == tokKeyword && (t.text == "or" || t.text == "xor") {
 			p.next()
+			if err := p.descend(); err != nil {
+				return nil, err
+			}
 			y, err := p.parseAnd()
 			if err != nil {
 				return nil, err
@@ -839,12 +878,16 @@ func (p *parser) parseOr() (astExpr, error) {
 }
 
 func (p *parser) parseAnd() (astExpr, error) {
+	defer p.restore(p.depth)
 	x, err := p.parseRel()
 	if err != nil {
 		return nil, err
 	}
 	for p.peek().kind == tokKeyword && p.peek().text == "and" {
 		t := p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
 		y, err := p.parseRel()
 		if err != nil {
 			return nil, err
@@ -875,6 +918,7 @@ func (p *parser) parseRel() (astExpr, error) {
 }
 
 func (p *parser) parseAdd() (astExpr, error) {
+	defer p.restore(p.depth)
 	x, err := p.parseMul()
 	if err != nil {
 		return nil, err
@@ -883,6 +927,9 @@ func (p *parser) parseAdd() (astExpr, error) {
 		t := p.peek()
 		if t.kind == tokSymbol && (t.text == "+" || t.text == "-" || t.text == "&") {
 			p.next()
+			if err := p.descend(); err != nil {
+				return nil, err
+			}
 			y, err := p.parseMul()
 			if err != nil {
 				return nil, err
@@ -895,6 +942,7 @@ func (p *parser) parseAdd() (astExpr, error) {
 }
 
 func (p *parser) parseMul() (astExpr, error) {
+	defer p.restore(p.depth)
 	x, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -907,6 +955,9 @@ func (p *parser) parseMul() (astExpr, error) {
 			return x, nil
 		}
 		p.next()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
 		y, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -916,6 +967,10 @@ func (p *parser) parseMul() (astExpr, error) {
 }
 
 func (p *parser) parseUnary() (astExpr, error) {
+	defer p.restore(p.depth)
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
 	t := p.peek()
 	if t.kind == tokKeyword && t.text == "not" {
 		p.next()
@@ -938,6 +993,7 @@ func (p *parser) parseUnary() (astExpr, error) {
 
 // parsePostfix parses a primary followed by application/field suffixes.
 func (p *parser) parsePostfix() (astExpr, error) {
+	defer p.restore(p.depth)
 	x, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
@@ -947,6 +1003,9 @@ func (p *parser) parsePostfix() (astExpr, error) {
 		switch {
 		case t.kind == tokSymbol && t.text == "(":
 			p.next()
+			if err := p.descend(); err != nil {
+				return nil, err
+			}
 			first, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -976,6 +1035,9 @@ func (p *parser) parsePostfix() (astExpr, error) {
 			x = &astApply{fn: x, args: args}
 		case t.kind == tokSymbol && t.text == ".":
 			p.next()
+			if err := p.descend(); err != nil {
+				return nil, err
+			}
 			f, err := p.ident()
 			if err != nil {
 				return nil, err
@@ -992,8 +1054,8 @@ func (p *parser) parsePrimary() (astExpr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		var v int64
-		if _, err := fmt.Sscanf(t.text, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil {
 			return nil, errAt(t, "invalid number %q", t.text)
 		}
 		return &astNum{tok: t, v: v}, nil

@@ -346,7 +346,9 @@ func Generate(sys *spec.System, bus *spec.Bus, cfg Config) (*Refinement, error) 
 	g.attachArbiter()
 
 	// Step 4: update variable references in accessor behaviors.
-	g.rewriteAccessors()
+	if err := g.rewriteAccessors(); err != nil {
+		return nil, err
+	}
 
 	// Step 5: dispatcher loops for the variable processes.
 	g.finishServers()

@@ -22,7 +22,10 @@ import (
 // conditions are additionally re-received at the end of the loop body so
 // the re-evaluation sees fresh data. For-loop bounds are hoisted once,
 // matching VHDL's evaluate-once loop-range semantics.
-func (g *generator) rewriteAccessors() {
+//
+// A remote access the paper's channels cannot carry (a whole-array read,
+// a write through a slice or field) is returned as an error.
+func (g *generator) rewriteAccessors() error {
 	type key struct {
 		beh *spec.Behavior
 		v   *spec.Variable
@@ -54,7 +57,11 @@ func (g *generator) rewriteAccessors() {
 				p.Body = rw.rewriteBody(p.Body)
 			}
 		}
+		if rw.err != nil {
+			return rw.err
+		}
 	}
+	return nil
 }
 
 // rewriter rewrites one accessor behavior.
@@ -63,6 +70,16 @@ type rewriter struct {
 	beh         *spec.Behavior
 	read, write func(*spec.Variable) *spec.Channel
 	tempCount   map[*spec.Variable]int
+	err         error // the first unsupported access, see fail
+}
+
+// fail records the first access the rewrite cannot express; the walk
+// goes on with the statement unchanged, and rewriteAccessors returns
+// the error when the behavior is done.
+func (rw *rewriter) fail(format string, args ...any) {
+	if rw.err == nil {
+		rw.err = fmt.Errorf("protogen: "+format, args...)
+	}
 }
 
 func (rw *rewriter) rewriteBody(body []spec.Stmt) []spec.Stmt {
@@ -151,8 +168,9 @@ func (rw *rewriter) rewriteAssign(s *spec.Assign) []spec.Stmt {
 		prelude = append(prelude, pre...)
 		args = append(args, rw.addrArg(idx, wc.AddrBits()))
 	default:
-		panic(fmt.Sprintf("protogen: unsupported remote write target %s in behavior %s "+
-			"(only whole-variable and indexed writes are supported)", s.LHS, rw.beh.Name))
+		rw.fail("unsupported remote write target %s in behavior %s "+
+			"(only whole-variable and indexed writes are supported)", s.LHS, rw.beh.Name)
+		return spec.Keep(s)
 	}
 	args = append(args, rw.g.coerceToMsg(rhs, wc.DataBits()))
 	rw.g.noteRewritten(1)
@@ -239,8 +257,9 @@ func (rw *rewriter) rewriteExpr(e spec.Expr) (spec.Expr, []spec.Stmt) {
 			// Whole-array read without an index: not a channel
 			// transfer the paper defines; fetching element-wise is a
 			// memory-copy transaction left to the caller.
-			panic(fmt.Sprintf("protogen: whole-array read of remote %s in behavior %s "+
-				"(read remote arrays element-wise)", e.Var.Name, rw.beh.Name))
+			rw.fail("whole-array read of remote %s in behavior %s "+
+				"(read remote arrays element-wise)", e.Var.Name, rw.beh.Name)
+			return e, nil
 		}
 		tmp := rw.newTemp(e.Var, rc.DataBits())
 		pre := []spec.Stmt{spec.CallProc(rw.g.ref.AccessorProcs[rc], spec.Ref(tmp))}

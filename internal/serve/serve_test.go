@@ -560,15 +560,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 		}
 	}
 
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, _ := io.ReadAll(hresp.Body)
-	hresp.Body.Close()
-	if !strings.Contains(string(hb), `"status":"ok"`) {
-		t.Fatalf("healthz: %s", hb)
-	}
+	healthy(t, ts.URL)
 }
 
 // TestCacheLRU exercises the store's bounds directly.

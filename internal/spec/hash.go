@@ -1,11 +1,13 @@
 package spec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"sort"
+	"slices"
+
+	"repro/internal/bits"
 )
 
 // Digest is a canonical content hash of a System — the cache key of the
@@ -38,424 +40,418 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 // module's deterministic walk, which distinguishes same-named locals
 // in different scopes while staying clone- and process-invariant.
 func Hash(sys *System) Digest {
-	hs := newHasher(sys)
-	top := sha256.New()
-	w := writer{top}
-	w.str(sys.Name)
+	h := newHasher(sys)
+	h.str(sys.Name)
 
-	mds := make([]Digest, len(sys.Modules))
-	for i, m := range sys.Modules {
-		mds[i] = hs.module(m)
+	mark := h.mark()
+	for _, m := range sys.Modules {
+		h.module(m)
 	}
-	w.digestSet(mds)
+	h.digestSet(mark)
 
-	gds := make([]Digest, len(sys.Globals))
-	for i, g := range sys.Globals {
-		gds[i] = hs.subDigest(func(sw *scopeWriter) { sw.variableDecl(g) })
+	mark = h.mark()
+	for _, g := range sys.Globals {
+		h.resetLocals()
+		start := h.open()
+		h.variableDecl(g)
+		h.close(start)
 	}
-	w.digestSet(gds)
+	h.digestSet(mark)
 
-	sw := &scopeWriter{writer: w, hs: hs, local: map[*Variable]int{}}
-	sw.tag('C')
-	sw.num(int64(len(sys.Channels)))
+	h.resetLocals()
+	h.tag('C')
+	h.num(int64(len(sys.Channels)))
 	for _, ch := range sys.Channels {
-		sw.channel(ch)
+		h.channel(ch)
 	}
-	sw.tag('B')
-	sw.num(int64(len(sys.Buses)))
+	h.tag('B')
+	h.num(int64(len(sys.Buses)))
 	for _, b := range sys.Buses {
-		sw.bus(b)
+		h.bus(b)
 	}
-
-	var d Digest
-	top.Sum(d[:0])
-	return d
+	return sha256.Sum256(h.buf)
 }
 
-// hasher carries the system-wide identity tables shared by every scope.
+// hasher frames nodes into one byte buffer. Strings are
+// length-prefixed, numbers fixed-width little-endian, and every node
+// starts with a tag byte. A sub-digest frames its node after the bytes
+// of the enclosing frame, hashes that suffix and truncates it away, so
+// one buffer serves every level; finished sub-digests wait on a stack
+// until their set is written.
 type hasher struct {
+	buf     []byte
+	pending []Digest
+
 	globals  map[*Variable]bool
 	behOwner map[*Behavior]string
-}
 
-func newHasher(sys *System) *hasher {
-	hs := &hasher{
-		globals:  make(map[*Variable]bool, len(sys.Globals)),
-		behOwner: make(map[*Behavior]string),
-	}
-	for _, g := range sys.Globals {
-		hs.globals[g] = true
-	}
-	for _, m := range sys.Modules {
-		for _, b := range m.Behaviors {
-			hs.behOwner[b] = m.Name
-		}
-	}
-	return hs
-}
-
-// module hashes one module into its own digest; the module set combines
-// these order-independently. Locals are numbered within the module's
-// walk: behaviors, their declarations and bodies hash in declaration
-// order, so the numbering is deterministic.
-func (hs *hasher) module(m *Module) Digest {
-	return hs.subDigest(func(sw *scopeWriter) {
-		sw.str(m.Name)
-		vds := make([]Digest, len(m.Variables))
-		for i, v := range m.Variables {
-			vds[i] = hs.subDigestShared(sw, func(inner *scopeWriter) { inner.variableDecl(v) })
-		}
-		sw.digestSet(vds)
-		sw.num(int64(len(m.Behaviors)))
-		for _, b := range m.Behaviors {
-			sw.behavior(b)
-		}
-	})
-}
-
-// subDigest runs fn against a fresh hash sink with a fresh local scope.
-func (hs *hasher) subDigest(fn func(*scopeWriter)) Digest {
-	h := sha256.New()
-	sw := &scopeWriter{writer: writer{h}, hs: hs, local: map[*Variable]int{}}
-	fn(sw)
-	var d Digest
-	h.Sum(d[:0])
-	return d
-}
-
-// subDigestShared runs fn against a fresh sink but the caller's local
-// numbering, so sibling declarations keep one consistent namespace.
-func (hs *hasher) subDigestShared(outer *scopeWriter, fn func(*scopeWriter)) Digest {
-	h := sha256.New()
-	sw := &scopeWriter{writer: writer{h}, hs: hs, local: outer.local, nextLocal: outer.nextLocal}
-	fn(sw)
-	outer.nextLocal = sw.nextLocal
-	var d Digest
-	h.Sum(d[:0])
-	return d
-}
-
-// writer frames primitive values unambiguously: strings are
-// length-prefixed, numbers fixed-width, every node starts with a tag
-// byte.
-type writer struct{ h hash.Hash }
-
-func (w writer) tag(b byte) { w.h.Write([]byte{b}) }
-
-func (w writer) num(v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	w.h.Write(buf[:])
-}
-
-func (w writer) str(s string) {
-	w.num(int64(len(s)))
-	w.h.Write([]byte(s))
-}
-
-func (w writer) boolean(b bool) {
-	if b {
-		w.tag(1)
-	} else {
-		w.tag(0)
-	}
-}
-
-// digestSet writes a set of sub-digests order-independently: sorted,
-// with the count framing the set.
-func (w writer) digestSet(ds []Digest) {
-	sort.Slice(ds, func(i, j int) bool {
-		for k := range ds[i] {
-			if ds[i][k] != ds[j][k] {
-				return ds[i][k] < ds[j][k]
-			}
-		}
-		return false
-	})
-	w.num(int64(len(ds)))
-	for _, d := range ds {
-		w.h.Write(d[:])
-	}
-}
-
-// scopeWriter hashes nodes, resolving variable identity through the
-// enclosing scope's first-encounter numbering.
-type scopeWriter struct {
-	writer
-	hs        *hasher
+	// local numbers behavior-local storage in order of first encounter
+	// within the current scope: one module, one global, or the system's
+	// channels and buses.
 	local     map[*Variable]int
 	nextLocal int
 }
 
+func newHasher(sys *System) *hasher {
+	h := &hasher{
+		buf:      make([]byte, 0, 4096),
+		globals:  make(map[*Variable]bool, len(sys.Globals)),
+		behOwner: make(map[*Behavior]string),
+		local:    make(map[*Variable]int),
+	}
+	for _, g := range sys.Globals {
+		h.globals[g] = true
+	}
+	for _, m := range sys.Modules {
+		for _, b := range m.Behaviors {
+			h.behOwner[b] = m.Name
+		}
+	}
+	return h
+}
+
+// resetLocals starts a fresh local numbering scope.
+func (h *hasher) resetLocals() {
+	clear(h.local)
+	h.nextLocal = 0
+}
+
+// module hashes one module into its own sub-digest; the module set
+// combines these order-independently. Locals are numbered within the
+// module's walk: behaviors, their declarations and bodies hash in
+// declaration order, so the numbering is deterministic.
+func (h *hasher) module(m *Module) {
+	h.resetLocals()
+	start := h.open()
+	h.str(m.Name)
+	// Variable declarations are sub-digests too, but share the module's
+	// local numbering, so sibling declarations keep one namespace.
+	mark := h.mark()
+	for _, v := range m.Variables {
+		vs := h.open()
+		h.variableDecl(v)
+		h.close(vs)
+	}
+	h.digestSet(mark)
+	h.num(int64(len(m.Behaviors)))
+	for _, b := range m.Behaviors {
+		h.behavior(b)
+	}
+	h.close(start)
+}
+
+// open starts a sub-digest frame. A module or a global resets the
+// local numbering before it opens its frame; the declarations nested
+// inside one keep it.
+func (h *hasher) open() int { return len(h.buf) }
+
+// close hashes the frame opened at start, removes it from the buffer
+// and pushes its digest onto the pending stack.
+func (h *hasher) close(start int) {
+	h.pending = append(h.pending, sha256.Sum256(h.buf[start:]))
+	h.buf = h.buf[:start]
+}
+
+// mark returns the pending-stack position a digest set starts at.
+func (h *hasher) mark() int { return len(h.pending) }
+
+// digestSet writes the sub-digests pushed since mark
+// order-independently: sorted, with the count framing the set.
+func (h *hasher) digestSet(mark int) {
+	ds := h.pending[mark:]
+	slices.SortFunc(ds, func(a, b Digest) int { return bytes.Compare(a[:], b[:]) })
+	h.num(int64(len(ds)))
+	for i := range ds {
+		h.buf = append(h.buf, ds[i][:]...)
+	}
+	h.pending = h.pending[:mark]
+}
+
+func (h *hasher) tag(b byte) { h.buf = append(h.buf, b) }
+
+func (h *hasher) num(v int64) { h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v)) }
+
+func (h *hasher) str(s string) {
+	h.num(int64(len(s)))
+	h.buf = append(h.buf, s...)
+}
+
+func (h *hasher) boolean(b bool) {
+	if b {
+		h.tag(1)
+	} else {
+		h.tag(0)
+	}
+}
+
 // varRef writes a variable's identity: module-owned and global storage
 // by name, everything else by local sequence number.
-func (sw *scopeWriter) varRef(v *Variable) {
+func (h *hasher) varRef(v *Variable) {
 	switch {
 	case v == nil:
-		sw.tag('0')
+		h.tag('0')
 	case v.Owner != nil:
-		sw.tag('M')
-		sw.str(v.Owner.Name)
-		sw.str(v.Name)
-	case sw.hs.globals[v]:
-		sw.tag('G')
-		sw.str(v.Name)
+		h.tag('M')
+		h.str(v.Owner.Name)
+		h.str(v.Name)
+	case h.globals[v]:
+		h.tag('G')
+		h.str(v.Name)
 	default:
-		id, ok := sw.local[v]
+		id, ok := h.local[v]
 		if !ok {
-			id = sw.nextLocal
-			sw.nextLocal++
-			sw.local[v] = id
+			id = h.nextLocal
+			h.nextLocal++
+			h.local[v] = id
 		}
-		sw.tag('L')
-		sw.num(int64(id))
+		h.tag('L')
+		h.num(int64(id))
 	}
 }
 
 // variableDecl writes a variable's full declaration: identity, kind,
 // type and initializers.
-func (sw *scopeWriter) variableDecl(v *Variable) {
-	sw.tag('v')
-	sw.varRef(v)
-	sw.str(v.Name) // locals carry their name only at the declaration
-	sw.num(int64(v.Kind))
-	sw.typ(v.Type)
-	sw.expr(v.Init)
-	sw.num(int64(len(v.InitArray)))
+func (h *hasher) variableDecl(v *Variable) {
+	h.tag('v')
+	h.varRef(v)
+	h.str(v.Name) // locals carry their name only at the declaration
+	h.num(int64(v.Kind))
+	h.typ(v.Type)
+	h.expr(v.Init)
+	h.num(int64(len(v.InitArray)))
 	for _, b := range v.InitArray {
-		sw.vec(b)
+		h.vec(b)
 	}
 }
 
-func (sw *scopeWriter) vec(v interface {
-	Width() int
-	AppendBytes([]byte) []byte
-}) {
-	sw.num(int64(v.Width()))
-	sw.h.Write(v.AppendBytes(nil))
+func (h *hasher) vec(v bits.Vector) {
+	h.num(int64(v.Width()))
+	h.buf = v.AppendBytes(h.buf)
 }
 
-func (sw *scopeWriter) typ(t Type) {
+func (h *hasher) typ(t Type) {
 	switch t := t.(type) {
 	case nil:
-		sw.tag('0')
+		h.tag('0')
 	case BitType:
-		sw.tag('b')
+		h.tag('b')
 	case BoolType:
-		sw.tag('o')
+		h.tag('o')
 	case IntegerType:
-		sw.tag('i')
-		sw.num(int64(t.Width))
+		h.tag('i')
+		h.num(int64(t.Width))
 	case BitVectorType:
-		sw.tag('V')
-		sw.num(int64(t.Width))
+		h.tag('V')
+		h.num(int64(t.Width))
 	case ArrayType:
-		sw.tag('a')
-		sw.num(int64(t.Length))
-		sw.num(int64(t.Lo))
-		sw.typ(t.Elem)
+		h.tag('a')
+		h.num(int64(t.Length))
+		h.num(int64(t.Lo))
+		h.typ(t.Elem)
 	case RecordType:
-		sw.tag('r')
-		sw.str(t.Name)
-		sw.num(int64(len(t.Fields)))
+		h.tag('r')
+		h.str(t.Name)
+		h.num(int64(len(t.Fields)))
 		for _, f := range t.Fields {
-			sw.str(f.Name)
-			sw.typ(f.Type)
+			h.str(f.Name)
+			h.typ(f.Type)
 		}
 	default:
 		panic("spec.Hash: unknown type " + t.String())
 	}
 }
 
-func (sw *scopeWriter) behavior(b *Behavior) {
-	sw.tag('h')
-	sw.str(b.Name)
-	sw.boolean(b.Server)
-	sw.num(int64(len(b.Variables)))
+func (h *hasher) behavior(b *Behavior) {
+	h.tag('h')
+	h.str(b.Name)
+	h.boolean(b.Server)
+	h.num(int64(len(b.Variables)))
 	for _, v := range b.Variables {
-		sw.variableDecl(v)
+		h.variableDecl(v)
 	}
 	// Procedures are looked up by name; hash the list as a named set so
 	// attachment order cannot perturb the digest.
-	pds := make([]Digest, len(b.Procedures))
-	for i, p := range b.Procedures {
-		pds[i] = sw.hs.subDigestShared(sw, func(inner *scopeWriter) { inner.procedure(p) })
+	mark := h.mark()
+	for _, p := range b.Procedures {
+		start := h.open()
+		h.procedure(p)
+		h.close(start)
 	}
-	sw.digestSet(pds)
-	sw.stmts(b.Body)
+	h.digestSet(mark)
+	h.stmts(b.Body)
 }
 
-func (sw *scopeWriter) procedure(p *Procedure) {
-	sw.tag('p')
-	sw.str(p.Name)
-	sw.num(int64(len(p.Params)))
+func (h *hasher) procedure(p *Procedure) {
+	h.tag('p')
+	h.str(p.Name)
+	h.num(int64(len(p.Params)))
 	for _, prm := range p.Params {
-		sw.variableDecl(prm.Var)
-		sw.num(int64(prm.Mode))
+		h.variableDecl(prm.Var)
+		h.num(int64(prm.Mode))
 	}
-	sw.num(int64(len(p.Locals)))
+	h.num(int64(len(p.Locals)))
 	for _, l := range p.Locals {
-		sw.variableDecl(l)
+		h.variableDecl(l)
 	}
 	if p.Channel != nil {
-		sw.str(p.Channel.Name)
+		h.str(p.Channel.Name)
 	} else {
-		sw.tag('0')
+		h.tag('0')
 	}
-	sw.stmts(p.Body)
+	h.stmts(p.Body)
 }
 
-func (sw *scopeWriter) channel(c *Channel) {
-	sw.tag('c')
-	sw.str(c.Name)
+func (h *hasher) channel(c *Channel) {
+	h.tag('c')
+	h.str(c.Name)
 	if c.Accessor != nil {
-		sw.str(sw.hs.behOwner[c.Accessor])
-		sw.str(c.Accessor.Name)
+		h.str(h.behOwner[c.Accessor])
+		h.str(c.Accessor.Name)
 	} else {
-		sw.tag('0')
+		h.tag('0')
 	}
-	sw.varRef(c.Var)
-	sw.num(int64(c.Dir))
-	sw.vec(c.ID)
-	sw.num(int64(c.IDBits))
-	sw.num(int64(c.Accesses))
-	sw.num(c.LifetimeClocks)
+	h.varRef(c.Var)
+	h.num(int64(c.Dir))
+	h.vec(c.ID)
+	h.num(int64(c.IDBits))
+	h.num(int64(c.Accesses))
+	h.num(c.LifetimeClocks)
 }
 
-func (sw *scopeWriter) bus(b *Bus) {
-	sw.tag('u')
-	sw.str(b.Name)
-	sw.num(int64(len(b.Channels)))
+func (h *hasher) bus(b *Bus) {
+	h.tag('u')
+	h.str(b.Name)
+	h.num(int64(len(b.Channels)))
 	for _, c := range b.Channels {
-		sw.str(c.Name) // bus channel order assigns IDs: order-sensitive
+		h.str(c.Name) // bus channel order assigns IDs: order-sensitive
 	}
-	sw.num(int64(b.Width))
-	sw.num(int64(b.Protocol))
-	sw.typ(b.Record)
-	sw.varRef(b.Signal)
-	sw.boolean(b.Arbitrated)
-	sw.boolean(b.Robust)
-	sw.boolean(b.Parity)
-	sw.boolean(b.AckSeq)
-	sw.boolean(b.EpochResync)
+	h.num(int64(b.Width))
+	h.num(int64(b.Protocol))
+	h.typ(b.Record)
+	h.varRef(b.Signal)
+	h.boolean(b.Arbitrated)
+	h.boolean(b.Robust)
+	h.boolean(b.Parity)
+	h.boolean(b.AckSeq)
+	h.boolean(b.EpochResync)
 }
 
-func (sw *scopeWriter) stmts(list []Stmt) {
-	sw.num(int64(len(list)))
+func (h *hasher) stmts(list []Stmt) {
+	h.num(int64(len(list)))
 	for _, s := range list {
-		sw.stmt(s)
+		h.stmt(s)
 	}
 }
 
-func (sw *scopeWriter) stmt(s Stmt) {
+func (h *hasher) stmt(s Stmt) {
 	switch s := s.(type) {
 	case nil:
-		sw.tag('0')
+		h.tag('0')
 	case *Assign:
-		sw.tag('=')
-		sw.num(int64(s.Kind))
-		sw.expr(s.LHS)
-		sw.expr(s.RHS)
+		h.tag('=')
+		h.num(int64(s.Kind))
+		h.expr(s.LHS)
+		h.expr(s.RHS)
 	case *If:
-		sw.tag('?')
-		sw.expr(s.Cond)
-		sw.stmts(s.Then)
-		sw.num(int64(len(s.Elifs)))
+		h.tag('?')
+		h.expr(s.Cond)
+		h.stmts(s.Then)
+		h.num(int64(len(s.Elifs)))
 		for _, e := range s.Elifs {
-			sw.expr(e.Cond)
-			sw.stmts(e.Body)
+			h.expr(e.Cond)
+			h.stmts(e.Body)
 		}
-		sw.stmts(s.Else)
+		h.stmts(s.Else)
 	case *For:
-		sw.tag('F')
-		sw.varRef(s.Var)
-		sw.expr(s.From)
-		sw.expr(s.To)
-		sw.stmts(s.Body)
+		h.tag('F')
+		h.varRef(s.Var)
+		h.expr(s.From)
+		h.expr(s.To)
+		h.stmts(s.Body)
 	case *While:
-		sw.tag('W')
-		sw.expr(s.Cond)
-		sw.stmts(s.Body)
+		h.tag('W')
+		h.expr(s.Cond)
+		h.stmts(s.Body)
 	case *Loop:
-		sw.tag('O')
-		sw.stmts(s.Body)
+		h.tag('O')
+		h.stmts(s.Body)
 	case *Exit:
-		sw.tag('X')
+		h.tag('X')
 	case *Wait:
-		sw.tag('w')
-		sw.num(int64(len(s.On)))
+		h.tag('w')
+		h.num(int64(len(s.On)))
 		for _, v := range s.On {
-			sw.varRef(v)
+			h.varRef(v)
 		}
-		sw.expr(s.Until)
-		sw.boolean(s.HasFor)
-		sw.num(s.For)
-		sw.varRef(s.TimedOut)
+		h.expr(s.Until)
+		h.boolean(s.HasFor)
+		h.num(s.For)
+		h.varRef(s.TimedOut)
 	case *Call:
-		sw.tag('(')
+		h.tag('(')
 		if s.Proc != nil {
-			sw.str(s.Proc.Name)
+			h.str(s.Proc.Name)
 		} else {
-			sw.tag('0')
+			h.tag('0')
 		}
-		sw.num(int64(len(s.Args)))
+		h.num(int64(len(s.Args)))
 		for _, a := range s.Args {
-			sw.expr(a)
+			h.expr(a)
 		}
 	case *Return:
-		sw.tag('R')
+		h.tag('R')
 	case *Null:
-		sw.tag('N')
+		h.tag('N')
 	default:
 		panic("spec.Hash: unknown statement type " + s.String())
 	}
 }
 
-func (sw *scopeWriter) expr(e Expr) {
+func (h *hasher) expr(e Expr) {
 	switch e := e.(type) {
 	case nil:
-		sw.tag('0')
+		h.tag('0')
 	case *IntLit:
-		sw.tag('n')
-		sw.num(e.Value)
-		sw.typ(e.Typ)
+		h.tag('n')
+		h.num(e.Value)
+		h.typ(e.Typ)
 	case *VecLit:
-		sw.tag('l')
-		sw.vec(e.Value)
+		h.tag('l')
+		h.vec(e.Value)
 	case *BoolLit:
-		sw.tag('t')
-		sw.boolean(e.Value)
+		h.tag('t')
+		h.boolean(e.Value)
 	case *VarRef:
-		sw.tag('x')
-		sw.varRef(e.Var)
+		h.tag('x')
+		h.varRef(e.Var)
 	case *Index:
-		sw.tag('[')
-		sw.expr(e.Arr)
-		sw.expr(e.Index)
+		h.tag('[')
+		h.expr(e.Arr)
+		h.expr(e.Index)
 	case *SliceExpr:
-		sw.tag('s')
-		sw.expr(e.X)
-		sw.expr(e.Hi)
-		sw.expr(e.Lo)
-		sw.num(int64(e.Width))
+		h.tag('s')
+		h.expr(e.X)
+		h.expr(e.Hi)
+		h.expr(e.Lo)
+		h.num(int64(e.Width))
 	case *FieldRef:
-		sw.tag('.')
-		sw.expr(e.X)
-		sw.str(e.Field)
+		h.tag('.')
+		h.expr(e.X)
+		h.str(e.Field)
 	case *Binary:
-		sw.tag('+')
-		sw.num(int64(e.Op))
-		sw.expr(e.X)
-		sw.expr(e.Y)
+		h.tag('+')
+		h.num(int64(e.Op))
+		h.expr(e.X)
+		h.expr(e.Y)
 	case *Unary:
-		sw.tag('-')
-		sw.num(int64(e.Op))
-		sw.expr(e.X)
+		h.tag('-')
+		h.num(int64(e.Op))
+		h.expr(e.X)
 	case *Conv:
-		sw.tag('>')
-		sw.expr(e.X)
-		sw.typ(e.To)
-		sw.boolean(e.Signed)
+		h.tag('>')
+		h.expr(e.X)
+		h.typ(e.To)
+		h.boolean(e.Signed)
 	default:
 		panic("spec.Hash: unknown expression type " + e.String())
 	}
