@@ -1,15 +1,21 @@
 // Package bits implements fixed-width bit vectors with VHDL bit_vector
 // semantics: a vector of width N models "bit_vector(N-1 downto 0)", bit 0
-// being the least significant. Vectors are values; all operations return
-// fresh vectors and never alias their operands.
+// being the least significant. Vectors are immutable values: no
+// operation mutates its operands, and a result may share storage with an
+// operand or with the table of interned small vectors.
 //
 // The package is the value substrate for the specification IR
 // (internal/spec) and the discrete-event simulator (internal/sim): channel
 // messages, bus data lines and memory words are all bit vectors.
+//
+// Operations work a 64-bit word at a time, and every result of at most 64
+// bits is built by FromUint, so small results come from the interning
+// table without allocating.
 package bits
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"strings"
 )
 
@@ -64,32 +70,20 @@ func init() {
 	}
 }
 
-// smallVec returns the interned vector for (width, value) when the
-// table covers it.
-func smallVec(width int, v uint64) (Vector, bool) {
-	if width < 1 || width > smallVecW || v >= smallVecV {
-		return Vector{}, false
-	}
-	if width < 8 && v>>uint(width) != 0 {
-		return Vector{}, false
-	}
-	return smallVecs[width-1][v], true
-}
-
 // FromUint returns a vector of the given width holding v truncated to
 // width bits.
 func FromUint(v uint64, width int) Vector {
 	if width >= 1 && width <= smallVecW {
-		if sv, ok := smallVec(width, v&maskLow(width)); ok {
-			return sv
+		// A masked value fits its width, so the table holds it.
+		if v &= maskLow(width); v < smallVecV {
+			return smallVecs[width-1][v]
 		}
 	}
 	x := New(width)
-	if width == 0 {
-		return x
+	if width > 0 {
+		x.words[0] = v
+		x.mask()
 	}
-	x.words[0] = v
-	x.mask()
 	return x
 }
 
@@ -97,9 +91,7 @@ func FromUint(v uint64, width int) Vector {
 // encoding of v truncated to width bits.
 func FromInt(v int64, width int) Vector {
 	if width >= 1 && width <= smallVecW {
-		if sv, ok := smallVec(width, uint64(v)&maskLow(width)); ok {
-			return sv
-		}
+		return FromUint(uint64(v), width)
 	}
 	x := New(width)
 	if width == 0 {
@@ -185,6 +177,13 @@ func (x Vector) Bit(i int) bool {
 func (x Vector) SetBit(i int, b bool) Vector {
 	if i < 0 || i >= x.width {
 		panic(fmt.Sprintf("bits: bit index %d out of range [0,%d)", i, x.width))
+	}
+	if x.width <= wordBits {
+		m := uint64(1) << uint(i)
+		if b {
+			return FromUint(x.Uint64()|m, x.width)
+		}
+		return FromUint(x.Uint64()&^m, x.width)
 	}
 	y := x.Clone()
 	if b {
@@ -309,27 +308,13 @@ func (x Vector) Slice(hi, lo int) Vector {
 		panic(fmt.Sprintf("bits: slice (%d downto %d) out of range for width %d", hi, lo, x.width))
 	}
 	w := hi - lo + 1
-	if w <= smallVecW {
-		word, off := lo/wordBits, uint(lo%wordBits)
-		v := x.words[word] >> off
-		if off != 0 && word+1 < len(x.words) {
-			v |= x.words[word+1] << (wordBits - off)
-		}
-		if sv, ok := smallVec(w, v&maskLow(w)); ok {
-			return sv
-		}
+	if w <= wordBits {
+		var v [1]uint64
+		shiftDown(v[:], x.words, lo)
+		return FromUint(v[0], w)
 	}
 	y := New(w)
-	// Word-at-a-time extraction: each output word is one or two input
-	// words shifted into place.
-	word, off := lo/wordBits, uint(lo%wordBits)
-	for i := range y.words {
-		v := x.words[word+i] >> off
-		if off != 0 && word+i+1 < len(x.words) {
-			v |= x.words[word+i+1] << (wordBits - off)
-		}
-		y.words[i] = v
-	}
+	shiftDown(y.words, x.words, lo)
 	y.mask()
 	return y
 }
@@ -342,6 +327,10 @@ func (x Vector) SetSlice(hi, lo int, v Vector) Vector {
 	}
 	if v.width != hi-lo+1 {
 		panic(fmt.Sprintf("bits: slice width mismatch: slot %d, value %d", hi-lo+1, v.width))
+	}
+	if x.width <= wordBits {
+		msk := maskLow(v.width) << uint(lo)
+		return FromUint(x.Uint64()&^msk|v.Uint64()<<uint(lo), x.width)
 	}
 	y := x.Clone()
 	// Word-at-a-time store: within each word the slot spans, mask out the
@@ -381,21 +370,47 @@ func maskLow(n int) uint64 {
 	return (1 << uint(n)) - 1
 }
 
+// shiftDown fills dst with src shifted right by n bits, zero-filled.
+func shiftDown(dst, src []uint64, n int) {
+	word, off := n/wordBits, uint(n%wordBits)
+	for i := range dst {
+		if word+i >= len(src) {
+			return
+		}
+		v := src[word+i] >> off
+		if off != 0 && word+i+1 < len(src) {
+			v |= src[word+i+1] << (wordBits - off)
+		}
+		dst[i] = v
+	}
+}
+
+// orShiftedUp ors src shifted left by n bits into dst, dropping the bits
+// shifted past dst's last word.
+func orShiftedUp(dst, src []uint64, n int) {
+	word, off := n/wordBits, uint(n%wordBits)
+	for i, v := range src {
+		j := word + i
+		if j >= len(dst) {
+			return
+		}
+		dst[j] |= v << off
+		if off != 0 && j+1 < len(dst) {
+			dst[j+1] |= v >> (wordBits - off)
+		}
+	}
+}
+
 // Concat returns the vector hi & lo (hi occupying the most significant
 // bits), of width hi.Width()+lo.Width().
 func Concat(hi, lo Vector) Vector {
-	y := New(hi.width + lo.width)
-	for i := 0; i < lo.width; i++ {
-		if lo.Bit(i) {
-			y.words[i/wordBits] |= 1 << (i % wordBits)
-		}
+	w := hi.width + lo.width
+	if w <= wordBits {
+		return FromUint(hi.Uint64()<<uint(lo.width)|lo.Uint64(), w)
 	}
-	for i := 0; i < hi.width; i++ {
-		if hi.Bit(i) {
-			j := lo.width + i
-			y.words[j/wordBits] |= 1 << (j % wordBits)
-		}
-	}
+	y := New(w)
+	copy(y.words, lo.words)
+	orShiftedUp(y.words, hi.words, lo.width)
 	return y
 }
 
@@ -405,33 +420,25 @@ func (x Vector) Resize(width int) Vector {
 		// Vectors are persistent; an identity resize can share x.
 		return x
 	}
-	if width >= 1 && width <= smallVecW && len(x.words) > 0 {
-		if sv, ok := smallVec(width, x.words[0]&maskLow(min(width, x.width))); ok {
-			return sv
-		}
+	if width <= wordBits {
+		return FromUint(x.Uint64(), width)
 	}
 	y := New(width)
-	n := min(width, x.width)
-	for i := 0; i < n; i++ {
-		if x.Bit(i) {
-			y.words[i/wordBits] |= 1 << (i % wordBits)
-		}
-	}
+	copy(y.words, x.words)
+	y.mask()
 	return y
 }
 
 // Add returns x+y modulo 2^width. Both operands must have equal width.
 func (x Vector) Add(y Vector) Vector {
 	x.checkSameWidth(y, "Add")
+	if x.width <= wordBits {
+		return FromUint(x.Uint64()+y.Uint64(), x.width)
+	}
 	z := New(x.width)
 	var carry uint64
 	for i := range x.words {
-		s := x.words[i] + y.words[i]
-		c1 := boolToU64(s < x.words[i])
-		s2 := s + carry
-		c2 := boolToU64(s2 < s)
-		z.words[i] = s2
-		carry = c1 | c2
+		z.words[i], carry = mathbits.Add64(x.words[i], y.words[i], carry)
 	}
 	z.mask()
 	return z
@@ -440,11 +447,23 @@ func (x Vector) Add(y Vector) Vector {
 // Sub returns x-y modulo 2^width. Both operands must have equal width.
 func (x Vector) Sub(y Vector) Vector {
 	x.checkSameWidth(y, "Sub")
-	return x.Add(y.Not()).Add(FromUint(1, x.width))
+	if x.width <= wordBits {
+		return FromUint(x.Uint64()-y.Uint64(), x.width)
+	}
+	z := New(x.width)
+	var borrow uint64
+	for i := range x.words {
+		z.words[i], borrow = mathbits.Sub64(x.words[i], y.words[i], borrow)
+	}
+	z.mask()
+	return z
 }
 
 // Not returns the bitwise complement of x.
 func (x Vector) Not() Vector {
+	if x.width <= wordBits {
+		return FromUint(^x.Uint64(), x.width)
+	}
 	z := New(x.width)
 	for i := range x.words {
 		z.words[i] = ^x.words[i]
@@ -456,6 +475,9 @@ func (x Vector) Not() Vector {
 // And returns x AND y. Both operands must have equal width.
 func (x Vector) And(y Vector) Vector {
 	x.checkSameWidth(y, "And")
+	if x.width <= wordBits {
+		return FromUint(x.Uint64()&y.Uint64(), x.width)
+	}
 	z := New(x.width)
 	for i := range x.words {
 		z.words[i] = x.words[i] & y.words[i]
@@ -466,6 +488,9 @@ func (x Vector) And(y Vector) Vector {
 // Or returns x OR y. Both operands must have equal width.
 func (x Vector) Or(y Vector) Vector {
 	x.checkSameWidth(y, "Or")
+	if x.width <= wordBits {
+		return FromUint(x.Uint64()|y.Uint64(), x.width)
+	}
 	z := New(x.width)
 	for i := range x.words {
 		z.words[i] = x.words[i] | y.words[i]
@@ -476,6 +501,9 @@ func (x Vector) Or(y Vector) Vector {
 // Xor returns x XOR y. Both operands must have equal width.
 func (x Vector) Xor(y Vector) Vector {
 	x.checkSameWidth(y, "Xor")
+	if x.width <= wordBits {
+		return FromUint(x.Uint64()^y.Uint64(), x.width)
+	}
 	z := New(x.width)
 	for i := range x.words {
 		z.words[i] = x.words[i] ^ y.words[i]
@@ -584,24 +612,17 @@ func Join(words []Vector, width int) Vector {
 	return x
 }
 
-func boolToU64(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Lsh returns x shifted left by n bits (zero fill, width preserved).
 func (x Vector) Lsh(n int) Vector {
 	if n < 0 {
 		panic(fmt.Sprintf("bits: negative shift %d", n))
 	}
-	y := New(x.width)
-	for i := x.width - 1; i >= n; i-- {
-		if x.Bit(i - n) {
-			y.words[i/wordBits] |= 1 << (i % wordBits)
-		}
+	if x.width <= wordBits {
+		return FromUint(x.Uint64()<<uint(n), x.width)
 	}
+	y := New(x.width)
+	orShiftedUp(y.words, x.words, n)
+	y.mask()
 	return y
 }
 
@@ -610,11 +631,10 @@ func (x Vector) Rsh(n int) Vector {
 	if n < 0 {
 		panic(fmt.Sprintf("bits: negative shift %d", n))
 	}
-	y := New(x.width)
-	for i := 0; i+n < x.width; i++ {
-		if x.Bit(i + n) {
-			y.words[i/wordBits] |= 1 << (i % wordBits)
-		}
+	if x.width <= wordBits {
+		return FromUint(x.Uint64()>>uint(n), x.width)
 	}
+	y := New(x.width)
+	shiftDown(y.words, x.words, n)
 	return y
 }

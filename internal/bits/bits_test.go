@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -369,15 +370,6 @@ func TestInt64SignEdge(t *testing.T) {
 	}
 }
 
-func BenchmarkAdd64(b *testing.B) {
-	x := FromUint(0xDEADBEEF, 64)
-	y := FromUint(0x12345678, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x = x.Add(y)
-	}
-}
-
 func BenchmarkWordsJoin23Over8(b *testing.B) {
 	msg := FromUint(0x5ABCDE, 23)
 	b.ReportAllocs()
@@ -476,5 +468,72 @@ func TestFromBytesRoundTrip(t *testing.T) {
 	}
 	if _, err := FromBytes(append(make([]byte, 8), 0xf0), 68); err == nil {
 		t.Fatal("bits above the width accepted (wide path)")
+	}
+}
+
+// opCases applies each word-level operation to operands of width w (at
+// least 4) seeded from v.
+func opCases(w int, v uint64) []struct {
+	name string
+	op   func() Vector
+} {
+	x, y := FromUint(v, w), FromUint(v*0x9e3779b97f4a7c15>>7, w)
+	hi, lo := FromUint(v, w/2), FromUint(v>>3, w-w/2)
+	part := FromUint(v>>5, w/2)
+	return []struct {
+		name string
+		op   func() Vector
+	}{
+		{"Concat", func() Vector { return Concat(hi, lo) }},
+		{"And", func() Vector { return x.And(y) }},
+		{"Or", func() Vector { return x.Or(y) }},
+		{"Xor", func() Vector { return x.Xor(y) }},
+		{"Not", func() Vector { return x.Not() }},
+		{"Add", func() Vector { return x.Add(y) }},
+		{"Sub", func() Vector { return x.Sub(y) }},
+		{"Resize", func() Vector { return x.Resize(w - 1) }},
+		{"Lsh", func() Vector { return x.Lsh(3) }},
+		{"Rsh", func() Vector { return x.Rsh(3) }},
+		{"Slice", func() Vector { return x.Slice(w-2, 1) }},
+		{"SetSlice", func() Vector { return x.SetSlice(w/2-1, 0, part) }},
+		{"SetBit", func() Vector { return x.SetBit(w-1, true) }},
+	}
+}
+
+var sink Vector
+
+// TestSmallOpsDoNotAllocate pins that every word-level operation whose
+// result the interning table covers (width at most 16, value below
+// 256) returns the shared instance instead of allocating. The parity
+// tree the robust+parity protocol evaluates per bus word is built from
+// these operations on 1- to 10-bit vectors.
+func TestSmallOpsDoNotAllocate(t *testing.T) {
+	for _, w := range []int{4, 8} {
+		for _, o := range opCases(w, 0x5a) {
+			if r := o.op(); r.Width() > smallVecW || r.Uint64() >= smallVecV {
+				t.Fatalf("%s/w%d: result %s is outside the interning table", o.name, w, r)
+			}
+			if n := testing.AllocsPerRun(100, func() { sink = o.op() }); n != 0 {
+				t.Errorf("%s on %d-bit vectors: %.0f allocs, want 0", o.name, w, n)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = Concat(FromUint(128, 9), FromUint(0, 1)) }); n != 1 {
+		t.Errorf("Concat to a 10-bit value above 255: %.0f allocs, want 1", n)
+	}
+}
+
+// BenchmarkOps times each operation at 8 bits (results interned), 64
+// bits (one word, values past the table) and 130 bits (three words).
+func BenchmarkOps(b *testing.B) {
+	for _, w := range []int{8, 64, 130} {
+		for _, o := range opCases(w, 0xfedcba9876543210) {
+			b.Run(fmt.Sprintf("%s/w%d", o.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink = o.op()
+				}
+			})
+		}
 	}
 }

@@ -286,8 +286,7 @@ func (in *Injector) Mutate(now int64, sig *spec.Variable, old, next sim.Value) s
 						b := af.Bit
 						if w := vv.V.Width(); w > 0 {
 							b %= w
-							flipped := vv.V.Clone().SetSlice(b, b, vv.V.Slice(b, b).Not())
-							ensure().Fields[i] = sim.VecVal{V: flipped}
+							ensure().Fields[i] = sim.VecVal{V: vv.V.SetBit(b, !vv.V.Bit(b))}
 						}
 					}
 				}

@@ -48,7 +48,7 @@ func buildPQ() (*spec.System, *spec.Bus) {
 	return sys, bus
 }
 
-func refinePQ(t *testing.T, cfg protogen.Config) (*spec.System, *spec.Bus, *protogen.Refinement) {
+func refinePQ(t testing.TB, cfg protogen.Config) (*spec.System, *spec.Bus, *protogen.Refinement) {
 	t.Helper()
 	sys, bus := buildPQ()
 	ref, err := protogen.Generate(sys, bus, cfg)
@@ -420,4 +420,32 @@ func TestInjectorEventCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPQFinals(t, res)
+}
+
+// BenchmarkCampaign times one round of the end-to-end benchmark's
+// fault-campaign workload at one worker: 3,000 runs on robust PQ and
+// 1,000 on robust+parity PQ, both on an 8-bit bus.
+func BenchmarkCampaign(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		parity bool
+		runs   int
+	}{{"robust", false, 3000}, {"parity", true, 1000}} {
+		b.Run(c.name, func(b *testing.B) {
+			sys, bus, ref := refinePQ(b, protogen.Config{Protocol: spec.FullHandshake, Robust: true, Parity: c.parity})
+			cfg := Config{Runs: c.runs, Seed: 1, AbortVars: ref.AbortKeys(), Workers: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := Campaign(sys, bus, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n := rep.Totals[Deadlocked]; n != 0 {
+					b.Fatalf("%d runs deadlocked", n)
+				}
+			}
+			b.ReportMetric(float64(c.runs*b.N)/b.Elapsed().Seconds(), "runs/s")
+		})
+	}
 }

@@ -254,6 +254,9 @@ func (e *elaborator) typeOf(t *astType) (spec.Type, error) {
 		if hi < lo {
 			return nil, errAt(t.pos, "empty bit_vector range (%d downto %d)", hi, lo)
 		}
+		if hi >= maxVectorWidth {
+			return nil, errAt(t.pos, "bit_vector(%d downto %d) is wider than %d bits", hi, lo, maxVectorWidth)
+		}
 		return spec.BitVector(int(hi + 1)), nil
 	case "array":
 		lo, err := e.constInt(t.aLo)
@@ -271,9 +274,40 @@ func (e *elaborator) typeOf(t *astType) (spec.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		return spec.ArrayType{Length: int(hi - lo + 1), Lo: int(lo), Elem: elem}, nil
+		// hi >= lo, so the unsigned difference is exact even where hi-lo
+		// overflows int64.
+		n := uint64(hi) - uint64(lo)
+		if n >= maxArrayLength || (n+1)*uint64(arrayElems(elem)) > maxArrayLength {
+			return nil, errAt(t.pos, "array (%d to %d) holds more than %d elements", lo, hi, maxArrayLength)
+		}
+		return spec.ArrayType{Length: int(n + 1), Lo: int(lo), Elem: elem}, nil
 	}
 	return nil, errAt(t.pos, "unknown type %q", t.kind)
+}
+
+// Elaboration limits. Untrusted text must not choose how much memory a
+// value takes: every simulation and checker state holds each declared
+// variable, so a 20-line spec declaring a 999,999-bit vector or a
+// 20,000,000-element array ran ifsynd out of memory, which no recover
+// can catch. The widest vector in testdata/*.sys or in 12,000
+// generated benchmark specs has 24 bits (conv_bit_vector widths 4 to
+// 24), the longest array 1,920 elements.
+const (
+	// maxVectorWidth bounds bit_vector widths and conv_bit_vector
+	// widths.
+	maxVectorWidth = 4096
+	// maxArrayLength bounds the elements of an array; an array of arrays
+	// counts the elements of its innermost arrays.
+	maxArrayLength = 65536
+)
+
+// arrayElems is the number of innermost elements one value of t holds:
+// 1 unless t is an array.
+func arrayElems(t spec.Type) int {
+	if a, ok := t.(spec.ArrayType); ok {
+		return a.Length * arrayElems(a.Elem)
+	}
+	return 1
 }
 
 // constInt evaluates a compile-time integer expression (literals and
@@ -647,6 +681,9 @@ func (e *elaborator) apply(sc *scope, x *astApply) (spec.Expr, error) {
 			w, err := e.constInt(x.args[1])
 			if err != nil {
 				return nil, err
+			}
+			if w < 1 || w > maxVectorWidth {
+				return nil, errAt(x.args[1].pos(), "conv_bit_vector width %d is outside 1 to %d", w, maxVectorWidth)
 			}
 			return spec.ToVec(a, int(w)), nil
 		}

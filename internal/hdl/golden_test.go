@@ -140,6 +140,11 @@ var errorCases = []struct{ name, src, want string }{
 	{"elab/vector-not-at-zero", inModule("    variable v : bit_vector(7 downto 1);\n"), "3:18: bit_vector must end at 0 (got 7 downto 1)"},
 	{"elab/empty-vector-range", inModule("    variable v : bit_vector(-1 downto 0);\n"), "3:18: empty bit_vector range (-1 downto 0)"},
 	{"elab/empty-array-range", inModule("    variable v : array(7 to 0) of bit;\n"), "3:18: empty array range (7 to 0)"},
+	{"elab/vector-too-wide", inModule("    variable v : bit_vector(999999 downto 0);\n"), "3:18: bit_vector(999999 downto 0) is wider than 4096 bits"},
+	{"elab/vector-width-overflow", inModule("    variable v : bit_vector(9223372036854775807 downto 0);\n"), "3:18: bit_vector(9223372036854775807 downto 0) is wider than 4096 bits"},
+	{"elab/array-too-long", inModule("    variable v : array(0 to 20000000) of bit;\n"), "3:18: array (0 to 20000000) holds more than 65536 elements"},
+	{"elab/array-length-overflow", inModule("    variable v : array(-9223372036854775807 to 9223372036854775807) of bit;\n"), "3:18: array (-9223372036854775807 to 9223372036854775807) holds more than 65536 elements"},
+	{"elab/nested-array-too-long", inModule("    variable v : array(0 to 256) of array(0 to 255) of bit;\n"), "3:18: array (0 to 256) holds more than 65536 elements"},
 	{"elab/division-by-zero", inModule("    variable v : bit_vector(8 / 0 downto 0);\n"), "3:31: division by zero in constant"},
 	{"elab/non-constant-width", inModule("    variable v : bit_vector(n downto 0);\n"), "3:29: expected constant integer expression"},
 	{"elab/non-constant-initializer", inModule("    variable m : integer;\n    variable n : integer := m + 1;\n"), "4:31: initializer must be constant"},
@@ -157,6 +162,7 @@ var errorCases = []struct{ name, src, want string }{
 	{"elab/conv-integer-signed-arity", inBehavior("      variable n : integer;\n", "      n := conv_integer_signed(n, n);\n"), "6:12: conv_integer_signed takes one argument"},
 	{"elab/conv-bit-vector-arity", inBehavior("      variable v : bit_vector(7 downto 0);\n", "      v := conv_bit_vector(v);\n"), "6:12: conv_bit_vector takes (value, width)"},
 	{"elab/conv-bit-vector-width", inBehavior("      variable v : bit_vector(7 downto 0);\n      variable n : integer;\n", "      v := conv_bit_vector(n, n);\n"), "7:31: expected constant integer expression"},
+	{"elab/conv-bit-vector-negative-width", inBehavior("      variable v : bit_vector(7 downto 0);\n      variable n : integer;\n", "      v := conv_bit_vector(n, -3);\n"), "7:31: conv_bit_vector width -3 is outside 1 to 4096"},
 	{"elab/slice-hi-not-constant", inBehavior("      variable v : bit_vector(7 downto 0);\n      variable n : integer;\n", "      v := v(n downto 0);\n"), "7:14: slice bounds must be constant"},
 	{"elab/slice-lo-not-constant", inBehavior("      variable v : bit_vector(7 downto 0);\n      variable n : integer;\n", "      v := v(3 downto n);\n"), "7:23: slice bounds must be constant"},
 	{"elab/slice-non-vector", inBehavior("      variable n : integer;\n", "      n := n(3 downto 0);\n"), "6:12: slicing a non-bit_vector value"},

@@ -695,3 +695,52 @@ func TestKeywordFolding(t *testing.T) {
 		t.Errorf("keyword folding allocates %.0f times", n)
 	}
 }
+
+// TestElaborationLimits: widths and lengths up to the limits elaborate
+// to the declared types; one past each limit is rejected.
+func TestElaborationLimits(t *testing.T) {
+	declare := func(typ string) string {
+		return "system S is\n  module M is\n    variable v : " + typ + ";\n  end module;\nend system;\n"
+	}
+	convert := func(w string) string {
+		return "system S is\n  module M is\n    behavior B is\n      variable n : integer;\n" +
+			"      variable v : bit_vector(7 downto 0);\n    begin\n      v := conv_bit_vector(n, " + w + ");\n" +
+			"    end behavior;\n  end module;\nend system;\n"
+	}
+	for _, c := range []struct {
+		src  string
+		want spec.Type // nil: rejected
+	}{
+		{declare("bit_vector(4095 downto 0)"), spec.BitVector(4096)},
+		{declare("bit_vector(4096 downto 0)"), nil},
+		{declare("array(-5 to 65530) of bit"), spec.ArrayType{Length: 65536, Lo: -5, Elem: spec.Bit}},
+		{declare("array(0 to 65536) of bit"), nil},
+		{declare("array(1 to 256) of array(0 to 255) of bit"), spec.ArrayType{Length: 256, Lo: 1, Elem: spec.Array(256, spec.Bit)}},
+		{declare("array(1 to 257) of array(0 to 255) of bit"), nil},
+		{convert("1"), spec.BitVector(1)},
+		{convert("4096"), spec.BitVector(4096)},
+		{convert("0"), nil},
+		{convert("4097"), nil},
+	} {
+		sys, err := Parse(c.src)
+		if c.want == nil {
+			if e := (*Error)(nil); !errors.As(err, &e) {
+				t.Errorf("accepted or unpositioned (%v):\n%s", err, c.src)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%v:\n%s", err, c.src)
+			continue
+		}
+		var got spec.Type
+		if b := sys.Modules[0].Behaviors; len(b) > 0 {
+			got = b[0].Body[0].(*spec.Assign).RHS.(*spec.Conv).To
+		} else {
+			got = sys.Modules[0].Variables[0].Type
+		}
+		if got.String() != c.want.String() {
+			t.Errorf("type %s, want %s:\n%s", got, c.want, c.src)
+		}
+	}
+}

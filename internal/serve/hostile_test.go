@@ -90,3 +90,48 @@ end system;
 	}
 	healthy(t, ts.URL)
 }
+
+// TestOversizedTypesAreBadRequest: elaboration bounds vector widths,
+// array lengths and conversion widths. A negative conv_bit_vector width
+// once parsed and validated, then panicked in the checker on a search
+// worker, which killed the daemon; a 999,999-bit vector or a
+// 20,000,000-element array ran it out of memory. Each must be a 400
+// naming the position, and the daemon must stay up.
+func TestOversizedTypesAreBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	src := func(x, stmt string) string {
+		return `system S is
+  module comp1 is
+    behavior P is
+      variable AD : integer;
+      variable T : bit_vector(7 downto 0);
+    begin
+      AD := 5;
+      ` + stmt + `
+      X <= T;
+    end behavior;
+  end module;
+  module comp2 is
+    variable X : ` + x + `;
+  end module;
+  channel CH0 : P writes X;
+end system;
+`
+	}
+	for _, c := range []struct {
+		op, src, want string
+	}{
+		{OpVerify, src("bit_vector(7 downto 0)", "T := conv_bit_vector(AD, -3);"),
+			"8:32: conv_bit_vector width -3 is outside 1 to 4096"},
+		{OpSynthesize, src("bit_vector(999999 downto 0)", "T := conv_bit_vector(AD, 8);"),
+			"13:18: bit_vector(999999 downto 0) is wider than 4096 bits"},
+		{OpVerify, src("array(0 to 20000000) of bit_vector(7 downto 0)", "T := conv_bit_vector(AD, 8);"),
+			"13:18: array (0 to 20000000) holds more than 65536 elements"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/query", specBody(t, c.op, c.src))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Fatalf("%s: status %d, body %s; want 400 with %q", c.op, resp.StatusCode, body, c.want)
+		}
+		healthy(t, ts.URL)
+	}
+}

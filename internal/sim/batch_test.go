@@ -684,32 +684,45 @@ func TestEngineConcurrentRuns(t *testing.T) {
 }
 
 // TestEngineAllocsPerRun pins the pooled kernel's per-run allocation
-// count on the hardened PQ protocol. The pool exists so campaign runs
-// allocate only what evaluation itself allocates (values, Result maps)
-// — measured ~28 allocs/run (small-vector and box interning, owned
-// in-place containers, compiled conditions) against ~3150 on the
-// classic kernel. The bound has headroom for runtime jitter but
-// catches a regression back to per-run rebuilds or goroutine setup.
+// count on the hardened PQ protocol, with and without parity. The pool
+// exists so campaign runs allocate only what evaluation itself
+// allocates (values, Result maps): robust PQ makes about 23 allocs/run
+// (small-vector and box interning, owned in-place containers, compiled
+// conditions). Parity adds a per-word parity tree of concatenations,
+// slices and xors; with every vector operation returning interned
+// results it makes as many, not ~450 allocs/run. The bound
+// has headroom for runtime jitter but catches a regression back to
+// per-run rebuilds, goroutine setup or allocating vector operators.
 func TestEngineAllocsPerRun(t *testing.T) {
-	sys, bus := buildPQ()
-	if _, err := protogen.Generate(sys, bus, protogen.Config{Protocol: spec.FullHandshake, Robust: true}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the pool so the first runner's construction is not counted.
-	if _, err := e.Run(Config{}); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.Run(Config{}); err != nil {
-			t.Fatal(err)
+	for _, parity := range []bool{false, true} {
+		name := "robust"
+		if parity {
+			name = "robust+parity"
 		}
-	})
-	if allocs > 80 {
-		t.Errorf("pooled kernel allocates %.0f allocs/run, want <= 80", allocs)
+		t.Run(name, func(t *testing.T) {
+			sys, bus := buildPQ()
+			cfg := protogen.Config{Protocol: spec.FullHandshake, Robust: true, Parity: parity}
+			if _, err := protogen.Generate(sys, bus, cfg); err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm the pool so the first runner's construction is not counted.
+			if _, err := e.Run(Config{}); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := e.Run(Config{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocs/run", allocs)
+			if allocs > 80 {
+				t.Errorf("pooled kernel allocates %.0f allocs/run, want <= 80", allocs)
+			}
+		})
 	}
 }
 

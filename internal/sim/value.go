@@ -209,11 +209,11 @@ func asVec(v Value, width int) bits.Vector {
 	case IntVal:
 		return bits.FromInt(v.V, width)
 	case BoolVal:
-		x := bits.New(width)
-		if v.V && width > 0 {
-			x = x.SetBit(0, true)
+		var b uint64
+		if v.V {
+			b = 1
 		}
-		return x
+		return bits.FromUint(b, width)
 	}
 	panic(fmt.Sprintf("sim: cannot coerce %s to bit_vector(%d)", v, width))
 }

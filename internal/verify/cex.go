@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"repro/internal/fault"
@@ -243,12 +244,17 @@ func (c *Counterexample) Replay() (*ReplayResult, error) {
 		for _, k := range c.abortKeys {
 			skip[k] = true
 		}
-		for k, want := range c.golden {
+		keys := make([]string, 0, len(c.golden))
+		for k := range c.golden {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
 			if skip[k] {
 				continue
 			}
-			if got := res.Finals[k]; got == nil || got.String() != want {
-				bad = append(bad, fmt.Sprintf("%s = %v, want %s", k, res.Finals[k], want))
+			if got, want := res.Finals[k], c.golden[k]; got == nil || got.String() != want {
+				bad = append(bad, fmt.Sprintf("%s = %v, want %s", k, got, want))
 			}
 		}
 		if len(bad) > 0 && !aborted {

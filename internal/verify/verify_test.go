@@ -479,3 +479,26 @@ func TestSearchFreedAtNextGC(t *testing.T) {
 		t.Fatal("the searcher survived a collection after its search")
 	}
 }
+
+// TestCorruptionReplayOrder: a replay lists the variables that differ
+// from the golden run in sorted order. It once ranged over a map, so
+// one counterexample printed comp2.MEM and comp2.X in either order
+// from run to run; every replay of it must now print the same message.
+func TestCorruptionReplayOrder(t *testing.T) {
+	sys, ref := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake, Robust: true})
+	rep := mustCheck(t, sys, Config{MaxDrops: 1, MaxStates: 150_000, AbortVars: ref.AbortKeys()})
+	v := hasKind(rep, Corruption)
+	if v == nil {
+		t.Fatalf("no corruption found within the bound:\n%s", rep.Format())
+	}
+	for i := 0; i < 32; i++ {
+		r, err := v.Cex.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem, x := strings.Index(r.Outcome, "comp2.MEM = "), strings.Index(r.Outcome, "; comp2.X = ")
+		if !r.Reproduced || !strings.HasPrefix(r.Outcome, "silent data corruption: ") || mem < 0 || x < mem {
+			t.Fatalf("replay %d: %s\nwant comp2.MEM, then comp2.X", i, r.Outcome)
+		}
+	}
+}
