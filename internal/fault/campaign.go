@@ -29,7 +29,8 @@ const (
 	// with wrong finals and no abort report — the worst kind of
 	// failure, silent data corruption.
 	Corrupted
-	// Deadlocked: the run hung (deadlock or clock-budget blowout).
+	// Deadlocked: the run hung (a deadlock, a clock-budget blowout, a
+	// delta-cycle livelock or a runaway zero-delay loop).
 	Deadlocked
 	numOutcomes
 )
@@ -63,7 +64,12 @@ type Config struct {
 	Classes []Class
 	// Window is the fault-arming event window (see Plan.Window).
 	Window int64
-	// Sim is the base simulator configuration shared by all runs.
+	// Sim is the base simulator configuration shared by all runs. Its
+	// Mutate and OnEvent hooks must be nil: every faulty run installs
+	// its injector as Mutate, and runs that are skipped or resumed from
+	// a golden checkpoint are not simulated from time 0, so an observer
+	// would miss their events. A Schedule hook must be a pure function
+	// of its arguments, for the same reason.
 	Sim sim.Config
 	// MaxClocks bounds each faulty run; 0 derives 16x the golden run's
 	// clocks (plus slack), so a livelocked run terminates quickly.
@@ -87,8 +93,15 @@ type Config struct {
 const DefaultExemplars = 4
 
 // validate rejects configurations that would otherwise silently run a
-// meaningless campaign (zero-fault runs, no runs, inverted windows).
+// meaningless campaign (zero-fault runs, no runs, inverted windows, hooks
+// the golden reference cannot honour).
 func (cfg *Config) validate() error {
+	if cfg.Sim.Mutate != nil {
+		return errors.New("fault: Sim.Mutate is set, but every faulty run replaces it with its injector")
+	}
+	if cfg.Sim.OnEvent != nil {
+		return errors.New("fault: Sim.OnEvent is set, but skipped and resumed runs are not simulated from time 0")
+	}
 	if cfg.Runs < 0 {
 		return fmt.Errorf("fault: negative Runs %d", cfg.Runs)
 	}
@@ -176,10 +189,13 @@ type chunkAgg struct {
 
 // Campaign runs a seeded fault-injection campaign: one golden run, then
 // cfg.Runs faulty runs sharded in chunks across workers, each injecting
-// freshly drawn faults into its own simulator run. The system is
-// compiled once (sim.NewEngine) and every run borrows a pooled runner.
-// Everything is derived from cfg.Seed, so a campaign is reproducible
-// byte for byte at any worker count.
+// freshly drawn faults. The system is compiled once (sim.NewEngine) and
+// every run borrows a pooled runner. A run simulates only what its
+// faults can change: one whose faults never arm takes the golden result,
+// and an armed one resumes from the golden run's last checkpoint before
+// its first fault arms (see reference). Everything is derived from
+// cfg.Seed, so a campaign is reproducible byte for byte at any worker
+// count.
 func Campaign(sys *spec.System, bus *spec.Bus, cfg Config) (*Report, error) {
 	return CampaignCtx(context.Background(), sys, bus, cfg)
 }
@@ -207,13 +223,9 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 	if err != nil {
 		return nil, fmt.Errorf("fault: %w", err)
 	}
-	golden, err := eng.Run(cfg.Sim)
+	ref, err := newReference(eng, &cfg)
 	if err != nil {
-		return nil, fmt.Errorf("fault: golden run failed: %w", err)
-	}
-	maxClocks := cfg.MaxClocks
-	if maxClocks <= 0 {
-		maxClocks = 16*golden.Clocks + 4096
+		return nil, err
 	}
 
 	// Chunk size balances dispatch overhead against load balance; the
@@ -227,7 +239,6 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 		chunk = 4096
 	}
 	partials := make([]chunkAgg, (cfg.Runs+chunk-1)/chunk)
-	golds := goldenFinals(golden, cfg.AbortVars)
 
 	cerr := par.ForChunksCtx(ctx, cfg.Runs, cfg.Workers, chunk, func(lo, hi int) {
 		agg := &partials[lo/chunk]
@@ -240,7 +251,7 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 		rng := rand.New(&smSource{})
 		var faults []Fault
 		scfg := cfg.Sim
-		scfg.MaxClocks = maxClocks
+		scfg.MaxClocks = ref.maxClocks
 		// Classification reads only Clocks and Finals; skip the rest of
 		// the Result.
 		scfg.FinalsOnly = true
@@ -254,16 +265,7 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 				Window:  cfg.Window,
 			})
 			rr := RunResult{Run: i, Seed: seed, Faults: faults}
-			inj.Reset(faults)
-			res, rerr := eng.Run(scfg)
-			if rerr != nil {
-				rr.Err = rerr.Error()
-				rr.Outcome = classifyError(rerr)
-			} else {
-				rr.Clocks = res.Clocks
-				rr.Aborts = sumAborts(res, cfg.AbortVars)
-				rr.Outcome = classifyFinals(golds, res, rr.Aborts)
-			}
+			ref.play(eng, inj, scfg, &rr)
 			agg.totals[rr.Outcome]++
 			var seen [numClasses]bool
 			for _, f := range rr.Faults {
@@ -286,7 +288,7 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 	}
 
 	rep := &Report{
-		Golden:    golden,
+		Golden:    ref.res,
 		Runs:      cfg.Runs,
 		Totals:    make(map[Outcome]int),
 		ByClass:   make(map[Class]map[Outcome]int),
@@ -319,6 +321,132 @@ func CampaignCtx(ctx context.Context, sys *spec.System, bus *spec.Bus, cfg Confi
 	return rep, nil
 }
 
+// reference is the fault-free golden run and what a campaign learns
+// from it. A faulty run replays the golden run event for event until
+// its first fault arms: injection is a pure function of the event
+// sequence, and nothing is mutated before a fault arms. So a run whose
+// faults never arm ends exactly as the golden run did, and an armed run
+// is the golden run up to the flush in which its first fault arms. The
+// golden run records both facts: a recording Injector logs the hook
+// call of every changed proposal of every record-signal field, and the
+// Engine captures checkpoints at evenly spaced delta-cycle boundaries.
+type reference struct {
+	res       *sim.Result
+	abortVars []string
+	// maxClocks bounds each faulty run: Config.MaxClocks, or 16x the
+	// golden run's clocks plus slack.
+	maxClocks int64
+	// finals, aborts and outcome classify the golden result, which is
+	// also the result of every run whose faults never arm.
+	finals  []goldenEntry
+	aborts  int64
+	outcome Outcome
+	// rec recorded the golden run: rec.sigs[s].changes[f] holds the
+	// hook call of each changed proposal of field f, ascending.
+	rec *Injector
+	cps []*sim.Checkpoint
+	// counts[k][s][f] is how many of those proposals came before
+	// checkpoint k: what a from-scratch injector has counted there.
+	counts [][][]int64
+}
+
+// newReference runs the golden simulation under cfg.Sim with a
+// recording injector and checkpoints.
+func newReference(eng *sim.Engine, cfg *Config) (*reference, error) {
+	rec := &Injector{record: true}
+	gcfg := cfg.Sim
+	rec.Attach(&gcfg)
+	res, cps, err := eng.RunCheckpointed(gcfg)
+	if err != nil {
+		return nil, fmt.Errorf("fault: golden run failed: %w", err)
+	}
+	g := &reference{res: res, abortVars: cfg.AbortVars, maxClocks: cfg.MaxClocks}
+	if g.maxClocks <= 0 {
+		g.maxClocks = 16*res.Clocks + 4096
+	}
+	g.finals = goldenFinals(res, cfg.AbortVars)
+	g.aborts = sumAborts(res, cfg.AbortVars)
+	g.outcome = classifyFinals(g.finals, res, g.aborts)
+	if res.Clocks > g.maxClocks {
+		// A run from time 0 fails once time passes maxClocks, so under a
+		// budget tighter than the golden run a faulty run is neither the
+		// golden run nor its continuation: simulate every run from time
+		// 0 (resumePoint answers 0 without a recording).
+		g.cps = cps[:1]
+		return g, nil
+	}
+	g.rec, g.cps = rec, cps
+	g.counts = make([][][]int64, len(cps))
+	for k, cp := range cps {
+		g.counts[k] = make([][]int64, len(rec.sigs))
+		for s := range rec.sigs {
+			row := make([]int64, len(rec.sigs[s].changes))
+			for f, log := range rec.sigs[s].changes {
+				row[f] = int64(sort.Search(len(log), func(j int) bool { return log[j] >= cp.HookCalls() }))
+			}
+			g.counts[k][s] = row
+		}
+	}
+	return g, nil
+}
+
+// resumePoint returns the index of the last checkpoint before the flush
+// in which the first of faults arms, or -1 if none ever arms. A fault
+// arms at its field's (AfterEvents+1)-th changed proposal.
+func (g *reference) resumePoint(faults []Fault) int {
+	if g.rec == nil {
+		return 0
+	}
+	arm := int64(-1)
+	for _, f := range faults {
+		n := max(f.AfterEvents, 0)
+		for s := range g.rec.sigs {
+			sf := &g.rec.sigs[s]
+			if sf.sig.Name != f.Signal {
+				continue
+			}
+			for i, fld := range sf.typ.Fields {
+				if log := sf.changes[i]; fld.Name == f.Field && n < int64(len(log)) && (arm < 0 || log[n] < arm) {
+					arm = log[n]
+				}
+			}
+		}
+	}
+	if arm < 0 {
+		return -1
+	}
+	return sort.Search(len(g.cps), func(k int) bool { return g.cps[k].HookCalls() > arm }) - 1
+}
+
+// play runs rr's faults and fills in its outcome. If no fault arms, rr
+// takes the golden run's and play returns the golden result and k = -1.
+// Otherwise play rearms inj with the faults, fast-forwards its counts to
+// checkpoint k and resumes cfg (inj attached) from there; it returns the
+// result, nil if the run failed.
+func (g *reference) play(eng *sim.Engine, inj *Injector, cfg sim.Config, rr *RunResult) (res *sim.Result, k int) {
+	k = g.resumePoint(rr.Faults)
+	if k < 0 {
+		rr.Clocks, rr.Aborts, rr.Outcome = g.res.Clocks, g.aborts, g.outcome
+		return g.res, k
+	}
+	inj.Reset(rr.Faults)
+	if k > 0 {
+		for s := range g.rec.sigs {
+			copy(inj.resolve(g.rec.sigs[s].sig, g.rec.sigs[s].typ).counts, g.counts[k][s])
+		}
+	}
+	res, err := eng.Resume(g.cps[k], cfg)
+	if err != nil {
+		rr.Err = err.Error()
+		rr.Outcome = classifyError(err)
+		return nil, k
+	}
+	rr.Clocks = res.Clocks
+	rr.Aborts = sumAborts(res, g.abortVars)
+	rr.Outcome = classifyFinals(g.finals, res, rr.Aborts)
+	return res, k
+}
+
 func effectiveWorkers(workers int) int {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
@@ -329,12 +457,14 @@ func effectiveWorkers(workers int) int {
 	return workers
 }
 
-// classifyError maps a failed run to an outcome: hangs (deadlock, clock
-// budget) are Deadlocked; anything else crashed on poisoned data and is
-// counted as Corrupted.
+// classifyError maps a failed run to an outcome: hangs (deadlock,
+// clock budget, delta-cycle livelock, runaway zero-delay loop) are
+// Deadlocked; anything else crashed on poisoned data and is counted as
+// Corrupted.
 func classifyError(err error) Outcome {
 	var dl *sim.DeadlockError
-	if errors.As(err, &dl) || strings.Contains(err.Error(), "MaxClocks") {
+	var hang *sim.HangError
+	if errors.As(err, &dl) || errors.As(err, &hang) {
 		return Deadlocked
 	}
 	return Corrupted

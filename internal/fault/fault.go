@@ -122,6 +122,9 @@ type sigFaults struct {
 	byField [][]int32
 	counts  []int64
 	any     bool
+	// changes logs, per field, the hook call of each changed proposal
+	// (recording injectors only).
+	changes [][]int64
 }
 
 // Injector realizes a fault list as a simulator mutation hook. One
@@ -138,6 +141,12 @@ type Injector struct {
 	// transient clamp when its window closes; a permanent clamp never
 	// dies.
 	live int
+	// record makes the injector count and log every field of every
+	// record signal, faulted or not: the campaign's golden run records
+	// with a fault-free one, so "changed proposal" has one definition.
+	record bool
+	// calls counts Mutate calls since the last Reset.
+	calls int64
 }
 
 // NewInjector builds an injector for the given faults.
@@ -156,6 +165,7 @@ func (in *Injector) Reset(faults []Fault) {
 		in.faults = append(in.faults, armedFault{Fault: f, stuckFrom: -1})
 	}
 	in.live = len(in.faults)
+	in.calls = 0
 	for si := range in.sigs {
 		in.rearm(&in.sigs[si])
 	}
@@ -165,8 +175,9 @@ func (in *Injector) Reset(faults []Fault) {
 // into the bucket storage it already owns.
 func (in *Injector) rearm(sf *sigFaults) {
 	sf.any = false
-	for i := range sf.counts {
-		sf.counts[i] = 0
+	clear(sf.counts)
+	for i := range sf.changes {
+		sf.changes[i] = sf.changes[i][:0]
 	}
 	for i := range sf.typ.Fields {
 		b := sf.byField[i][:0]
@@ -199,6 +210,9 @@ func (in *Injector) resolve(sig *spec.Variable, typ spec.RecordType) *sigFaults 
 		counts:  make([]int64, len(typ.Fields)),
 	})
 	sf := &in.sigs[len(in.sigs)-1]
+	if in.record {
+		sf.changes = make([][]int64, len(typ.Fields))
+	}
 	in.rearm(sf)
 	return sf
 }
@@ -207,6 +221,8 @@ func (in *Injector) resolve(sig *spec.Variable, typ spec.RecordType) *sigFaults 
 // record signal, it applies every armed fault and returns the mutated
 // value (plus a deferred commit for delay jitter).
 func (in *Injector) Mutate(now int64, sig *spec.Variable, old, next sim.Value) sim.Mutation {
+	call := in.calls
+	in.calls++
 	ov, ook := old.(sim.RecordVal)
 	nv, nok := next.(sim.RecordVal)
 	if !ook || !nok || len(ov.Fields) != len(nv.Fields) {
@@ -217,11 +233,11 @@ func (in *Injector) Mutate(now int64, sig *spec.Variable, old, next sim.Value) s
 		}
 		return sim.Mutation{}
 	}
-	if in.live == 0 {
+	if in.live == 0 && !in.record {
 		return sim.Mutation{Done: true}
 	}
 	sf := in.resolve(sig, nv.Type)
-	if !sf.any {
+	if !sf.any && !in.record {
 		// No armed fault targets this signal, and the fault list is
 		// fixed for the whole run: opt out of further calls for it.
 		return sim.Mutation{SkipSig: true}
@@ -241,7 +257,7 @@ func (in *Injector) Mutate(now int64, sig *spec.Variable, old, next sim.Value) s
 	var m sim.Mutation
 	for i := range nv.Type.Fields {
 		affs := sf.byField[i]
-		if len(affs) == 0 {
+		if len(affs) == 0 && !in.record {
 			// Transition counts only feed fault arming, so fields no
 			// fault targets need no edge detection at all.
 			continue
@@ -315,6 +331,9 @@ func (in *Injector) Mutate(now int64, sig *spec.Variable, old, next sim.Value) s
 		}
 		if changed {
 			sf.counts[i]++
+			if in.record {
+				sf.changes[i] = append(sf.changes[i], call)
+			}
 		}
 	}
 	if mutated {

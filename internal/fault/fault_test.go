@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -274,11 +275,18 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 }
 
 // TestCampaignPooledMatchesUnpooled: a campaign compiles the system
-// once and reuses pooled runners (and one injector per chunk) across
-// its runs. Re-running every run unpooled — a freshly compiled Engine
-// and a fresh injector each — must reproduce the report's totals and
-// exemplars exactly, so no state leaks from one pooled run to the next.
+// once, reuses pooled runners (and one injector per chunk), takes the
+// golden result for every run whose faults never arm, and resumes every
+// other run from the golden run's last checkpoint before its first fault
+// arms. Each run must equal a from-scratch run — its own injector,
+// simulated from time 0 on an engine that never resumes — in every
+// RunResult field, and a simulated run's sim.Result must match in Clocks,
+// Steps, Deltas and Finals (a skipped run's golden result too). The
+// first 64 runs of each configuration also compile a fresh Engine each,
+// so no state leaks from one pooled run to the next. The campaign's
+// reports at 1 and 4 workers must equal the from-scratch aggregate.
 func TestCampaignPooledMatchesUnpooled(t *testing.T) {
+	const runs, freshEngines = 5000, 64
 	for _, pc := range []struct {
 		name string
 		cfg  protogen.Config
@@ -287,45 +295,154 @@ func TestCampaignPooledMatchesUnpooled(t *testing.T) {
 		{"robust-parity", protogen.Config{Protocol: spec.FullHandshake, Robust: true, Parity: true}},
 	} {
 		t.Run(pc.name, func(t *testing.T) {
-			sys, bus, ref := refinePQ(t, pc.cfg)
-			const runs, seed = 64, 99
-			rep, err := Campaign(sys, bus, Config{Runs: runs, Seed: seed, AbortVars: ref.AbortKeys()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			golds := goldenFinals(rep.Golden, ref.AbortKeys())
-			totals := make(map[Outcome]int)
-			exemplars := make(map[Outcome][]RunResult)
-			for i := 0; i < runs; i++ {
-				rr := RunResult{Run: i, Seed: runSeed(seed, i)}
-				rr.Faults = Randomize(bus, Plan{Seed: rr.Seed})
-				cfg := sim.Config{MaxClocks: 16*rep.Golden.Clocks + 4096, FinalsOnly: true}
-				NewInjector(rr.Faults).Attach(&cfg)
-				eng, err := sim.NewEngine(sys)
-				if err != nil {
-					t.Fatal(err)
+			for _, perRun := range []int{1, 3} {
+				for _, seed := range []int64{99, 2024} {
+					t.Run(fmt.Sprintf("faults=%d,seed=%d", perRun, seed), func(t *testing.T) {
+						sys, bus, ref := refinePQ(t, pc.cfg)
+						cfg := Config{Runs: runs, Seed: seed, FaultsPerRun: perRun, AbortVars: ref.AbortKeys()}
+						eng, err := sim.NewEngine(sys)
+						if err != nil {
+							t.Fatal(err)
+						}
+						g, err := newReference(eng, &cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						scratch, err := sim.NewEngine(sys)
+						if err != nil {
+							t.Fatal(err)
+						}
+						scfg := sim.Config{MaxClocks: g.maxClocks, FinalsOnly: true}
+						inj := &Injector{}
+						inj.Attach(&scfg)
+						want := &Report{
+							Golden:    g.res,
+							Runs:      runs,
+							Totals:    make(map[Outcome]int),
+							ByClass:   make(map[Class]map[Outcome]int),
+							Exemplars: make(map[Outcome][]RunResult),
+						}
+						var skipped, resumed int
+						for i := 0; i < runs; i++ {
+							seed := runSeed(seed, i)
+							faults := Randomize(bus, Plan{Seed: seed, Count: perRun})
+							// From scratch.
+							e := scratch
+							if i < freshEngines {
+								if e, err = sim.NewEngine(sys); err != nil {
+									t.Fatal(err)
+								}
+							}
+							fcfg := sim.Config{MaxClocks: g.maxClocks, FinalsOnly: true}
+							NewInjector(faults).Attach(&fcfg)
+							rr := RunResult{Run: i, Seed: seed, Faults: faults}
+							res, err := e.Run(fcfg)
+							if err != nil {
+								rr.Err = err.Error()
+								rr.Outcome = classifyError(err)
+							} else {
+								rr.Clocks = res.Clocks
+								rr.Aborts = sumAborts(res, cfg.AbortVars)
+								rr.Outcome = classifyFinals(g.finals, res, rr.Aborts)
+							}
+							// The campaign's path.
+							got := RunResult{Run: i, Seed: seed, Faults: faults}
+							gres, k := g.play(eng, inj, scfg, &got)
+							switch {
+							case k < 0:
+								skipped++
+							case k > 0:
+								resumed++
+							}
+							if !reflect.DeepEqual(got, rr) {
+								t.Fatalf("run %d (checkpoint %d, faults %v): campaign %+v, from scratch %+v", i, k, faults, got, rr)
+							}
+							if d := resultDiff(gres, res); d != "" {
+								t.Fatalf("run %d (checkpoint %d, faults %v): %s", i, k, faults, d)
+							}
+							want.Totals[rr.Outcome]++
+							for c := range classesOf(faults) {
+								if want.ByClass[c] == nil {
+									want.ByClass[c] = make(map[Outcome]int)
+								}
+								want.ByClass[c][rr.Outcome]++
+							}
+							if len(want.Exemplars[rr.Outcome]) < DefaultExemplars {
+								want.Exemplars[rr.Outcome] = append(want.Exemplars[rr.Outcome], rr)
+							}
+						}
+						t.Logf("%d runs: %d skipped, %d resumed past the initial state, %d from time 0",
+							runs, skipped, resumed, runs-skipped-resumed)
+						if skipped == 0 || resumed == 0 {
+							t.Errorf("want both skipped and resumed runs, got %d and %d", skipped, resumed)
+						}
+						for _, workers := range []int{1, 4} {
+							cfg.Workers = workers
+							rep, err := Campaign(sys, bus, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(rep.Totals, want.Totals) || !reflect.DeepEqual(rep.ByClass, want.ByClass) {
+								t.Errorf("workers=%d: campaign\n%s\nfrom scratch\n%s", workers, rep, want)
+							}
+							if !reflect.DeepEqual(rep.Exemplars, want.Exemplars) {
+								t.Errorf("workers=%d: campaign exemplars differ from scratch", workers)
+							}
+						}
+					})
 				}
-				if res, err := eng.Run(cfg); err != nil {
-					rr.Err = err.Error()
-					rr.Outcome = classifyError(err)
-				} else {
-					rr.Clocks = res.Clocks
-					rr.Aborts = sumAborts(res, ref.AbortKeys())
-					rr.Outcome = classifyFinals(golds, res, rr.Aborts)
-				}
-				totals[rr.Outcome]++
-				if len(exemplars[rr.Outcome]) < DefaultExemplars {
-					exemplars[rr.Outcome] = append(exemplars[rr.Outcome], rr)
-				}
-			}
-			if !reflect.DeepEqual(rep.Totals, totals) {
-				t.Errorf("pooled totals %v, unpooled %v", rep.Totals, totals)
-			}
-			if !reflect.DeepEqual(rep.Exemplars, exemplars) {
-				t.Error("pooled exemplars differ from unpooled")
 			}
 		})
 	}
+}
+
+// TestCampaignTightClockBudget: under a MaxClocks below the golden run's
+// clocks every run, armed or not, passes the budget inside the golden
+// prefix, so none may take the golden result or resume past time 0:
+// all of them hang.
+func TestCampaignTightClockBudget(t *testing.T) {
+	sys, bus, ref := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake, Robust: true})
+	rep, err := Campaign(sys, bus, Config{Runs: 200, Seed: 3, MaxClocks: 100, AbortVars: ref.AbortKeys()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Golden.Clocks <= 100 {
+		t.Fatalf("golden run takes %d clocks, want more than the budget", rep.Golden.Clocks)
+	}
+	if n := rep.Totals[Deadlocked]; n != 200 {
+		t.Fatalf("%d of 200 runs hung under MaxClocks 100, want all:\n%s", n, rep)
+	}
+}
+
+// classesOf returns the set of fault classes in a fault list.
+func classesOf(faults []Fault) map[Class]bool {
+	set := make(map[Class]bool)
+	for _, f := range faults {
+		set[f.Class] = true
+	}
+	return set
+}
+
+// resultDiff describes how two results differ in Clocks, Steps, Deltas
+// or Finals, or returns "" if they agree (or both are nil).
+func resultDiff(got, want *sim.Result) string {
+	switch {
+	case got == nil && want == nil:
+		return ""
+	case got == nil || want == nil:
+		return fmt.Sprintf("result %v, from scratch %v", got, want)
+	case got.Clocks != want.Clocks || got.Steps != want.Steps || got.Deltas != want.Deltas:
+		return fmt.Sprintf("clocks/steps/deltas %d/%d/%d, from scratch %d/%d/%d",
+			got.Clocks, got.Steps, got.Deltas, want.Clocks, want.Steps, want.Deltas)
+	case len(got.Finals) != len(want.Finals):
+		return fmt.Sprintf("%d finals, from scratch %d", len(got.Finals), len(want.Finals))
+	}
+	for k, v := range want.Finals {
+		if gv, ok := got.Finals[k]; !ok || !gv.Equal(v) {
+			return fmt.Sprintf("final %s = %v, from scratch %v", k, gv, v)
+		}
+	}
+	return ""
 }
 
 // TestCampaignConfigValidation: broken configurations must fail up
@@ -344,6 +461,10 @@ func TestCampaignConfigValidation(t *testing.T) {
 		{"negative-max-exemplars", Config{MaxExemplars: -3}, "negative MaxExemplars"},
 		{"empty-classes", Config{Classes: []Class{}}, "Classes is empty"},
 		{"unknown-class", Config{Classes: []Class{DelayJitter, Class(99)}}, "unknown fault class"},
+		{"sim-mutate", Config{Sim: sim.Config{Mutate: func(int64, *spec.Variable, sim.Value, sim.Value) sim.Mutation {
+			return sim.Mutation{}
+		}}}, "Sim.Mutate is set"},
+		{"sim-on-event", Config{Sim: sim.Config{OnEvent: func(int64, *spec.Variable, sim.Value) {}}}, "Sim.OnEvent is set"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -352,6 +473,57 @@ func TestCampaignConfigValidation(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestClassifyError: every way a run hangs is Deadlocked — a deadlock,
+// a blown clock budget, a runaway zero-delay loop and a delta-cycle
+// livelock — and any other run error is Corrupted. Reaching the
+// Engine's livelock backstop takes 50 million delta cycles, so that row
+// builds the error; sim.TestHangErrors pins that the Engine returns one.
+func TestClassifyError(t *testing.T) {
+	runErr := func(sys *spec.System, cfg sim.Config) error {
+		t.Helper()
+		e, err := sim.NewEngine(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.Run(cfg)
+		if err == nil {
+			t.Fatal("run succeeded, want an error")
+		}
+		return err
+	}
+	base, _, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
+	robust, _, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake, Robust: true})
+	dropped := sim.Config{}
+	NewInjector(droppedDone()).Attach(&dropped)
+
+	spin := spec.NewSystem("t")
+	spin.AddModule("m").AddBehavior(spec.NewBehavior("spin")).Body = []spec.Stmt{
+		&spec.Loop{Body: []spec.Stmt{&spec.Null{}}},
+	}
+	oob := spec.NewSystem("t")
+	m := oob.AddModule("m")
+	mem := m.AddVariable(spec.NewVar("mem", spec.Array(4, spec.Integer)))
+	m.AddBehavior(spec.NewBehavior("oob")).Body = []spec.Stmt{
+		spec.AssignVar(spec.At(spec.Ref(mem), spec.Int(9)), spec.Int(1)),
+	}
+
+	for _, c := range []struct {
+		name string
+		err  error
+		want Outcome
+	}{
+		{"deadlock", runErr(base, dropped), Deadlocked},
+		{"max-clocks", runErr(robust, sim.Config{MaxClocks: 100}), Deadlocked},
+		{"runaway", runErr(spin, sim.Config{MaxStepsPerSlice: 1000}), Deadlocked},
+		{"livelock", &sim.HangError{Msg: "sim: exceeded 50000000 delta cycles at clock 3 (livelock?)"}, Deadlocked},
+		{"runtime-fault", runErr(oob, sim.Config{}), Corrupted},
+	} {
+		if got := classifyError(c.err); got != c.want {
+			t.Errorf("%s: classifyError(%q) = %s, want %s", c.name, c.err, got, c.want)
+		}
 	}
 }
 

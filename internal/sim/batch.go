@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -11,11 +12,12 @@ import (
 // Engine is the simulator: a reusable, pooled executor for one system.
 // Behaviors are compiled to flat programs and every variable is
 // resolved to a dense slot index once, at construction; each Run then
-// borrows a runner from an internal pool, resets its slot arrays from
-// shared immutable templates, and executes the delta-cycle loop on the
-// caller's goroutine — no channels, no per-run maps. A single
-// simulation compiles once and runs once; fault campaigns compile once
-// and run the same system 10⁵–10⁷ times.
+// borrows a runner from an internal pool, restores its slot arrays from
+// the initial checkpoint (shared immutable templates), and executes the
+// delta-cycle loop on the caller's goroutine — no channels, no per-run
+// maps. A single simulation compiles once and runs once; fault
+// campaigns compile once and run the same system 10⁵–10⁷ times, and
+// resume most runs from checkpoints of the fault-free one.
 //
 // Everything a caller can observe — Clocks, Deltas, ProcessEnd,
 // Finals, SignalEvents, the OnEvent/Mutate/Schedule hook sequences and
@@ -24,8 +26,8 @@ import (
 // Result.Steps and the MaxStepsPerSlice runaway guard count compiled
 // instructions.
 //
-// Engine is safe for concurrent Run calls: runners are pooled and each
-// call uses its own.
+// Engine is safe for concurrent Run and Resume calls: runners are
+// pooled and each call uses its own.
 type Engine struct {
 	sys *spec.System
 
@@ -63,6 +65,10 @@ type Engine struct {
 
 	progs []*Program
 	pool  sync.Pool
+
+	// start is the initial state as a checkpoint: every run begins by
+	// restoring it (or a checkpoint captured later in some run).
+	start *Checkpoint
 }
 
 // NewEngine compiles the system. It returns an error if the system does
@@ -138,6 +144,7 @@ func NewEngine(sys *spec.System) (*Engine, error) {
 		}
 		prog.code = stripCharges(prog.costCode)
 	}
+	e.start = e.initialCheckpoint()
 	e.pool.New = func() any { return newRunner(e) }
 	return e, nil
 }
@@ -156,10 +163,49 @@ func (e *Engine) Programs() []*Program { return e.progs }
 // Run executes the system to completion under cfg on a pooled runner:
 // every non-server process finished, or an error (deadlock, runaway
 // process, time limit, runtime fault).
-func (e *Engine) Run(cfg Config) (*Result, error) {
+func (e *Engine) Run(cfg Config) (*Result, error) { return e.run(e.start, cfg, nil) }
+
+// RunCheckpointed is Run that also captures the run at evenly spaced
+// delta-cycle boundaries, in run order and starting with the initial
+// state: at every boundary of a run of up to MaxCheckpoints delta
+// cycles, and between MaxCheckpoints/2 and MaxCheckpoints of them on a
+// longer one. A failed run returns no checkpoints.
+func (e *Engine) RunCheckpointed(cfg Config) (*Result, []*Checkpoint, error) {
+	log := &checkpointLog{cps: []*Checkpoint{e.start}, stride: 1}
+	res, err := e.run(e.start, cfg, log)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, log.cps, nil
+}
+
+// Resume runs cfg from cp instead of from the initial state. The result
+// is the one a run from time 0 would give if it replayed the captured
+// run up to cp: its Mutate hook mutates nothing before the boundary,
+// its Schedule hook is a pure function of its arguments, and its
+// MaxClocks and MaxStepsPerSlice admit the prefix. A stateful hook is
+// the caller's to bring to the boundary (HookCalls says how far the
+// captured run's hook got), and OnEvent sees only the events after it.
+// cp must come from this engine, and a checkpoint past the initial
+// state needs the cost model it was captured under.
+func (e *Engine) Resume(cp *Checkpoint, cfg Config) (*Result, error) {
+	if cp.e != e {
+		return nil, errors.New("sim: checkpoint was captured on another engine")
+	}
+	if cp.deltas > 0 && cp.cost != cfg.Cost {
+		return nil, errors.New("sim: checkpoint was captured under another cost model")
+	}
+	return e.run(cp, cfg, nil)
+}
+
+// run borrows a runner, restores cp and runs cfg to completion,
+// capturing checkpoints into log when it is non-nil.
+func (e *Engine) run(cp *Checkpoint, cfg Config, log *checkpointLog) (*Result, error) {
 	r := e.pool.Get().(*runner)
-	r.reset(cfg)
+	r.reset(cfg, cp)
+	r.log = log
 	res, err := r.run()
+	r.log = nil
 	e.pool.Put(r)
 	return res, err
 }
@@ -236,12 +282,22 @@ type bproc struct {
 	// add charges[pc] to lag.
 	code    []Instr
 	charges []int64
+	procRegs
+	err        error
+	sliceSteps int64
+	// localOwn marks local slots whose container this run built itself
+	// (copy-on-write store); eligible aOwn stores then mutate in place.
+	localOwn []bool
+}
+
+// procRegs is a process's scheduling state between delta cycles:
+// everything a checkpoint keeps of it besides its locals.
+type procRegs struct {
 	// lag accumulates cost-model clocks not yet elapsed as simulated
 	// time.
 	lag   int64
 	pc    int32
 	state procState
-	err   error
 	endAt int64
 	// wait state, valid while state == stateWaiting:
 	wMeta     *waitMeta
@@ -250,12 +306,8 @@ type bproc struct {
 	wHasCheck bool
 	// inWait marks that the next exec resumes a suspended wait (assign
 	// the timeout flag, advance past the instruction).
-	inWait     bool
-	timedOut   bool
-	sliceSteps int64
-	// localOwn marks local slots whose container this run built itself
-	// (copy-on-write store); eligible aOwn stores then mutate in place.
-	localOwn []bool
+	inWait   bool
+	timedOut bool
 }
 
 // runner is one pooled run context. All slices are sized once at
@@ -293,12 +345,21 @@ type runner struct {
 	changedAt []int64
 	stamp     int64
 
-	runnableBuf []int32
+	// runnable holds the processes of the next delta cycle between
+	// restore and run.
+	runnable []int32
+	// log, when non-nil, collects this run's checkpoints.
+	log *checkpointLog
 
-	now      int64
-	deltas   int64
-	steps    int64
-	graceEnd int64
+	runClock
+}
+
+// runClock is a run's position: the simulated clock, the delta cycles
+// and instructions executed, the end of the servers' grace window (-1
+// until every foreground process has finished) and the Config.Mutate
+// calls made.
+type runClock struct {
+	now, deltas, steps, graceEnd, hookCalls int64
 }
 
 func newRunner(e *Engine) *runner {
@@ -310,7 +371,6 @@ func newRunner(e *Engine) *runner {
 		sharedOwn: make([]bool, n),
 		changedAt: make([]int64, n),
 		recBufs:   make([][2]recBuf, n),
-		graceEnd:  -1,
 	}
 	for i, ok := range e.sigBufOK {
 		if !ok {
@@ -324,9 +384,8 @@ func newRunner(e *Engine) *runner {
 	}
 	for _, prog := range e.progs {
 		p := &bproc{
-			r:         r,
-			localOwn:  make([]bool, len(prog.locals)),
-			wDeadline: -1,
+			r:        r,
+			localOwn: make([]bool, len(prog.locals)),
 		}
 		p.init(prog, p.evFail)
 		p.Locals = make([]Value, len(prog.locals))
@@ -336,15 +395,13 @@ func newRunner(e *Engine) *runner {
 	return r
 }
 
-// reset restores the runner to the system's initial state. Initial
-// values are shared with the engine's templates (and between runs):
-// runtime updates either build new containers (applyPath, persistent
-// bit vectors) or mutate in place only containers the ownership flags
-// prove this run built itself, so templates are never mutated. What survives a reset:
-// the compiled programs, the slot arrays' capacity, the evaluator
-// closures, and the changedAt stamps (monotonic, so stale marks never
-// match). What is re-derived: all values, scheduling state, and time.
-func (r *runner) reset(cfg Config) {
+// reset prepares the runner to run cfg from cp, restoring its state
+// from the checkpoint (the initial state for Run). What survives a
+// reset: the compiled programs, the slot arrays' capacity, the
+// evaluator closures, and the changedAt stamps (monotonic, so stale
+// marks never match). What is re-derived: all values, scheduling state,
+// and time.
+func (r *runner) reset(cfg Config, cp *Checkpoint) {
 	if cfg.MaxClocks <= 0 {
 		cfg.MaxClocks = 10_000_000
 	}
@@ -353,15 +410,6 @@ func (r *runner) reset(cfg Config) {
 	}
 	r.cfg = cfg
 	r.useBufs = cfg.OnEvent == nil
-	for _, i := range r.e.sigSlots {
-		r.sig[i] = bsignal{}
-	}
-	copy(r.glob, r.e.globInit)
-	// Slot containers now come from the engine's shared templates; no
-	// slot owns its container until a copy-on-write store replaces it.
-	for i := range r.sharedOwn {
-		r.sharedOwn[i] = false
-	}
 	for _, p := range r.procs {
 		p.code = p.prog.code
 		if cfg.Cost != nil {
@@ -375,44 +423,23 @@ func (r *runner) reset(cfg Config) {
 				p.charges = append(p.charges, c)
 			}
 		}
-		p.lag = 0
-		copy(p.Locals, p.prog.localInit)
-		for i := range p.localOwn {
-			p.localOwn[i] = false
-		}
-		p.pc = 0
-		p.state = stateReady
-		p.err = nil
-		p.endAt = 0
-		p.wMeta = nil
-		p.wDeadline = -1
-		p.wForever = false
-		p.wHasCheck = false
-		p.inWait = false
-		p.timedOut = false
-		p.sliceSteps = 0
 	}
-	r.dirty = r.dirty[:0]
-	r.delayed = r.delayed[:0]
-	r.now = 0
-	r.deltas = 0
-	r.steps = 0
-	r.graceEnd = -1
+	r.restore(cp)
 }
 
 // run is the delta-cycle loop.
 func (r *runner) run() (*Result, error) {
-	runnable := r.runnableBuf[:0]
-	for i := range r.procs {
-		runnable = append(runnable, int32(i))
-	}
-	defer func() { r.runnableBuf = runnable[:0] }()
+	runnable := r.runnable
+	defer func() { r.runnable = runnable[:0] }()
 	for {
 		// Delta cycles.
 		for len(runnable) > 0 {
+			if r.log != nil && r.log.due(r.deltas) {
+				r.log.add(r.capture(runnable))
+			}
 			r.deltas++
 			if r.deltas > maxDeltas {
-				return nil, fmt.Errorf("sim: exceeded %d delta cycles at clock %d (livelock?)", int64(maxDeltas), r.now)
+				return nil, hangf("sim: exceeded %d delta cycles at clock %d (livelock?)", maxDeltas, r.now)
 			}
 			insertionSortInt32(runnable)
 			r.reorder(runnable)
@@ -459,7 +486,7 @@ func (r *runner) run() (*Result, error) {
 			return nil, r.deadlock()
 		}
 		if next > r.cfg.MaxClocks {
-			return nil, fmt.Errorf("sim: exceeded MaxClocks=%d at clock %d", r.cfg.MaxClocks, r.now)
+			return nil, hangf("sim: exceeded MaxClocks=%d at clock %d", r.cfg.MaxClocks, r.now)
 		}
 		r.now = next
 		// Delayed signal commits due now bypass Config.Mutate (they are
@@ -528,6 +555,7 @@ func (r *runner) flush() bool {
 			continue
 		}
 		if r.cfg.Mutate != nil && !s.skipMutate && !s.muteHook {
+			r.hookCalls++
 			m := r.cfg.Mutate(r.now, r.e.globals[idx], r.glob[idx], s.pending)
 			if m.Now == nil && m.Later == nil {
 				if m.Done {
@@ -729,8 +757,8 @@ func (p *bproc) exec() {
 		p.sliceSteps++
 		p.r.steps++
 		if p.sliceSteps > p.r.cfg.MaxStepsPerSlice {
-			fail("process %s executed %d instructions without yielding (runaway zero-delay loop?)",
-				p.prog.beh.Name, p.sliceSteps)
+			panic(simError{hangf("process %s executed %d instructions without yielding (runaway zero-delay loop?)",
+				p.prog.beh.Name, p.sliceSteps)})
 		}
 		in := &code[p.pc]
 		switch in.op {

@@ -132,8 +132,23 @@ func (e *DeadlockError) Error() string {
 	return msg
 }
 
-// maxDeltas bounds total delta cycles as a livelock backstop.
-const maxDeltas = 50_000_000
+// HangError reports a run that stopped making progress without
+// deadlocking: simulated time passed Config.MaxClocks, the run passed
+// the delta-cycle backstop (a livelock), or a process executed
+// MaxStepsPerSlice instructions without yielding (a runaway zero-delay
+// loop). A runaway reaches the caller inside the process-failure error,
+// where errors.As finds it.
+type HangError struct{ Msg string }
+
+func (e *HangError) Error() string { return e.Msg }
+
+func hangf(format string, args ...any) *HangError {
+	return &HangError{Msg: fmt.Sprintf(format, args...)}
+}
+
+// maxDeltas bounds total delta cycles as a livelock backstop. It is a
+// variable only so tests can reach it in a few thousand deltas.
+var maxDeltas int64 = 50_000_000
 
 // graceClocks is the settle window granted to server processes after the
 // last foreground process finishes.

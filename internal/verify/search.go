@@ -627,16 +627,27 @@ func (s *searcher) checkLiveness() error {
 	if len(s.edges) == 0 {
 		return nil
 	}
-	adj := make(map[int32][]int)
+	// Adjacency in CSR form: node n's outgoing edges are
+	// edgeIdx[off[n]:off[n+1]], in recording order.
+	off := make([]int32, len(s.nodes)+1)
+	for _, e := range s.edges {
+		off[e.from+1]++
+	}
+	for n := range s.nodes {
+		off[n+1] += off[n]
+	}
+	edgeIdx := make([]int32, len(s.edges))
+	fill := append([]int32(nil), off[:len(s.nodes)]...)
 	for i, e := range s.edges {
-		adj[e.from] = append(adj[e.from], i)
+		edgeIdx[fill[e.from]] = int32(i)
+		fill[e.from]++
 	}
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	color := make(map[int32]int8)
+	color := make([]int8, len(s.nodes))
 	type frameT struct {
 		node int32
 		next int
@@ -644,20 +655,20 @@ func (s *searcher) checkLiveness() error {
 	}
 	for root := range s.nodes {
 		r := int32(root)
-		if color[r] != white || len(adj[r]) == 0 {
+		if color[r] != white || off[r] == off[r+1] {
 			continue
 		}
 		stack := []frameT{{node: r, in: -1}}
 		color[r] = grey
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			es := adj[f.node]
+			es := edgeIdx[off[f.node]:off[f.node+1]]
 			if f.next >= len(es) {
 				color[f.node] = black
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			ei := es[f.next]
+			ei := int(es[f.next])
 			f.next++
 			to := s.edges[ei].to
 			switch color[to] {
