@@ -58,21 +58,27 @@ func TestJSONVerdictClean(t *testing.T) {
 
 // TestJSONVerdictPQ: the full PQ refinement, ideal-wire and robust,
 // pinned byte for byte — state and transition counts and the
-// reachable-set fingerprint, not only the verdict.
+// reachable-set fingerprint, not only the verdict. The drop-1 rows pin
+// the scenario counters of fault-budget runs, which store through every
+// MEM(addr) lvalue: the ideal-wire handshake stops at the violation
+// cap, and the robust one at a 100,000-state bound.
 func TestJSONVerdictPQ(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
 		args   []string
+		clean  bool
 	}{
-		{"pq_clean.json", []string{"-json"}},
-		{"pq_robust_clean.json", []string{"-robust", "-json"}},
+		{"pq_clean.json", []string{"-json"}, true},
+		{"pq_robust_clean.json", []string{"-robust", "-json"}, true},
+		{"pq_drop1.json", []string{"-drops", "1", "-expect", "any", "-json"}, false},
+		{"pq_robust_drop1.json", []string{"-robust", "-drops", "1", "-states", "100000", "-expect", "any", "-json"}, false},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var v jsonVerdict
 			if err := json.Unmarshal(checkGolden(t, tc.args, 0, tc.golden), &v); err != nil {
 				t.Fatalf("output is not valid JSON: %v", err)
 			}
-			if !v.Match || v.Verify == nil || !v.Verify.Clean {
+			if !v.Match || v.Verify == nil || v.Verify.Clean != tc.clean {
 				t.Fatalf("unexpected verdict: %+v", v)
 			}
 		})

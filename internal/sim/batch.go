@@ -73,8 +73,8 @@ type Engine struct {
 
 // NewEngine compiles the system. It returns an error if the system does
 // not validate or uses a construct the compiler cannot lower: a
-// recursive procedure (the error names it) or a non-lvalue assignment
-// target.
+// recursive procedure or an expression the compiler has no op for (the
+// error names either), or a non-lvalue assignment target.
 func NewEngine(sys *spec.System) (*Engine, error) {
 	if errs := sys.Validate(); len(errs) > 0 {
 		return nil, fmt.Errorf("sim: invalid system: %w", errs[0])
@@ -387,7 +387,7 @@ func newRunner(e *Engine) *runner {
 			r:        r,
 			localOwn: make([]bool, len(prog.locals)),
 		}
-		p.init(prog, p.evFail)
+		p.init(prog, p.failf)
 		p.Locals = make([]Value, len(prog.locals))
 		p.Globals = r.glob
 		r.procs = append(r.procs, p)
@@ -398,7 +398,7 @@ func newRunner(e *Engine) *runner {
 // reset prepares the runner to run cfg from cp, restoring its state
 // from the checkpoint (the initial state for Run). What survives a
 // reset: the compiled programs, the slot arrays' capacity, the
-// evaluator closures, and the changedAt stamps (monotonic, so stale
+// processes' frames, and the changedAt stamps (monotonic, so stale
 // marks never match). What is re-derived: all values, scheduling state,
 // and time.
 func (r *runner) reset(cfg Config, cp *Checkpoint) {
@@ -499,7 +499,7 @@ func (r *runner) run() (*Result, error) {
 		}
 		for i, p := range r.procs {
 			if p.state == stateWaiting && !p.wForever && p.wDeadline == r.now {
-				p.timedOut = p.wHasCheck && !p.condBool(p.wMeta.funtil, p.wMeta.cuntil, p.wMeta.w.Until)
+				p.timedOut = p.wHasCheck && !p.condBool(p.wMeta.funtil, p.wMeta.cuntil)
 				p.state = stateReady
 				runnable = append(runnable, int32(i))
 			}
@@ -613,7 +613,7 @@ func (r *runner) wake(runnable []int32) []int32 {
 		if !hit {
 			continue
 		}
-		if p.wHasCheck && !p.condBool(p.wMeta.funtil, p.wMeta.cuntil, p.wMeta.w.Until) {
+		if p.wHasCheck && !p.condBool(p.wMeta.funtil, p.wMeta.cuntil) {
 			continue
 		}
 		p.timedOut = false
@@ -722,10 +722,6 @@ func (p *bproc) failf(format string, args ...any) {
 	fail("process "+p.prog.beh.Name+": "+format, args...)
 }
 
-func (p *bproc) evFail(format string, args ...any) {
-	fail("process "+p.prog.beh.Name+": "+format, args...)
-}
-
 // exec runs the process until it suspends, finishes or fails, starting
 // from the program counter it last yielded at.
 func (p *bproc) exec() {
@@ -766,7 +762,7 @@ func (p *bproc) exec() {
 			p.execAssign(in)
 			p.pc++
 		case OpBranch:
-			if p.condBool(in.fcond, in.ccond, in.cond) {
+			if p.condBool(in.fcond, in.ccond) {
 				p.pc++
 			} else {
 				p.pc = in.target
@@ -815,7 +811,7 @@ func (p *bproc) exec() {
 // earlier one), variable targets update in place, and a plain store to
 // a never-initialized scratch slot fails "not writable".
 func (p *bproc) execAssign(in *Instr) {
-	val := p.evalExpr(in.crhs, in.rhs)
+	val := p.evalC(in.crhs)
 	ref := in.lref
 	if ref.sp == SignalSlot {
 		s := &p.r.sig[ref.idx]
@@ -866,7 +862,7 @@ func (p *bproc) execAssign(in *Instr) {
 				}
 			}
 		}
-		p.r.schedule(ref.idx, p.ev.applyPath(p.r.effective(ref.idx), in.path, val))
+		p.r.schedule(ref.idx, p.applyPath(p.r.effective(ref.idx), in.path, val))
 		s.pendingOwned = true
 		return
 	}
@@ -890,19 +886,19 @@ func (p *bproc) execAssign(in *Instr) {
 			// no read ever exposes it: mutate the element in place —
 			// applyPath's rebuild without the per-store container copy.
 			a := &in.path[0]
-			idx := int(asInt(p.ev.Eval(a.index))) - av.Lo
+			idx := int(asInt(p.evalC(a.index))) - av.Lo
 			if idx < 0 || idx >= len(av.Elems) {
-				p.ev.fail("store index %d out of range (len %d)", idx+av.Lo, len(av.Elems))
+				p.fail("store index %d out of range (len %d)", idx+av.Lo, len(av.Elems))
 			}
 			if len(in.path) == 1 {
 				av.Elems[idx] = coerceLeafLike(val, av.Elems[idx])
 			} else {
-				av.Elems[idx] = p.ev.applyPath(av.Elems[idx], in.path[1:], val)
+				av.Elems[idx] = p.applyPath(av.Elems[idx], in.path[1:], val)
 			}
 			return
 		}
 	}
-	p.setRaw(ref, p.ev.applyPath(cur, in.path, val))
+	p.setRaw(ref, p.applyPath(cur, in.path, val))
 	if in.aOwn {
 		p.setOwn(ref, true)
 	}
@@ -951,7 +947,7 @@ func (p *bproc) execWait(m *waitMeta) bool {
 		p.failf("wait on non-signal %s", m.badOn.Name)
 	}
 	if s.Until != nil {
-		if p.condBool(m.funtil, m.cuntil, s.Until) {
+		if p.condBool(m.funtil, m.cuntil) {
 			if m.timedOut != nil {
 				p.setStorage(m.timedOutRef, m.timedOut, BoolVal{V: false})
 			}

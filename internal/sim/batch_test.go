@@ -748,3 +748,24 @@ func TestEngineRejectsRecursion(t *testing.T) {
 		t.Fatalf("NewEngine = %v, want recursion rejection naming rec", err)
 	}
 }
+
+// TestEngineRejectsUncompilableExpr: every expression is compiled at
+// construction, so one the compiler cannot lower is a construction
+// error that names it. A unary plus validates, and only the spec API
+// can build one: the .sys parser emits no unary operator but not and
+// minus.
+func TestEngineRejectsUncompilableExpr(t *testing.T) {
+	sys := spec.NewSystem("t")
+	m := sys.AddModule("m")
+	b := m.AddBehavior(spec.NewBehavior("B"))
+	out := m.AddVariable(spec.NewVar("out", spec.Integer))
+	b.Body = []spec.Stmt{
+		spec.AssignVar(spec.Ref(out), &spec.Unary{Op: spec.OpAdd, X: spec.Int(1)}),
+	}
+	if errs := sys.Validate(); len(errs) > 0 {
+		t.Fatalf("Validate = %v, want a valid system", errs)
+	}
+	if _, err := NewEngine(sys); err == nil || !strings.Contains(err.Error(), "(+ 1)") {
+		t.Fatalf("NewEngine = %v, want an error naming (+ 1)", err)
+	}
+}

@@ -1,35 +1,10 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/bits"
 	"repro/internal/estimate"
 	"repro/internal/spec"
 )
-
-// Evaluator is the tree-walking form of the statement language's
-// expression semantics, over storage reached through Lookup. A Frame
-// owns one: it walks the expressions its compiler leaves uncompiled and
-// the index and slice bounds along a store's lvalue path, and the
-// compiled expressions share its operator semantics (applyBinary), so
-// values and failure messages are the same on either path.
-type Evaluator struct {
-	// Lookup resolves a variable read to its current value. It must not
-	// return nil; unknown variables should be reported via Fail.
-	Lookup func(*spec.Variable) Value
-	// Fail aborts evaluation with a formatted runtime error. It must not
-	// return (the simulator panics a sentinel; other engines may do the
-	// same or longjmp however they like).
-	Fail func(format string, args ...any)
-}
-
-func (ev *Evaluator) fail(format string, args ...any) {
-	ev.Fail(format, args...)
-	// Fail must not return; guard against a misbehaving callback rather
-	// than continuing with corrupt state.
-	panic(fmt.Sprintf("sim: Evaluator.Fail returned: "+format, args...))
-}
 
 // smallVecBox caches boxed VecVals for vectors up to 64 bits wide whose
 // value fits a byte. Protocol state is dominated by flags, opcodes and
@@ -95,99 +70,10 @@ func boxBool(b bool) Value {
 	return boolBox[0]
 }
 
-// Eval evaluates an expression against the current variable values.
-func (ev *Evaluator) Eval(e spec.Expr) Value {
-	switch e := e.(type) {
-	case *spec.IntLit:
-		return boxInt(e.Value)
-	case *spec.VecLit:
-		return boxVec(e.Value)
-	case *spec.BoolLit:
-		return boxBool(e.Value)
-	case *spec.VarRef:
-		return ev.Lookup(e.Var)
-	case *spec.Index:
-		arr := ev.Eval(e.Arr)
-		av, ok := arr.(ArrayVal)
-		if !ok {
-			ev.fail("indexing non-array %s", e.Arr)
-		}
-		idx := int(asInt(ev.Eval(e.Index))) - av.Lo
-		if idx < 0 || idx >= len(av.Elems) {
-			ev.fail("index %d out of range for %s (len %d)", idx+av.Lo, e.Arr, len(av.Elems))
-		}
-		return av.Elems[idx]
-	case *spec.SliceExpr:
-		x := ev.Eval(e.X)
-		hi := int(asInt(ev.Eval(e.Hi)))
-		lo := int(asInt(ev.Eval(e.Lo)))
-		xv, ok := x.(VecVal)
-		if !ok {
-			ev.fail("slicing non-vector %s", e.X)
-		}
-		if lo < 0 || hi >= xv.V.Width() || hi < lo {
-			ev.fail("slice (%d downto %d) out of range for %s", hi, lo, e.X)
-		}
-		return boxVec(xv.V.Slice(hi, lo))
-	case *spec.FieldRef:
-		x := ev.Eval(e.X)
-		rv, ok := x.(RecordVal)
-		if !ok {
-			ev.fail("field access on non-record %s", e.X)
-		}
-		i := rv.FieldIndex(e.Field)
-		if i < 0 {
-			ev.fail("no field %s on %s", e.Field, e.X)
-		}
-		return rv.Fields[i]
-	case *spec.Binary:
-		return ev.evalBinary(e)
-	case *spec.Unary:
-		x := ev.Eval(e.X)
-		switch e.Op {
-		case spec.OpNot:
-			switch x := x.(type) {
-			case BoolVal:
-				return boxBool(!x.V)
-			case VecVal:
-				return boxVec(x.V.Not())
-			}
-			ev.fail("not on %s", x)
-		case spec.OpNeg:
-			return boxInt(-asInt(x))
-		}
-		ev.fail("unknown unary op %s", e.Op)
-	case *spec.Conv:
-		x := ev.Eval(e.X)
-		switch to := e.To.(type) {
-		case spec.IntegerType:
-			if xv, ok := x.(VecVal); ok && e.Signed {
-				return boxInt(xv.V.Int64())
-			}
-			return boxInt(asInt(x))
-		case spec.BitVectorType:
-			return boxVec(asVec(x, to.Width))
-		case spec.BitType:
-			return boxVec(asVec(x, 1))
-		case spec.BoolType:
-			return boxBool(asBool(x))
-		}
-		ev.fail("unsupported conversion to %s", e.To)
-	}
-	ev.fail("cannot evaluate %T", e)
-	return nil
-}
-
-func (ev *Evaluator) evalBinary(e *spec.Binary) Value {
-	x := ev.Eval(e.X)
-	y := ev.Eval(e.Y)
-	return ev.applyBinary(e.Op, x, y)
-}
-
-// applyBinary applies a binary operator to already-evaluated operands;
-// the compiled expression evaluator shares it with the tree walker so
-// both produce identical values and identical failure messages.
-func (ev *Evaluator) applyBinary(op spec.Op, x, y Value) Value {
+// applyBinary applies a binary operator to already-evaluated operands:
+// the one definition of the operators' semantics, which the compiled
+// evaluator's inlined fast paths (evalC) must agree with.
+func (f *Frame) applyBinary(op spec.Op, x, y Value) Value {
 	switch op {
 	case spec.OpAnd, spec.OpOr:
 		if xb, ok := x.(BoolVal); ok {
@@ -203,7 +89,7 @@ func (ev *Evaluator) applyBinary(op spec.Op, x, y Value) Value {
 	xv, xIsVec := x.(VecVal)
 	yv, yIsVec := y.(VecVal)
 	if xIsVec || yIsVec {
-		return ev.evalVecBinary(op, x, y, xv, yv, xIsVec, yIsVec)
+		return f.evalVecBinary(op, x, y, xv, yv, xIsVec, yIsVec)
 	}
 
 	// Integer / boolean arithmetic.
@@ -217,12 +103,12 @@ func (ev *Evaluator) applyBinary(op spec.Op, x, y Value) Value {
 		return boxInt(a * b)
 	case spec.OpDiv:
 		if b == 0 {
-			ev.fail("division by zero")
+			f.fail("division by zero")
 		}
 		return boxInt(a / b)
 	case spec.OpMod:
 		if b == 0 {
-			ev.fail("mod by zero")
+			f.fail("mod by zero")
 		}
 		return boxInt(a % b)
 	case spec.OpEq:
@@ -244,11 +130,11 @@ func (ev *Evaluator) applyBinary(op spec.Op, x, y Value) Value {
 	case spec.OpXor:
 		return boxInt(a ^ b)
 	}
-	ev.fail("unsupported integer op %s", op)
+	f.fail("unsupported integer op %s", op)
 	return nil
 }
 
-func (ev *Evaluator) evalVecBinary(op spec.Op, x, y Value, xv, yv VecVal, xIsVec, yIsVec bool) Value {
+func (f *Frame) evalVecBinary(op spec.Op, x, y Value, xv, yv VecVal, xIsVec, yIsVec bool) Value {
 	// Align: coerce the non-vector side (or the narrower vector) to the
 	// wider operand's width.
 	width := 0
@@ -290,7 +176,7 @@ func (ev *Evaluator) evalVecBinary(op spec.Op, x, y Value, xv, yv VecVal, xIsVec
 		return boxBool(a.CompareUnsigned(b) >= 0)
 	case spec.OpMul, spec.OpDiv, spec.OpMod:
 		if width > 64 {
-			ev.fail("%s on vectors wider than 64 bits", op)
+			f.fail("%s on vectors wider than 64 bits", op)
 		}
 		av, bv := a.Uint64(), b.Uint64()
 		var r uint64
@@ -299,12 +185,12 @@ func (ev *Evaluator) evalVecBinary(op spec.Op, x, y Value, xv, yv VecVal, xIsVec
 			r = av * bv
 		case spec.OpDiv:
 			if bv == 0 {
-				ev.fail("division by zero")
+				f.fail("division by zero")
 			}
 			r = av / bv
 		default:
 			if bv == 0 {
-				ev.fail("mod by zero")
+				f.fail("mod by zero")
 			}
 			r = av % bv
 		}
@@ -312,14 +198,14 @@ func (ev *Evaluator) evalVecBinary(op spec.Op, x, y Value, xv, yv VecVal, xIsVec
 	case spec.OpShl, spec.OpShr:
 		sh := int(asInt(y))
 		if sh < 0 {
-			ev.fail("negative shift amount %d", sh)
+			f.fail("negative shift amount %d", sh)
 		}
 		if op == spec.OpShl {
 			return boxVec(a.Lsh(sh))
 		}
 		return boxVec(a.Rsh(sh))
 	}
-	ev.fail("unsupported vector op %s", op)
+	f.fail("unsupported vector op %s", op)
 	return nil
 }
 
@@ -349,10 +235,10 @@ func Coerce(v Value, t spec.Type) Value {
 
 // accessor is one step of an lvalue path, outermost last.
 type accessor struct {
-	index  spec.Expr // array index, or
-	field  string    // record field, or
-	hi, lo spec.Expr // slice bounds
-	kind   int       // 0 index, 1 field, 2 slice
+	index  *cexpr // array index, or
+	field  string // record field, or
+	hi, lo *cexpr // slice bounds
+	kind   int    // 0 index, 1 field, 2 slice
 	// fieldIdx is a static index hint for kind 1, or -1. applyPath
 	// validates it against the runtime record type before trusting it,
 	// so it can only skip the name scan, never change which field a
@@ -360,7 +246,11 @@ type accessor struct {
 	fieldIdx int32
 }
 
-func flattenLValue(lhs spec.Expr) (*spec.Variable, []accessor) {
+// compileLValue flattens an lvalue into its base variable and accessor
+// path, compiling every index and slice bound; a nil base means lhs is
+// not an lvalue. Every variable lhs references must already have been
+// through scanExpr.
+func (c *bcompiler) compileLValue(lhs spec.Expr) (*spec.Variable, []accessor) {
 	var path []accessor
 	for {
 		switch l := lhs.(type) {
@@ -371,13 +261,16 @@ func flattenLValue(lhs spec.Expr) (*spec.Variable, []accessor) {
 			}
 			return l.Var, path
 		case *spec.Index:
-			path = append(path, accessor{kind: 0, index: l.Index})
+			c.markEscapes(l.Index)
+			path = append(path, accessor{kind: 0, index: c.compileExpr(l.Index)})
 			lhs = l.Arr
 		case *spec.FieldRef:
 			path = append(path, accessor{kind: 1, field: l.Field, fieldIdx: -1})
 			lhs = l.X
 		case *spec.SliceExpr:
-			path = append(path, accessor{kind: 2, hi: l.Hi, lo: l.Lo})
+			c.markEscapes(l.Hi)
+			c.markEscapes(l.Lo)
+			path = append(path, accessor{kind: 2, hi: c.compileExpr(l.Hi), lo: c.compileExpr(l.Lo)})
 			lhs = l.X
 		default:
 			return nil, nil
@@ -387,62 +280,62 @@ func flattenLValue(lhs spec.Expr) (*spec.Variable, []accessor) {
 
 // applyPath rebuilds the containers along the accessor path with the
 // leaf replaced. Containers off the path are shared.
-func (ev *Evaluator) applyPath(cur Value, path []accessor, val Value) Value {
+func (f *Frame) applyPath(cur Value, path []accessor, val Value) Value {
 	a := path[0]
 	switch a.kind {
 	case 0: // index
 		av, ok := cur.(ArrayVal)
 		if !ok {
-			ev.fail("indexed store into non-array")
+			f.fail("indexed store into non-array")
 		}
-		idx := int(asInt(ev.Eval(a.index))) - av.Lo
+		idx := int(asInt(f.evalC(a.index))) - av.Lo
 		if idx < 0 || idx >= len(av.Elems) {
-			ev.fail("store index %d out of range (len %d)", idx+av.Lo, len(av.Elems))
+			f.fail("store index %d out of range (len %d)", idx+av.Lo, len(av.Elems))
 		}
 		elems := make([]Value, len(av.Elems))
 		copy(elems, av.Elems)
 		if len(path) == 1 {
 			elems[idx] = coerceLeafLike(val, elems[idx])
 		} else {
-			elems[idx] = ev.applyPath(elems[idx], path[1:], val)
+			elems[idx] = f.applyPath(elems[idx], path[1:], val)
 		}
 		return ArrayVal{Lo: av.Lo, Elems: elems}
 	case 1: // field
 		rv, ok := cur.(RecordVal)
 		if !ok {
-			ev.fail("field store into non-record")
+			f.fail("field store into non-record")
 		}
 		i := int(a.fieldIdx)
 		if i < 0 || i >= len(rv.Type.Fields) || rv.Type.Fields[i].Name != a.field {
 			i = rv.FieldIndex(a.field)
 		}
 		if i < 0 {
-			ev.fail("store to unknown field %s", a.field)
+			f.fail("store to unknown field %s", a.field)
 		}
 		fields := make([]Value, len(rv.Fields))
 		copy(fields, rv.Fields)
 		if len(path) == 1 {
 			fields[i] = Coerce(val, rv.Type.Fields[i].Type)
 		} else {
-			fields[i] = ev.applyPath(fields[i], path[1:], val)
+			fields[i] = f.applyPath(fields[i], path[1:], val)
 		}
 		return RecordVal{Type: rv.Type, Fields: fields}
 	case 2: // slice (always a leaf)
 		vv, ok := cur.(VecVal)
 		if !ok {
-			ev.fail("slice store into non-vector")
+			f.fail("slice store into non-vector")
 		}
-		hi := int(asInt(ev.Eval(a.hi)))
-		lo := int(asInt(ev.Eval(a.lo)))
+		hi := int(asInt(f.evalC(a.hi)))
+		lo := int(asInt(f.evalC(a.lo)))
 		if len(path) != 1 {
-			ev.fail("slice must be the last lvalue step")
+			f.fail("slice must be the last lvalue step")
 		}
 		if lo < 0 || hi >= vv.V.Width() || hi < lo {
-			ev.fail("slice store (%d downto %d) out of range (width %d)", hi, lo, vv.V.Width())
+			f.fail("slice store (%d downto %d) out of range (width %d)", hi, lo, vv.V.Width())
 		}
 		return boxVec(vv.V.SetSlice(hi, lo, asVec(val, hi-lo+1)))
 	}
-	ev.fail("bad lvalue path")
+	f.fail("bad lvalue path")
 	return nil
 }
 

@@ -6,27 +6,28 @@ import (
 )
 
 // This file compiles expressions into flat postfix programs, which a
-// Frame evaluates (frame.go). The tree-walking Evaluator costs an
-// interface dispatch, a type switch and a map-backed variable lookup
-// per node; at millions of runs per campaign that walk dominates the
-// whole simulator. A compiled expression replaces it with a loop over
-// a few preresolved ops and a reusable value stack.
+// Frame evaluates (frame.go): the statement language's one expression
+// evaluator. Every expression a program holds — right-hand sides,
+// branch and wait conditions, and the index and slice bounds along a
+// store's lvalue path — compiles at NewEngine, and a construct the
+// compiler does not lower is a NewEngine error that names the
+// expression. Evaluation is a loop over a few preresolved ops on a
+// reusable value stack: no interface dispatch per tree node and no map
+// lookup per variable read.
 //
-// Faithfulness rules the design:
+// The rules that fix its semantics:
 //
-//   - Operand order is the tree walk's order (left to right), so a
-//     failing operand fails at the same point in the run.
-//   - The tree walker checks that an indexed value is an array *before*
-//     evaluating the index; xCheckArr reproduces that early check.
-//   - Every op that can fail carries its originating spec node so the
-//     failure message renders the same expression text the tree walker
-//     would print.
-//   - Value computation is shared, not duplicated: binary operators go
-//     through the same applyBinary the tree walker uses, and the
-//     conversion/slice/field semantics are copied line for line.
+//   - Operands evaluate left to right, so a failing operand fails at
+//     the same point in the run.
+//   - An indexed value is checked to be an array before its index
+//     evaluates (xCheckArr).
+//   - Every op that can fail carries its originating spec node, so the
+//     failure message renders the source expression's text.
+//   - Binary operators have one definition, applyBinary (eval.go); the
+//     shapes evalC inlines compute the same values.
 //
-// A construct the compiler does not handle simply yields a nil cexpr
-// and the Frame falls back to the tree walker for that expression.
+// Conditions have a second, faster tier, fcond (below), for the tiny
+// grammar the generated protocols branch and wait on.
 
 type copKind uint8
 
@@ -76,13 +77,14 @@ type exprBuilder struct {
 }
 
 // compileExpr compiles e against the program's resolved slots; every
-// variable e references must already have been through scanExpr. A nil
-// return means the expression uses a construct the compiler does not
-// lower; the kernel keeps the spec tree and walks it instead.
+// variable e references must already have been through scanExpr. An
+// expression with a construct the compiler does not lower fails the
+// compilation.
 func (c *bcompiler) compileExpr(e spec.Expr) *cexpr {
 	b := &exprBuilder{prog: c.prog, ok: true}
 	b.emit(e)
 	if !b.ok {
+		c.fail("cannot compile expression %s", e)
 		return nil
 	}
 	ce := &cexpr{ops: b.ops}
@@ -199,18 +201,9 @@ func staticExprType(e spec.Expr) spec.Type {
 	return nil
 }
 
-// evalExpr evaluates via the compiled form when one exists, else the
-// tree walker.
-func (f *Frame) evalExpr(ce *cexpr, e spec.Expr) Value {
-	if ce != nil {
-		return f.evalC(ce)
-	}
-	return f.ev.Eval(e)
-}
-
 // evalC runs a compiled expression on the frame's reusable stack.
-// Failure messages match the tree walker's byte for byte (batch_test.go
-// checks error strings against the classic-kernel goldens).
+// Failure messages are pinned against the classic-kernel goldens
+// (batch_test.go).
 func (f *Frame) evalC(ce *cexpr) Value {
 	st := f.stack[:0] // pre-sized to the program's deepest expression
 	ops := ce.ops
@@ -222,21 +215,21 @@ func (f *Frame) evalC(ce *cexpr) Value {
 		case xLoadLocal:
 			v := f.Locals[op.idx]
 			if v == nil {
-				f.ev.fail("variable %s not in scope", op.v.Name)
+				f.fail("variable %s not in scope", op.v.Name)
 			}
 			st = append(st, v)
 		case xLoadGlobal:
 			st = append(st, f.Globals[op.idx])
 		case xCheckArr:
 			if _, ok := st[len(st)-1].(ArrayVal); !ok {
-				f.ev.fail("indexing non-array %s", op.orig.(*spec.Index).Arr)
+				f.fail("indexing non-array %s", op.orig.(*spec.Index).Arr)
 			}
 		case xIndex:
 			n := len(st)
 			av := st[n-2].(ArrayVal) // xCheckArr already verified
 			idx := int(asInt(st[n-1])) - av.Lo
 			if idx < 0 || idx >= len(av.Elems) {
-				f.ev.fail("index %d out of range for %s (len %d)", idx+av.Lo, op.orig.(*spec.Index).Arr, len(av.Elems))
+				f.fail("index %d out of range for %s (len %d)", idx+av.Lo, op.orig.(*spec.Index).Arr, len(av.Elems))
 			}
 			st[n-2] = av.Elems[idx]
 			st = st[:n-1]
@@ -244,12 +237,12 @@ func (f *Frame) evalC(ce *cexpr) Value {
 			n := len(st)
 			xv, ok := st[n-3].(VecVal)
 			if !ok {
-				f.ev.fail("slicing non-vector %s", op.orig.(*spec.SliceExpr).X)
+				f.fail("slicing non-vector %s", op.orig.(*spec.SliceExpr).X)
 			}
 			hi := int(asInt(st[n-2]))
 			lo := int(asInt(st[n-1]))
 			if lo < 0 || hi >= xv.V.Width() || hi < lo {
-				f.ev.fail("slice (%d downto %d) out of range for %s", hi, lo, op.orig.(*spec.SliceExpr).X)
+				f.fail("slice (%d downto %d) out of range for %s", hi, lo, op.orig.(*spec.SliceExpr).X)
 			}
 			st[n-3] = boxVec(xv.V.Slice(hi, lo))
 			st = st[:n-2]
@@ -257,25 +250,25 @@ func (f *Frame) evalC(ce *cexpr) Value {
 			n := len(st)
 			xv, ok := st[n-1].(VecVal)
 			if !ok {
-				f.ev.fail("slicing non-vector %s", op.orig.(*spec.SliceExpr).X)
+				f.fail("slicing non-vector %s", op.orig.(*spec.SliceExpr).X)
 			}
 			hi, lo := int(op.idx), int(op.lo)
 			if lo < 0 || hi >= xv.V.Width() || hi < lo {
-				f.ev.fail("slice (%d downto %d) out of range for %s", hi, lo, op.orig.(*spec.SliceExpr).X)
+				f.fail("slice (%d downto %d) out of range for %s", hi, lo, op.orig.(*spec.SliceExpr).X)
 			}
 			st[n-1] = boxVec(xv.V.Slice(hi, lo))
 		case xField:
 			n := len(st)
 			rv, ok := st[n-1].(RecordVal)
 			if !ok {
-				f.ev.fail("field access on non-record %s", op.orig.(*spec.FieldRef).X)
+				f.fail("field access on non-record %s", op.orig.(*spec.FieldRef).X)
 			}
 			fi := int(op.idx)
 			if fi < 0 || fi >= len(rv.Type.Fields) || rv.Type.Fields[fi].Name != op.name {
 				fi = rv.FieldIndex(op.name)
 			}
 			if fi < 0 {
-				f.ev.fail("no field %s on %s", op.name, op.orig.(*spec.FieldRef).X)
+				f.fail("no field %s on %s", op.name, op.orig.(*spec.FieldRef).X)
 			}
 			st[n-1] = rv.Fields[fi]
 		case xBinary:
@@ -312,7 +305,7 @@ func (f *Frame) evalC(ce *cexpr) Value {
 				}
 			}
 			if v == nil {
-				v = f.ev.applyBinary(op.op, x, y)
+				v = f.applyBinary(op.op, x, y)
 			}
 			st[n-2] = v
 			st = st[:n-1]
@@ -324,7 +317,7 @@ func (f *Frame) evalC(ce *cexpr) Value {
 			case VecVal:
 				st[n-1] = boxVec(x.V.Not())
 			default:
-				f.ev.fail("not on %s", st[n-1])
+				f.fail("not on %s", st[n-1])
 			}
 		case xNeg:
 			n := len(st)
@@ -346,7 +339,7 @@ func (f *Frame) evalC(ce *cexpr) Value {
 			case spec.BoolType:
 				st[n-1] = boxBool(asBool(x))
 			default:
-				f.ev.fail("unsupported conversion to %s", op.to)
+				f.fail("unsupported conversion to %s", op.to)
 			}
 		}
 	}
@@ -398,8 +391,8 @@ func fillPathHints(path []accessor, base spec.Type) {
 // and/or/not — which evaluates without boxing a single Value. fcond is
 // that grammar compiled; any node outside it (or any runtime shape the
 // static types did not predict) makes evalF report no answer and the
-// caller re-evaluates generically, so failures and exotic cases keep
-// the tree walker's exact behavior.
+// caller evaluates the condition's compiled cexpr, so failures and
+// exotic cases behave exactly as on that generic path.
 
 type fcondKind uint8
 
@@ -544,8 +537,8 @@ func (c *bcompiler) compileIntCmp(e *spec.Binary) *fcond {
 // evalF evaluates a fast condition; ok=false means a runtime shape the
 // compile-time typing did not predict (nil scratch local, coerced
 // container, odd width) and the caller must evaluate generically. Both
-// operands of and/or evaluate regardless of the first's value, exactly
-// like the tree walker.
+// operands of and/or evaluate regardless of the first's value, as they
+// do on the generic path.
 func (f *Frame) evalF(c *fcond) (val, ok bool) {
 	switch c.kind {
 	case fAnd:
@@ -607,11 +600,11 @@ func (f *Frame) evalF(c *fcond) (val, ok bool) {
 }
 
 // condBool evaluates a condition, preferring the fast form.
-func (f *Frame) condBool(c *fcond, ce *cexpr, e spec.Expr) bool {
+func (f *Frame) condBool(c *fcond, ce *cexpr) bool {
 	if c != nil {
 		if v, ok := f.evalF(c); ok {
 			return v
 		}
 	}
-	return asBool(f.evalExpr(ce, e))
+	return asBool(f.evalC(ce))
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/spec"
@@ -9,8 +10,11 @@ import (
 // This file is the read side of the compiled programs, shared by the
 // Engine and by any other executor that steps them (the model checker
 // in internal/verify): the instruction stream, expression and
-// condition evaluation, and the persistent lvalue rebuild. Every store
-// stays with the executor, so each keeps its own ownership rules — the
+// condition evaluation, and the persistent lvalue rebuild. A Frame is
+// the statement language's one expression evaluator: right-hand sides,
+// conditions, and the index and slice bounds along a store's lvalue
+// path all run as compiled expressions (expr.go). Every store stays
+// with the executor, so each keeps its own ownership rules — the
 // Engine mutates containers it provably owns in place, the checker
 // shares values between states and never mutates one.
 
@@ -23,7 +27,7 @@ type Frame struct {
 	Locals, Globals []Value
 	prog            *Program
 	stack           []Value
-	ev              Evaluator
+	onFail          func(format string, args ...any)
 }
 
 // NewFrame returns a Frame for prog with no storage bound. fail
@@ -37,24 +41,16 @@ func NewFrame(prog *Program, fail func(format string, args ...any)) *Frame {
 func (f *Frame) init(prog *Program, fail func(format string, args ...any)) {
 	f.prog = prog
 	f.stack = make([]Value, 0, prog.maxStack)
-	f.ev = Evaluator{Lookup: f.lookup, Fail: fail}
+	f.onFail = fail
 }
 
-// lookup resolves a tree-walker variable read against the program's
-// slot table, failing "not in scope" for never-initialized scratch
-// slots.
-func (f *Frame) lookup(v *spec.Variable) Value {
-	ref, ok := f.prog.res[v]
-	if !ok {
-		// Every compiled expression was scanned, so its variables are
-		// resolved; this is reachable only from hook-supplied expressions.
-		f.ev.fail("variable %s not in scope", v.Name)
-	}
-	val := f.load(ref)
-	if val == nil {
-		f.ev.fail("variable %s not in scope", v.Name)
-	}
-	return val
+// fail aborts evaluation with a runtime error through the caller's
+// callback.
+func (f *Frame) fail(format string, args ...any) {
+	f.onFail(format, args...)
+	// The callback must not return; guard against a misbehaving one
+	// rather than continuing with corrupt state.
+	panic(fmt.Sprintf("sim: Frame fail callback returned: "+format, args...))
 }
 
 // load reads a slot without scope checks.
@@ -66,16 +62,16 @@ func (f *Frame) load(ref slotRef) Value {
 }
 
 // Cond evaluates an OpBranch's condition.
-func (f *Frame) Cond(in *Instr) bool { return f.condBool(in.fcond, in.ccond, in.cond) }
+func (f *Frame) Cond(in *Instr) bool { return f.condBool(in.fcond, in.ccond) }
 
 // Until evaluates the until condition of an OpWait that has one.
 func (f *Frame) Until(in *Instr) bool {
 	m := in.wait
-	return f.condBool(m.funtil, m.cuntil, m.w.Until)
+	return f.condBool(m.funtil, m.cuntil)
 }
 
 // RHS evaluates an OpAssign's right-hand side.
-func (f *Frame) RHS(in *Instr) Value { return f.evalExpr(in.crhs, in.rhs) }
+func (f *Frame) RHS(in *Instr) Value { return f.evalC(in.crhs) }
 
 // Apply returns an OpAssign's destination value after storing val into
 // it: val coerced to the variable's type for a whole store, otherwise
@@ -85,7 +81,7 @@ func (f *Frame) Apply(in *Instr, cur, val Value) Value {
 	if len(in.path) == 0 {
 		return Coerce(val, in.base.Type)
 	}
-	return f.ev.applyPath(cur, in.path, val)
+	return f.applyPath(cur, in.path, val)
 }
 
 // Behavior returns the behavior the program was compiled from.

@@ -72,16 +72,16 @@ type slotRef struct {
 // Instr is one compiled instruction; frame.go exposes its read side.
 type Instr struct {
 	op     Op
-	target int32 // OpBranch (taken when cond is false), OpJump
-	cond   spec.Expr
-	ccond  *cexpr // compiled cond; nil falls back to the tree walker
-	fcond  *fcond // fast boolean form; nil falls back to ccond/cond
+	target int32 // OpBranch (taken when its condition is false), OpJump
+	// OpBranch: the compiled condition, and its fast boolean form when
+	// it has one (nil, or no answer, evaluates ccond).
+	ccond *cexpr
+	fcond *fcond
 
 	// OpAssign: the lvalue pre-flattened to base slot + accessor path,
 	// so the runtime store is a slot write (plain) or one applyPath
 	// rebuild (indexed/field/slice), with no per-statement closures.
-	rhs  spec.Expr
-	crhs *cexpr // compiled rhs; nil falls back to the tree walker
+	crhs *cexpr
 	base *spec.Variable
 	lref slotRef
 	// aOwn marks an element store into an array variable whose container
@@ -101,6 +101,7 @@ type Instr struct {
 	// elapse before the next instruction runs.
 	charge  costKind
 	realize bool
+	cond    spec.Expr
 	stmt    *spec.Assign
 
 	wait *waitMeta // OpWait
@@ -124,8 +125,8 @@ type waitMeta struct {
 	// sensIdx are the signal slots that can actually wake the process.
 	sensIdx []int32
 	condStr string
-	// cuntil is the compiled until condition; nil falls back to the
-	// tree walker. funtil is its fast boolean form, when it has one.
+	// cuntil is the compiled until condition; funtil is its fast
+	// boolean form, when it has one.
 	cuntil *cexpr
 	funtil *fcond
 	// badOn, when non-nil, is the first non-signal variable in the `on`
@@ -323,8 +324,8 @@ func (c *bcompiler) resolveStorage(v *spec.Variable) slotRef {
 	return c.addLocal(v, nil)
 }
 
-// scanExpr resolves every variable an expression references so runtime
-// lookups are single map hits into the program's resolution table.
+// scanExpr resolves every variable an expression references, so the
+// expression compiles to slot loads.
 func (c *bcompiler) scanExpr(e spec.Expr) {
 	spec.WalkExpr(e, func(x spec.Expr) bool {
 		if r, ok := x.(*spec.VarRef); ok {
@@ -461,19 +462,14 @@ func (c *bcompiler) popScope() {
 }
 
 func (c *bcompiler) compileAssign(lhs, rhs spec.Expr, create bool) {
-	base, path := flattenLValue(lhs)
+	c.scanExpr(rhs)
+	c.scanExpr(lhs)
+	base, path := c.compileLValue(lhs)
 	if base == nil {
 		c.fail("assignment to non-lvalue %s", lhs)
 		return
 	}
-	c.scanExpr(rhs)
-	c.scanExpr(lhs)
 	c.markEscapes(rhs)
-	for _, a := range path {
-		c.markEscapes(a.index)
-		c.markEscapes(a.hi)
-		c.markEscapes(a.lo)
-	}
 	var ref slotRef
 	if create {
 		ref = c.resolveStorage(base)
@@ -481,7 +477,7 @@ func (c *bcompiler) compileAssign(lhs, rhs spec.Expr, create bool) {
 		ref = c.resolve(base)
 	}
 	fillPathHints(path, base.Type)
-	c.emit(Instr{op: OpAssign, rhs: rhs, crhs: c.compileExpr(rhs), base: base, lref: ref, path: path, create: create})
+	c.emit(Instr{op: OpAssign, crhs: c.compileExpr(rhs), base: base, lref: ref, path: path, create: create})
 }
 
 func (c *bcompiler) compileIf(s *spec.If) {
@@ -490,7 +486,7 @@ func (c *bcompiler) compileIf(s *spec.If) {
 		c.scanExpr(cond)
 		c.markEscapes(cond)
 		c.emit(Instr{op: OpCharge, charge: costBranch, cond: cond})
-		br := c.emit(Instr{op: OpBranch, cond: cond, ccond: c.compileExpr(cond), fcond: c.compileCond(cond)})
+		br := c.emit(Instr{op: OpBranch, ccond: c.compileExpr(cond), fcond: c.compileCond(cond)})
 		c.stmts(body)
 		if !last {
 			toEnd = append(toEnd, c.emit(Instr{op: OpJump}))
@@ -521,7 +517,7 @@ func (c *bcompiler) compileFor(s *spec.For) {
 	c.compileAssign(spec.Ref(to), s.To, true)
 	head := c.here()
 	forCond := spec.Le(spec.Ref(i), spec.Ref(to))
-	br := c.emit(Instr{op: OpBranch, cond: forCond, ccond: c.compileExpr(forCond), fcond: c.compileCond(forCond)})
+	br := c.emit(Instr{op: OpBranch, ccond: c.compileExpr(forCond), fcond: c.compileCond(forCond)})
 	c.emit(Instr{op: OpCharge, charge: costLoop})
 	c.compileAssign(spec.Ref(s.Var), spec.Ref(i), true)
 	c.scopes = append(c.scopes, scope{})
@@ -537,7 +533,7 @@ func (c *bcompiler) compileWhile(s *spec.While) {
 	c.scanExpr(s.Cond)
 	c.markEscapes(s.Cond)
 	c.emit(Instr{op: OpCharge, charge: costBranch, cond: s.Cond})
-	br := c.emit(Instr{op: OpBranch, cond: s.Cond, ccond: c.compileExpr(s.Cond), fcond: c.compileCond(s.Cond)})
+	br := c.emit(Instr{op: OpBranch, ccond: c.compileExpr(s.Cond), fcond: c.compileCond(s.Cond)})
 	c.scopes = append(c.scopes, scope{})
 	c.stmts(s.Body)
 	c.emit(Instr{op: OpJump, target: head})

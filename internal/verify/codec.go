@@ -104,7 +104,7 @@ func decodeState(m *machine, key, extras []byte) (*state, error) {
 			return nil, fmt.Errorf("verify: decode state: truncated process %d header", p)
 		}
 		st.ps[p] = procState{
-			pc: int32(uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24),
+			pc:      int32(uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24),
 			blocked: key[4]&1 != 0,
 			fin:     key[4]&2 != 0,
 			rem: int64(uint64(key[5]) | uint64(key[6])<<8 | uint64(key[7])<<16 | uint64(key[8])<<24 |
