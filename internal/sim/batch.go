@@ -808,8 +808,8 @@ func (p *bproc) exec() {
 // execAssign evaluates the right-hand side and stores it. Signal
 // targets are delta-scheduled (partial stores build on the pending
 // value, so a later field update in the same delta cannot revert an
-// earlier one), variable targets update in place, and a plain store to
-// a never-initialized scratch slot fails "not writable".
+// earlier one), variable targets update in place, and a store into a
+// never-written local follows Frame.writable.
 func (p *bproc) execAssign(in *Instr) {
 	val := p.evalC(in.crhs)
 	ref := in.lref
@@ -867,8 +867,8 @@ func (p *bproc) execAssign(in *Instr) {
 		return
 	}
 	if len(in.path) == 0 {
-		if ref.sp == LocalSlot && !in.create && p.Locals[ref.idx] == nil {
-			p.failf("variable %s not writable", in.base.Name)
+		if ref.sp == LocalSlot {
+			p.writable(in, p.Locals[ref.idx])
 		}
 		p.setRaw(ref, Coerce(val, in.base.Type))
 		// A whole store may install a container shared with another
@@ -877,9 +877,7 @@ func (p *bproc) execAssign(in *Instr) {
 		return
 	}
 	cur := p.load(ref)
-	if cur == nil {
-		p.failf("variable %s not writable", in.base.Name)
-	}
+	p.writable(in, cur)
 	if in.aOwn && p.ownSlot(ref) {
 		if av, ok := cur.(ArrayVal); ok {
 			// The slot owns its container and the escape analysis proved

@@ -77,11 +77,27 @@ func (f *Frame) RHS(in *Instr) Value { return f.evalC(in.crhs) }
 // it: val coerced to the variable's type for a whole store, otherwise
 // cur with the containers along the lvalue path rebuilt and the leaf
 // replaced. cur is never mutated; containers off the path are shared.
+// cur is nil for a local that was never written; storing into it fails
+// unless the store may create the local (see writable).
 func (f *Frame) Apply(in *Instr, cur, val Value) Value {
+	f.writable(in, cur)
 	if len(in.path) == 0 {
 		return Coerce(val, in.base.Type)
 	}
 	return f.applyPath(cur, in.path, val)
+}
+
+// writable is the one rule on which stores may reach a slot that holds
+// no value yet (a scratch or activation-scoped local before its first
+// setLocal-style write): only a whole store the compiler synthesized
+// (loop counter, timeout flag, parameter copy-in) creates the local.
+// An ordinary assignment to it, or a store along an lvalue path into
+// it, fails "variable v not writable". Every executor calls it before
+// it stores.
+func (f *Frame) writable(in *Instr, cur Value) {
+	if cur == nil && (len(in.path) > 0 || !in.create) {
+		f.fail("variable %s not writable", in.base.Name)
+	}
 }
 
 // Behavior returns the behavior the program was compiled from.
@@ -89,6 +105,12 @@ func (p *Program) Behavior() *spec.Behavior { return p.beh }
 
 // Locals returns the variables of the program's local slots.
 func (p *Program) Locals() []*spec.Variable { return p.locals }
+
+// InitialLocals returns the values the program's local slots start
+// from, by slot: a declared behavior variable's initial value, and nil
+// for an activation-scoped or scratch slot, which holds no value until
+// it is written. The values are shared and must not be mutated.
+func (p *Program) InitialLocals() []Value { return p.localInit }
 
 // Code returns the plain program: no OpCharge, no cost model.
 func (p *Program) Code() []Instr { return p.code }

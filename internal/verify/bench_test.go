@@ -23,7 +23,7 @@ func BenchmarkVerifyBaseline(b *testing.B) {
 
 // BenchmarkVerifyRobust checks the hardened protocol under a one-drop
 // budget with a 50k-state bound — the state-heavy workload the codec,
-// store and copy-on-write work is aimed at.
+// store and row work is aimed at.
 func BenchmarkVerifyRobust(b *testing.B) {
 	benchVerify(b, true, Config{MaxDrops: 1, MaxStates: 50_000})
 }

@@ -68,18 +68,19 @@ func buildCex(m *machine, sr *searcher, site *violationSite, golden map[string]s
 	counts := make(map[string]int64)
 	seen := make(map[string]bool)
 	for _, sp := range steps {
+		next := m.newState()
 		if sp.proc < 0 {
-			ns, clocks, ok := m.tick(st)
+			clocks, ok := m.tick(st, next)
 			if !ok {
 				return nil, fmt.Errorf("trace desynchronized: tick step with no pending timer")
 			}
-			st = ns
+			st = next
 			c.Steps = append(c.Steps, Step{Clocks: clocks, Desc: fmt.Sprintf("%d clock(s) pass", clocks)})
 			continue
 		}
 		p := int(sp.proc)
 		prog := m.progs[p]
-		res, err := m.exec(ec, st, p)
+		res, err := m.exec(ec, st, next, p)
 		if err != nil {
 			return nil, err
 		}
@@ -126,10 +127,11 @@ func buildCex(m *machine, sr *searcher, site *violationSite, golden map[string]s
 			c.order = append(c.order, prog.beh.Name)
 		}
 		if sp.drop >= 0 {
-			st = m.dropVariant(st, res.st, int(sp.drop))
-		} else {
-			st = res.st
+			alt := m.newState()
+			m.dropVariant(st, next, alt, int(sp.drop))
+			next = alt
 		}
+		st = next
 		c.Steps = append(c.Steps, Step{Proc: prog.beh.Name, Drop: dropName, Desc: strings.Join(parts, ", ")})
 	}
 	return c, nil

@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // This file is the binary state codec: the dedup key the searcher's
-// store hashes and confirms against. encodeInto must partition states
-// exactly like the legacy string encode() — two states get equal byte
-// keys iff their encode() strings are equal — because the recorded
-// state counts (EXPERIMENTS.md) depend on the store's equivalence
-// classes, not just on correctness. codec_test.go pins the equivalence
-// over a generated corpus.
+// store hashes and confirms. encodeInto must partition states exactly
+// like the legacy string encode() — two states get equal byte keys iff
+// their encode() strings are equal — because the recorded state counts
+// (EXPERIMENTS.md) depend on the store's equivalence classes, not just
+// on correctness. codec_test.go pins the equivalence over a generated
+// corpus.
 //
 // Layout (all integers little-endian, fixed width):
 //
@@ -25,11 +26,18 @@ import (
 // No per-field delimiters are needed: the machine fixes the global
 // count, the process count and each process's local count, and every
 // sim.AppendBinary rendering is self-delimiting, so the stream is
-// uniquely decodable by position.
+// uniquely decodable by position. A local that was never written keys
+// as its initial value.
+//
+// The searcher never calls encodeInto on its hot path: it stores rows
+// of interned value ids (row.go), and builds the same bytes by
+// concatenating each value's cached encoding (rowLayout.appendKey), or
+// hashes them without building them (rowLayout.hash). encodeInto is
+// the definition those must match, and the spill tier's decoder is its
+// inverse.
 
 // encodeInto appends s's canonical binary key to dst and returns the
-// extended slice. It allocates only when dst's capacity is exceeded —
-// callers reuse per-worker scratch buffers across successors.
+// extended slice. It allocates only when dst's capacity is exceeded.
 func (s *state) encodeInto(dst []byte) []byte {
 	for _, v := range s.g {
 		dst = sim.AppendBinary(dst, v)
@@ -49,8 +57,8 @@ func (s *state) encodeInto(dst []byte) []byte {
 		dst = append(dst,
 			byte(r), byte(r>>8), byte(r>>16), byte(r>>24),
 			byte(r>>32), byte(r>>40), byte(r>>48), byte(r>>56))
-		for _, v := range s.l[p] {
-			dst = sim.AppendBinary(dst, v)
+		for i := range s.l[p] {
+			dst = sim.AppendBinary(dst, s.keyLocal(p, i))
 		}
 	}
 	for _, w := range s.lastW {
@@ -69,39 +77,35 @@ func (s *state) encodeTailsInto(dst []byte) []byte {
 		dst = sim.AppendBinaryTails(dst, v)
 	}
 	for p := range s.l {
-		for _, v := range s.l[p] {
-			dst = sim.AppendBinaryTails(dst, v)
+		for i := range s.l[p] {
+			dst = sim.AppendBinaryTails(dst, s.keyLocal(p, i))
 		}
 	}
 	return dst
 }
 
-// decodeState rebuilds a state from its key and extras streams — the
-// inverse of (encodeInto, encodeTailsInto). The shell comes from the
-// machine's pool like any cloneShared child, but every inner local
-// slice is freshly allocated: pooled shells may still alias inner
-// slices of live states. Malformed input (a torn spill record that
-// passed its checksum by fluke, or a software bug) returns an error;
-// the decoder never guesses.
-func decodeState(m *machine, key, extras []byte) (*state, error) {
-	st, ok := m.pool.Get().(*state)
-	if !ok {
-		st = &state{
-			g:     make([]sim.Value, len(m.globals)),
-			l:     make([][]sim.Value, len(m.progs)),
-			ps:    make([]procState, len(m.progs)),
-			lastW: make([]int8, m.nTrack),
-		}
-	}
+// decodeState rebuilds a state into st from its key and extras streams
+// — the inverse of (encodeInto, encodeTailsInto). The streams leave out
+// each array's Lo and each record's type, which indexing and field
+// stores need, so every slot is decoded against its declared type
+// (declared). A local that was never written decodes as its initial
+// value, the value it keys as. Malformed input (a torn spill record
+// that passed its checksum by fluke, or a software bug) returns an
+// error; the decoder never guesses.
+func decodeState(m *machine, key, extras []byte, st *state) error {
 	var err error
+	var v sim.Value
 	for i := range st.g {
-		if st.g[i], key, extras, err = sim.DecodeBinary(key, extras); err != nil {
-			return nil, fmt.Errorf("verify: decode state global %d: %w", i, err)
+		if v, key, extras, err = sim.DecodeBinary(key, extras); err != nil {
+			return fmt.Errorf("verify: decode state global %d: %w", i, err)
+		}
+		if st.g[i], err = declared(v, m.globals[i].Type); err != nil {
+			return fmt.Errorf("verify: decode state global %d: %w", i, err)
 		}
 	}
 	for p, prog := range m.progs {
 		if len(key) < 13 {
-			return nil, fmt.Errorf("verify: decode state: truncated process %d header", p)
+			return fmt.Errorf("verify: decode state: truncated process %d header", p)
 		}
 		st.ps[p] = procState{
 			pc:      int32(uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24),
@@ -111,16 +115,17 @@ func decodeState(m *machine, key, extras []byte) (*state, error) {
 				uint64(key[9])<<32 | uint64(key[10])<<40 | uint64(key[11])<<48 | uint64(key[12])<<56),
 		}
 		key = key[13:]
-		loc := make([]sim.Value, len(prog.locals))
-		for i := range loc {
-			if loc[i], key, extras, err = sim.DecodeBinary(key, extras); err != nil {
-				return nil, fmt.Errorf("verify: decode state proc %d local %d: %w", p, i, err)
+		for i, lv := range prog.locals {
+			if v, key, extras, err = sim.DecodeBinary(key, extras); err != nil {
+				return fmt.Errorf("verify: decode state proc %d local %d: %w", p, i, err)
+			}
+			if st.l[p][i], err = declared(v, lv.Type); err != nil {
+				return fmt.Errorf("verify: decode state proc %d local %d: %w", p, i, err)
 			}
 		}
-		st.l[p] = loc
 	}
 	if len(key) < m.nTrack+2 {
-		return nil, fmt.Errorf("verify: decode state: truncated trailer")
+		return fmt.Errorf("verify: decode state: truncated trailer")
 	}
 	for i := 0; i < m.nTrack; i++ {
 		st.lastW[i] = int8(key[i])
@@ -128,9 +133,46 @@ func decodeState(m *machine, key, extras []byte) (*state, error) {
 	key = key[m.nTrack:]
 	st.budget = int16(uint16(key[0]) | uint16(key[1])<<8)
 	if len(key) != 2 || len(extras) != 0 {
-		return nil, fmt.Errorf("verify: decode state: %d key and %d extras bytes left over", len(key)-2, len(extras))
+		return fmt.Errorf("verify: decode state: %d key and %d extras bytes left over", len(key)-2, len(extras))
 	}
-	return st, nil
+	clear(st.written)
+	return nil
+}
+
+// declared restores what the binary codec leaves out of a decoded value
+// from the type declared for its slot: each array's Lo and each
+// record's type, recursively. A container that does not have the
+// declared shape is an error.
+func declared(v sim.Value, t spec.Type) (sim.Value, error) {
+	switch t := t.(type) {
+	case spec.ArrayType:
+		av, ok := v.(sim.ArrayVal)
+		if !ok || len(av.Elems) != t.Length {
+			return nil, fmt.Errorf("decoded %T does not have its declared type %s", v, t)
+		}
+		for i, e := range av.Elems {
+			var err error
+			if av.Elems[i], err = declared(e, t.Elem); err != nil {
+				return nil, err
+			}
+		}
+		av.Lo = t.Lo
+		return av, nil
+	case spec.RecordType:
+		rv, ok := v.(sim.RecordVal)
+		if !ok || len(rv.Fields) != len(t.Fields) {
+			return nil, fmt.Errorf("decoded %T does not have its declared type %s", v, t)
+		}
+		for i, f := range rv.Fields {
+			var err error
+			if rv.Fields[i], err = declared(f, t.Fields[i].Type); err != nil {
+				return nil, err
+			}
+		}
+		rv.Type = t
+		return rv, nil
+	}
+	return v, nil
 }
 
 // FNV-1a, 64-bit. Inlined rather than hash/fnv so hashing a key is a
@@ -141,15 +183,8 @@ const (
 )
 
 // hashKey returns the 64-bit FNV-1a hash of a binary state key — the
-// only per-state datum the store retains.
-func hashKey(key []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
+// datum the store indexes states by.
+func hashKey(key []byte) uint64 { return fnvAppend(fnvOffset64, key) }
 
 // hashString is hashKey for strings (violation-message dedup) without
 // a []byte conversion allocation.

@@ -27,9 +27,18 @@ func exploreStates(t *testing.T, pcfg protogen.Config, vcfg Config) []*state {
 	if err := sr.run(); err != nil {
 		t.Fatal(err)
 	}
-	states := make([]*state, len(sr.nodes))
-	for i, n := range sr.nodes {
-		states[i] = n.st
+	return storedStates(t, sr)
+}
+
+// storedStates materializes every state a finished search stored.
+func storedStates(t testing.TB, sr *searcher) []*state {
+	t.Helper()
+	states := make([]*state, sr.count())
+	for i := range states {
+		states[i] = sr.m.newState()
+		if err := sr.loadState(sr.seq.in, int32(i), states[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return states
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/hdl"
@@ -22,6 +23,10 @@ import (
 // mutated the shared zero template in place from the second call on,
 // so a pooled Engine's next run (and the checker, which clears to the
 // same template after the golden run) started from a dirty "zero".
+// The not-writable case assigns a variable nothing declares: the
+// simulator refuses the store, and the checker once stored into the
+// local's initial value and proved the system clean; both must now fail
+// with the simulator's error.
 func TestLoweringMatchesSimulator(t *testing.T) {
 	const bump = `
       procedure bump is
@@ -35,6 +40,7 @@ func TestLoweringMatchesSimulator(t *testing.T) {
 		build     func() *spec.System // used instead of src when set
 		final     string
 		want      sim.Value
+		err       string // both executors must fail with it, when set
 	}{
 		{"for-hidden-counter", `
 system ForCounter is
@@ -50,7 +56,7 @@ system ForCounter is
   module d is
     variable Y : integer;
   end module;
-end system;`, nil, "d.Y", sim.IntVal{V: 4}},
+end system;`, nil, "d.Y", sim.IntVal{V: 4}, ""},
 		{"exit-in-call-in-loop", `
 system ExitInLoopCall is
   module m is
@@ -64,7 +70,7 @@ system ExitInLoopCall is
   module d is
     variable X : integer;
   end module;
-end system;`, nil, "d.X", sim.IntVal{V: 3}},
+end system;`, nil, "d.X", sim.IntVal{V: 3}, ""},
 		{"exit-in-call-at-top", `
 system ExitInCall is
   module m is
@@ -76,7 +82,7 @@ system ExitInCall is
   module d is
     variable X : integer;
   end module;
-end system;`, nil, "d.X", sim.IntVal{V: 1}},
+end system;`, nil, "d.X", sim.IntVal{V: 1}, ""},
 		{"shared-timeout-flag", "", func() *spec.System {
 			sys := spec.NewSystem("SharedFlag")
 			g := sys.AddGlobal(spec.NewSignal("G", spec.Bit))
@@ -85,7 +91,7 @@ end system;`, nil, "d.X", sim.IntVal{V: 1}},
 			// G is never driven, so the wait times out and sets d.T.
 			b.Body = []spec.Stmt{spec.WaitUntilFor(spec.Eq(spec.Ref(g), spec.VecString("1")), 3, flag)}
 			return sys
-		}, "d.T", sim.BoolVal{V: true}},
+		}, "d.T", sim.BoolVal{V: true}, ""},
 		{"cleared-local-array", `
 system ClearedLocal is
   module m is
@@ -105,7 +111,21 @@ system ClearedLocal is
   module d is
     variable X : integer;
   end module;
-end system;`, nil, "d.X", sim.IntVal{V: 4}},
+end system;`, nil, "d.X", sim.IntVal{V: 4}, ""},
+		{"not-writable", "", func() *spec.System {
+			// .sys text cannot name an undeclared variable, so this case
+			// is built in Go: B runs u := 1; Y := u with u declared
+			// nowhere.
+			sys := spec.NewSystem("NotWritable")
+			y := sys.AddModule("d").AddVariable(spec.NewVar("Y", spec.Integer))
+			u := spec.NewVar("u", spec.Integer)
+			b := sys.AddModule("m").AddBehavior(spec.NewBehavior("B"))
+			b.Body = []spec.Stmt{
+				spec.AssignVar(spec.Ref(u), spec.Int(1)),
+				spec.AssignVar(spec.Ref(y), spec.Ref(u)),
+			}
+			return sys
+		}, "", nil, "process B: variable u not writable"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,6 +141,15 @@ end system;`, nil, "d.X", sim.IntVal{V: 4}},
 			eng, err := sim.NewEngine(sys)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.err != "" {
+				if _, err := eng.Run(sim.Config{}); err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("simulator: Run = %v, want an error containing %q", err, tc.err)
+				}
+				if rep, err := Check(sys, Config{}); err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("checker: Check = %v, want an error containing %q (report: %v)", err, tc.err, rep)
+				}
+				return
 			}
 			// Twice: a pooled Engine's runs must not see each other.
 			for run := 1; run <= 2; run++ {

@@ -1,0 +1,304 @@
+package verify
+
+import (
+	"encoding/binary"
+	mathbits "math/bits"
+
+	"repro/internal/sim"
+)
+
+// This file is how the searcher holds a stored state: a row, a
+// fixed-length run of bytes with no pointers in it, laid out as
+//
+//	ids      one uint32 value id (values.go) per global slot, then per
+//	         process per local slot
+//	control  per process pc uint32 · flags byte (bit0 blocked, bit1
+//	         fin) · rem uint64, the state key's process header
+//	tail     lastW, one byte per tracked bus field · budget uint16,
+//	         the state key's trailer
+//
+// all little-endian, so the control and tail bytes are copied into the
+// key as they are. Rows live in chunked slabs the collector never
+// scans, and a node finds its row by its index. Verify-deep's proof
+// (38 value slots, 4 processes, 4 tracked fields) stores 210 bytes per
+// state.
+
+// rowLayout is the machine's row geometry.
+type rowLayout struct {
+	nIDs  int   // value slots: globals, then every process's locals
+	lbase []int // first value slot of each process's locals
+	ctl   int   // offset of the control bytes
+	tail  int   // offset of the tail bytes
+	size  int
+	// init holds each process's local initial values: what a local that
+	// was never written (nil) keys as.
+	init [][]sim.Value
+}
+
+// procCtl is the size of one process's control bytes.
+const procCtl = 13
+
+func newRowLayout(nGlobals int, nLocals []int, nTrack int) rowLayout {
+	lay := rowLayout{nIDs: nGlobals}
+	for _, n := range nLocals {
+		lay.lbase = append(lay.lbase, lay.nIDs)
+		lay.nIDs += n
+	}
+	lay.ctl = 4 * lay.nIDs
+	lay.tail = lay.ctl + procCtl*len(nLocals)
+	lay.size = lay.tail + nTrack + 2
+	return lay
+}
+
+func rowID(row []byte, i int) uint32 { return binary.LittleEndian.Uint32(row[4*i:]) }
+
+func putRowID(row []byte, i int, id uint32) { binary.LittleEndian.PutUint32(row[4*i:], id) }
+
+// putControl writes st's control and tail bytes into row.
+func (lay *rowLayout) putControl(row []byte, st *state) {
+	c := row[lay.ctl:]
+	for p := range st.ps {
+		ps := &st.ps[p]
+		binary.LittleEndian.PutUint32(c, uint32(ps.pc))
+		var flags byte
+		if ps.blocked {
+			flags |= 1
+		}
+		if ps.fin {
+			flags |= 2
+		}
+		c[4] = flags
+		binary.LittleEndian.PutUint64(c[5:], uint64(ps.rem))
+		c = c[procCtl:]
+	}
+	for i, w := range st.lastW {
+		c[i] = byte(w)
+	}
+	binary.LittleEndian.PutUint16(c[len(st.lastW):], uint16(st.budget))
+}
+
+// rowProc decodes process p's control bytes.
+func (lay *rowLayout) rowProc(row []byte, p int) procState {
+	c := row[lay.ctl+procCtl*p:]
+	return procState{
+		pc:      int32(binary.LittleEndian.Uint32(c)),
+		blocked: c[4]&1 != 0,
+		fin:     c[4]&2 != 0,
+		rem:     int64(binary.LittleEndian.Uint64(c[5:])),
+	}
+}
+
+// materialize loads row into st: every value from the table, the
+// control and tail bytes decoded. st's written marks are cleared.
+func (lay *rowLayout) materialize(in *interner, row []byte, st *state) {
+	for i := range st.g {
+		st.g[i] = in.entry(rowID(row, i)).val
+	}
+	for p, loc := range st.l {
+		base := lay.lbase[p]
+		for i := range loc {
+			loc[i] = in.entry(rowID(row, base+i)).val
+		}
+		st.ps[p] = lay.rowProc(row, p)
+	}
+	tail := row[lay.tail:]
+	for i := range st.lastW {
+		st.lastW[i] = int8(tail[i])
+	}
+	st.budget = int16(binary.LittleEndian.Uint16(tail[len(st.lastW):]))
+	clear(st.written)
+}
+
+// build writes the row of st into dst: base's ids for the slots st did
+// not write, the interned value for the slots it did, then st's control
+// and tail bytes. base is the row st was derived from; dst may alias it.
+func (lay *rowLayout) build(in *interner, dst, base []byte, st *state) {
+	copy(dst[:lay.ctl], base[:lay.ctl])
+	for w, bits := range st.written {
+		for bits != 0 {
+			i := 64*w + mathbits.TrailingZeros64(bits)
+			bits &= bits - 1
+			putRowID(dst, i, in.intern(st.slot(lay, i)))
+		}
+	}
+	lay.putControl(dst, st)
+}
+
+// appendKey appends row's state key: the bytes encodeInto gives for the
+// state the row holds.
+func (lay *rowLayout) appendKey(in *interner, dst, row []byte) []byte {
+	nG := lay.nIDs
+	if len(lay.lbase) > 0 {
+		nG = lay.lbase[0]
+	}
+	for i := 0; i < nG; i++ {
+		dst = append(dst, in.entry(rowID(row, i)).key...)
+	}
+	for p, base := range lay.lbase {
+		end := lay.nIDs
+		if p+1 < len(lay.lbase) {
+			end = lay.lbase[p+1]
+		}
+		c := lay.ctl + procCtl*p
+		dst = append(dst, row[c:c+procCtl]...)
+		for i := base; i < end; i++ {
+			dst = append(dst, in.entry(rowID(row, i)).key...)
+		}
+	}
+	return append(dst, row[lay.tail:lay.size]...)
+}
+
+// appendTails appends row's extras stream: the bytes encodeTailsInto
+// gives for the state the row holds.
+func (lay *rowLayout) appendTails(in *interner, dst, row []byte) []byte {
+	for i := 0; i < lay.nIDs; i++ {
+		dst = append(dst, in.entry(rowID(row, i)).tails...)
+	}
+	return dst
+}
+
+// hash is hashKey(appendKey(row)), computed over the entries' cached
+// key bytes without building the key.
+func (lay *rowLayout) hash(in *interner, row []byte) uint64 {
+	h := uint64(fnvOffset64)
+	nG := lay.nIDs
+	if len(lay.lbase) > 0 {
+		nG = lay.lbase[0]
+	}
+	for i := 0; i < nG; i++ {
+		h = fnvAppend(h, in.entry(rowID(row, i)).key)
+	}
+	for p, base := range lay.lbase {
+		end := lay.nIDs
+		if p+1 < len(lay.lbase) {
+			end = lay.lbase[p+1]
+		}
+		c := lay.ctl + procCtl*p
+		h = fnvAppend(h, row[c:c+procCtl])
+		for i := base; i < end; i++ {
+			h = fnvAppend(h, in.entry(rowID(row, i)).key)
+		}
+	}
+	return fnvAppend(h, row[lay.tail:lay.size])
+}
+
+// sameKey reports whether rows a and b hold states with equal keys:
+// value ids equal up to key class, control and tail bytes equal. Rows
+// whose values differ only where the key does not look (array elements
+// past the head) compare equal, exactly as their keys do.
+func (lay *rowLayout) sameKey(in *interner, a, b []byte) bool {
+	for i := 0; i < lay.nIDs; i++ {
+		x, y := rowID(a, i), rowID(b, i)
+		if x != y && in.entry(x).class != in.entry(y).class {
+			return false
+		}
+	}
+	return string(a[lay.ctl:lay.size]) == string(b[lay.ctl:lay.size])
+}
+
+// rowOf interns every slot of st into dst: the row of a state that has
+// no base row (the initial state, a state decoded from a spill record).
+// A nil local is unset: it keys as the local's initial value.
+func (lay *rowLayout) rowOf(in *interner, dst []byte, st *state) {
+	for i := range st.g {
+		putRowID(dst, i, in.intern(st.g[i]))
+	}
+	for p, loc := range st.l {
+		for i, v := range loc {
+			var id uint32
+			if v == nil {
+				id = in.internUnset(lay.init[p][i])
+			} else {
+				id = in.intern(v)
+			}
+			putRowID(dst, lay.lbase[p]+i, id)
+		}
+	}
+	lay.putControl(dst, st)
+}
+
+// slab is a growable array kept in chunks that never move: chunk k
+// holds slabBase<<k elements up to chunk slabMaxShift, and every later
+// chunk as many as that one. A small search allocates small chunks, a
+// large one never copies what it stored, and a chunk whose elements
+// are all sealed can be dropped. Each element is stride Ts.
+type slab[T any] struct {
+	stride int
+	chunks [][]T
+	n      int
+}
+
+const (
+	slabBase     = 64
+	slabMaxShift = 6
+	slabFixed    = slabBase << slabMaxShift
+	// slabGrowing is the element count of the growing chunks.
+	slabGrowing = slabBase * (1<<slabMaxShift - 1)
+)
+
+// locate maps element i to its chunk and its index in the chunk.
+func locate(i int) (k, off int) {
+	if i < slabGrowing {
+		k = mathbits.Len(uint(i/slabBase+1)) - 1
+		return k, i - slabBase*(1<<k-1)
+	}
+	i -= slabGrowing
+	return slabMaxShift + i/slabFixed, i % slabFixed
+}
+
+// chunkLen is chunk k's element count.
+func chunkLen(k int) int {
+	if k < slabMaxShift {
+		return slabBase << k
+	}
+	return slabFixed
+}
+
+// at returns element i.
+func (s *slab[T]) at(i int) []T {
+	k, off := locate(i)
+	return s.chunks[k][off*s.stride : (off+1)*s.stride : (off+1)*s.stride]
+}
+
+// add appends a zero element and returns it.
+func (s *slab[T]) add() []T {
+	k, _ := locate(s.n)
+	if k == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, chunkLen(k)*s.stride))
+	}
+	s.n++
+	return s.at(s.n - 1)
+}
+
+// dropBelow releases every chunk whose elements all lie below i.
+func (s *slab[T]) dropBelow(i int) {
+	end := 0
+	for k := range s.chunks {
+		end += chunkLen(k)
+		if end > i {
+			return
+		}
+		s.chunks[k] = nil
+	}
+}
+
+// fnvAppend continues an FNV-1a hash over b.
+func fnvAppend(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// slot returns value slot i of st (row order).
+func (st *state) slot(lay *rowLayout, i int) sim.Value {
+	if i < len(st.g) {
+		return st.g[i]
+	}
+	p := len(lay.lbase) - 1
+	for lay.lbase[p] > i {
+		p--
+	}
+	return st.l[p][i-lay.lbase[p]]
+}

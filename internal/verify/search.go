@@ -16,10 +16,11 @@ type step struct {
 	tick int64 // clocks advanced when proc == -1
 }
 
-// node is one stored state plus its search bookkeeping. parent/via
-// record the first (hence shortest, BFS) path for counterexamples.
+// node is one stored state's search bookkeeping; its state is row i of
+// the searcher's row slab while hot, a spill record once sealed.
+// parent/via record the first (hence shortest, BFS) path for
+// counterexamples. A node holds no pointers.
 type node struct {
-	st      *state
 	parent  int32
 	via     step
 	depth   int32
@@ -62,32 +63,37 @@ type vioKey struct {
 }
 
 type searcher struct {
-	m           *machine
-	ctx         context.Context
-	nodes       []*node
+	m   *machine
+	ctx context.Context
+	lay *rowLayout
+	// nodes and rows are indexed by node id; rows holds the hot states
+	// (row.go) and drops its chunks as layers seal.
+	nodes       slab[node]
+	rows        slab[byte]
+	vals        *valueTable
 	store       *store
 	edges       []edge // transitions between open states (liveness graph)
 	frontier    []int32
+	spare       []int32 // the previous layer's frontier, reused
 	sites       []*violationSite
 	vioKeys     map[vioKey]bool
 	transitions int64
 	depth       int32
 	incomplete  string
-	// wpool recycles per-worker expansion buffers (key arena, confirm
-	// scratch, successor slice) across layers. It is allocated apart
-	// from the searcher: the runtime's pool registry keeps a used pool
-	// reachable until the next collection, and an embedded one would
-	// keep the whole search, every stored state, alive with it.
-	wpool *sync.Pool
-	// nodeArena chunk-allocates node storage: one allocation per 4096
-	// admissions instead of one per node.
-	nodeArena []node
+	// Expansion contexts: workers lists every one made, idle the ones
+	// not held by an expanding goroutine; seq is the sequential phases'
+	// own (merge, seal, liveness).
+	mu      sync.Mutex
+	workers []*wctx
+	idle    []*wctx
+	seq     *wctx
+	results []expandOut
 	// Spill bookkeeping (Config.MemBudget > 0). hotBytes tracks the
 	// estimated resident bytes of unsealed states; it is a pure function
-	// of the admitted states (stateEst + key length, both deterministic),
-	// so sealing decisions — and therefore everything — stay worker-
-	// invariant. Sealed nodes are the prefix [0, sealed) of the node
-	// array, whole BFS layers at a time (layerEnds records layer
+	// of the admitted state count (stateEst is derived from the row
+	// layout), so sealing decisions — and therefore everything — stay
+	// worker-invariant. Sealed nodes are the prefix [0, sealed) of the
+	// node array, whole BFS layers at a time (layerEnds records layer
 	// boundaries as cumulative node counts).
 	memBudget   int64
 	hotBytes    int64
@@ -102,86 +108,125 @@ type searcher struct {
 	fpXor, fpSum uint64
 }
 
-func (s *searcher) newNode() *node {
-	if len(s.nodeArena) == 0 {
-		s.nodeArena = make([]node, 4096)
-	}
-	nn := &s.nodeArena[0]
-	s.nodeArena = s.nodeArena[1:]
-	return nn
-}
+// node returns node j's bookkeeping. The pointer stays valid as the
+// search grows: slab chunks never move.
+func (s *searcher) node(j int32) *node { return &s.nodes.at(int(j))[0] }
 
-// wctx is one expansion's reusable buffers. Successor keys are slices
-// of the arena, recorded as offsets because append may move it.
+// count is the number of stored states.
+func (s *searcher) count() int { return s.nodes.n }
+
+// wctx is one expanding goroutine's context: the executor, the
+// interner, the scratch states a node expands through, and the layer's
+// output — every successor it computed, and the rows of those that
+// missed the store — which stays put until the layer is merged.
 type wctx struct {
-	arena   []byte
-	scratch []byte
-	succs   []succOut
-	ec      *execCtx
+	ec *execCtx
+	in *interner
+	// cur is the node being expanded, norm a process's normal successor
+	// and alt a drop variant of norm or the quiescent tick; nrow and arow
+	// hold norm's and alt's rows, and prow a sealed parent's.
+	cur, norm, alt   *state
+	prow, nrow, arow []byte
+	key              []byte // a probe's key, for the spill tier
+	succs            []succOut
+	rows             []byte
 }
 
 // succOut is one successor computed by a worker; everything the merge
 // needs is precomputed so the sequential phase stays cheap. Workers
-// pre-hash the binary key and pre-check it against the store (frozen
-// during expansion): a hit fixes `existing` and drops the state and key
-// on the spot, a miss carries the state plus its key (arena offsets)
-// to the merge, which re-checks against in-layer insertions.
+// hash the successor's row and pre-check it against the store (frozen
+// during expansion): a hit fixes `existing`, a miss carries the row
+// (at offset row of the worker's rows) to the merge, which re-checks
+// against in-layer insertions.
 type succOut struct {
-	via            step
-	hash           uint64
-	existing       int32 // pre-checked store hit; -1 = miss
-	st             *state
-	keyOff, keyEnd int32
-	enabled        uint32
-	open           bool
-	sleep          uint32
-	conflicts      []string
+	via       step
+	hash      uint64
+	existing  int32 // pre-checked store hit; -1 = miss
+	row       int32
+	enabled   uint32
+	open      bool
+	sleep     uint32
+	conflicts []string
 }
 
+// expandOut is one node's expansion: its successors are w.succs[lo:hi].
 type expandOut struct {
 	maskUsed uint32
 	tickUsed bool
 	w        *wctx
+	lo, hi   int32
 	err      error
 }
+
+// hotIndexBytes is a hot state's share of the hot index beyond its
+// row: the hash, the node id and the map's slack.
+const hotIndexBytes = 16
 
 func newSearcher(m *machine) *searcher {
 	s := &searcher{
 		m:         m,
+		lay:       &m.lay,
+		nodes:     slab[node]{stride: 1},
+		rows:      slab[byte]{stride: m.lay.size},
+		vals:      newValueTable(),
 		store:     newStore(),
 		vioKeys:   make(map[vioKey]bool),
-		wpool:     new(sync.Pool),
 		memBudget: m.cfg.MemBudget,
 	}
 	s.store.lossy = m.cfg.Lossy
-	// stateEst approximates one hot state's resident bytes beyond its
-	// key: the shell's slice headers and backing arrays plus an interface
-	// word pair per value. It only steers when layers seal; being an
+	// stateEst approximates one hot state's resident bytes: its row and
+	// its hot index entry. It only steers when layers seal; being an
 	// estimate costs accuracy of the budget, never correctness — but it
 	// must be deterministic, so it is derived from the machine's fixed
 	// layout, never from runtime measurement.
-	est := int64(160 + 16*len(m.globals) + m.nTrack)
-	for _, prog := range m.progs {
-		est += 48 + 16*int64(len(prog.locals))
-	}
-	s.stateEst = est
+	s.stateEst = int64(m.lay.size + hotIndexBytes)
+	s.seq = s.newWorker()
 	return s
 }
 
-// stateOf returns node idx's state: the resident pointer for hot
-// nodes, a freshly decoded copy (decoded=true) for sealed ones — the
-// caller releases decoded shells back to the machine pool when done.
-// Safe for concurrent use during expansion: sealed records are
-// immutable and the spill read path is lock-free.
-func (s *searcher) stateOf(idx int32) (st *state, decoded bool, err error) {
-	if st := s.nodes[idx].st; st != nil {
-		return st, false, nil
+func (s *searcher) newWorker() *wctx {
+	return &wctx{
+		ec:   s.m.newExecCtx(),
+		in:   newInterner(s.vals),
+		cur:  s.m.newState(),
+		norm: s.m.newState(),
+		alt:  s.m.newState(),
+		prow: make([]byte, s.lay.size),
+		nrow: make([]byte, s.lay.size),
+		arow: make([]byte, s.lay.size),
 	}
-	st, err = s.store.spill.readState(s.m, idx)
-	if err != nil {
-		return nil, false, err
+}
+
+// getWorker hands an expanding goroutine a context of its own.
+func (s *searcher) getWorker() *wctx {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return w
 	}
-	return st, true, nil
+	w := s.newWorker()
+	s.workers = append(s.workers, w)
+	return w
+}
+
+func (s *searcher) putWorker(w *wctx) {
+	s.mu.Lock()
+	s.idle = append(s.idle, w)
+	s.mu.Unlock()
+}
+
+// loadState materializes node j into st: from its row while hot, from
+// its spill record once sealed. Safe for concurrent use during
+// expansion (st and in belong to the caller): rows and sealed records
+// are immutable then, and the spill read path is lock-free.
+func (s *searcher) loadState(in *interner, j int32, st *state) error {
+	if j >= s.sealed {
+		s.lay.materialize(in, s.rows.at(int(j)), st)
+		return nil
+	}
+	return s.store.spill.readState(s.m, j, st)
 }
 
 // maybeSpill seals whole BFS layers, oldest first, whenever hot states
@@ -207,51 +252,58 @@ func (s *searcher) maybeSpill() error {
 		sealedAny = true
 	}
 	if sealedAny {
+		s.rows.dropBelow(int(s.sealed))
 		return s.store.spill.finishBatch()
 	}
 	return nil
 }
 
-// sealNode moves one node's state to the spill tier: re-encode
-// (deterministically identical to the admission-time key), append the
-// record, drop the hot index entry and recycle the shell. The node
-// keeps all its search bookkeeping — only the state bytes leave RAM.
+// sealNode moves one node's state to the spill tier: write its key and
+// extras from the row (the same bytes encodeInto and encodeTailsInto
+// give), append the record and drop the hot index entry. The node keeps
+// all its search bookkeeping — only the state bytes leave RAM.
 func (s *searcher) sealNode(idx int32, layer int) error {
-	n := s.nodes[idx]
-	st := n.st
-	s.sealBuf = st.encodeInto(s.sealBuf[:0])
+	row := s.rows.at(int(idx))
+	in := s.seq.in
+	s.sealBuf = s.lay.appendKey(in, s.sealBuf[:0], row)
 	keyLen := len(s.sealBuf)
-	s.sealBuf = st.encodeTailsInto(s.sealBuf)
+	s.sealBuf = s.lay.appendTails(in, s.sealBuf, row)
 	h := hashKey(s.sealBuf[:keyLen])
 	s.store.removeHot(h, idx)
 	if err := s.store.spill.add(h, idx, layer, s.sealBuf, keyLen); err != nil {
 		return err
 	}
-	n.st = nil
-	s.hotBytes -= s.stateEst + int64(keyLen)
-	s.m.release(st)
+	s.hotBytes -= s.stateEst
 	return nil
 }
 
+// expandChunk is how many frontier nodes an expanding goroutine takes
+// at a time: enough to amortize handing out contexts, few enough that a
+// layer of a few hundred nodes still spreads over every worker (a proof
+// has hundreds of such layers) and cancellation lands mid-layer.
+const expandChunk = 8
+
 // run explores the product state space breadth-first. Each layer is
-// expanded in parallel (par.For over the frontier, results in slot
-// order) and merged sequentially, so state numbering, verdicts and
+// expanded in parallel (par.ForChunksCtx over the frontier, results in
+// slot order) and merged sequentially, so state numbering, verdicts and
 // counts are identical at any worker count.
 func (s *searcher) run() error {
+	w := s.seq
 	init := s.m.initialState()
-	en, err := s.m.enabledMask(s.m.newExecCtx(), init)
+	en, err := s.m.enabledMask(w.ec, init)
 	if err != nil {
 		return err
 	}
-	w0 := &wctx{arena: init.encodeInto(nil)}
+	w.rows = make([]byte, s.lay.size)
+	s.lay.rowOf(w.in, w.rows, init)
 	if _, err := s.admit(&succOut{
-		via: step{proc: -1, drop: -1}, hash: hashKey(w0.arena), existing: -1,
-		st: init, keyOff: 0, keyEnd: int32(len(w0.arena)),
+		via: step{proc: -1, drop: -1}, hash: s.lay.hash(w.in, w.rows), existing: -1,
 		enabled: en, open: s.m.open(init),
-	}, -1, w0); err != nil {
+	}, -1, w); err != nil {
 		return err
 	}
-	s.layerEnds = append(s.layerEnds, int32(len(s.nodes)))
+	w.rows = w.rows[:0]
+	s.layerEnds = append(s.layerEnds, int32(s.count()))
 
 	for len(s.frontier) > 0 && s.incomplete == "" {
 		s.depth++
@@ -260,14 +312,19 @@ func (s *searcher) run() error {
 			break
 		}
 		layer := s.frontier
-		s.frontier = nil
-		results := make([]expandOut, len(layer))
-		if err := par.ForCtx(s.ctx, len(layer), s.m.cfg.Workers, func(i int) {
-			results[i] = s.expand(layer[i])
+		s.frontier = s.spare[:0]
+		if cap(s.results) < len(layer) {
+			s.results = make([]expandOut, len(layer))
+		}
+		results := s.results[:len(layer)]
+		if err := par.ForChunksCtx(s.ctx, len(layer), s.m.cfg.Workers, expandChunk, func(lo, hi int) {
+			w := s.getWorker()
+			for i := lo; i < hi; i++ {
+				results[i] = s.expand(w, layer[i])
+			}
+			s.putWorker(w)
 		}); err != nil {
-			// Canceled mid-layer: unexpanded slots hold zero expandOuts
-			// (nil wctx, no successors) — nothing to merge, nothing leaks
-			// beyond pooled buffers the GC reclaims.
+			// Canceled mid-layer: nothing is merged, and the search ends.
 			return err
 		}
 		for i, idx := range layer {
@@ -278,14 +335,20 @@ func (s *searcher) run() error {
 				break
 			}
 		}
+		for _, w := range s.workers {
+			w.succs = w.succs[:0]
+			w.rows = w.rows[:0]
+		}
+		clear(results)
+		s.spare = layer
 		if s.incomplete == "" {
-			s.layerEnds = append(s.layerEnds, int32(len(s.nodes)))
+			s.layerEnds = append(s.layerEnds, int32(s.count()))
 			if err := s.maybeSpill(); err != nil {
 				return err
 			}
 		}
 		if p := s.m.cfg.Progress; p != nil {
-			p(len(s.nodes), int(s.depth))
+			p(s.count(), int(s.depth))
 		}
 	}
 	return nil
@@ -297,81 +360,68 @@ func (s *searcher) run() error {
 // shared search state — mutation happens in merge. (The store is read,
 // never written: pre-check hits against it stay valid because states
 // are never removed.)
-func (s *searcher) expand(idx int32) expandOut {
-	n := s.nodes[idx]
-	w, ok := s.wpool.Get().(*wctx)
-	if !ok {
-		w = &wctx{}
-	}
-	if w.ec == nil {
-		w.ec = s.m.newExecCtx()
-	}
-	out := expandOut{maskUsed: n.pendingMask, tickUsed: n.needsTick, w: w}
-	// A sealed node re-opened by fold is decoded from its spill record;
-	// hot nodes expand from the resident state as before.
-	nst, decoded, err := s.stateOf(idx)
-	if err != nil {
+func (s *searcher) expand(w *wctx, idx int32) (out expandOut) {
+	n := s.node(idx)
+	m, lay := s.m, s.lay
+	out = expandOut{maskUsed: n.pendingMask, tickUsed: n.needsTick, w: w, lo: int32(len(w.succs))}
+	defer func() { out.hi = int32(len(w.succs)) }()
+	// A sealed node re-opened by fold is decoded from its spill record
+	// and interned into a row of its own; a hot node expands from its
+	// stored row.
+	prow := w.prow
+	if idx >= s.sealed {
+		prow = s.rows.at(int(idx))
+		lay.materialize(w.in, prow, w.cur)
+	} else if err := s.loadState(w.in, idx, w.cur); err != nil {
 		out.err = err
 		return out
+	} else {
+		lay.rowOf(w.in, prow, w.cur)
 	}
-	if decoded {
-		defer s.m.release(nst)
-	}
+	cur := w.cur
 	// disallowed = the node's effective sleep set relative to enabled.
 	disallowed := n.enabled &^ (n.pendingMask | n.explored)
 	var earlier uint32
-	for p := 0; p < len(s.m.progs); p++ {
+	for p := 0; p < len(m.progs); p++ {
 		bit := uint32(1) << uint(p)
 		if n.pendingMask&bit == 0 {
 			continue
 		}
-		res, err := s.m.exec(w.ec, nst, p)
+		res, err := m.exec(w.ec, cur, w.norm, p)
 		if err != nil {
 			out.err = err
 			return out
 		}
-		sleep := (disallowed | n.explored | earlier) & s.m.indep[p]
+		sleep := (disallowed | n.explored | earlier) & m.indep[p]
 		earlier |= bit
-		normHit, err := s.emit(w, step{proc: int8(p), drop: -1}, res.st, sleep, res.conflicts)
-		if err != nil {
+		lay.build(w.in, w.nrow, prow, w.norm)
+		if err := s.emit(w, step{proc: int8(p), drop: -1}, w.norm, w.nrow, sleep, res.conflicts); err != nil {
 			out.err = err
 			return out
 		}
-		if nst.budget > 0 {
-			for di, d := range s.m.drops {
+		if cur.budget > 0 {
+			for di, d := range m.drops {
 				if !dropApplies(d, res.commits) {
 					continue
 				}
-				ds := s.m.dropVariant(nst, res.st, di)
+				m.dropVariant(cur, w.norm, w.alt, di)
+				lay.build(w.in, w.arow, w.nrow, w.alt)
 				// Conflicts belong to the shared segment and are already
 				// reported on the normal successor.
-				hit, err := s.emit(w, step{proc: int8(p), drop: int16(di)}, ds, sleep, nil)
-				if err != nil {
+				if err := s.emit(w, step{proc: int8(p), drop: int16(di)}, w.alt, w.arow, sleep, nil); err != nil {
 					out.err = err
 					return out
 				}
-				if hit {
-					s.m.release(ds)
-				}
 			}
-		}
-		// The norm state seeds its drop variants above, so its shell is
-		// only recyclable once they have all been derived.
-		if normHit {
-			s.m.release(res.st)
 		}
 	}
 	if n.needsTick {
-		ts, clocks, ok := s.m.tick(nst)
-		if ok {
+		if clocks, ok := m.tick(cur, w.alt); ok {
+			lay.build(w.in, w.arow, prow, w.alt)
 			// Time advance interacts with every timer: no sleep carries over.
-			hit, err := s.emit(w, step{proc: -1, drop: -1, tick: clocks}, ts, 0, nil)
-			if err != nil {
+			if err := s.emit(w, step{proc: -1, drop: -1, tick: clocks}, w.alt, w.arow, 0, nil); err != nil {
 				out.err = err
 				return out
-			}
-			if hit {
-				s.m.release(ts)
 			}
 		}
 	}
@@ -387,38 +437,60 @@ func dropApplies(d dropTarget, commits []commitEvent) bool {
 	return false
 }
 
-// emit encodes one successor into the worker's arena, hashes it and
-// pre-checks the frozen store. On a hit the key is discarded, the
-// existing node index recorded, and the (now redundant) enabled-mask
-// evaluation skipped entirely — the caller owns releasing the state.
-// On a miss the key stays in the arena for the merge's re-check.
-func (s *searcher) emit(w *wctx, via step, st *state, sleep uint32, conflicts []string) (hit bool, err error) {
-	off := int32(len(w.arena))
-	w.arena = st.encodeInto(w.arena)
-	key := w.arena[off:]
-	h := hashKey(key)
-	j, scratch, ok, lerr := s.store.lookup(h, key, s.nodes, w.scratch)
-	w.scratch = scratch
-	if lerr != nil {
-		return false, lerr
+// emit hashes one successor's row and pre-checks the frozen store. On
+// a hit the existing node index is recorded and the (now redundant)
+// enabled-mask evaluation skipped entirely. On a miss the row is kept
+// in the worker's rows for the merge's re-check.
+func (s *searcher) emit(w *wctx, via step, st *state, row []byte, sleep uint32, conflicts []string) error {
+	h := s.lay.hash(w.in, row)
+	j, ok, err := s.lookup(w, h, row)
+	if err != nil {
+		return err
 	}
 	if ok {
-		w.arena = w.arena[:off]
 		w.succs = append(w.succs, succOut{
 			via: via, hash: h, existing: j, sleep: sleep, conflicts: conflicts,
 		})
-		return true, nil
+		return nil
 	}
 	en, err := s.m.enabledMask(w.ec, st)
 	if err != nil {
-		return false, err
+		return err
 	}
+	off := len(w.rows)
+	w.rows = append(w.rows, row...)
 	w.succs = append(w.succs, succOut{
-		via: via, hash: h, existing: -1, st: st,
-		keyOff: off, keyEnd: int32(len(w.arena)),
+		via: via, hash: h, existing: -1, row: int32(off),
 		enabled: en, open: s.m.open(st), sleep: sleep, conflicts: conflicts,
 	})
-	return false, nil
+	return nil
+}
+
+// lookup finds the stored node whose key equals the probe row's. A hot
+// candidate with the same hash is confirmed by comparing rows up to key
+// class (rowLayout.sameKey); the spill tier, when the Bloom filter lets
+// the probe through, compares the probe's key bytes with the record's.
+// The error is always nil without a spill tier; with one, it surfaces
+// torn or corrupt spill files.
+func (s *searcher) lookup(w *wctx, h uint64, probe []byte) (int32, bool, error) {
+	st := s.store
+	if j, ok := st.first(h); ok {
+		if st.lossy || s.lay.sameKey(w.in, probe, s.rows.at(int(j))) {
+			return j, true, nil
+		}
+		for _, k := range st.overflow[h] {
+			if s.lay.sameKey(w.in, probe, s.rows.at(int(k))) {
+				return k, true, nil
+			}
+		}
+	}
+	// A hash living in the hot tier does not preclude a same-hash
+	// sealed state: the tiers split by node age, not by hash.
+	if sp := st.spill; sp != nil && sp.mayHold(h) {
+		w.key = s.lay.appendKey(w.in, w.key[:0], probe)
+		return sp.lookup(h, w.key, st.lossy)
+	}
+	return 0, false, nil
 }
 
 // merge folds one expansion into the store, in deterministic order.
@@ -426,17 +498,16 @@ func (s *searcher) emit(w *wctx, via step, st *state, sleep uint32, conflicts []
 // admitted: a re-arrival (possibly a self-loop) can hand the node fresh
 // pending bits mid-merge, and it must be re-queued for them.
 func (s *searcher) merge(idx int32, out expandOut) error {
-	defer s.recycle(out.w)
 	if out.err != nil {
 		return out.err
 	}
-	n := s.nodes[idx]
+	n := s.node(idx)
 	n.explored |= out.maskUsed
 	n.pendingMask &^= out.maskUsed
 	if out.tickUsed {
 		n.needsTick = false
 	}
-	for i := range out.w.succs {
+	for i := out.lo; i < out.hi; i++ {
 		sc := &out.w.succs[i]
 		s.transitions++
 		j, err := s.admit(sc, idx, out.w)
@@ -449,7 +520,7 @@ func (s *searcher) merge(idx int32, out expandOut) error {
 		for _, msg := range sc.conflicts {
 			s.addViolation(DriverConflict, msg, j, nil)
 		}
-		if n.open && s.nodes[j].open {
+		if n.open && s.node(j).open {
 			s.edges = append(s.edges, edge{from: idx, to: j, via: sc.via})
 		}
 	}
@@ -460,74 +531,57 @@ func (s *searcher) merge(idx int32, out expandOut) error {
 	return nil
 }
 
-// recycle clears a worker context (dropping its state and conflict
-// references so pooled buffers don't pin dead objects) and returns it
-// to the pool.
-func (s *searcher) recycle(w *wctx) {
-	if w == nil {
-		return
-	}
-	for i := range w.succs {
-		w.succs[i] = succOut{}
-	}
-	w.succs = w.succs[:0]
-	w.arena = w.arena[:0]
-	s.wpool.Put(w)
-}
-
 // admit stores a successor (or folds a re-arrival into the existing
 // node) and classifies terminal and quiescent states. parent is -1 for
 // the initial state. A pre-checked hit folds directly; a miss is
 // re-checked against the store because an earlier merge slot of the
-// same layer may have admitted the state already — in that case the
-// duplicate's shell goes back to the pool.
+// same layer may have admitted the state already.
 func (s *searcher) admit(sc *succOut, parent int32, w *wctx) (int32, error) {
 	if sc.existing >= 0 {
 		s.fold(sc.existing, sc.sleep)
 		return sc.existing, nil
 	}
-	key := w.arena[sc.keyOff:sc.keyEnd]
-	ex, scratch, ok, err := s.store.lookup(sc.hash, key, s.nodes, w.scratch)
-	w.scratch = scratch
+	row := w.rows[sc.row : int(sc.row)+s.lay.size]
+	ex, ok, err := s.lookup(s.seq, sc.hash, row)
 	if err != nil {
 		return 0, err
 	}
 	if ok {
 		s.fold(ex, sc.sleep)
-		s.m.release(sc.st)
 		return ex, nil
 	}
-	j := int32(len(s.nodes))
+	j := int32(s.count())
 	depth := int32(0)
 	if parent >= 0 {
-		depth = s.nodes[parent].depth + 1
+		depth = s.node(parent).depth + 1
 	}
-	nn := s.newNode()
+	nn := &s.nodes.add()[0]
 	*nn = node{
-		st: sc.st, parent: parent, via: sc.via, depth: depth,
+		parent: parent, via: sc.via, depth: depth,
 		enabled: sc.enabled, open: sc.open,
 		pendingMask: sc.enabled &^ sc.sleep,
 	}
-	s.nodes = append(s.nodes, nn)
+	copy(s.rows.add(), row)
 	s.store.insert(sc.hash, j)
-	s.hotBytes += s.stateEst + int64(sc.keyEnd-sc.keyOff)
+	s.hotBytes += s.stateEst
 	mixed := bloomMix(sc.hash)
 	s.fpXor ^= mixed
 	s.fpSum += mixed
-	if s.m.cfg.MaxStates > 0 && len(s.nodes) > s.m.cfg.MaxStates {
+	if s.m.cfg.MaxStates > 0 && s.count() > s.m.cfg.MaxStates {
 		s.incomplete = fmt.Sprintf("state bound %d reached", s.m.cfg.MaxStates)
 		return j, nil
 	}
 	if sc.enabled == 0 {
 		hasTimer := false
 		for p := range s.m.progs {
-			if sc.st.ps[p].blocked && !sc.st.ps[p].fin && sc.st.ps[p].rem > 0 {
+			if ps := s.lay.rowProc(row, p); ps.blocked && !ps.fin && ps.rem > 0 {
 				hasTimer = true
 				break
 			}
 		}
 		nn.needsTick = hasTimer
-		s.classifyQuiet(j, sc.st, hasTimer)
+		s.lay.materialize(s.seq.in, row, s.seq.cur)
+		s.classifyQuiet(j, s.seq.cur, hasTimer)
 	}
 	if nn.pendingMask != 0 || nn.needsTick {
 		nn.queued = true
@@ -539,7 +593,7 @@ func (s *searcher) admit(sc *succOut, parent int32, w *wctx) (int32, error) {
 // fold merges a re-arrival into an existing node: an arrival with a
 // smaller sleep set re-opens the newly allowed transitions.
 func (s *searcher) fold(j int32, sleep uint32) {
-	old := s.nodes[j]
+	old := s.node(j)
 	allowed := old.enabled &^ sleep
 	if fresh := allowed &^ old.explored &^ old.pendingMask; fresh != 0 {
 		old.pendingMask |= fresh
@@ -629,15 +683,16 @@ func (s *searcher) checkLiveness() error {
 	}
 	// Adjacency in CSR form: node n's outgoing edges are
 	// edgeIdx[off[n]:off[n+1]], in recording order.
-	off := make([]int32, len(s.nodes)+1)
+	nNodes := s.count()
+	off := make([]int32, nNodes+1)
 	for _, e := range s.edges {
 		off[e.from+1]++
 	}
-	for n := range s.nodes {
+	for n := 0; n < nNodes; n++ {
 		off[n+1] += off[n]
 	}
 	edgeIdx := make([]int32, len(s.edges))
-	fill := append([]int32(nil), off[:len(s.nodes)]...)
+	fill := append([]int32(nil), off[:nNodes]...)
 	for i, e := range s.edges {
 		edgeIdx[fill[e.from]] = int32(i)
 		fill[e.from]++
@@ -647,13 +702,13 @@ func (s *searcher) checkLiveness() error {
 		grey  = 1
 		black = 2
 	)
-	color := make([]int8, len(s.nodes))
+	color := make([]int8, nNodes)
 	type frameT struct {
 		node int32
 		next int
 		in   int // edge index that entered this node, -1 for roots
 	}
-	for root := range s.nodes {
+	for root := 0; root < nNodes; root++ {
 		r := int32(root)
 		if color[r] != white || off[r] == off[r+1] {
 			continue
@@ -690,14 +745,11 @@ func (s *searcher) checkLiveness() error {
 					loop = append(loop, s.edges[fr.in])
 				}
 				loop = append(loop, s.edges[ei])
-				st, decoded, err := s.stateOf(to)
-				if err != nil {
+				st := s.seq.cur
+				if err := s.loadState(s.seq.in, to, st); err != nil {
 					return err
 				}
 				desc := s.m.describeState(st)
-				if decoded {
-					s.m.release(st)
-				}
 				s.addViolation(Livelock, fmt.Sprintf(
 					"bounded-response violated: a transaction stays open around a %d-transition cycle (%s)",
 					len(loop), desc), to, loop)
@@ -712,8 +764,8 @@ func (s *searcher) checkLiveness() error {
 // state to the node.
 func (s *searcher) pathTo(node int32) []step {
 	var steps []step
-	for i := node; i > 0; i = s.nodes[i].parent {
-		steps = append(steps, s.nodes[i].via)
+	for i := node; i > 0; i = s.node(i).parent {
+		steps = append(steps, s.node(i).via)
 	}
 	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
 		steps[i], steps[j] = steps[j], steps[i]

@@ -21,8 +21,8 @@ import (
 //
 // Soundness contract: in exact mode a hash hit in the index is only a
 // candidate — the record is read back and its key section compared
-// byte-for-byte against the probe, exactly like the hot tier's
-// re-encode-and-confirm. The Bloom filter has no false negatives, so
+// byte-for-byte against the probe's key, the same equality the hot
+// tier confirms on rows. The Bloom filter has no false negatives, so
 // it can only suppress reads that would have missed anyway. In lossy
 // mode (Config.Lossy) the 64-bit hash match itself is accepted and the
 // verdict carries an omission probability, SPIN-bitstate style.
@@ -294,6 +294,14 @@ func (sh *spillShard) entry(i int) idxEnt {
 	}
 }
 
+// mayHold reports whether a state with hash h may be sealed: false
+// means lookup would miss, so a caller can skip building the probe's
+// key. Safe for concurrent use during expansion.
+func (sp *spillStore) mayHold(h uint64) bool {
+	sh := sp.shards[h&(spillShards-1)]
+	return sh.count > 0 && sh.bloom.has(h)
+}
+
 // lookup probes the cold tier for a state with the given hash and key.
 // In exact mode every same-hash entry's record is read back and its key
 // section byte-compared; in lossy mode the hash match is final. Safe
@@ -323,18 +331,18 @@ func (sp *spillStore) lookup(h uint64, key []byte, lossy bool) (int32, bool, err
 	return 0, false, nil
 }
 
-// readState reconstructs a sealed node's full state for re-expansion.
-// Safe for concurrent use during expansion.
-func (sp *spillStore) readState(m *machine, nodeID int32) (*state, error) {
+// readState reconstructs a sealed node's full state into st for
+// re-expansion. Safe for concurrent use during expansion.
+func (sp *spillStore) readState(m *machine, nodeID int32, st *state) error {
 	if int(nodeID) >= len(sp.locs) {
-		return nil, fmt.Errorf("verify: spill: node %d is not sealed", nodeID)
+		return fmt.Errorf("verify: spill: node %d is not sealed", nodeID)
 	}
 	loc := sp.locs[nodeID]
 	payload, keyLen, err := sp.shards[loc.shard()].readRecord(loc.off(), 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return decodeState(m, payload[:keyLen], payload[keyLen:])
+	return decodeState(m, payload[:keyLen], payload[keyLen:], st)
 }
 
 // readRecord reads and verifies the record at off, reconstructing a

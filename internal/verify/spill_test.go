@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hdl"
 	"repro/internal/protogen"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -71,9 +73,12 @@ func TestSpillInvariance(t *testing.T) {
 }
 
 // TestSpillMatchesInRAMRobust runs the hardened protocol's exhaustive
-// fault-free space (~62k states) under a 1 MiB budget: a realistically
-// deep exploration where nearly every layer seals, re-expands sealed
-// parents through the decode path, and still proves the same verdict.
+// fault-free space (30,132 states with these timers) under a 1 MiB
+// budget: a realistically deep exploration where nearly every layer
+// seals and every hit on a sealed state is confirmed against its spill
+// record, and still proves the same verdict. (No sealed node is re-opened
+// here, so nothing is re-expanded through the decode path;
+// TestDecodeRoundTrip covers that.)
 func TestSpillMatchesInRAMRobust(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second exploration")
@@ -122,28 +127,104 @@ func TestLossyMode(t *testing.T) {
 
 // TestDecodeRoundTrip: every state of a real exploration must survive
 // encode → decode → re-encode byte-identically — the property that
-// makes sealed states re-expandable at all.
+// makes sealed states re-expandable at all — and the decoded state must
+// step like the original: every enabled process reaches a successor
+// with the same key, or fails with the same error. The key leaves out
+// each array's Lo and each record's type, which field stores and
+// indexing read, so a decoder that restored neither failed most steps
+// ("store to unknown field ID"). The array-lo case keys an array
+// declared array(1 to 4) and stores into A(4).
 func TestDecodeRoundTrip(t *testing.T) {
-	sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
-	m := newTestMachine(t, sys, Config{MaxDrops: 1})
-	sr := newSearcher(m)
-	if err := sr.run(); err != nil {
-		t.Fatal(err)
+	const arrayLo = `
+system ArrayLo is
+  module m is
+    behavior B is
+    begin
+      A(4) := A(1) + 7;
+    end behavior;
+  end module;
+  module d is
+    variable A : array (1 to 4) of integer;
+  end module;
+end system;`
+	for _, tc := range []struct {
+		name string
+		sys  func() *spec.System
+		cfg  Config
+	}{
+		{"baseline-drop1", func() *spec.System {
+			sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
+			return sys
+		}, Config{MaxDrops: 1}},
+		{"robust-drop1", func() *spec.System {
+			sys, _ := refinePQ(t, robustCfg(false))
+			return sys
+		}, Config{MaxDrops: 1, MaxStates: 5000}},
+		{"array-lo", func() *spec.System {
+			sys, err := hdl.Parse(arrayLo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}, Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestMachine(t, tc.sys(), tc.cfg)
+			sr := newSearcher(m)
+			if err := sr.run(); err != nil {
+				t.Fatal(err)
+			}
+			ec := m.newExecCtx()
+			dec, a, b := m.newState(), m.newState(), m.newState()
+			steps := 0
+			for i, st := range storedStates(t, sr) {
+				key := st.encodeInto(nil)
+				extras := st.encodeTailsInto(nil)
+				if err := decodeState(m, key, extras, dec); err != nil {
+					t.Fatalf("state %d: decode: %v", i, err)
+				}
+				if got := dec.encodeInto(nil); !bytes.Equal(got, key) {
+					t.Fatalf("state %d: re-encoded key differs\ngot:  %x\nwant: %x", i, got, key)
+				}
+				if got := dec.encodeTailsInto(nil); !bytes.Equal(got, extras) {
+					t.Fatalf("state %d: re-encoded extras differ", i)
+				}
+				for g, v := range st.g {
+					if av, ok := v.(sim.ArrayVal); ok && dec.g[g].(sim.ArrayVal).Lo != av.Lo {
+						t.Fatalf("state %d: global %d decoded with Lo %d, want %d", i, g, dec.g[g].(sim.ArrayVal).Lo, av.Lo)
+					}
+				}
+				mask, err := m.enabledMask(ec, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := range m.progs {
+					if mask&(1<<uint(p)) == 0 {
+						continue
+					}
+					steps++
+					want, wantErr := stepKey(m, ec, st, a, p)
+					got, gotErr := stepKey(m, ec, dec, b, p)
+					if gotErr != wantErr || !bytes.Equal(got, want) {
+						t.Fatalf("state %d, process %s: decoded state stepped to (%x, %q), original to (%x, %q)",
+							i, m.progs[p].beh.Name, got, gotErr, want, wantErr)
+					}
+				}
+			}
+			if steps == 0 {
+				t.Fatal("no enabled process stepped")
+			}
+		})
 	}
-	for i, n := range sr.nodes {
-		key := n.st.encodeInto(nil)
-		extras := n.st.encodeTailsInto(nil)
-		dec, err := decodeState(m, key, extras)
-		if err != nil {
-			t.Fatalf("state %d: decode: %v", i, err)
-		}
-		if got := dec.encodeInto(nil); !bytes.Equal(got, key) {
-			t.Fatalf("state %d: re-encoded key differs\ngot:  %x\nwant: %x", i, got, key)
-		}
-		if got := dec.encodeTailsInto(nil); !bytes.Equal(got, extras) {
-			t.Fatalf("state %d: re-encoded extras differ", i)
-		}
+}
+
+// stepKey runs process p from `from` into `to` and returns the
+// successor's key, or the step's error.
+func stepKey(m *machine, ec *execCtx, from, to *state, p int) ([]byte, string) {
+	if _, err := m.exec(ec, from, to, p); err != nil {
+		return nil, err.Error()
 	}
+	return to.encodeInto(nil), ""
 }
 
 // newTestSpill builds a spillStore in a throwaway subdirectory (close

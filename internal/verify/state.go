@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -41,10 +40,8 @@ type machine struct {
 	// Delivery check inputs (from the golden fault-free simulation).
 	expected   []sim.Value // per gslot; nil entries unchecked
 	abortSlots []int
-	// pool recycles state shells (the top-level slices of states that
-	// were deduplicated away). Only cloneShared allocates states, so
-	// every pooled shell has this machine's exact slice lengths.
-	pool sync.Pool
+	// lay is the geometry of a stored state's row (row.go).
+	lay rowLayout
 }
 
 // busModel is the checker's view of one generated bus: which record
@@ -192,6 +189,18 @@ func newMachine(sys *spec.System, cfg Config, eng *sim.Engine) (*machine, error)
 		}
 	}
 	m.buildIndependence()
+	nLocals := make([]int, len(m.progs))
+	for p, prog := range m.progs {
+		nLocals[p] = len(prog.locals)
+	}
+	m.lay = newRowLayout(len(m.globals), nLocals, m.nTrack)
+	for _, prog := range m.progs {
+		init := make([]sim.Value, len(prog.locals))
+		for i, v := range prog.locals {
+			init[i] = sim.InitialValue(v)
+		}
+		m.lay.init = append(m.lay.init, init)
+	}
 	return m, nil
 }
 
@@ -293,26 +302,32 @@ func (m *machine) buildIndependence() {
 	}
 }
 
-// state is one vertex of the product state space. Values are shared
-// between states freely: the executor never mutates a stored value in
-// place (bits.Vector operations are persistent and container updates
-// rebuild the containers along the path). The same invariant extends
-// one level up to whole per-process local slices: cloneShared aliases
-// the inner l[q] slices between parent and child, and the executor
-// replaces l[p] with a fresh copy before the running process writes a
-// local, so an inner slice is never mutated once any other state can
-// see it. Top-level slices (g, l, pc, blocked, fin, rem, lastW) are
-// always exclusively owned — that is what makes shells recyclable.
+// state is one vertex of the product state space, unpacked for
+// execution: the searcher stores rows (row.go) and materializes them
+// into states it owns, one parent and a few successors per worker, so
+// a state's slices are never shared with another state. Values are
+// shared freely: the executor never mutates one in place (bits.Vector
+// operations are persistent and container updates rebuild the
+// containers along the path), and the value table hands out the same
+// immutable values to every state that holds them.
 type state struct {
 	g []sim.Value
+	// l holds each process's locals; a nil local was never written
+	// (sim.Program.InitialLocals).
 	l [][]sim.Value
-	// ps packs each process's scalar bookkeeping into one slice (one
-	// allocation and one memmove per clone instead of four).
+	// ps packs each process's scalar bookkeeping.
 	ps []procState
 	// lastW records, per tracked bus field, the last process that drove
 	// it (-1 none) — the state the driver-conflict check needs.
 	lastW  []int8
 	budget int16 // remaining drop-fault budget
+	// lay is the machine's row layout, nil for a state built by hand
+	// (which has no nil locals).
+	lay *rowLayout
+	// written marks, in row order, the value slots stored since the
+	// state was materialized or copied: the slots whose ids a successor
+	// row must intern.
+	written []uint64
 }
 
 // procState is one process's control scalars.
@@ -327,71 +342,78 @@ type procState struct {
 	rem int64
 }
 
-func (m *machine) initialState() *state {
+// newState allocates a state shaped like the machine's.
+func (m *machine) newState() *state {
 	st := &state{
-		g:      make([]sim.Value, len(m.globals)),
-		l:      make([][]sim.Value, len(m.progs)),
-		ps:     make([]procState, len(m.progs)),
-		lastW:  make([]int8, m.nTrack),
-		budget: int16(m.cfg.MaxDrops),
+		g:       make([]sim.Value, len(m.globals)),
+		l:       make([][]sim.Value, len(m.progs)),
+		ps:      make([]procState, len(m.progs)),
+		lastW:   make([]int8, m.nTrack),
+		lay:     &m.lay,
+		written: make([]uint64, (m.lay.nIDs+63)/64),
 	}
+	for p, prog := range m.progs {
+		st.l[p] = make([]sim.Value, len(prog.locals))
+	}
+	return st
+}
+
+// initialState is the system before any process runs: locals as the
+// simulator starts them, so a local that is never written stays nil.
+func (m *machine) initialState() *state {
+	st := m.newState()
 	for i, v := range m.globals {
 		st.g[i] = sim.InitialValue(v)
 	}
 	for p, prog := range m.progs {
-		st.l[p] = make([]sim.Value, len(prog.locals))
-		for i, v := range prog.locals {
-			st.l[p][i] = sim.InitialValue(v)
-		}
-	}
-	for p := range st.ps {
+		copy(st.l[p], prog.compiled.InitialLocals())
 		st.ps[p].rem = -1
 	}
 	for i := range st.lastW {
 		st.lastW[i] = -1
 	}
+	st.budget = int16(m.cfg.MaxDrops)
 	return st
 }
 
-// cloneShared derives a copy-on-write child of s: every top-level
-// slice is copied (so the child may overwrite pc/rem/g/lastW entries
-// and swap whole local slices freely), but the inner per-process local
-// slices are shared with the parent. Writers must replace l[p] with a
-// fresh copy before touching a local — exec does exactly that for the
-// single process it runs.
-func (m *machine) cloneShared(s *state) *state {
-	ns, ok := m.pool.Get().(*state)
-	if !ok {
-		ns = &state{
-			g:     make([]sim.Value, len(s.g)),
-			l:     make([][]sim.Value, len(s.l)),
-			ps:    make([]procState, len(s.ps)),
-			lastW: make([]int8, len(s.lastW)),
-		}
+// copyFrom makes st a copy of src with no slot marked written.
+func (st *state) copyFrom(src *state) {
+	copy(st.g, src.g)
+	for p := range st.l {
+		copy(st.l[p], src.l[p])
 	}
-	copy(ns.g, s.g)
-	copy(ns.l, s.l) // inner slices aliased — see the state doc comment
-	copy(ns.ps, s.ps)
-	copy(ns.lastW, s.lastW)
-	ns.budget = s.budget
-	return ns
+	copy(st.ps, src.ps)
+	copy(st.lastW, src.lastW)
+	st.budget = src.budget
+	clear(st.written)
 }
 
-// release returns a deduplicated-away state's shell to the pool. Legal
-// only for states produced by cloneShared that no node, edge or pending
-// drop variant references: the top-level slices will be overwritten by
-// the next cloneShared, while the (possibly shared) inner local slices
-// are left untouched.
-func (m *machine) release(st *state) {
-	if st != nil {
-		m.pool.Put(st)
+// setG stores global slot i and marks it written.
+func (st *state) setG(i int, v sim.Value) {
+	st.g[i] = v
+	st.written[i>>6] |= 1 << uint(i&63)
+}
+
+// setL stores process p's local i and marks it written.
+func (st *state) setL(p, i int, v sim.Value) {
+	st.l[p][i] = v
+	j := st.lay.lbase[p] + i
+	st.written[j>>6] |= 1 << uint(j&63)
+}
+
+// keyLocal is process p's local i as the state key sees it: a local
+// that was never written keys as its initial value.
+func (st *state) keyLocal(p, i int) sim.Value {
+	if v := st.l[p][i]; v != nil {
+		return v
 	}
+	return st.lay.init[p][i]
 }
 
 // encode renders the state as a canonical string key. It is the legacy
 // store key, retained as the oracle for the binary codec's equivalence
-// test (codec_test.go) and the baseline the benchmarks compare against;
-// the searcher itself now keys on encodeInto (codec.go).
+// test (codec_test.go); the searcher keys on the bytes encodeInto gives
+// (codec.go), which it builds from rows (row.go).
 func (s *state) encode() string {
 	var b strings.Builder
 	for _, v := range s.g {
@@ -400,8 +422,8 @@ func (s *state) encode() string {
 	}
 	for p := range s.l {
 		fmt.Fprintf(&b, "#%d:%d:%t:%t:%d;", p, s.ps[p].pc, s.ps[p].blocked, s.ps[p].fin, s.ps[p].rem)
-		for _, v := range s.l[p] {
-			b.WriteString(v.String())
+		for i := range s.l[p] {
+			b.WriteString(s.keyLocal(p, i).String())
 			b.WriteByte(0)
 		}
 	}
@@ -432,7 +454,6 @@ type commitEvent struct {
 // segResult is the outcome of running one process for one atomic
 // segment (from its current wait to its next blocking wait).
 type segResult struct {
-	st        *state
 	commits   []commitEvent
 	conflicts []string // driver-conflict violation messages
 }
@@ -450,9 +471,9 @@ type pendingWrite struct {
 
 // execCtx is a worker's reusable segment-execution context: the pending
 // and commit scratch buffers plus one sim.Frame per process, so repeated
-// exec/evalCond calls allocate nothing beyond the successor states they
-// produce. Not safe for concurrent use — each worker (and each
-// sequential caller) owns its own.
+// exec/evalCond calls allocate nothing beyond the values they store. Not
+// safe for concurrent use — each worker (and each sequential caller)
+// owns its own.
 type execCtx struct {
 	m       *machine
 	st      *state
@@ -503,9 +524,9 @@ func (ec *execCtx) setFlag(in *sim.Instr, timedOut bool) {
 	}
 	val := sim.Coerce(sim.BoolVal{V: timedOut}, v.Type)
 	if space, idx := in.Flag(); space == sim.SharedSlot {
-		ec.st.g[idx] = val
+		ec.st.setG(idx, val)
 	} else {
-		ec.st.l[ec.p][idx] = val
+		ec.st.setL(ec.p, idx, val)
 	}
 }
 
@@ -539,30 +560,29 @@ func (ec *execCtx) commit() {
 		} else if !old.Equal(nv) {
 			cev.changed = 1
 		}
-		st.g[gi] = nv
+		st.setG(gi, nv)
 		if cev.changed != 0 {
 			ec.res.commits = append(ec.res.commits, cev)
 		}
 	}
 }
 
-// exec runs process p from parent for one atomic segment. The segment
-// mirrors one simulator delta slice: signal writes accumulate in a
-// pending buffer invisible to reads, waits whose condition already
-// holds are passed through inline, and everything commits at the next
-// blocking wait (or at process end). parent is not mutated. The
-// returned result lives inside ec — its commits backing is reused by
-// the ctx's next exec, so callers must consume it first (conflicts are
-// freshly allocated and safe to retain).
-func (m *machine) exec(ec *execCtx, parent *state, p int) (res *segResult, err error) {
-	st := m.cloneShared(parent)
-	// Copy-on-write: only process p's locals can be written this
-	// segment, so give p a private slice and keep sharing the rest.
-	st.l[p] = append(make([]sim.Value, 0, len(parent.l[p])), parent.l[p]...)
+// exec runs process p from parent for one atomic segment, writing the
+// successor into st (a state distinct from parent, overwritten whole)
+// and marking the slots the segment stores. The segment mirrors one
+// simulator delta slice: signal writes accumulate in a pending buffer
+// invisible to reads, waits whose condition already holds are passed
+// through inline, and everything commits at the next blocking wait (or
+// at process end). parent is not mutated. The returned result lives
+// inside ec — its commits backing is reused by the ctx's next exec, so
+// callers must consume it first (conflicts are freshly allocated and
+// safe to retain).
+func (m *machine) exec(ec *execCtx, parent, st *state, p int) (res *segResult, err error) {
+	st.copyFrom(parent)
 	prog := m.progs[p]
 	fr := ec.bind(st, p)
 	ec.pending = ec.pending[:0]
-	ec.res = segResult{st: st, commits: ec.res.commits[:0]}
+	ec.res = segResult{commits: ec.res.commits[:0]}
 	res = &ec.res
 
 	defer func() {
@@ -618,12 +638,14 @@ func (m *machine) exec(ec *execCtx, parent *state, p int) (res *segResult, err e
 			}
 		case sim.OpClear:
 			slot, zero := in.Clear()
-			st.l[p][slot] = zero
+			st.setL(p, slot, zero)
 			st.ps[p].pc++
 		case sim.OpAssign:
 			// Signal stores accumulate in the pending buffer (delta
 			// semantics); variable stores write through. Apply never
-			// mutates the value it rebuilds, so states may share values.
+			// mutates the value it rebuilds, so states may share values,
+			// and it refuses a store into a never-written local exactly
+			// as the simulator does.
 			val := fr.RHS(in)
 			switch space, idx := in.Dest(); space {
 			case sim.SignalSlot:
@@ -631,9 +653,9 @@ func (m *machine) exec(ec *execCtx, parent *state, p int) (res *segResult, err e
 				pw.val = fr.Apply(in, pw.val, val)
 				pw.fields |= prog.fields[pc]
 			case sim.SharedSlot:
-				st.g[idx] = fr.Apply(in, st.g[idx], val)
+				st.setG(idx, fr.Apply(in, st.g[idx], val))
 			default:
-				st.l[p][idx] = fr.Apply(in, st.l[p][idx], val)
+				st.setL(p, idx, fr.Apply(in, st.l[p][idx], val))
 			}
 			st.ps[p].pc++
 		case sim.OpWait:
@@ -659,25 +681,25 @@ func (m *machine) exec(ec *execCtx, parent *state, p int) (res *segResult, err e
 	}
 }
 
-// dropVariant derives the faulty sibling of a normal successor: the
-// wire lost the dropped field's edge, so the committed field reverts to
-// its pre-segment value and the fault budget shrinks, while the
-// writer's continuation (decided before the commit, exactly like a
-// simulator DropEvent fault) stands.
-func (m *machine) dropVariant(parent, norm *state, dropField int) *state {
+// dropVariant derives into ns the faulty sibling of a normal
+// successor: the wire lost the dropped field's edge, so the committed
+// field reverts to its pre-segment value and the fault budget shrinks,
+// while the writer's continuation (decided before the commit, exactly
+// like a simulator DropEvent fault) stands. Only the bus slot is marked
+// written: ns's row derives from norm's.
+func (m *machine) dropVariant(parent, norm, ns *state, dropField int) {
 	d := m.drops[dropField]
 	slot := d.bus.slot
-	ns := m.cloneShared(norm)
+	ns.copyFrom(norm)
 	nv, ok := ns.g[slot].(sim.RecordVal)
 	if !ok {
-		return ns
+		return
 	}
 	ov := parent.g[slot].(sim.RecordVal)
 	fields := append([]sim.Value(nil), nv.Fields...)
 	fields[d.field] = ov.Fields[d.field]
-	ns.g[slot] = sim.RecordVal{Type: nv.Type, Fields: fields}
+	ns.setG(slot, sim.RecordVal{Type: nv.Type, Fields: fields})
 	ns.budget--
-	return ns
 }
 
 // checkDrivers applies the driver mutual-exclusion rules at commit
@@ -784,11 +806,12 @@ func (m *machine) evalCond(ec *execCtx, st *state, p int, in *sim.Instr) (ok boo
 	return ec.bind(st, p).Until(in), nil
 }
 
-// tick advances quiescent time: with no process enabled, the minimum
-// positive remaining-clock counter elapses from every bounded wait.
-// Deterministic — a single successor — so timeouts fire in exactly the
-// relative order the simulator would fire them.
-func (m *machine) tick(st *state) (*state, int64, bool) {
+// tick advances quiescent time into ns: with no process enabled, the
+// minimum positive remaining-clock counter elapses from every bounded
+// wait. Deterministic — a single successor — so timeouts fire in exactly
+// the relative order the simulator would fire them. It reports the
+// clocks that passed, and false (ns untouched) when no timer runs.
+func (m *machine) tick(st, ns *state) (int64, bool) {
 	min := int64(-1)
 	for p := range m.progs {
 		if st.ps[p].blocked && !st.ps[p].fin && st.ps[p].rem > 0 {
@@ -798,15 +821,15 @@ func (m *machine) tick(st *state) (*state, int64, bool) {
 		}
 	}
 	if min < 0 {
-		return nil, 0, false
+		return 0, false
 	}
-	ns := m.cloneShared(st)
+	ns.copyFrom(st)
 	for p := range m.progs {
 		if ns.ps[p].blocked && !ns.ps[p].fin && ns.ps[p].rem > 0 {
 			ns.ps[p].rem -= min
 		}
 	}
-	return ns, min, true
+	return min, true
 }
 
 // open reports whether any tracked strobe is asserted — a transaction
@@ -818,8 +841,8 @@ func (m *machine) open(st *state) bool {
 		if !ok {
 			continue
 		}
-		for f, isStrobe := range bm.strobe {
-			if isStrobe && !valIsZero(rv.Fields[f]) {
+		for _, f := range [2]int{bm.start, bm.done} {
+			if f >= 0 && !valIsZero(rv.Fields[f]) {
 				return true
 			}
 		}

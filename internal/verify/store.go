@@ -1,37 +1,36 @@
 package verify
 
-import "bytes"
-
 // storeShards is the shard count of the dedup store; a power of two so
 // shard selection is a mask of the hash's low bits.
 const storeShards = 64
 
 // store is the searcher's deduplicating state index, in the hash-
-// compaction lineage: it never retains a state key. Each stored state
-// is represented only by the 64-bit FNV-1a hash of its binary encoding,
-// mapped to the node index, across storeShards shard maps keyed by the
-// hash's low bits. Two distinct states can share a hash, so a hash hit
-// is a candidate, not an answer: lookup re-encodes the candidate node's
-// state into a scratch buffer and confirms byte equality — unlike
-// SPIN's probabilistic bitstate mode, a collision here costs one
-// re-encode, never a soundness hole. The rare confirmed-distinct
-// same-hash states chain through the overflow map, allocated lazily on
-// the first confirmed collision.
+// compaction lineage: it maps the 64-bit FNV-1a hash of each hot
+// state's key to its node index, across storeShards shard maps keyed by
+// the hash's low bits, and retains no key. Two distinct states can
+// share a hash, so a hash hit is a candidate, not an answer: the
+// searcher (searcher.lookup) confirms it against the candidate's row,
+// comparing value ids up to key class plus the control bytes — exactly
+// key equality, without building either key. Unlike SPIN's
+// probabilistic bitstate mode, a collision costs one row comparison,
+// never a soundness hole. The rare confirmed-distinct same-hash states
+// chain through the overflow map, allocated lazily on the first
+// confirmed collision.
 //
 // With a memory budget (Config.MemBudget) the store is tiered: the
 // shard maps index only the hot (resident) nodes, and sealed nodes
-// move to the spill tier — lookup falls through to it on a hot miss,
-// with identical confirm semantics (spill.go). In lossy mode
-// (Config.Lossy) the confirm is skipped in both tiers and a hash match
-// is final, which trades a quantified omission probability for never
-// touching state bytes on a hit.
+// move to the spill tier — a hot miss falls through to it, where the
+// probe's key bytes are compared with the record's (spill.go). In
+// lossy mode (Config.Lossy) the confirm is skipped in both tiers and a
+// hash match is final, which trades a quantified omission probability
+// for never comparing states on a hit.
 //
 // Concurrency contract: insert and removeHot only run in sequential
 // phases (merge, seal). During parallel expansion the store is frozen,
-// so workers may call lookup concurrently to pre-dedup successors (a
-// miss must be re-checked at merge time — an earlier merge slot may
-// have inserted the state — but a hit is final, states are never
-// removed from the store, only moved between tiers).
+// so workers may probe it concurrently to pre-dedup successors (a miss
+// must be re-checked at merge time — an earlier merge slot may have
+// inserted the state — but a hit is final, states are never removed
+// from the store, only moved between tiers).
 type store struct {
 	shards   [storeShards]map[uint64]int32
 	overflow map[uint64][]int32
@@ -47,44 +46,16 @@ func newStore() *store {
 	return st
 }
 
-// lookup finds the node whose state encodes to key, confirming every
-// same-hash candidate by re-encoding it into scratch and comparing
-// bytes (hot tier) or reading its record back (spill tier). It returns
-// the node index, the (possibly grown) scratch buffer for reuse, and
-// whether a confirmed match exists. The error is always nil without a
-// spill tier; with one, it surfaces torn or corrupt spill files.
-func (st *store) lookup(h uint64, key []byte, nodes []*node, scratch []byte) (int32, []byte, bool, error) {
-	if j, ok := st.shards[h&(storeShards-1)][h]; ok {
-		if st.lossy {
-			return j, scratch, true, nil
-		}
-		scratch = nodes[j].st.encodeInto(scratch[:0])
-		if bytes.Equal(scratch, key) {
-			return j, scratch, true, nil
-		}
-		for _, k := range st.overflow[h] {
-			scratch = nodes[k].st.encodeInto(scratch[:0])
-			if bytes.Equal(scratch, key) {
-				return k, scratch, true, nil
-			}
-		}
-	}
-	// A hash living in the hot tier does not preclude a same-hash
-	// sealed state: the tiers split by node age, not by hash.
-	if st.spill != nil {
-		j, ok, err := st.spill.lookup(h, key, st.lossy)
-		if err != nil {
-			return 0, scratch, false, err
-		}
-		if ok {
-			return j, scratch, true, nil
-		}
-	}
-	return 0, scratch, false, nil
+// first returns the first hot node stored under hash h; the rest of
+// its collision chain is overflow[h].
+func (st *store) first(h uint64) (int32, bool) {
+	j, ok := st.shards[h&(storeShards-1)][h]
+	return j, ok
 }
 
 // insert records node j as (another) state hashing to h. The caller has
-// already established via lookup that j's state is not present.
+// already established via searcher.lookup that j's state is not
+// present.
 func (st *store) insert(h uint64, j int32) {
 	sh := st.shards[h&(storeShards-1)]
 	if _, exists := sh[h]; exists {

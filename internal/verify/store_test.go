@@ -5,64 +5,83 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
-// intState is a minimal one-slot state for store tests.
+// intState is a minimal one-global, process-free state for store tests.
 func intState(v int64) *state {
-	return &state{
-		g:  []sim.Value{sim.IntVal{V: v}},
-		l:  [][]sim.Value{nil},
-		ps: []procState{{rem: -1}},
-	}
+	return &state{g: []sim.Value{sim.IntVal{V: v}}}
+}
+
+// newRowStore returns a searcher over intState's shape, for driving the
+// store and its row confirmation directly.
+func newRowStore() *searcher {
+	m := &machine{cfg: withDefaults(Config{}), globals: make([]*spec.Variable, 1)}
+	m.lay = newRowLayout(1, nil, 0)
+	return newSearcher(m)
+}
+
+// put stores st as a new node under hash h, bypassing lookup.
+func (s *searcher) put(h uint64, st *state) int32 {
+	j := int32(s.count())
+	s.nodes.add()
+	s.lay.rowOf(s.seq.in, s.rows.add(), st)
+	s.store.insert(h, j)
+	return j
+}
+
+// probe returns st's row.
+func (s *searcher) probe(st *state) []byte {
+	row := make([]byte, s.lay.size)
+	s.lay.rowOf(s.seq.in, row, st)
+	return row
 }
 
 // TestStoreConfirmsOnCollision forces distinct states onto one hash
 // (inserting them under the same h, as a real 64-bit collision would)
-// and checks that lookup confirms by bytes — returning each state's own
-// node, chaining through the overflow list, and rejecting a same-hash
-// stranger instead of aliasing it to a stored state.
+// and checks that lookup confirms on the rows — returning each state's
+// own node, chaining through the overflow list, and rejecting a
+// same-hash stranger instead of aliasing it to a stored state.
 func TestStoreConfirmsOnCollision(t *testing.T) {
-	st := newStore()
-	var nodes []*node
+	s := newRowStore()
 	const h = uint64(0xdeadbeefcafef00d)
 	for i := int64(0); i < 3; i++ {
-		nodes = append(nodes, &node{st: intState(i)})
-		st.insert(h, int32(i))
+		s.put(h, intState(i))
 	}
-	var scratch []byte
 	for i := int64(0); i < 3; i++ {
-		key := intState(i).encodeInto(nil)
-		j, sc, ok, _ := st.lookup(h, key, nodes, scratch)
-		scratch = sc
+		j, ok, _ := s.lookup(s.seq, h, s.probe(intState(i)))
 		if !ok || j != int32(i) {
 			t.Fatalf("state %d: lookup = (%d, %v), want (%d, true)", i, j, ok, i)
 		}
 	}
-	// A fourth state with the same hash but different bytes must miss:
+	// A fourth state with the same hash but a different key must miss:
 	// hash equality alone never admits a state.
-	key := intState(99).encodeInto(nil)
-	if j, _, ok, _ := st.lookup(h, key, nodes, scratch); ok {
+	probe := s.probe(intState(99))
+	if j, ok, _ := s.lookup(s.seq, h, probe); ok {
 		t.Fatalf("stranger with colliding hash matched node %d", j)
 	}
 	// And a hash nobody inserted misses without touching candidates.
-	if _, _, ok, _ := st.lookup(h+1, key, nodes, nil); ok {
+	if _, ok, _ := s.lookup(s.seq, h+1, probe); ok {
 		t.Fatal("lookup hit on an absent hash")
 	}
 }
 
 // TestStoreShardsByHash checks states land in the shard their hash's
-// low bits select, so the per-shard maps stay balanced and disjoint.
+// low bits select, so the per-shard maps stay balanced and disjoint,
+// and that a row hashes exactly as its state's key does.
 func TestStoreShardsByHash(t *testing.T) {
-	st := newStore()
-	var nodes []*node
+	s := newRowStore()
 	for i := int64(0); i < 200; i++ {
-		s := intState(i)
-		nodes = append(nodes, &node{st: s})
-		st.insert(hashKey(s.encodeInto(nil)), int32(i))
+		st := intState(i)
+		h := hashKey(st.encodeInto(nil))
+		if got := s.lay.hash(s.seq.in, s.probe(st)); got != h {
+			t.Fatalf("state %d: row hash %x, key hash %x", i, got, h)
+		}
+		s.put(h, st)
 	}
 	total := 0
 	occupied := 0
-	for i, sh := range st.shards {
+	for i, sh := range s.store.shards {
 		for h := range sh {
 			if h&(storeShards-1) != uint64(i) {
 				t.Fatalf("hash %x stored in shard %d", h, i)
@@ -74,16 +93,14 @@ func TestStoreShardsByHash(t *testing.T) {
 		}
 	}
 	if total != 200 {
-		t.Fatalf("stored %d hashes across shards, want 200 (overflow: %d)", total, len(st.overflow))
+		t.Fatalf("stored %d hashes across shards, want 200 (overflow: %d)", total, len(s.store.overflow))
 	}
 	if occupied < storeShards/2 {
 		t.Fatalf("only %d/%d shards occupied — FNV low bits are not spreading", occupied, storeShards)
 	}
-	var scratch []byte
 	for i := int64(0); i < 200; i++ {
-		key := intState(i).encodeInto(nil)
-		j, sc, ok, _ := st.lookup(hashKey(key), key, nodes, scratch)
-		scratch = sc
+		st := intState(i)
+		j, ok, _ := s.lookup(s.seq, hashKey(st.encodeInto(nil)), s.probe(st))
 		if !ok || j != int32(i) {
 			t.Fatalf("state %d: lookup = (%d, %v)", i, j, ok)
 		}

@@ -10,9 +10,10 @@
 //
 // The checker and the simulator share one compiler and one read side —
 // instruction stream, compiled expressions and conditions, lvalue
-// rebuild (sim.Frame) — so statement semantics cannot drift between the
-// two; only the stores differ, because the checker shares values
-// between states and never mutates one in place. Its scheduling model
+// rebuild and the rule on which stores may create a local (sim.Frame) —
+// so statement semantics cannot drift between the two; only the stores
+// differ, because the checker shares values between states and never
+// mutates one in place. Its scheduling model
 // is a sound abstraction of the simulator's: within a delta cycle any
 // enabled process may run next (the checker branches over all of them,
 // a superset of the simulator's fixed process order), while relative
@@ -306,7 +307,7 @@ func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error
 
 	rep := &Report{
 		Procs:        len(m.progs),
-		States:       len(sr.nodes),
+		States:       sr.count(),
 		Transitions:  sr.transitions,
 		Depth:        int(sr.depth),
 		GoldenClocks: goldenClocks,
@@ -318,7 +319,7 @@ func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error
 		rep.SpillBytes = sp.bytes
 	}
 	if cfg.Lossy {
-		n := float64(len(sr.nodes))
+		n := float64(sr.count())
 		p := n * (n - 1) / math.Pow(2, 65)
 		if p > 1 {
 			p = 1
