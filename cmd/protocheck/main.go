@@ -24,10 +24,12 @@
 //	              dropped along any one explored path (default 0)
 //	-depth N      search depth bound (0 = states bound only)
 //	-states N     stored-states bound (0 = checker default)
-//	-mem-budget N resident state-memory budget in MiB: past it, sealed
-//	              BFS layers spill to a disk store and the search is
-//	              disk-bound instead of RAM-bound (0 = all in RAM;
-//	              verdict and state count identical either way)
+//	-mem-budget N budget in MiB for the hot states' rows and index
+//	              entries: past it, sealed BFS layers spill to a disk
+//	              store (0 = all in RAM; verdict and state count
+//	              identical either way). Node bookkeeping, the liveness
+//	              graph and the value table stay in RAM uncounted, so
+//	              the process outgrows the budget
 //	-spill DIR    spill scratch directory (default system temp)
 //	-bloom        lossy hash-compaction dedup (SPIN bitstate style):
 //	              hash hits are accepted without byte confirmation and
@@ -114,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	drops := fs.Int("drops", 0, "dropped-transition budget per explored path")
 	depth := fs.Int("depth", 0, "search depth bound (0 = states bound only)")
 	states := fs.Int("states", 0, "stored-states bound (0 = checker default)")
-	memBudget := fs.Int64("mem-budget", 0, "resident state-memory budget in MiB; past it sealed BFS layers spill to disk (0 = all in RAM; verdict identical)")
+	memBudget := fs.Int64("mem-budget", 0, "budget in MiB for hot states' rows and index entries; past it sealed BFS layers spill to disk, and other checker memory is not counted (0 = all in RAM; verdict identical)")
 	spillDir := fs.String("spill", "", "spill scratch directory (default system temp; only used with -mem-budget)")
 	bloomMode := fs.Bool("bloom", false, "lossy hash-compaction dedup: skip byte confirmation of hash hits and report the omission probability")
 	workers := fs.Int("j", 0, "exploration workers (0 = all CPUs, 1 = serial; verdict identical)")

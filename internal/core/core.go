@@ -73,10 +73,12 @@ type Options struct {
 	// VerifyStates bounds the model checker's stored states (0 = the
 	// checker's default).
 	VerifyStates int
-	// VerifyMemBudget bounds the checker's resident state bytes; past
-	// it, sealed BFS layers spill to disk under VerifySpillDir (0 =
-	// fully in RAM). Verdicts and counts are identical at any budget,
-	// so this knob is excluded from the serve layer's cache key.
+	// VerifyMemBudget bounds the checker's estimated hot-state bytes
+	// (verify.Config.MemBudget); past it, sealed BFS layers spill to
+	// disk under VerifySpillDir (0 = fully in RAM). The checker's other
+	// memory is not counted, so it does not bound the process. Verdicts
+	// and counts are identical at any budget, so this knob is excluded
+	// from the serve layer's cache key.
 	VerifyMemBudget int64
 	// VerifySpillDir hosts the checker's spill scratch ("" = system
 	// temp directory); only consulted when VerifyMemBudget > 0.

@@ -8,12 +8,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestCampaignHistograms pins the outcome histograms of the fault
-// suite's 100,000-run campaigns (seed 1, robust and robust+parity PQ as
+// TestCampaignHistograms pins the outcome histograms of two
+// 100,000-run campaigns (seed 1, robust and robust+parity PQ as
 // core.Synthesize refines them, on its 8-bit bus). They are the counts
-// BENCH_fault.json recorded when the pooled campaign engine replaced
-// the classic kernel, so every later change to the simulator or the
-// campaign must reproduce them run for run.
+// recorded when the pooled campaign engine replaced the classic kernel
+// (EXPERIMENTS.md, "Recorded history of the retired harness"), so
+// every later change to the simulator or the campaign must reproduce
+// them run for run.
 func TestCampaignHistograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-run campaigns")

@@ -1,12 +1,47 @@
 package flc
 
 import (
+	"flag"
+	"os"
 	"testing"
 
 	"repro/internal/hdl"
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// flcSysHeader opens testdata/flc.sys, ahead of the printed system.
+const flcSysHeader = "-- The Matsushita fuzzy logic controller case study (Fig. 6 of the\n" +
+	"-- paper), printed from the canonical builder in internal/flc.\n" +
+	"-- Regenerate: go test ./internal/flc -update\n" +
+	"-- Try: go run ./cmd/ifsyn -summary -trace -run testdata/flc.sys\n"
+
+// TestFLCSysFile pins testdata/flc.sys, the case study's textual form,
+// to what the printer makes of the canonical builder. Regenerate the
+// file with: go test ./internal/flc -update
+func TestFLCSysFile(t *testing.T) {
+	src, err := hdl.Print(New(DefaultConfig()).Sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := flcSysHeader + src
+	const golden = "../../testdata/flc.sys"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from the builder's printed form (%d vs %d bytes); re-run with -update if intended",
+			golden, len(got), len(want))
+	}
+}
 
 // TestFLCTextRoundTrip prints the whole twelve-process FLC into the
 // textual specification language, reparses it, and verifies the

@@ -48,8 +48,9 @@ type Options struct {
 	VerifyDepth  int  `json:"verify_depth,omitempty"`
 	VerifyDrops  int  `json:"verify_drops,omitempty"`
 	VerifyStates int  `json:"verify_states,omitempty"`
-	// VerifyMemBudgetMB bounds the checker's resident state memory in
-	// MiB; past it, sealed BFS layers spill to disk. Verdicts are
+	// VerifyMemBudgetMB bounds the checker's estimated hot-state bytes
+	// in MiB (verify.Config.MemBudget); past it, sealed BFS layers spill
+	// to disk. It does not bound the job's memory. Verdicts are
 	// byte-identical at any budget, so — like Workers — it is excluded
 	// from the cache key.
 	VerifyMemBudgetMB int `json:"verify_mem_budget_mb,omitempty"`

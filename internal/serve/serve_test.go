@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,6 +132,120 @@ func TestQuerySweep(t *testing.T) {
 	}
 	if len(res.Points) == 0 || len(res.Pareto) == 0 {
 		t.Fatalf("sweep returned %d points, %d pareto", len(res.Points), len(res.Pareto))
+	}
+}
+
+// TestConcurrentMixedLoad drives the real pipeline under concurrency:
+// 16 clients post four passes of a mixed workload to a two-worker
+// server, so the same request is computed, joined in flight and
+// replayed from the cache at once. Beside them one client abandons a
+// long verify as soon as it runs. Every mix reply must succeed and be
+// byte-identical to the other replies to its request, and the
+// abandoned job must be the only one canceled.
+func TestConcurrentMixedLoad(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	client := ts.Client()
+	const clients, passes = 16, 4
+	// Mesh, FLC, Ethernet and PQ variants across synthesize, sweep and
+	// bounded verify ops, each under its own cache key; the verify
+	// bounds keep every request interactive.
+	mix := []Request{
+		{Op: OpSynthesize, Workload: "pq"},
+		{Op: OpSynthesize, Workload: "mesh-3", Options: Options{Protocol: "half"}},
+		{Op: OpSynthesize, Workload: "flc", Options: Options{ForceWidth: 8}},
+		{Op: OpSynthesize, Workload: "ethernet-2", Options: Options{Robust: true}},
+		{Op: OpSweep, Workload: "pq", Options: Options{IncludeRobust: true}},
+		{Op: OpSweep, Workload: "flc"},
+		{Op: OpSweep, Workload: "mesh-4"},
+		{Op: OpVerify, Workload: "pq-solo", Options: Options{VerifyStates: 20000}},
+		{Op: OpVerify, Workload: "pq", Options: Options{VerifyStates: 10000}},
+		{Op: OpSynthesize, Workload: "pq", Options: Options{Robust: true, Parity: true}},
+	}
+	bodies := make([][]byte, len(mix))
+	for i := range mix {
+		b, err := json.Marshal(&mix[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = b
+	}
+
+	// The abandoned request: the exhaustive robust drop-1 proof, under a
+	// state bound no mix request uses, so it never shares a key or a job.
+	abandon, err := json.Marshal(&Request{Op: OpVerify, Workload: "pq",
+		Options: Options{Robust: true, VerifyDrops: 1, VerifyStates: 1_500_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(abandon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	abandoned := make(chan error, 1)
+	go func() {
+		resp, err := client.Do(hreq)
+		if resp != nil {
+			resp.Body.Close()
+		}
+		abandoned <- err
+	}()
+	waitFor(t, "abandoned job running", func() bool { return s.running.Load() == 1 })
+
+	replies := make([][]byte, passes*len(bodies))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(replies) {
+					return
+				}
+				resp, err := client.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(bodies[i%len(bodies)]))
+				if err != nil {
+					t.Errorf("request %d: %v", i, err)
+					continue
+				}
+				b, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					t.Errorf("request %d: read body: %v", i, err)
+				case resp.StatusCode != http.StatusOK:
+					t.Errorf("request %d: status %d: %s", i, resp.StatusCode, b)
+				default:
+					replies[i] = b
+				}
+			}
+		}()
+	}
+	cancel()
+	if err := <-abandoned; err == nil {
+		t.Error("abandoned request returned without error")
+	}
+	waitFor(t, "abandoned job canceled", func() bool { return s.jobsCanceled.Load() == 1 })
+	wg.Wait()
+
+	for i := len(bodies); i < len(replies); i++ {
+		first := replies[i%len(bodies)]
+		if first != nil && replies[i] != nil && !bytes.Equal(replies[i], first) {
+			t.Errorf("pass %d reply to request %d differs from pass 0:\n%s\nvs\n%s",
+				i/len(bodies), i%len(bodies), replies[i], first)
+		}
+	}
+	if n := s.jobsFailed.Load(); n != 0 {
+		t.Errorf("jobs failed = %d, want 0", n)
+	}
+	if n := s.queueRejects.Load(); n != 0 {
+		t.Errorf("queue rejects = %d, want 0", n)
+	}
+	if n := s.jobsCanceled.Load(); n != 1 {
+		t.Errorf("jobs canceled = %d, want 1", n)
 	}
 }
 

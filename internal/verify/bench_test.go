@@ -9,11 +9,11 @@ import (
 	"repro/internal/spec"
 )
 
-// The two reference workloads of the perf harness (tools/bench records
-// the same shapes in BENCH_verify.json). Synthesis runs outside the
-// timer — the benchmarks measure Check, and report the checker's two
-// budget currencies directly: explored states per second of wall time
-// and heap bytes allocated per stored state.
+// Two reference workloads, the shapes of EXPERIMENTS.md's
+// baseline-drop1 and robust-drop1-100k scenarios. Synthesis runs
+// outside the timer — the benchmarks measure Check, and report the
+// checker's two budget currencies directly: explored states per second
+// of wall time and heap bytes allocated per stored state.
 
 // BenchmarkVerifyBaseline checks the unhardened full handshake under a
 // one-drop budget (the EXPERIMENTS.md 369-state row).

@@ -11,13 +11,14 @@ import (
 )
 
 // This file is the cold tier of the dedup store: a disk spill for
-// sealed BFS layers, so the checker's resident set is bounded by
-// Config.MemBudget instead of the state count. The layout follows the
-// external-memory lineage of explicit-state checkers (SPIN's disk
-// modes): per shard, one append-only data file of checksummed state
-// records plus a sorted immutable hash index that is rewritten by a
-// sequential merge whenever layers seal, with an in-RAM Bloom filter
-// in front so the overwhelmingly common miss never touches disk.
+// sealed BFS layers, so the hot states' rows stay within
+// Config.MemBudget whatever the state count (each state's node
+// bookkeeping stays in RAM). The layout follows the external-memory
+// lineage of explicit-state checkers (SPIN's disk modes): per shard,
+// one append-only data file of checksummed state records plus a sorted
+// immutable hash index that is rewritten by a sequential merge whenever
+// layers seal, with an in-RAM Bloom filter in front so the
+// overwhelmingly common miss never touches disk.
 //
 // Soundness contract: in exact mode a hash hit in the index is only a
 // candidate — the record is read back and its key section compared

@@ -69,12 +69,16 @@ type Config struct {
 	// MaxClocks bounds the golden simulation and counterexample
 	// replays; 0 means 1000000.
 	MaxClocks int64
-	// MemBudget bounds the resident bytes of stored states; 0 keeps
-	// every state in RAM (the classic mode). With a budget, whole BFS
-	// layers beyond it seal to a disk spill store under SpillDir and the
-	// search becomes disk-bound instead of RAM-bound. The verdict, state
-	// count and transition count are byte-identical at any budget: the
-	// spill tier confirms candidates exactly like the hot tier.
+	// MemBudget bounds the estimated bytes of hot (unsealed) states:
+	// each counts its row plus its hot index entry. 0 keeps every state
+	// in RAM (the classic mode). With a budget, whole BFS layers beyond
+	// it seal to a disk spill store under SpillDir. It does not bound
+	// the process: every state's node bookkeeping stays in RAM, sealed
+	// or not, and the liveness edges, each layer's worker outputs, the
+	// value table and the spill tier's record map and Bloom filters are
+	// not counted. The verdict, state count and transition count are
+	// byte-identical at any budget: the spill tier confirms candidates
+	// exactly like the hot tier.
 	MemBudget int64
 	// SpillDir is where spill scratch files live (a fresh subdirectory
 	// is created per run and removed afterwards); "" uses the system
