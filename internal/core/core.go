@@ -27,6 +27,22 @@ import (
 	"repro/internal/verify"
 )
 
+// Bounds on the size of one synthesis's refinement, checked once the
+// bus widths are chosen and before any protocol generation. Without
+// them, a request of a few hundred KB declaring wide vectors and
+// forcing width 1 made protocol generation and the listing grow to
+// gigabytes. The largest input in the repository's tests and benchmark
+// is a 6x6 mesh at width 1; each bound is about ten times its figure.
+const (
+	// maxWordTransfers bounds the bus-word transfers unrolled, summed
+	// over the buses (protogen.WordTransfers). The mesh unrolls 1,584.
+	maxWordTransfers = 16384
+	// maxParityTerms bounds, under Parity, the lines the per-word parity
+	// trees XOR: each transfer's tree covers the bus's DATA and ID
+	// lines. The mesh's trees cover 12,672.
+	maxParityTerms = 131072
+)
+
 // Options parameterizes Synthesize.
 type Options struct {
 	// Grouping selects the channel-grouping policy (default SingleBus,
@@ -218,6 +234,26 @@ func SynthesizeCtx(ctx context.Context, sys *spec.System, opts Options) (*Report
 			br.Gen = gen
 		}
 		rep.Buses = append(rep.Buses, br)
+	}
+
+	// Every word transfer unrolls into statements on both sides of its
+	// bus, and under Parity into an XOR tree over the bus's DATA and ID
+	// lines, so the widths just chosen fix how large the refinement
+	// grows. Refuse an oversized one before generating anything.
+	words, terms := 0, 0
+	for _, br := range rep.Buses {
+		if br.Bus.Width > spec.MaxVectorWidth {
+			return nil, fmt.Errorf("core: bus %s is %d bits wide, above the limit of %d", br.Bus.Name, br.Bus.Width, spec.MaxVectorWidth)
+		}
+		n := protogen.WordTransfers(br.Bus)
+		words += n
+		terms += n * (br.Bus.Width + br.Bus.IDBits())
+	}
+	if words > maxWordTransfers {
+		return nil, fmt.Errorf("core: the buses unroll %d word transfers, above the limit of %d", words, maxWordTransfers)
+	}
+	if opts.Parity && terms > maxParityTerms {
+		return nil, fmt.Errorf("core: the parity trees cover %d bus lines, above the limit of %d", terms, maxParityTerms)
 	}
 
 	// baseCfg is the protocol-generation config for one bus; the repair

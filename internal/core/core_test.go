@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -351,5 +352,82 @@ func TestSynthesizeRejectsUnsupportedRemoteAccess(t *testing.T) {
 		if _, err := Synthesize(sys, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
+	}
+}
+
+// writers builds a system whose n behaviors each write a bits-wide
+// vector held on another module, over one channel each.
+func writers(n, bits int) *spec.System {
+	sys := spec.NewSystem("Wide")
+	src := sys.AddModule("src")
+	dst := sys.AddModule("dst")
+	for i := 0; i < n; i++ {
+		v := dst.AddVariable(spec.NewVar(fmt.Sprintf("V%d", i), spec.BitVector(bits)))
+		b := src.AddBehavior(spec.NewBehavior(fmt.Sprintf("P%d", i)))
+		l := b.AddVar("L", spec.BitVector(bits))
+		b.Body = []spec.Stmt{spec.AssignSig(spec.Ref(v), spec.Ref(l))}
+		sys.AddChannel(&spec.Channel{Name: fmt.Sprintf("C%d", i), Accessor: b, Var: v, Dir: spec.Write})
+	}
+	return sys
+}
+
+// TestWordTransferBound: eight 4,096-bit writes at width 1 unroll
+// 32,768 word transfers, twice the bound, and must be refused before
+// protocol generation adds anything to the system. Sixty-four such
+// channels in a 268 KB spec once took 4.75 s and 1.31 GB to
+// synthesize and rendered a 264 MB listing. Four channels, exactly at
+// the bound, still synthesize.
+func TestWordTransferBound(t *testing.T) {
+	sys := writers(8, 4096)
+	_, err := Synthesize(sys, Options{Workers: 1, ForceWidth: 1})
+	if err == nil || !strings.Contains(err.Error(), "32768 word transfers") || !strings.Contains(err.Error(), "16384") {
+		t.Fatalf("err = %v, want the 32768 transfers refused at the limit of 16384", err)
+	}
+	if len(sys.Globals) != 0 || len(sys.Buses) != 1 || sys.Buses[0].Signal != nil {
+		t.Fatalf("refused system was refined: %d globals, %d buses", len(sys.Globals), len(sys.Buses))
+	}
+	if _, err := Synthesize(writers(4, 4096), Options{Workers: 1, ForceWidth: 1}); err != nil {
+		t.Fatalf("16384 transfers: %v", err)
+	}
+}
+
+// TestBusWidthBound: a bus wider than the widest legal vector is
+// refused before protocol generation. With parity, a 2^30-bit bus once
+// asked for a 2^30-entry slice per word.
+func TestBusWidthBound(t *testing.T) {
+	sys := writers(1, 8)
+	_, err := Synthesize(sys, Options{Workers: 1, ForceWidth: 1 << 30, Robust: true, Parity: true})
+	if err == nil || !strings.Contains(err.Error(), "1073741824 bits wide, above the limit of 4096") {
+		t.Fatalf("err = %v, want the width refused", err)
+	}
+	if len(sys.Globals) != 0 {
+		t.Fatalf("refused system was refined: %d globals", len(sys.Globals))
+	}
+	if _, err := Synthesize(writers(1, 8), Options{Workers: 1, ForceWidth: spec.MaxVectorWidth, Robust: true, Parity: true}); err != nil {
+		t.Fatalf("width %d: %v", spec.MaxVectorWidth, err)
+	}
+}
+
+// TestParityTermBound: every word's parity tree XORs the bus's DATA
+// and ID lines, so 32 one-bit writes at width 4,096 cover 32 x (4,096
+// + 5) = 131,232 lines under parity, just past the bound, and are
+// refused; 16,000 such channels would build trees over about 66 million
+// lines. Without parity the same bus unrolls only 32 transfers and
+// synthesizes, and 31 channels (127,131 lines) synthesize with parity.
+func TestParityTermBound(t *testing.T) {
+	hardened := Options{Workers: 1, ForceWidth: 4096, Robust: true, Parity: true}
+	sys := writers(32, 1)
+	_, err := Synthesize(sys, hardened)
+	if err == nil || !strings.Contains(err.Error(), "131232 bus lines, above the limit of 131072") {
+		t.Fatalf("err = %v, want the parity trees refused", err)
+	}
+	if len(sys.Globals) != 0 {
+		t.Fatalf("refused system was refined: %d globals", len(sys.Globals))
+	}
+	if _, err := Synthesize(writers(32, 1), Options{Workers: 1, ForceWidth: 4096, Robust: true}); err != nil {
+		t.Fatalf("without parity: %v", err)
+	}
+	if _, err := Synthesize(writers(31, 1), hardened); err != nil {
+		t.Fatalf("31 channels: %v", err)
 	}
 }

@@ -295,7 +295,7 @@ func (e *elaborator) typeOf(t *astType) (spec.Type, error) {
 const (
 	// maxVectorWidth bounds bit_vector widths and conv_bit_vector
 	// widths.
-	maxVectorWidth = 4096
+	maxVectorWidth = spec.MaxVectorWidth
 	// maxArrayLength bounds the elements of an array; an array of arrays
 	// counts the elements of its innermost arrays.
 	maxArrayLength = 65536

@@ -35,28 +35,14 @@ import (
 // Single-accessor buses never get arbitration hardware: there is
 // nothing to arbitrate.
 
-// accessors returns the distinct accessing behaviors of the bus, in
-// first-channel order.
-func (g *generator) accessors() []*spec.Behavior {
-	var out []*spec.Behavior
-	seen := make(map[*spec.Behavior]bool)
-	for _, c := range g.bus.Channels {
-		if !seen[c.Accessor] {
-			seen[c.Accessor] = true
-			out = append(out, c.Accessor)
-		}
-	}
-	return out
-}
-
 // arbitrated reports whether this generation run adds arbitration.
 func (g *generator) arbitrated() bool {
-	return g.cfg.Arbitrate && len(g.accessors()) > 1
+	return g.cfg.Arbitrate && len(g.accessors) > 1
 }
 
 // arbiterFields returns the record fields arbitration adds.
 func (g *generator) arbiterFields() []spec.Field {
-	n := len(g.accessors())
+	n := len(g.accessors)
 	return []spec.Field{
 		{Name: "REQ", Type: spec.BitVector(n)},
 		{Name: "GRANT", Type: spec.BitVector(spec.AddrBits(n))},
@@ -64,65 +50,47 @@ func (g *generator) arbiterFields() []spec.Field {
 	}
 }
 
-// accessorIndex returns the behavior's request-line index.
-func (g *generator) accessorIndex(b *spec.Behavior) int {
-	for i, a := range g.accessors() {
-		if a == b {
-			return i
-		}
-	}
-	return -1
-}
-
-// acquireStmts opens a transaction for accessor index i.
-func (g *generator) acquireStmts(i int) []spec.Stmt {
-	one := spec.VecString("1")
-	grantW := spec.AddrBits(len(g.accessors()))
-	myGrant := spec.Vec(bits.FromUint(uint64(i), grantW))
-	return []spec.Stmt{
-		spec.AssignSig(spec.SliceBits(g.busField("REQ"), i, i), one),
-		spec.WaitUntil(spec.LogicalAnd(
-			spec.Eq(g.busField("GVALID"), one),
-			spec.Eq(g.busField("GRANT"), myGrant),
-		)),
-	}
-}
-
-// releaseStmts closes a transaction for accessor index i.
-func (g *generator) releaseStmts(i int) []spec.Stmt {
-	zero := spec.VecString("0")
-	grantW := spec.AddrBits(len(g.accessors()))
-	myGrant := spec.Vec(bits.FromUint(uint64(i), grantW))
-	return []spec.Stmt{
-		spec.AssignSig(spec.SliceBits(g.busField("REQ"), i, i), zero),
-		spec.WaitUntil(spec.LogicalOr(
-			spec.Eq(g.busField("GVALID"), zero),
-			spec.Neq(g.busField("GRANT"), myGrant),
-		)),
-	}
+// myGrant returns the GRANT value selecting accessor index i.
+func (g *generator) myGrant(i int) spec.Expr {
+	return spec.Vec(bits.FromUint(uint64(i), spec.AddrBits(len(g.accessors))))
 }
 
 // wrapArbitration wraps a generated accessor procedure body in the
-// acquire/release pair for its behavior.
+// acquire/release pair for its behavior, accessor index i:
+//
+//	B.REQ(i downto i) <= '1';
+//	wait until B.GVALID = '1' and B.GRANT = i;
+//	  ... body ...
+//	B.REQ(i downto i) <= '0';
+//	wait until B.GVALID = '0' or B.GRANT /= i;
 func (g *generator) wrapArbitration(b *spec.Behavior, body []spec.Stmt) []spec.Stmt {
 	if !g.arbitrated() {
 		return body
 	}
-	i := g.accessorIndex(b)
-	out := g.acquireStmts(i)
+	i := g.accIndex[b]
+	req := g.slice(g.busField("REQ"), i, i)
+	grant := g.myGrant(i)
+	out := make([]spec.Stmt, 0, len(body)+4)
+	out = append(out,
+		spec.AssignSig(req, g.bit[1]),
+		spec.WaitUntil(spec.LogicalAnd(g.is("GVALID", 1), spec.Eq(g.busField("GRANT"), grant))),
+	)
 	out = append(out, body...)
-	return append(out, g.releaseStmts(i)...)
+	return append(out,
+		spec.AssignSig(req, g.bit[0]),
+		spec.WaitUntil(spec.LogicalOr(g.is("GVALID", 0), spec.Neq(g.busField("GRANT"), grant))),
+	)
 }
 
 // grantHoldStmts emits the extra held clock between the granted
 // accessor's REQ fall and the GVALID deassert when Config.GrantHold is
 // set: the grant outlives the request by one clock, covering the
 // owner's commit/release edges before the bus can be re-granted.
-func (g *generator) grantHoldStmts() []spec.Stmt {
+func (g *generator) grantHoldStmts(body []spec.Stmt) []spec.Stmt {
 	if !g.cfg.GrantHold {
-		return nil
+		return body
 	}
-	return []spec.Stmt{spec.WaitFor(1)}
+	return append(body, g.delay(1))
 }
 
 // buildArbiter generates the ARBITER process under the configured grant
@@ -138,11 +106,7 @@ func (g *generator) buildArbiter() *spec.Behavior {
 // buildPriorityArbiter generates a fixed-priority grant loop: the
 // lowest-index requester wins every scan.
 func (g *generator) buildPriorityArbiter() *spec.Behavior {
-	accs := g.accessors()
-	n := len(accs)
-	grantW := spec.AddrBits(n)
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
+	n := len(g.accessors)
 
 	arb := spec.NewBehavior(g.bus.Name + "arbiter")
 	arb.Server = true
@@ -159,8 +123,8 @@ func (g *generator) buildPriorityArbiter() *spec.Behavior {
 	// Priority chain: lowest request index wins.
 	arm := func(i int) []spec.Stmt {
 		grant := []spec.Stmt{
-			spec.AssignSig(g.busField("GRANT"), spec.Vec(bits.FromUint(uint64(i), grantW))),
-			spec.WaitFor(1), // grant setup clock
+			spec.AssignSig(g.busField("GRANT"), g.myGrant(i)),
+			g.delay(1), // grant setup clock
 		}
 		var stmts []spec.Stmt
 		if g.cfg.BusPark {
@@ -168,31 +132,30 @@ func (g *generator) buildPriorityArbiter() *spec.Behavior {
 			// owner, so a re-request from it skips the assignment and the
 			// setup clock.
 			stmts = append(stmts, &spec.If{
-				Cond: spec.Neq(spec.Ref(last), spec.Int(int64(i))),
+				Cond: spec.Neq(spec.Ref(last), g.int(i)),
 				Then: grant,
 			})
 		} else {
 			stmts = append(stmts, grant...)
 		}
 		stmts = append(stmts,
-			spec.AssignSig(g.busField("GVALID"), one),
-			spec.WaitUntil(spec.Eq(spec.SliceBits(g.busField("REQ"), i, i), zero)),
+			g.set("GVALID", 1),
+			spec.WaitUntil(spec.Eq(g.slice(g.busField("REQ"), i, i), g.bit[0])),
 		)
-		stmts = append(stmts, g.grantHoldStmts()...)
-		stmts = append(stmts, spec.AssignSig(g.busField("GVALID"), zero))
+		stmts = g.grantHoldStmts(stmts)
+		stmts = append(stmts, g.set("GVALID", 0))
 		if g.cfg.BusPark {
-			stmts = append(stmts, spec.AssignVar(spec.Ref(last), spec.Int(int64(i))))
+			stmts = append(stmts, spec.AssignVar(spec.Ref(last), g.int(i)))
 		}
-		stmts = append(stmts, spec.WaitFor(1)) // bus turnaround clock
-		return stmts
+		return append(stmts, g.delay(1)) // bus turnaround clock
 	}
 	dispatch := &spec.If{
-		Cond: spec.Eq(spec.SliceBits(g.busField("REQ"), 0, 0), one),
+		Cond: spec.Eq(g.slice(g.busField("REQ"), 0, 0), g.bit[1]),
 		Then: arm(0),
 	}
 	for i := 1; i < n; i++ {
 		dispatch.Elifs = append(dispatch.Elifs, spec.ElseIf{
-			Cond: spec.Eq(spec.SliceBits(g.busField("REQ"), i, i), one),
+			Cond: spec.Eq(g.slice(g.busField("REQ"), i, i), g.bit[1]),
 			Body: arm(i),
 		})
 	}
@@ -225,11 +188,8 @@ func (g *generator) buildPriorityArbiter() *spec.Behavior {
 // The dynamic single-bit select uses the IR's expression-valued slice
 // bounds (static width 1).
 func (g *generator) buildRoundRobinArbiter() *spec.Behavior {
-	accs := g.accessors()
-	n := len(accs)
+	n := len(g.accessors)
 	grantW := spec.AddrBits(n)
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
 
 	arb := spec.NewBehavior(g.bus.Name + "arbiter")
 	arb.Server = true
@@ -242,7 +202,7 @@ func (g *generator) buildRoundRobinArbiter() *spec.Behavior {
 
 	grant := []spec.Stmt{
 		spec.AssignSig(g.busField("GRANT"), spec.ToVec(spec.Ref(idx), grantW)),
-		spec.WaitFor(1),
+		g.delay(1),
 	}
 	var open []spec.Stmt
 	if g.cfg.BusPark {
@@ -257,31 +217,31 @@ func (g *generator) buildRoundRobinArbiter() *spec.Behavior {
 		open = append(open, grant...)
 	}
 	armBody := append(open,
-		spec.AssignSig(g.busField("GVALID"), one),
-		spec.WaitUntil(spec.Eq(reqBit, zero)),
+		g.set("GVALID", 1),
+		spec.WaitUntil(spec.Eq(reqBit, g.bit[0])),
 	)
-	armBody = append(armBody, g.grantHoldStmts()...)
+	armBody = g.grantHoldStmts(armBody)
 	armBody = append(armBody,
-		spec.AssignSig(g.busField("GVALID"), zero),
+		g.set("GVALID", 0),
 		spec.AssignVar(spec.Ref(last), spec.Ref(idx)),
-		spec.WaitFor(1),
+		g.delay(1),
 		&spec.Exit{},
 	)
 	scan := &spec.While{
-		Cond: spec.Le(spec.Ref(k), spec.Int(int64(n))),
+		Cond: spec.Le(spec.Ref(k), g.int(n)),
 		Body: []spec.Stmt{
 			spec.AssignVar(spec.Ref(idx),
-				spec.Bin(spec.OpMod, spec.Add(spec.Ref(last), spec.Ref(k)), spec.Int(int64(n)))),
+				spec.Bin(spec.OpMod, spec.Add(spec.Ref(last), spec.Ref(k)), g.int(n))),
 			&spec.If{
-				Cond: spec.Eq(reqBit, one),
+				Cond: spec.Eq(reqBit, g.bit[1]),
 				Then: armBody,
 			},
-			spec.AssignVar(spec.Ref(k), spec.Add(spec.Ref(k), spec.Int(1))),
+			spec.AssignVar(spec.Ref(k), spec.Add(spec.Ref(k), g.int(1))),
 		},
 	}
 	arb.Body = []spec.Stmt{&spec.Loop{Body: []spec.Stmt{
 		spec.WaitUntil(anyReq),
-		spec.AssignVar(spec.Ref(k), spec.Int(1)),
+		spec.AssignVar(spec.Ref(k), g.int(1)),
 		scan,
 	}}}
 	return arb

@@ -298,8 +298,12 @@ func Generate(sys *spec.System, bus *spec.Bus, cfg Config) (*Refinement, error) 
 	if len(bus.Channels) == 0 {
 		return nil, fmt.Errorf("protogen: bus %s has no channels", bus.Name)
 	}
+	inSys := make(map[*spec.Channel]bool, len(sys.Channels))
+	for _, c := range sys.Channels {
+		inSys[c] = true
+	}
 	for _, c := range bus.Channels {
-		if sys.FindChannel(c.Name) != c {
+		if !inSys[c] {
 			return nil, fmt.Errorf("protogen: channel %s of bus %s not in system", c.Name, bus.Name)
 		}
 		if c.Accessor == nil || c.Var == nil || c.Var.Owner == nil {
@@ -324,8 +328,23 @@ func Generate(sys *spec.System, bus *spec.Bus, cfg Config) (*Refinement, error) 
 			AccessorProcs: make(map[*spec.Channel]*spec.Procedure),
 			ServerProcs:   make(map[*spec.Channel]*spec.Procedure),
 		},
-		servers:   make(map[*spec.Variable]*spec.Behavior),
-		abortVars: make(map[*spec.Module]*spec.Variable),
+		servers:    make(map[*spec.Variable]*spec.Behavior),
+		serverArms: make(map[*spec.Behavior][]dispatchArm),
+		abortVars:  make(map[*spec.Module]*spec.Variable),
+		accIndex:   make(map[*spec.Behavior]int),
+		lines:      make(map[string]*busLine),
+		ints:       make(map[int]*spec.IntLit),
+		delays:     make(map[int64]*spec.Wait),
+		low:        make(map[int]*spec.SliceExpr),
+		bit:        [2]*spec.VecLit{spec.VecString("0"), spec.VecString("1")},
+		boolLit:    [2]*spec.BoolLit{{Value: false}, {Value: true}},
+		ret:        &spec.Return{},
+	}
+	for _, c := range bus.Channels {
+		if _, ok := g.accIndex[c.Accessor]; !ok {
+			g.accIndex[c.Accessor] = len(g.accessors)
+			g.accessors = append(g.accessors, c.Accessor)
+		}
 	}
 
 	// Step 1: protocol selection.
@@ -368,6 +387,24 @@ type generator struct {
 	// abortVars caches the per-module abort counter variables created
 	// by hardened accessors (robust.go).
 	abortVars map[*spec.Module]*spec.Variable
+	// accessors lists the bus's distinct accessing behaviors in
+	// first-channel order; accIndex maps each to its position, its
+	// request line under arbitration.
+	accessors []*spec.Behavior
+	accIndex  map[*spec.Behavior]int
+
+	// The nodes a refinement repeats, built once (shared.go).
+	sig     *spec.VarRef // the bus signal
+	lines   map[string]*busLine
+	bit     [2]*spec.VecLit  // '0', '1'
+	boolLit [2]*spec.BoolLit // false, true
+	ints    map[int]*spec.IntLit
+	delays  map[int64]*spec.Wait
+	low     map[int]*spec.SliceExpr
+	ret     *spec.Return
+	// mismatch is the receiver's parity check (robust.go), built on
+	// first use.
+	mismatch spec.Expr
 }
 
 type dispatchArm struct {
@@ -438,6 +475,7 @@ func (g *generator) declareBus() {
 	g.sys.AddGlobal(sig)
 	g.bus.Signal = sig
 	g.ref.BusSignal = sig
+	g.sig = spec.Ref(sig)
 }
 
 func recordName(p spec.Protocol) string {
@@ -450,11 +488,6 @@ func recordName(p spec.Protocol) string {
 		return "PortBus"
 	}
 	return "HandShakeBus"
-}
-
-// busField returns the lvalue/rvalue expression B.<field>.
-func (g *generator) busField(field string) spec.Expr {
-	return spec.FieldOf(spec.Ref(g.bus.Signal), field)
 }
 
 // idMatches returns the condition B.ID = "<id>"; for single-channel buses
@@ -512,9 +545,6 @@ func (g *generator) generateProcedures(c *spec.Channel) {
 	server.AddProc(serve)
 	g.ref.AccessorProcs[c] = accessor
 	g.ref.ServerProcs[c] = serve
-	if g.serverArms == nil {
-		g.serverArms = make(map[*spec.Behavior][]dispatchArm)
-	}
 	g.serverArms[server] = append(g.serverArms[server], dispatchArm{ch: c, proc: serve})
 }
 
@@ -539,11 +569,21 @@ func (g *generator) serverFor(v *spec.Variable) *spec.Behavior {
 	return b
 }
 
+// wordCount is the number of bus words an mBits message takes at the
+// given width: the length of wordSpans(mBits, width). It does not
+// overflow for any positive width.
+func wordCount(mBits, width int) int {
+	if mBits <= 0 {
+		return 0
+	}
+	return (mBits-1)/width + 1
+}
+
 // wordSpans returns the (hi,lo) bit spans slicing an mBits message into
 // bus words, least significant word first. The final word may be
 // narrower than the bus.
 func wordSpans(mBits, width int) [][2]int {
-	var spans [][2]int
+	spans := make([][2]int, 0, wordCount(mBits, width))
 	for lo := 0; lo < mBits; lo += width {
 		hi := lo + width - 1
 		if hi > mBits-1 {
@@ -554,6 +594,32 @@ func wordSpans(mBits, width int) [][2]int {
 	return spans
 }
 
+// WordTransfers returns the number of bus-word transfers Generate
+// unrolls for the bus at its width: a write channel's message words,
+// and a read channel's address words (or its one request word) plus
+// its data words. Each transfer becomes a run of statements in both the
+// accessor's and the server's procedure, so callers bounding the size
+// of a refinement check this before generating. A bus without a width
+// counts 0.
+func WordTransfers(bus *spec.Bus) int {
+	if bus.Width <= 0 {
+		return 0
+	}
+	n := 0
+	for _, c := range bus.Channels {
+		dataBits, addrBits := c.DataBits(), c.AddrBits()
+		switch {
+		case c.Dir == spec.Write:
+			n += wordCount(dataBits+addrBits, bus.Width)
+		case addrBits > 0:
+			n += wordCount(addrBits, bus.Width) + wordCount(dataBits, bus.Width)
+		default:
+			n += 1 + wordCount(dataBits, bus.Width)
+		}
+	}
+	return n
+}
+
 // padToBus widens a (possibly narrower) word expression to the bus width.
 func (g *generator) padToBus(x spec.Expr) spec.Expr {
 	if x.Type().BitWidth() == g.bus.Width {
@@ -562,7 +628,7 @@ func (g *generator) padToBus(x spec.Expr) spec.Expr {
 	return &spec.Conv{X: x, To: spec.BitVector(g.bus.Width)}
 }
 
-// sendWordStmts emits one accessor-driven word transfer:
+// sendWordStmts appends one accessor-driven word transfer to body:
 //
 //	B.DATA  <= <word>;
 //	B.START <= '1';
@@ -571,36 +637,34 @@ func (g *generator) padToBus(x spec.Expr) spec.Expr {
 //	wait until B.DONE = '0';
 //
 // For protocols without handshake wires the transfer degenerates to a
-// DATA assignment plus a one-clock delay.
-func (g *generator) sendWordStmts(word spec.Expr) []spec.Stmt {
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
+// DATA assignment plus a one-clock delay. Only the DATA assignment is
+// built per word; the handshake statements are shared.
+func (g *generator) sendWordStmts(body []spec.Stmt, word spec.Expr) []spec.Stmt {
+	body = append(body, spec.AssignSig(g.busField("DATA"), g.padToBus(word)))
 	switch g.cfg.Protocol {
 	case spec.FullHandshake:
-		return []spec.Stmt{
-			spec.AssignSig(g.busField("DATA"), g.padToBus(word)),
-			spec.AssignSig(g.busField("START"), one),
-			spec.WaitUntil(spec.Eq(g.busField("DONE"), one)),
-			spec.AssignSig(g.busField("START"), zero),
-			spec.WaitUntil(spec.Eq(g.busField("DONE"), zero)),
-		}
+		return append(body, g.set("START", 1), g.until("DONE", 1), g.set("START", 0), g.until("DONE", 0))
 	case spec.HalfHandshake:
-		return []spec.Stmt{
-			spec.AssignSig(g.busField("DATA"), g.padToBus(word)),
-			spec.AssignSig(g.busField("START"), one),
-			spec.WaitFor(1),
-			spec.AssignSig(g.busField("START"), zero),
-			spec.WaitFor(1),
-		}
+		return append(body, g.set("START", 1), g.delay(1), g.set("START", 0), g.delay(1))
 	default: // FixedDelay, HardwiredPort
-		return []spec.Stmt{
-			spec.AssignSig(g.busField("DATA"), g.padToBus(word)),
-			spec.WaitFor(1),
-		}
+		return append(body, g.delay(1))
 	}
 }
 
-// serveWordStmts emits the server side of one accessor-driven word:
+// serveArm returns the wait opening each accessor-driven word on the
+// server side of channel c, "wait until B.START = '1' [and B.ID = id]",
+// or nil for protocols without a strobe. A serve procedure builds it
+// once and every word shares it.
+func (g *generator) serveArm(c *spec.Channel) spec.Stmt {
+	switch g.cfg.Protocol {
+	case spec.FullHandshake, spec.HalfHandshake:
+		return spec.WaitUntil(andOpt(g.is("START", 1), g.idMatches(c)))
+	}
+	return nil
+}
+
+// serveWordStmts appends the server side of one accessor-driven word,
+// opened by arm (serveArm):
 //
 //	wait until B.START = '1' [and B.ID = id];
 //	wait for 1;                    -- word setup (first clock of Eq. 2)
@@ -613,116 +677,105 @@ func (g *generator) sendWordStmts(word spec.Expr) []spec.Stmt {
 // The timed waits both charge the paper's two clocks per word and act as
 // delta-cycle flush points so back-to-back phases cannot merge their
 // DONE transitions into a single delta.
-func (g *generator) serveWordStmts(c *spec.Channel, latch []spec.Stmt) []spec.Stmt {
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
+func (g *generator) serveWordStmts(body []spec.Stmt, arm spec.Stmt, latch ...spec.Stmt) []spec.Stmt {
 	switch g.cfg.Protocol {
 	case spec.FullHandshake:
-		stmts := []spec.Stmt{
-			spec.WaitUntil(andOpt(spec.Eq(g.busField("START"), one), g.idMatches(c))),
-			spec.WaitFor(1),
-		}
-		stmts = append(stmts, latch...)
-		stmts = append(stmts,
-			spec.AssignSig(g.busField("DONE"), one),
-			spec.WaitUntil(spec.Eq(g.busField("START"), zero)),
-			spec.AssignSig(g.busField("DONE"), zero),
-			spec.WaitFor(1),
-		)
-		return stmts
+		body = append(body, arm, g.delay(1))
+		body = append(body, latch...)
+		return append(body, g.set("DONE", 1), g.until("START", 0), g.set("DONE", 0), g.delay(1))
 	case spec.HalfHandshake:
-		stmts := []spec.Stmt{
-			spec.WaitUntil(andOpt(spec.Eq(g.busField("START"), one), g.idMatches(c))),
-			spec.WaitFor(1),
-		}
-		stmts = append(stmts, latch...)
-		stmts = append(stmts, spec.WaitUntil(spec.Eq(g.busField("START"), zero)))
-		return stmts
+		body = append(body, arm, g.delay(1))
+		body = append(body, latch...)
+		return append(body, g.until("START", 0))
 	default:
-		stmts := []spec.Stmt{spec.WaitFor(1)}
-		return append(stmts, latch...)
+		body = append(body, g.delay(1))
+		return append(body, latch...)
 	}
 }
 
-// serverSendWordStmts emits one server-driven word (the data phase of a
-// read): the roles of START and DONE swap — the server drives DATA and
+// serverSendWordStmts appends one server-driven word (the data phase of
+// a read): the roles of START and DONE swap — the server drives DATA and
 // DONE, the accessor acknowledges on START.
-func (g *generator) serverSendWordStmts(word spec.Expr) []spec.Stmt {
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
+func (g *generator) serverSendWordStmts(body []spec.Stmt, word spec.Expr) []spec.Stmt {
+	body = append(body, spec.AssignSig(g.busField("DATA"), g.padToBus(word)), g.delay(1))
 	switch g.cfg.Protocol {
 	case spec.FullHandshake:
-		return []spec.Stmt{
-			spec.AssignSig(g.busField("DATA"), g.padToBus(word)),
-			spec.WaitFor(1),
-			spec.AssignSig(g.busField("DONE"), one),
-			spec.WaitUntil(spec.Eq(g.busField("START"), one)),
-			spec.AssignSig(g.busField("DONE"), zero),
-			spec.WaitFor(1),
-			spec.WaitUntil(spec.Eq(g.busField("START"), zero)),
-		}
+		return append(body,
+			g.set("DONE", 1),
+			g.until("START", 1),
+			g.set("DONE", 0),
+			g.delay(1),
+			g.until("START", 0),
+		)
 	case spec.HalfHandshake:
-		stmts := []spec.Stmt{
-			spec.AssignSig(g.busField("DATA"), g.padToBus(word)),
-			spec.WaitFor(1),
-			spec.AssignSig(g.busField("START"), one),
-			spec.WaitFor(1),
-			spec.AssignSig(g.busField("START"), zero),
-		}
+		body = append(body, g.set("START", 1), g.delay(1), g.set("START", 0))
 		if g.cfg.TurnFlush {
 			// Flush the pending START fall before the server re-arms:
 			// without it the fall is still uncommitted when the
 			// dispatcher re-checks the strobe and the accessor opens its
 			// next transaction, and the two drivers collide on START
 			// (the read-turnaround contention of DESIGN.md §5d).
-			stmts = append(stmts, spec.WaitFor(1))
+			body = append(body, g.delay(1))
 		}
-		return stmts
+		return body
 	default:
-		return []spec.Stmt{
-			spec.AssignSig(g.busField("DATA"), g.padToBus(word)),
-			spec.WaitFor(1),
-		}
+		return body
 	}
 }
 
-// accessorRecvWordStmts emits the accessor side of one server-driven
+// accessorRecvWordStmts appends the accessor side of one server-driven
 // word.
-func (g *generator) accessorRecvWordStmts(latch []spec.Stmt) []spec.Stmt {
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
+func (g *generator) accessorRecvWordStmts(body []spec.Stmt, latch spec.Stmt) []spec.Stmt {
 	switch g.cfg.Protocol {
 	case spec.FullHandshake:
-		stmts := []spec.Stmt{
-			spec.WaitUntil(spec.Eq(g.busField("DONE"), one)),
-		}
-		stmts = append(stmts, latch...)
-		stmts = append(stmts,
-			spec.AssignSig(g.busField("START"), one),
-			spec.WaitUntil(spec.Eq(g.busField("DONE"), zero)),
-			spec.AssignSig(g.busField("START"), zero),
-		)
-		return stmts
+		return append(body, g.until("DONE", 1), latch, g.set("START", 1), g.until("DONE", 0), g.set("START", 0))
 	case spec.HalfHandshake:
-		stmts := []spec.Stmt{
-			spec.WaitUntil(spec.Eq(g.busField("START"), one)),
-		}
-		stmts = append(stmts, latch...)
-		stmts = append(stmts, spec.WaitUntil(spec.Eq(g.busField("START"), zero)))
-		return stmts
+		return append(body, g.until("START", 1), latch, g.until("START", 0))
 	default:
-		stmts := []spec.Stmt{spec.WaitFor(1)}
-		return append(stmts, latch...)
+		return append(body, g.delay(1), latch)
 	}
 }
 
-// setID emits the ID-line assignment opening a transaction, if the bus
-// has ID lines.
-func (g *generator) setID(c *spec.Channel) []spec.Stmt {
+// setID appends the ID-line assignment opening a transaction, if the
+// bus has ID lines.
+func (g *generator) setID(body []spec.Stmt, c *spec.Channel) []spec.Stmt {
 	if c.IDBits == 0 {
-		return nil
+		return body
 	}
-	return []spec.Stmt{spec.AssignSig(g.busField("ID"), spec.Vec(c.ID))}
+	return append(body, spec.AssignSig(g.busField("ID"), spec.Vec(c.ID)))
+}
+
+// message declares a send procedure's msg local and returns the
+// statement assembling it from the parameters: msg := addr & txdata
+// (address in the high bits), or msg := txdata for scalars.
+func message(p *spec.Procedure, addr, txdata *spec.Variable) (msg *spec.Variable, assemble spec.Stmt) {
+	mBits := txdata.Type.BitWidth()
+	var x spec.Expr = spec.Ref(txdata)
+	if addr != nil {
+		mBits += addr.Type.BitWidth()
+		x = spec.Bin(spec.OpConcat, spec.Ref(addr), x)
+	}
+	msg = spec.NewVar("msg", spec.BitVector(mBits))
+	p.Locals = append(p.Locals, msg)
+	return msg, spec.AssignVar(spec.Ref(msg), x)
+}
+
+// accessorParams declares an accessor procedure's parameters: addr (in,
+// for arrays) then the data parameter, txdata (in) for a send or rxdata
+// (out) for a receive.
+func accessorParams(p *spec.Procedure, c *spec.Channel) (addr, data *spec.Variable) {
+	if addrBits := c.AddrBits(); addrBits > 0 {
+		addr = spec.NewVar("addr", spec.BitVector(addrBits))
+		p.Params = append(p.Params, spec.Param{Var: addr, Mode: spec.ModeIn})
+	}
+	if c.Dir == spec.Write {
+		data = spec.NewVar("txdata", spec.BitVector(c.DataBits()))
+		p.Params = append(p.Params, spec.Param{Var: data, Mode: spec.ModeIn})
+	} else {
+		data = spec.NewVar("rxdata", spec.BitVector(c.DataBits()))
+		p.Params = append(p.Params, spec.Param{Var: data, Mode: spec.ModeOut})
+	}
+	return addr, data
 }
 
 // buildSendProc generates the accessor's SendCHk procedure for a write
@@ -732,30 +785,17 @@ func (g *generator) setID(c *spec.Channel) []spec.Stmt {
 // handshake, as in the paper's Fig. 4.
 func (g *generator) buildSendProc(c *spec.Channel) *spec.Procedure {
 	p := &spec.Procedure{Name: "Send" + c.Name}
-	dataBits, addrBits := c.DataBits(), c.AddrBits()
-	txdata := spec.NewVar("txdata", spec.BitVector(dataBits))
-	var addr *spec.Variable
-	if addrBits > 0 {
-		addr = spec.NewVar("addr", spec.BitVector(addrBits))
-		p.Params = append(p.Params, spec.Param{Var: addr, Mode: spec.ModeIn})
+	addr, txdata := accessorParams(p, c)
+	msg, assemble := message(p, addr, txdata)
+	msgRef := spec.Ref(msg)
+	spans := wordSpans(msg.Type.BitWidth(), g.bus.Width)
+	body := make([]spec.Stmt, 0, 3+5*len(spans))
+	body = append(body, assemble)
+	body = g.setID(body, c)
+	for _, span := range spans {
+		body = g.sendWordStmts(body, g.slice(msgRef, span[0], span[1]))
 	}
-	p.Params = append(p.Params, spec.Param{Var: txdata, Mode: spec.ModeIn})
-
-	// msg := addr & txdata (address in the high bits)
-	mBits := dataBits + addrBits
-	msg := spec.NewVar("msg", spec.BitVector(mBits))
-	p.Locals = append(p.Locals, msg)
-	var body []spec.Stmt
-	if addrBits > 0 {
-		body = append(body, spec.AssignVar(spec.Ref(msg), spec.Bin(spec.OpConcat, spec.Ref(addr), spec.Ref(txdata))))
-	} else {
-		body = append(body, spec.AssignVar(spec.Ref(msg), spec.Ref(txdata)))
-	}
-	body = append(body, g.setID(c)...)
-	for _, span := range wordSpans(mBits, g.bus.Width) {
-		body = append(body, g.sendWordStmts(spec.SliceBits(spec.Ref(msg), span[0], span[1]))...)
-	}
-	body = append(body, g.turnaround()...)
+	body = g.turnaround(body)
 	p.Body = g.wrapArbitration(c.Accessor, body)
 	return p
 }
@@ -766,16 +806,29 @@ func (g *generator) buildSendProc(c *spec.Channel) *spec.Procedure {
 // the same accessor would lower and re-raise START within a single
 // delta, the transitions would coalesce, and the variable process
 // waiting for the strobe to fall would hang.
-func (g *generator) turnaround() []spec.Stmt {
+func (g *generator) turnaround(body []spec.Stmt) []spec.Stmt {
 	switch g.cfg.Protocol {
 	case spec.FullHandshake:
-		return []spec.Stmt{spec.WaitFor(1)}
+		return append(body, g.delay(1))
 	default:
 		// Half-handshake word transfers already end in a timed wait;
 		// fixed-delay and hardwired transfers have no strobe to
 		// coalesce.
-		return nil
+		return body
 	}
+}
+
+// commitStmt returns a write server's commit of the assembled message
+// to the variable, indexed by the address bits for arrays.
+func (g *generator) commitStmt(c *spec.Channel, msg *spec.Variable) spec.Stmt {
+	dataBits, addrBits := c.DataBits(), c.AddrBits()
+	if addrBits > 0 {
+		addrSlice := g.slice(spec.Ref(msg), dataBits+addrBits-1, dataBits)
+		dataSlice := g.slice(spec.Ref(msg), dataBits-1, 0)
+		elem := c.Var.Type.(spec.ArrayType).Elem
+		return spec.AssignVar(spec.At(spec.Ref(c.Var), spec.ToInt(addrSlice)), g.coerceToVar(dataSlice, elem))
+	}
+	return spec.AssignVar(spec.Ref(c.Var), g.coerceToVar(spec.Ref(msg), c.Var.Type))
 }
 
 // buildServeWriteProc generates the variable process's serve procedure
@@ -784,33 +837,18 @@ func (g *generator) turnaround() []spec.Stmt {
 // bits for arrays).
 func (g *generator) buildServeWriteProc(c *spec.Channel) *spec.Procedure {
 	p := &spec.Procedure{Name: "Recv" + c.Name}
-	dataBits, addrBits := c.DataBits(), c.AddrBits()
-	mBits := dataBits + addrBits
+	mBits := c.DataBits() + c.AddrBits()
 	msg := spec.NewVar("msg", spec.BitVector(mBits))
 	p.Locals = append(p.Locals, msg)
 
-	var body []spec.Stmt
-	for _, span := range wordSpans(mBits, g.bus.Width) {
-		w := span[0] - span[1] + 1
-		latch := []spec.Stmt{
-			spec.AssignVar(
-				spec.SliceBits(spec.Ref(msg), span[0], span[1]),
-				spec.SliceBits(g.busField("DATA"), w-1, 0),
-			),
-		}
-		body = append(body, g.serveWordStmts(c, latch)...)
+	msgRef := spec.Ref(msg)
+	arm := g.serveArm(c)
+	spans := wordSpans(mBits, g.bus.Width)
+	body := make([]spec.Stmt, 0, 1+7*len(spans))
+	for _, span := range spans {
+		body = g.serveWordStmts(body, arm, g.latchWord(msgRef, span))
 	}
-	// Commit.
-	if addrBits > 0 {
-		addrSlice := spec.SliceBits(spec.Ref(msg), mBits-1, dataBits)
-		dataSlice := spec.SliceBits(spec.Ref(msg), dataBits-1, 0)
-		elem := c.Var.Type.(spec.ArrayType).Elem
-		body = append(body, spec.AssignVar(
-			spec.At(spec.Ref(c.Var), spec.ToInt(addrSlice)), g.coerceToVar(dataSlice, elem)))
-	} else {
-		body = append(body, spec.AssignVar(spec.Ref(c.Var), g.coerceToVar(spec.Ref(msg), c.Var.Type)))
-	}
-	p.Body = body
+	p.Body = append(body, g.commitStmt(c, msg))
 	return p
 }
 
@@ -834,6 +872,12 @@ func (g *generator) coerceToMsg(x spec.Expr, dataBits int) spec.Expr {
 	return x
 }
 
+// requestWord is the zero-data word a scalar read sends to open its
+// transaction.
+func (g *generator) requestWord() spec.Expr {
+	return spec.Vec(bits.New(min(g.bus.Width, 1)))
+}
+
 // buildReceiveProc generates the accessor's ReceiveCHk procedure for a
 // read channel: ReceiveCHk(addr, rxdata) for arrays, ReceiveCHk(rxdata)
 // for scalars. The address phase (or a zero-data request word for
@@ -841,37 +885,36 @@ func (g *generator) coerceToMsg(x spec.Expr, dataBits int) spec.Expr {
 // travels back with the roles of START and DONE swapped.
 func (g *generator) buildReceiveProc(c *spec.Channel) *spec.Procedure {
 	p := &spec.Procedure{Name: "Receive" + c.Name}
-	dataBits, addrBits := c.DataBits(), c.AddrBits()
-	var addr *spec.Variable
-	if addrBits > 0 {
-		addr = spec.NewVar("addr", spec.BitVector(addrBits))
-		p.Params = append(p.Params, spec.Param{Var: addr, Mode: spec.ModeIn})
-	}
-	rxdata := spec.NewVar("rxdata", spec.BitVector(dataBits))
-	p.Params = append(p.Params, spec.Param{Var: rxdata, Mode: spec.ModeOut})
+	addr, rxdata := accessorParams(p, c)
 
-	body := g.setID(c)
+	body := g.setID(nil, c)
 	// Request/address phase.
-	if addrBits > 0 {
-		for _, span := range wordSpans(addrBits, g.bus.Width) {
-			body = append(body, g.sendWordStmts(spec.SliceBits(spec.Ref(addr), span[0], span[1]))...)
+	if addr != nil {
+		addrRef := spec.Ref(addr)
+		for _, span := range wordSpans(c.AddrBits(), g.bus.Width) {
+			body = g.sendWordStmts(body, g.slice(addrRef, span[0], span[1]))
 		}
 	} else {
-		body = append(body, g.sendWordStmts(spec.Vec(bits.New(min(g.bus.Width, 1))))...)
+		body = g.sendWordStmts(body, g.requestWord())
 	}
 	// Data phase.
-	for _, span := range wordSpans(dataBits, g.bus.Width) {
-		w := span[0] - span[1] + 1
-		latch := []spec.Stmt{
-			spec.AssignVar(
-				spec.SliceBits(spec.Ref(rxdata), span[0], span[1]),
-				spec.SliceBits(g.busField("DATA"), w-1, 0),
-			),
-		}
-		body = append(body, g.accessorRecvWordStmts(latch)...)
+	rxRef := spec.Ref(rxdata)
+	for _, span := range wordSpans(c.DataBits(), g.bus.Width) {
+		body = g.accessorRecvWordStmts(body, g.latchWord(rxRef, span))
 	}
-	p.Body = g.wrapArbitration(c.Accessor, g.buildReceiveProcEnd(body))
+	p.Body = g.wrapArbitration(c.Accessor, g.turnaround(body))
 	return p
+}
+
+// readValue declares a read server's address buffer (for arrays) and
+// returns the expression reading the variable: V(addrbuf) or V.
+func readValue(p *spec.Procedure, c *spec.Channel) (addrBuf *spec.Variable, value spec.Expr) {
+	if addrBits := c.AddrBits(); addrBits > 0 {
+		addrBuf = spec.NewVar("addrbuf", spec.BitVector(addrBits))
+		p.Locals = append(p.Locals, addrBuf)
+		return addrBuf, spec.At(spec.Ref(c.Var), spec.ToInt(spec.Ref(addrBuf)))
+	}
+	return nil, spec.Ref(c.Var)
 }
 
 // buildServeReadProc generates the variable process's serve procedure
@@ -879,43 +922,29 @@ func (g *generator) buildReceiveProc(c *spec.Channel) *spec.Procedure {
 // value up, and stream the data words back.
 func (g *generator) buildServeReadProc(c *spec.Channel) *spec.Procedure {
 	p := &spec.Procedure{Name: "Send" + c.Name}
-	dataBits, addrBits := c.DataBits(), c.AddrBits()
+	dataBits := c.DataBits()
+	arm := g.serveArm(c)
 
 	var body []spec.Stmt
-	var value spec.Expr
-	if addrBits > 0 {
-		addrBuf := spec.NewVar("addrbuf", spec.BitVector(addrBits))
-		p.Locals = append(p.Locals, addrBuf)
-		for _, span := range wordSpans(addrBits, g.bus.Width) {
-			w := span[0] - span[1] + 1
-			latch := []spec.Stmt{
-				spec.AssignVar(
-					spec.SliceBits(spec.Ref(addrBuf), span[0], span[1]),
-					spec.SliceBits(g.busField("DATA"), w-1, 0),
-				),
-			}
-			body = append(body, g.serveWordStmts(c, latch)...)
+	addrBuf, value := readValue(p, c)
+	if addrBuf != nil {
+		bufRef := spec.Ref(addrBuf)
+		for _, span := range wordSpans(c.AddrBits(), g.bus.Width) {
+			body = g.serveWordStmts(body, arm, g.latchWord(bufRef, span))
 		}
-		value = spec.At(spec.Ref(c.Var), spec.ToInt(spec.Ref(addrBuf)))
 	} else {
-		body = append(body, g.serveWordStmts(c, nil)...) // request word, no latch
-		value = spec.Ref(c.Var)
+		body = g.serveWordStmts(body, arm) // request word, no latch
 	}
 
 	dataBuf := spec.NewVar("databuf", spec.BitVector(dataBits))
 	p.Locals = append(p.Locals, dataBuf)
-	body = append(body, spec.AssignVar(spec.Ref(dataBuf), g.coerceToMsg(value, dataBits)))
+	dataRef := spec.Ref(dataBuf)
+	body = append(body, spec.AssignVar(dataRef, g.coerceToMsg(value, dataBits)))
 	for _, span := range wordSpans(dataBits, g.bus.Width) {
-		body = append(body, g.serverSendWordStmts(spec.SliceBits(spec.Ref(dataBuf), span[0], span[1]))...)
+		body = g.serverSendWordStmts(body, g.slice(dataRef, span[0], span[1]))
 	}
 	p.Body = body
 	return p
-}
-
-// buildReceiveProcEnd appends the transaction turnaround to a receive
-// procedure body (separated for symmetry with buildSendProc).
-func (g *generator) buildReceiveProcEnd(body []spec.Stmt) []spec.Stmt {
-	return append(body, g.turnaround()...)
 }
 
 // finishServers builds each variable process's dispatcher body (step 5):
@@ -927,7 +956,6 @@ func (g *generator) buildReceiveProcEnd(body []spec.Stmt) []spec.Stmt {
 //	  end if;
 //	end loop;
 func (g *generator) finishServers() {
-	one := spec.VecString("1")
 	// Deterministic server order: creation order.
 	for _, server := range g.ref.Servers {
 		arms := g.serverArms[server]
@@ -949,16 +977,16 @@ func (g *generator) finishServers() {
 			// variable process: wait out the current bus word so the
 			// dispatcher does not spin on the still-asserted strobe.
 			if g.cfg.Protocol == spec.FullHandshake || g.cfg.Protocol == spec.HalfHandshake {
-				waitOut := spec.Expr(spec.Eq(g.busField("START"), spec.VecString("0")))
 				if g.cfg.Robust {
 					// Hardened: a stuck foreign strobe must not wedge
 					// this server forever.
+					waitOut := spec.Expr(g.is("START", 0))
 					if g.robustRetry() {
 						waitOut = g.orRST(waitOut)
 					}
 					ifStmt.Else = []spec.Stmt{spec.WaitUntilFor(waitOut, g.timeout(), nil)}
 				} else {
-					ifStmt.Else = []spec.Stmt{spec.WaitUntil(waitOut)}
+					ifStmt.Else = []spec.Stmt{g.until("START", 0)}
 				}
 			}
 			dispatch = ifStmt
@@ -966,14 +994,14 @@ func (g *generator) finishServers() {
 		var trigger spec.Stmt
 		switch g.cfg.Protocol {
 		case spec.FullHandshake, spec.HalfHandshake:
-			trigger = spec.WaitUntil(spec.Eq(g.busField("START"), one))
+			trigger = g.until("START", 1)
 		default:
 			// No strobe wires: dispatch on ID changes (fixed-delay
 			// transfers are rate-matched by construction).
 			if g.bus.IDBits() > 0 {
 				trigger = spec.WaitOn(g.bus.Signal)
 			} else {
-				trigger = spec.WaitFor(1)
+				trigger = g.delay(1)
 			}
 		}
 		var loop []spec.Stmt
@@ -981,9 +1009,9 @@ func (g *generator) finishServers() {
 			// Re-arm: a watchdog abort can return here with DONE (or
 			// NACK) still asserted; clearing the server-driven lines
 			// before the next dispatch keeps every abort path clean.
-			loop = append(loop, spec.AssignSig(g.busField("DONE"), spec.VecString("0")))
+			loop = append(loop, g.set("DONE", 0))
 			if g.cfg.Parity {
-				loop = append(loop, spec.AssignSig(g.busField("NACK"), spec.VecString("0")))
+				loop = append(loop, g.set("NACK", 0))
 			}
 			// Drain before arming: dispatch only on a strobe that rises
 			// *after* the previous one fell. Dispatching on the level —
@@ -1001,13 +1029,10 @@ func (g *generator) finishServers() {
 				// timeouts forever. A fresh strobe clobbered by this
 				// release recovers through the accessor's own
 				// timeout-and-retransmit path.
-				arm.Else = []spec.Stmt{
-					spec.AssignSig(g.busField("START"), spec.VecString("0")),
-					spec.WaitFor(1),
-				}
+				arm.Else = []spec.Stmt{g.set("START", 0), g.delay(1)}
 			}
 			loop = append(loop,
-				spec.WaitUntilFor(spec.Eq(g.busField("START"), spec.VecString("0")), g.timeout(), drained),
+				spec.WaitUntilFor(g.is("START", 0), g.timeout(), drained),
 				arm,
 			)
 		} else {

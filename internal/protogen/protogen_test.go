@@ -236,6 +236,9 @@ func TestWordSpans(t *testing.T) {
 		{23, 23, [][2]int{{22, 0}}},
 	}
 	for _, c := range cases {
+		if n := wordCount(c.m, c.w); n != len(c.want) {
+			t.Errorf("wordCount(%d,%d) = %d, want %d", c.m, c.w, n, len(c.want))
+		}
 		got := wordSpans(c.m, c.w)
 		if len(got) != len(c.want) {
 			t.Errorf("wordSpans(%d,%d) = %v", c.m, c.w, got)
@@ -245,6 +248,15 @@ func TestWordSpans(t *testing.T) {
 			if got[i] != c.want[i] {
 				t.Errorf("wordSpans(%d,%d)[%d] = %v, want %v", c.m, c.w, i, got[i], c.want[i])
 			}
+		}
+	}
+	// wordCount must not overflow where m+w does.
+	const maxInt = int(^uint(0) >> 1)
+	for _, c := range []struct{ m, w, want int }{
+		{0, 8, 0}, {1, maxInt, 1}, {maxInt, maxInt, 1}, {maxInt, 1, maxInt}, {maxInt, 2, maxInt/2 + 1},
+	} {
+		if got := wordCount(c.m, c.w); got != c.want {
+			t.Errorf("wordCount(%d,%d) = %d, want %d", c.m, c.w, got, c.want)
 		}
 	}
 }

@@ -31,14 +31,12 @@ func (g *generator) rewriteAccessors() error {
 		v   *spec.Variable
 		dir spec.Direction
 	}
-	chans := make(map[key]*spec.Channel)
-	accessors := make(map[*spec.Behavior]bool)
+	chans := make(map[key]*spec.Channel, len(g.bus.Channels))
 	for _, c := range g.bus.Channels {
 		chans[key{c.Accessor, c.Var, c.Dir}] = c
-		accessors[c.Accessor] = true
 	}
 	for _, b := range g.sys.Behaviors() {
-		if !accessors[b] {
+		if _, ok := g.accIndex[b]; !ok {
 			continue
 		}
 		rw := &rewriter{

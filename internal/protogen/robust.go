@@ -33,10 +33,7 @@
 // watchdog (hardenServeProc), which bounds every serve-side wait.
 package protogen
 
-import (
-	"repro/internal/bits"
-	"repro/internal/spec"
-)
+import "repro/internal/spec"
 
 // robustRetry reports whether the full retransmission machinery (RST
 // line, retry loops, abort counters) is generated. It needs a
@@ -80,21 +77,24 @@ func (g *generator) abortVarFor(m *spec.Module) *spec.Variable {
 
 // parityExpr XOR-reduces the low width bits of a vector expression to a
 // single parity bit (a 1-wide vector, comparable against B.PAR).
-func parityExpr(x spec.Expr, width int) spec.Expr {
+func (g *generator) parityExpr(x spec.Expr, width int) spec.Expr {
 	terms := make([]spec.Expr, width)
-	for i := 0; i < width; i++ {
-		terms[i] = spec.SliceBits(x, i, i)
+	for i := range terms {
+		terms[i] = g.slice(x, i, i)
 	}
-	// Balanced XOR tree, log2(width) levels deep like the hardware.
-	for len(terms) > 1 {
-		var next []spec.Expr
-		for i := 0; i+1 < len(terms); i += 2 {
-			next = append(next, spec.Bin(spec.OpXor, terms[i], terms[i+1]))
+	// Balanced XOR tree, log2(width) levels deep like the hardware; each
+	// level is written over the front of the one below it.
+	for n := width; n > 1; {
+		k := 0
+		for i := 0; i+1 < n; i += 2 {
+			terms[k] = spec.Bin(spec.OpXor, terms[i], terms[i+1])
+			k++
 		}
-		if len(terms)%2 == 1 {
-			next = append(next, terms[len(terms)-1])
+		if n%2 == 1 {
+			terms[k] = terms[n-1]
+			k++
 		}
-		terms = next
+		n = k
 	}
 	return terms[0]
 }
@@ -110,7 +110,7 @@ func (g *generator) driveParity(word spec.Expr, c *spec.Channel) spec.Expr {
 		x = spec.Bin(spec.OpConcat, x, spec.Vec(c.ID))
 		w += c.IDBits
 	}
-	return parityExpr(x, w)
+	return g.parityExpr(x, w)
 }
 
 // serverDriveParity is the server-side counterpart for the data phase of
@@ -123,19 +123,23 @@ func (g *generator) serverDriveParity(word spec.Expr) spec.Expr {
 		x = spec.Bin(spec.OpConcat, x, g.busField("ID"))
 		w += idb
 	}
-	return parityExpr(x, w)
+	return g.parityExpr(x, w)
 }
 
-// checkParityMismatch returns the receiver's check: parity recomputed
-// from the observed DATA and ID lines differs from the observed PAR.
-func (g *generator) checkParityMismatch() spec.Expr {
-	x := g.busField("DATA")
-	w := g.bus.Width
-	if idb := g.bus.IDBits(); idb > 0 {
-		x = spec.Bin(spec.OpConcat, x, g.busField("ID"))
-		w += idb
+// parityMismatch returns the receiver's check, built once: parity
+// recomputed from the observed DATA and ID lines differs from the
+// observed PAR.
+func (g *generator) parityMismatch() spec.Expr {
+	if g.mismatch == nil {
+		x := g.busField("DATA")
+		w := g.bus.Width
+		if idb := g.bus.IDBits(); idb > 0 {
+			x = spec.Bin(spec.OpConcat, x, g.busField("ID"))
+			w += idb
+		}
+		g.mismatch = spec.Neq(g.parityExpr(x, w), g.busField("PAR"))
 	}
-	return spec.Neq(parityExpr(x, w), g.busField("PAR"))
+	return g.mismatch
 }
 
 // hardenServeProc bounds every handshake wait of a serve procedure and
@@ -143,6 +147,7 @@ func (g *generator) checkParityMismatch() spec.Expr {
 // protocols whose serve sequences are otherwise kept (half handshake).
 func (g *generator) hardenServeProc(p *spec.Procedure) {
 	tmo := spec.NewVar("tmo", spec.Bool)
+	bail := &spec.If{Cond: spec.Ref(tmo), Then: []spec.Stmt{g.ret}}
 	used := false
 	p.Body = spec.RewriteStmts(p.Body, func(s spec.Stmt) []spec.Stmt {
 		w, ok := s.(*spec.Wait)
@@ -150,10 +155,7 @@ func (g *generator) hardenServeProc(p *spec.Procedure) {
 			return spec.Keep(s)
 		}
 		used = true
-		return []spec.Stmt{
-			spec.WaitUntilFor(w.Until, g.timeout(), tmo),
-			&spec.If{Cond: spec.Ref(tmo), Then: []spec.Stmt{&spec.Return{}}},
-		}
+		return []spec.Stmt{spec.WaitUntilFor(w.Until, g.timeout(), tmo), bail}
 	})
 	if used {
 		p.Locals = append(p.Locals, tmo)
@@ -171,62 +173,41 @@ func (g *generator) abortWatch(tmo *spec.Variable) spec.Expr {
 // and, with EpochResync, on the EPOCH pulse mirroring it, so the resync
 // survives the loss of either edge.
 func (g *generator) orRST(cond spec.Expr) spec.Expr {
-	cond = spec.LogicalOr(cond, spec.Eq(g.busField("RST"), spec.VecString("1")))
+	cond = spec.LogicalOr(cond, g.is("RST", 1))
 	if g.cfg.EpochResync {
-		cond = spec.LogicalOr(cond, spec.Eq(g.busField("EPOCH"), spec.VecString("1")))
+		cond = spec.LogicalOr(cond, g.is("EPOCH", 1))
 	}
 	return cond
 }
 
-// resyncStmts emits the accessor's RST pulse opening a retransmission:
-// long enough (two clocks high) that every bounded server wait observes
-// it, followed by one clock of recovery. With EpochResync the EPOCH
-// line pulses in lockstep, so dropping one of the two rise events still
-// resynchronizes every server.
-func (g *generator) resyncStmts() []spec.Stmt {
-	stmts := []spec.Stmt{
-		spec.AssignSig(g.busField("RST"), spec.VecString("1")),
-	}
+// resyncStmts appends the accessor's RST pulse opening a
+// retransmission: long enough (two clocks high) that every bounded
+// server wait observes it, followed by one clock of recovery. With
+// EpochResync the EPOCH line pulses in lockstep, so dropping one of the
+// two rise events still resynchronizes every server.
+func (g *generator) resyncStmts(body []spec.Stmt) []spec.Stmt {
+	body = append(body, g.set("RST", 1))
 	if g.cfg.EpochResync {
-		stmts = append(stmts, spec.AssignSig(g.busField("EPOCH"), spec.VecString("1")))
+		body = append(body, g.set("EPOCH", 1))
 	}
-	stmts = append(stmts,
-		spec.WaitFor(2),
-		spec.AssignSig(g.busField("RST"), spec.VecString("0")),
-	)
+	body = append(body, g.delay(2), g.set("RST", 0))
 	if g.cfg.EpochResync {
-		stmts = append(stmts, spec.AssignSig(g.busField("EPOCH"), spec.VecString("0")))
+		body = append(body, g.set("EPOCH", 0))
 	}
-	return append(stmts, spec.WaitFor(1))
+	return append(body, g.delay(1))
 }
 
-// seqBit is the SEQ line value for accessor-driven word idx: the word
-// index's parity.
-func seqBit(idx int) spec.Expr {
-	if idx%2 == 1 {
-		return spec.VecString("1")
+// startHigh is a server's accept condition for an accessor-driven word
+// of channel c carrying SEQ parity seq: B.START = '1' [and B.ID = id]
+// [and B.SEQ = seq]. The SEQ term, present only with AckSeq, keeps a
+// stale strobe left over from the previous word, which carries the
+// wrong parity, from being served again.
+func (g *generator) startHigh(c *spec.Channel, seq int) spec.Expr {
+	cond := andOpt(g.is("START", 1), g.idMatches(c))
+	if g.cfg.AckSeq {
+		cond = spec.LogicalAnd(cond, g.is("SEQ", seq))
 	}
-	return spec.VecString("0")
-}
-
-// seqDrive emits the accessor's SEQ assignment for word idx (nil slice
-// without AckSeq). It lands in the same delta batch as the START rise,
-// so the server observes both together.
-func (g *generator) seqDrive(idx int) []spec.Stmt {
-	if !g.cfg.AckSeq {
-		return nil
-	}
-	return []spec.Stmt{spec.AssignSig(g.busField("SEQ"), seqBit(idx))}
-}
-
-// seqMatch narrows a server's word-idx accept condition to the matching
-// SEQ parity (nil without AckSeq): a stale strobe left over from the
-// previous word carries the wrong parity and is not re-served.
-func (g *generator) seqMatch(idx int) spec.Expr {
-	if !g.cfg.AckSeq {
-		return nil
-	}
-	return spec.Eq(g.busField("SEQ"), seqBit(idx))
+	return cond
 }
 
 // retryLoop wraps the per-word transfer groups of one transaction in the
@@ -242,41 +223,41 @@ func (g *generator) seqMatch(idx int) spec.Expr {
 //	  attempt := attempt + 1;
 //	end loop;
 func (g *generator) retryLoop(c *spec.Channel, ok, attempt *spec.Variable, words [][]spec.Stmt) []spec.Stmt {
-	inner := []spec.Stmt{
-		&spec.If{Cond: spec.Gt(spec.Ref(attempt), spec.Int(0)), Then: g.resyncStmts()},
-		spec.AssignVar(spec.Ref(ok), &spec.BoolLit{Value: true}),
-	}
-	inner = append(inner, g.setID(c)...)
+	okRef, attemptRef := spec.Ref(ok), spec.Ref(attempt)
+	inner := make([]spec.Stmt, 0, 4+len(words))
+	inner = append(inner,
+		&spec.If{Cond: spec.Gt(attemptRef, g.int(0)), Then: g.resyncStmts(nil)},
+		spec.AssignVar(okRef, g.boolLit[1]),
+	)
+	inner = g.setID(inner, c)
 	for _, w := range words {
-		inner = append(inner, &spec.If{Cond: spec.Ref(ok), Then: w})
+		inner = append(inner, &spec.If{Cond: okRef, Then: w})
 	}
-	inner = append(inner, spec.AssignVar(spec.Ref(attempt), spec.Add(spec.Ref(attempt), spec.Int(1))))
+	inner = append(inner, spec.AssignVar(attemptRef, spec.Add(attemptRef, g.int(1))))
 	return []spec.Stmt{
-		spec.AssignVar(spec.Ref(ok), &spec.BoolLit{Value: false}),
-		spec.AssignVar(spec.Ref(attempt), spec.Int(0)),
+		spec.AssignVar(okRef, g.boolLit[0]),
+		spec.AssignVar(attemptRef, g.int(0)),
 		&spec.While{
-			Cond: spec.LogicalAnd(spec.Not(spec.Ref(ok)), spec.Le(spec.Ref(attempt), spec.Int(int64(g.retries())))),
+			Cond: spec.LogicalAnd(spec.Not(okRef), spec.Le(attemptRef, g.int(g.retries()))),
 			Body: inner,
 		},
 	}
 }
 
-// abortStmts counts an exhausted retry budget. Deliberately not a
+// abortStmt counts an exhausted retry budget. Deliberately not a
 // Return: the arbitration release (wrapArbitration) must still run so an
 // aborting accessor does not hold the bus grant forever.
-func (g *generator) abortStmts(c *spec.Channel, ok *spec.Variable) []spec.Stmt {
-	ab := g.abortVarFor(c.Accessor.Owner)
-	return []spec.Stmt{
-		&spec.If{
-			Cond: spec.Not(spec.Ref(ok)),
-			Then: []spec.Stmt{spec.AssignVar(spec.Ref(ab), spec.Add(spec.Ref(ab), spec.Int(1)))},
-		},
+func (g *generator) abortStmt(c *spec.Channel, ok *spec.Variable) spec.Stmt {
+	ab := spec.Ref(g.abortVarFor(c.Accessor.Owner))
+	return &spec.If{
+		Cond: spec.Not(spec.Ref(ok)),
+		Then: []spec.Stmt{spec.AssignVar(ab, spec.Add(ab, g.int(1)))},
 	}
 }
 
-// robustSendWordStmts emits one hardened accessor-driven word:
+// robustSendWordStmts appends one hardened accessor-driven word:
 //
-//	B.DATA <= <word>; [B.PAR <= parity;]
+//	B.DATA <= <word>; [B.PAR <= parity;] [B.SEQ <= idx mod 2;]
 //	B.START <= '1';
 //	wait until B.DONE = '1' [or B.NACK = '1'] for T -> tmo;
 //	if tmo [or B.NACK = '1'] then
@@ -284,204 +265,252 @@ func (g *generator) abortStmts(c *spec.Channel, ok *spec.Variable) []spec.Stmt {
 //	else
 //	  B.START <= '0';
 //	  wait until B.DONE = '0' for T -> tmo;
-//	  if tmo then ok := false; end if;
+//	  if tmo then ok := false; wait for 1; end if;
 //	end if;
-func (g *generator) robustSendWordStmts(c *spec.Channel, idx int, word spec.Expr, ok, tmo *spec.Variable) []spec.Stmt {
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
-	waitCond := spec.Eq(g.busField("DONE"), one)
+//
+// Everything from the START rise on depends only on the procedure's ok
+// and tmo, so the procedure builds it once (robustSendTail) and every
+// word shares it.
+func (g *generator) robustSendWordStmts(body []spec.Stmt, c *spec.Channel, idx int, word spec.Expr, tail []spec.Stmt) []spec.Stmt {
+	body = append(body, spec.AssignSig(g.busField("DATA"), g.padToBus(word)))
+	if g.cfg.Parity {
+		body = append(body, spec.AssignSig(g.busField("PAR"), g.driveParity(word, c)))
+	}
+	if g.cfg.AckSeq {
+		// SEQ lands in the same delta batch as the START rise, so the
+		// server observes both together.
+		body = append(body, g.set("SEQ", idx%2))
+	}
+	return append(body, tail...)
+}
+
+// robustSendTail builds the word-invariant part of robustSendWordStmts
+// for one procedure's ok and tmo.
+func (g *generator) robustSendTail(ok, tmo *spec.Variable) []spec.Stmt {
+	waitCond := spec.Expr(g.is("DONE", 1))
 	failCond := spec.Expr(spec.Ref(tmo))
 	if g.cfg.Parity {
-		nack := spec.Eq(g.busField("NACK"), one)
+		nack := g.is("NACK", 1)
 		waitCond = spec.LogicalOr(waitCond, nack)
 		failCond = spec.LogicalOr(failCond, nack)
 	}
-	stmts := []spec.Stmt{
-		spec.AssignSig(g.busField("DATA"), g.padToBus(word)),
-	}
-	if g.cfg.Parity {
-		stmts = append(stmts, spec.AssignSig(g.busField("PAR"), g.driveParity(word, c)))
-	}
-	stmts = append(stmts, g.seqDrive(idx)...)
-	stmts = append(stmts,
-		spec.AssignSig(g.busField("START"), one),
+	fail := spec.AssignVar(spec.Ref(ok), g.boolLit[0])
+	return []spec.Stmt{
+		g.set("START", 1),
 		spec.WaitUntilFor(waitCond, g.timeout(), tmo),
 		&spec.If{
 			Cond: failCond,
-			Then: []spec.Stmt{
-				spec.AssignVar(spec.Ref(ok), &spec.BoolLit{Value: false}),
-				spec.AssignSig(g.busField("START"), zero),
-				spec.WaitFor(1),
-			},
+			Then: []spec.Stmt{fail, g.set("START", 0), g.delay(1)},
 			Else: []spec.Stmt{
-				spec.AssignSig(g.busField("START"), zero),
-				spec.WaitUntilFor(spec.Eq(g.busField("DONE"), zero), g.timeout(), tmo),
-				&spec.If{Cond: spec.Ref(tmo), Then: []spec.Stmt{
-					spec.AssignVar(spec.Ref(ok), &spec.BoolLit{Value: false}),
-					spec.WaitFor(1),
-				}},
+				g.set("START", 0),
+				spec.WaitUntilFor(g.is("DONE", 0), g.timeout(), tmo),
+				&spec.If{Cond: spec.Ref(tmo), Then: []spec.Stmt{fail, g.delay(1)}},
 			},
 		},
-	)
-	return stmts
+	}
 }
 
-// robustServeWordStmts emits the hardened server side of one
+// serveKit holds the word-invariant statements of one hardened serve
+// procedure: the opening of a word for each SEQ parity, and its close.
+type serveKit struct {
+	head [2][]spec.Stmt
+	tail []spec.Stmt
+}
+
+// robustServeKit builds the serveKit of channel c's serve procedure,
+// whose bounded waits record into tmo:
+//
+//	wait until (B.START = '1' [and B.ID = id] [and B.SEQ = seq])
+//	  or B.RST = '1' for T -> tmo;
+//	if tmo or B.RST = '1' then return; end if;
+//	wait for 1;
+//	[if <parity mismatch> then
+//	   B.NACK <= '1'; wait until B.START = '0' or B.RST = '1' for T;
+//	   B.NACK <= '0'; wait for 1; return;
+//	 end if;]
+//	  ... latch ...
+//	B.DONE <= '1';
+//	wait until B.START = '0' or B.RST = '1' for T -> tmo;
+//	B.DONE <= '0';
+//	wait for 1;
+//	if tmo or B.RST = '1' then return; end if;
+func (g *generator) robustServeKit(c *spec.Channel, tmo *spec.Variable) *serveKit {
+	bail := &spec.If{Cond: g.abortWatch(tmo), Then: []spec.Stmt{g.ret}}
+	head := func(seq int) []spec.Stmt {
+		stmts := []spec.Stmt{
+			spec.WaitUntilFor(g.orRST(g.startHigh(c, seq)), g.timeout(), tmo),
+			bail,
+			g.delay(1),
+		}
+		if !g.cfg.Parity {
+			return stmts
+		}
+		return append(stmts, &spec.If{
+			Cond: g.parityMismatch(),
+			Then: []spec.Stmt{
+				g.set("NACK", 1),
+				spec.WaitUntilFor(g.orRST(g.is("START", 0)), g.timeout(), nil),
+				g.set("NACK", 0),
+				g.delay(1),
+				g.ret,
+			},
+		})
+	}
+	k := &serveKit{tail: []spec.Stmt{
+		g.set("DONE", 1),
+		spec.WaitUntilFor(g.orRST(g.is("START", 0)), g.timeout(), tmo),
+		g.set("DONE", 0),
+		g.delay(1),
+		bail,
+	}}
+	k.head[0] = head(0)
+	k.head[1] = k.head[0]
+	if g.cfg.AckSeq {
+		k.head[1] = head(1)
+	}
+	return k
+}
+
+// robustServeWordStmts appends the hardened server side of one
 // accessor-driven word: the baseline sequence with every wait bounded,
 // watching RST, and bailing to the dispatch loop on any anomaly. With
 // parity, a corrupted word is answered on NACK instead of DONE.
-func (g *generator) robustServeWordStmts(c *spec.Channel, idx int, latch []spec.Stmt, tmo *spec.Variable) []spec.Stmt {
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
-	startHigh := andOpt(andOpt(spec.Eq(g.busField("START"), one), g.idMatches(c)), g.seqMatch(idx))
-	startLow := spec.Eq(g.busField("START"), zero)
-	stmts := []spec.Stmt{
-		spec.WaitUntilFor(g.orRST(startHigh), g.timeout(), tmo),
-		&spec.If{Cond: g.abortWatch(tmo), Then: []spec.Stmt{&spec.Return{}}},
-		spec.WaitFor(1),
-	}
-	if g.cfg.Parity {
-		stmts = append(stmts, &spec.If{
-			Cond: g.checkParityMismatch(),
-			Then: []spec.Stmt{
-				spec.AssignSig(g.busField("NACK"), one),
-				spec.WaitUntilFor(g.orRST(startLow), g.timeout(), nil),
-				spec.AssignSig(g.busField("NACK"), zero),
-				spec.WaitFor(1),
-				&spec.Return{},
-			},
-		})
-	}
-	stmts = append(stmts, latch...)
-	stmts = append(stmts,
-		spec.AssignSig(g.busField("DONE"), one),
-		spec.WaitUntilFor(g.orRST(startLow), g.timeout(), tmo),
-		spec.AssignSig(g.busField("DONE"), zero),
-		spec.WaitFor(1),
-		&spec.If{Cond: g.abortWatch(tmo), Then: []spec.Stmt{&spec.Return{}}},
-	)
-	return stmts
+func (g *generator) robustServeWordStmts(body []spec.Stmt, k *serveKit, idx int, latch ...spec.Stmt) []spec.Stmt {
+	body = append(body, k.head[idx%2]...)
+	body = append(body, latch...)
+	return append(body, k.tail...)
 }
 
-// robustServerSendWordStmts emits one hardened server-driven word (the
-// data phase of a read): roles swapped, same guards.
-func (g *generator) robustServerSendWordStmts(word spec.Expr, tmo *spec.Variable) []spec.Stmt {
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
-	ackCond := spec.Expr(spec.Eq(g.busField("START"), one))
+// robustServerSendWordStmts appends one hardened server-driven word
+// (the data phase of a read): roles swapped, same guards. Everything
+// after the DATA and PAR assignments depends only on the procedure's
+// tmo, so the procedure builds it once (robustServerSendTail) and every
+// word shares it.
+func (g *generator) robustServerSendWordStmts(body []spec.Stmt, word spec.Expr, tail []spec.Stmt) []spec.Stmt {
+	body = append(body, spec.AssignSig(g.busField("DATA"), g.padToBus(word)))
 	if g.cfg.Parity {
-		ackCond = spec.LogicalOr(ackCond, spec.Eq(g.busField("NACK"), one))
+		body = append(body, spec.AssignSig(g.busField("PAR"), g.serverDriveParity(word)))
 	}
-	stmts := []spec.Stmt{
-		spec.AssignSig(g.busField("DATA"), g.padToBus(word)),
-	}
+	return append(body, tail...)
+}
+
+// robustServerSendTail builds the word-invariant part of
+// robustServerSendWordStmts for one procedure's tmo.
+func (g *generator) robustServerSendTail(tmo *spec.Variable) []spec.Stmt {
+	ackCond := spec.Expr(g.is("START", 1))
 	if g.cfg.Parity {
-		stmts = append(stmts, spec.AssignSig(g.busField("PAR"), g.serverDriveParity(word)))
+		ackCond = spec.LogicalOr(ackCond, g.is("NACK", 1))
 	}
-	stmts = append(stmts,
-		spec.WaitFor(1),
-		spec.AssignSig(g.busField("DONE"), one),
+	tail := []spec.Stmt{
+		g.delay(1),
+		g.set("DONE", 1),
 		spec.WaitUntilFor(g.orRST(ackCond), g.timeout(), tmo),
-		spec.AssignSig(g.busField("DONE"), zero),
-		&spec.If{Cond: g.abortWatch(tmo), Then: []spec.Stmt{
-			spec.WaitFor(1),
-			&spec.Return{},
-		}},
-	)
+		g.set("DONE", 0),
+		&spec.If{Cond: g.abortWatch(tmo), Then: []spec.Stmt{g.delay(1), g.ret}},
+	}
 	if g.cfg.Parity {
-		stmts = append(stmts, &spec.If{
-			Cond: spec.Eq(g.busField("NACK"), one),
+		tail = append(tail, &spec.If{
+			Cond: g.is("NACK", 1),
 			Then: []spec.Stmt{
-				spec.WaitUntilFor(g.orRST(spec.Eq(g.busField("NACK"), zero)), g.timeout(), nil),
-				spec.WaitFor(1),
-				&spec.Return{},
+				spec.WaitUntilFor(g.orRST(g.is("NACK", 0)), g.timeout(), nil),
+				g.delay(1),
+				g.ret,
 			},
 		})
 	}
-	stmts = append(stmts,
-		spec.WaitFor(1),
-		spec.WaitUntilFor(g.orRST(spec.Eq(g.busField("START"), zero)), g.timeout(), tmo),
-		&spec.If{Cond: g.abortWatch(tmo), Then: []spec.Stmt{&spec.Return{}}},
+	return append(tail,
+		g.delay(1),
+		spec.WaitUntilFor(g.orRST(g.is("START", 0)), g.timeout(), tmo),
+		&spec.If{Cond: g.abortWatch(tmo), Then: []spec.Stmt{g.ret}},
 	)
-	return stmts
 }
 
-// robustRecvWordStmts emits the hardened accessor side of one
-// server-driven word. With parity, a corrupted word is rejected on NACK,
-// failing the transaction into the retry loop.
-func (g *generator) robustRecvWordStmts(latch []spec.Stmt, ok, tmo *spec.Variable) []spec.Stmt {
-	one := spec.VecString("1")
-	zero := spec.VecString("0")
-	fail := spec.AssignVar(spec.Ref(ok), &spec.BoolLit{Value: false})
-	accept := append([]spec.Stmt{}, latch...)
-	accept = append(accept,
-		spec.AssignSig(g.busField("START"), one),
-		spec.WaitUntilFor(spec.Eq(g.busField("DONE"), zero), g.timeout(), tmo),
-		spec.AssignSig(g.busField("START"), zero),
-		spec.WaitFor(1),
-		&spec.If{Cond: spec.Ref(tmo), Then: []spec.Stmt{fail}},
-	)
-	var consume []spec.Stmt
-	if g.cfg.Parity {
-		consume = []spec.Stmt{&spec.If{
-			Cond: g.checkParityMismatch(),
-			Then: []spec.Stmt{
-				spec.AssignSig(g.busField("NACK"), one),
-				spec.WaitUntilFor(spec.Eq(g.busField("DONE"), zero), g.timeout(), tmo),
-				spec.AssignSig(g.busField("NACK"), zero),
-				spec.WaitFor(1),
-				fail,
-			},
-			Else: accept,
-		}}
-	} else {
-		consume = accept
-	}
-	stmts := []spec.Stmt{
-		spec.WaitUntilFor(spec.Eq(g.busField("DONE"), one), g.timeout(), tmo),
-		&spec.If{
-			Cond: spec.Ref(tmo),
-			Then: []spec.Stmt{fail},
-			Else: consume,
+// recvKit holds the word-invariant statements of one hardened receive
+// procedure.
+type recvKit struct {
+	wait   spec.Stmt   // wait until B.DONE = '1' for T -> tmo
+	tmo    spec.Expr   // tmo
+	fail   []spec.Stmt // ok := false
+	nack   []spec.Stmt // the NACK answer to a corrupted word (parity only)
+	accept []spec.Stmt // the acknowledgement after a word's latch
+}
+
+// robustRecvKit builds the recvKit of a receive procedure with ok and
+// tmo.
+func (g *generator) robustRecvKit(ok, tmo *spec.Variable) *recvKit {
+	tmoRef := spec.Ref(tmo)
+	fail := spec.AssignVar(spec.Ref(ok), g.boolLit[0])
+	k := &recvKit{
+		wait: spec.WaitUntilFor(g.is("DONE", 1), g.timeout(), tmo),
+		tmo:  tmoRef,
+		fail: []spec.Stmt{fail},
+		accept: []spec.Stmt{
+			g.set("START", 1),
+			spec.WaitUntilFor(g.is("DONE", 0), g.timeout(), tmo),
+			g.set("START", 0),
+			g.delay(1),
+			&spec.If{Cond: tmoRef, Then: []spec.Stmt{fail}},
 		},
 	}
-	return stmts
+	if g.cfg.Parity {
+		k.nack = []spec.Stmt{
+			g.set("NACK", 1),
+			spec.WaitUntilFor(g.is("DONE", 0), g.timeout(), tmo),
+			g.set("NACK", 0),
+			g.delay(1),
+			fail,
+		}
+	}
+	return k
+}
+
+// robustRecvWordStmts appends the hardened accessor side of one
+// server-driven word. With parity, a corrupted word is rejected on
+// NACK, failing the transaction into the retry loop.
+func (g *generator) robustRecvWordStmts(body []spec.Stmt, k *recvKit, latch spec.Stmt) []spec.Stmt {
+	accept := make([]spec.Stmt, 0, 1+len(k.accept))
+	accept = append(append(accept, latch), k.accept...)
+	consume := accept
+	if g.cfg.Parity {
+		consume = []spec.Stmt{&spec.If{Cond: g.parityMismatch(), Then: k.nack, Else: accept}}
+	}
+	return append(body, k.wait, &spec.If{Cond: k.tmo, Then: k.fail, Else: consume})
+}
+
+// robustLocals declares a hardened accessor procedure's retry state:
+// ok, attempt and tmo.
+func robustLocals(p *spec.Procedure) (ok, attempt, tmo *spec.Variable) {
+	ok = spec.NewVar("ok", spec.Bool)
+	attempt = spec.NewVar("attempt", spec.Integer)
+	tmo = spec.NewVar("tmo", spec.Bool)
+	p.Locals = append(p.Locals, ok, attempt, tmo)
+	return ok, attempt, tmo
+}
+
+// closeRobust appends a hardened accessor transaction's abort count and
+// turnaround to body and wraps it in the arbitration pair.
+func (g *generator) closeRobust(c *spec.Channel, ok *spec.Variable, body []spec.Stmt) []spec.Stmt {
+	body = append(body, g.abortStmt(c, ok))
+	return g.wrapArbitration(c.Accessor, g.turnaround(body))
 }
 
 // buildRobustSendProc is the hardened buildSendProc: same parameters and
 // message layout, with the word transfers wrapped in the retry loop.
 func (g *generator) buildRobustSendProc(c *spec.Channel) *spec.Procedure {
 	p := &spec.Procedure{Name: "Send" + c.Name}
-	dataBits, addrBits := c.DataBits(), c.AddrBits()
-	txdata := spec.NewVar("txdata", spec.BitVector(dataBits))
-	var addr *spec.Variable
-	if addrBits > 0 {
-		addr = spec.NewVar("addr", spec.BitVector(addrBits))
-		p.Params = append(p.Params, spec.Param{Var: addr, Mode: spec.ModeIn})
-	}
-	p.Params = append(p.Params, spec.Param{Var: txdata, Mode: spec.ModeIn})
+	addr, txdata := accessorParams(p, c)
+	msg, assemble := message(p, addr, txdata)
+	ok, attempt, tmo := robustLocals(p)
 
-	mBits := dataBits + addrBits
-	msg := spec.NewVar("msg", spec.BitVector(mBits))
-	ok := spec.NewVar("ok", spec.Bool)
-	attempt := spec.NewVar("attempt", spec.Integer)
-	tmo := spec.NewVar("tmo", spec.Bool)
-	p.Locals = append(p.Locals, msg, ok, attempt, tmo)
-
-	var body []spec.Stmt
-	if addrBits > 0 {
-		body = append(body, spec.AssignVar(spec.Ref(msg), spec.Bin(spec.OpConcat, spec.Ref(addr), spec.Ref(txdata))))
-	} else {
-		body = append(body, spec.AssignVar(spec.Ref(msg), spec.Ref(txdata)))
+	msgRef := spec.Ref(msg)
+	tail := g.robustSendTail(ok, tmo)
+	spans := wordSpans(msg.Type.BitWidth(), g.bus.Width)
+	words := make([][]spec.Stmt, len(spans))
+	for i, span := range spans {
+		words[i] = g.robustSendWordStmts(nil, c, i, g.slice(msgRef, span[0], span[1]), tail)
 	}
-	var words [][]spec.Stmt
-	for i, span := range wordSpans(mBits, g.bus.Width) {
-		words = append(words, g.robustSendWordStmts(c, i, spec.SliceBits(spec.Ref(msg), span[0], span[1]), ok, tmo))
-	}
-	body = append(body, g.retryLoop(c, ok, attempt, words)...)
-	body = append(body, g.abortStmts(c, ok)...)
-	body = append(body, g.turnaround()...)
-	p.Body = g.wrapArbitration(c.Accessor, body)
+	body := append([]spec.Stmt{assemble}, g.retryLoop(c, ok, attempt, words)...)
+	p.Body = g.closeRobust(c, ok, body)
 	return p
 }
 
@@ -490,41 +519,25 @@ func (g *generator) buildRobustSendProc(c *spec.Channel) *spec.Procedure {
 // fault anywhere re-requests from scratch (re-reading is idempotent).
 func (g *generator) buildRobustReceiveProc(c *spec.Channel) *spec.Procedure {
 	p := &spec.Procedure{Name: "Receive" + c.Name}
-	dataBits, addrBits := c.DataBits(), c.AddrBits()
-	var addr *spec.Variable
-	if addrBits > 0 {
-		addr = spec.NewVar("addr", spec.BitVector(addrBits))
-		p.Params = append(p.Params, spec.Param{Var: addr, Mode: spec.ModeIn})
-	}
-	rxdata := spec.NewVar("rxdata", spec.BitVector(dataBits))
-	p.Params = append(p.Params, spec.Param{Var: rxdata, Mode: spec.ModeOut})
-	ok := spec.NewVar("ok", spec.Bool)
-	attempt := spec.NewVar("attempt", spec.Integer)
-	tmo := spec.NewVar("tmo", spec.Bool)
-	p.Locals = append(p.Locals, ok, attempt, tmo)
+	addr, rxdata := accessorParams(p, c)
+	ok, attempt, tmo := robustLocals(p)
 
+	tail := g.robustSendTail(ok, tmo)
 	var words [][]spec.Stmt
-	if addrBits > 0 {
-		for i, span := range wordSpans(addrBits, g.bus.Width) {
-			words = append(words, g.robustSendWordStmts(c, i, spec.SliceBits(spec.Ref(addr), span[0], span[1]), ok, tmo))
+	if addr != nil {
+		addrRef := spec.Ref(addr)
+		for i, span := range wordSpans(c.AddrBits(), g.bus.Width) {
+			words = append(words, g.robustSendWordStmts(nil, c, i, g.slice(addrRef, span[0], span[1]), tail))
 		}
 	} else {
-		words = append(words, g.robustSendWordStmts(c, 0, spec.Vec(bits.New(min(g.bus.Width, 1))), ok, tmo))
+		words = append(words, g.robustSendWordStmts(nil, c, 0, g.requestWord(), tail))
 	}
-	for _, span := range wordSpans(dataBits, g.bus.Width) {
-		w := span[0] - span[1] + 1
-		latch := []spec.Stmt{
-			spec.AssignVar(
-				spec.SliceBits(spec.Ref(rxdata), span[0], span[1]),
-				spec.SliceBits(g.busField("DATA"), w-1, 0),
-			),
-		}
-		words = append(words, g.robustRecvWordStmts(latch, ok, tmo))
+	k := g.robustRecvKit(ok, tmo)
+	rxRef := spec.Ref(rxdata)
+	for _, span := range wordSpans(c.DataBits(), g.bus.Width) {
+		words = append(words, g.robustRecvWordStmts(nil, k, g.latchWord(rxRef, span)))
 	}
-	body := g.retryLoop(c, ok, attempt, words)
-	body = append(body, g.abortStmts(c, ok)...)
-	body = append(body, g.turnaround()...)
-	p.Body = g.wrapArbitration(c.Accessor, body)
+	p.Body = g.closeRobust(c, ok, g.retryLoop(c, ok, attempt, words))
 	return p
 }
 
@@ -533,33 +546,18 @@ func (g *generator) buildRobustReceiveProc(c *spec.Channel) *spec.Procedure {
 // never half-writes the variable.
 func (g *generator) buildRobustServeWriteProc(c *spec.Channel) *spec.Procedure {
 	p := &spec.Procedure{Name: "Recv" + c.Name}
-	dataBits, addrBits := c.DataBits(), c.AddrBits()
-	mBits := dataBits + addrBits
+	mBits := c.DataBits() + c.AddrBits()
 	msg := spec.NewVar("msg", spec.BitVector(mBits))
 	tmo := spec.NewVar("tmo", spec.Bool)
 	p.Locals = append(p.Locals, msg, tmo)
 
-	var commit []spec.Stmt
-	if addrBits > 0 {
-		addrSlice := spec.SliceBits(spec.Ref(msg), mBits-1, dataBits)
-		dataSlice := spec.SliceBits(spec.Ref(msg), dataBits-1, 0)
-		elem := c.Var.Type.(spec.ArrayType).Elem
-		commit = []spec.Stmt{spec.AssignVar(
-			spec.At(spec.Ref(c.Var), spec.ToInt(addrSlice)), g.coerceToVar(dataSlice, elem))}
-	} else {
-		commit = []spec.Stmt{spec.AssignVar(spec.Ref(c.Var), g.coerceToVar(spec.Ref(msg), c.Var.Type))}
-	}
-
-	var body []spec.Stmt
+	commit := g.commitStmt(c, msg)
+	msgRef := spec.Ref(msg)
+	k := g.robustServeKit(c, tmo)
 	spans := wordSpans(mBits, g.bus.Width)
+	var body []spec.Stmt
 	for i, span := range spans {
-		w := span[0] - span[1] + 1
-		latch := []spec.Stmt{
-			spec.AssignVar(
-				spec.SliceBits(spec.Ref(msg), span[0], span[1]),
-				spec.SliceBits(g.busField("DATA"), w-1, 0),
-			),
-		}
+		latch := g.latchWord(msgRef, span)
 		if g.cfg.CommitAck && i == len(spans)-1 {
 			// Ack-of-ack commit: the variable commits inside the final
 			// word's latch, before that word's DONE rises. The closing
@@ -567,12 +565,13 @@ func (g *generator) buildRobustServeWriteProc(c *spec.Channel) *spec.Procedure {
 			// happened — losing it can abort only the wire etiquette,
 			// never the data — and a whole-transaction retransmission
 			// re-latches and re-commits the identical message.
-			latch = append(latch, commit...)
+			body = g.robustServeWordStmts(body, k, i, latch, commit)
+		} else {
+			body = g.robustServeWordStmts(body, k, i, latch)
 		}
-		body = append(body, g.robustServeWordStmts(c, i, latch, tmo)...)
 	}
 	if !g.cfg.CommitAck {
-		body = append(body, commit...)
+		body = append(body, commit)
 	}
 	p.Body = body
 	return p
@@ -581,35 +580,28 @@ func (g *generator) buildRobustServeWriteProc(c *spec.Channel) *spec.Procedure {
 // buildRobustServeReadProc is the hardened buildServeReadProc.
 func (g *generator) buildRobustServeReadProc(c *spec.Channel) *spec.Procedure {
 	p := &spec.Procedure{Name: "Send" + c.Name}
-	dataBits, addrBits := c.DataBits(), c.AddrBits()
+	dataBits := c.DataBits()
 	tmo := spec.NewVar("tmo", spec.Bool)
+	k := g.robustServeKit(c, tmo)
 
 	var body []spec.Stmt
-	var value spec.Expr
-	if addrBits > 0 {
-		addrBuf := spec.NewVar("addrbuf", spec.BitVector(addrBits))
-		p.Locals = append(p.Locals, addrBuf)
-		for i, span := range wordSpans(addrBits, g.bus.Width) {
-			w := span[0] - span[1] + 1
-			latch := []spec.Stmt{
-				spec.AssignVar(
-					spec.SliceBits(spec.Ref(addrBuf), span[0], span[1]),
-					spec.SliceBits(g.busField("DATA"), w-1, 0),
-				),
-			}
-			body = append(body, g.robustServeWordStmts(c, i, latch, tmo)...)
+	addrBuf, value := readValue(p, c)
+	if addrBuf != nil {
+		bufRef := spec.Ref(addrBuf)
+		for i, span := range wordSpans(c.AddrBits(), g.bus.Width) {
+			body = g.robustServeWordStmts(body, k, i, g.latchWord(bufRef, span))
 		}
-		value = spec.At(spec.Ref(c.Var), spec.ToInt(spec.Ref(addrBuf)))
 	} else {
-		body = append(body, g.robustServeWordStmts(c, 0, nil, tmo)...)
-		value = spec.Ref(c.Var)
+		body = g.robustServeWordStmts(body, k, 0)
 	}
 
 	dataBuf := spec.NewVar("databuf", spec.BitVector(dataBits))
 	p.Locals = append(p.Locals, dataBuf, tmo)
-	body = append(body, spec.AssignVar(spec.Ref(dataBuf), g.coerceToMsg(value, dataBits)))
+	dataRef := spec.Ref(dataBuf)
+	body = append(body, spec.AssignVar(dataRef, g.coerceToMsg(value, dataBits)))
+	tail := g.robustServerSendTail(tmo)
 	for _, span := range wordSpans(dataBits, g.bus.Width) {
-		body = append(body, g.robustServerSendWordStmts(spec.SliceBits(spec.Ref(dataBuf), span[0], span[1]), tmo)...)
+		body = g.robustServerSendWordStmts(body, g.slice(dataRef, span[0], span[1]), tail)
 	}
 	p.Body = body
 	return p

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/estimate"
@@ -60,12 +61,35 @@ func execute(ctx context.Context, req *Request, sys *spec.System, key Key, specH
 	res.Verify = NewVerifyJSON(rep.Verify)
 	res.Repair = NewRepairJSON(rep.Repair)
 	// The reply carries the refined listing's digest and size, not its
-	// text.
-	vhdl := vhdlgen.Emit(sys)
-	sum := sha256.Sum256([]byte(vhdl))
+	// text, so the listing is rendered into a pooled buffer and hashed
+	// in place.
+	bp := listings.Get().(*[]byte)
+	vhdl := vhdlgen.AppendEmit((*bp)[:0], sys)
+	sum := sha256.Sum256(vhdl)
 	res.VHDLSHA256 = hex.EncodeToString(sum[:])
 	res.VHDLBytes = len(vhdl)
+	putListing(bp, vhdl)
 	return encodeBody(res)
+}
+
+// listings pools the buffers execute renders listings into.
+var listings = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledListing is the largest buffer putListing keeps. Most
+// listings are a few KB; a 6x6 mesh at width 1 renders 0.6 to 3.3 MB,
+// and pooling its buffer would keep that resident after the request.
+const maxPooledListing = 1 << 20
+
+// putListing returns the buffer a listing was rendered into to the pool
+// through bp, unless it grew past maxPooledListing. It reports whether
+// the buffer was kept.
+func putListing(bp *[]byte, buf []byte) bool {
+	if cap(buf) > maxPooledListing {
+		return false
+	}
+	*bp = buf[:0]
+	listings.Put(bp)
+	return true
 }
 
 // sweepInto runs the design-space exploration op: derive channels if

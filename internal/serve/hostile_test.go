@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -131,6 +132,74 @@ end system;
 		resp, body := postJSON(t, ts.URL+"/v1/query", specBody(t, c.op, c.src))
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
 			t.Fatalf("%s: status %d, body %s; want 400 with %q", c.op, resp.StatusCode, body, c.want)
+		}
+		healthy(t, ts.URL)
+	}
+}
+
+// TestWordTransferBoundIsAnError: eight 4,096-bit writes forced to
+// width 1 unroll 32,768 bus-word transfers, twice the synthesis bound.
+// The request is refused with a job error naming the total and the
+// bound, and the daemon stays up. Sixty-four such channels, a 268 KB
+// body, once took the daemon's heap to 2.78 GB.
+func TestWordTransferBoundIsAnError(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("system Wide is\n  module src is\n")
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&src, "    behavior P%d is\n      variable L : bit_vector(4095 downto 0);\n    begin\n      V%d <= L;\n    end behavior;\n", i, i)
+	}
+	src.WriteString("  end module;\n  module dst is\n")
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&src, "    variable V%d : bit_vector(4095 downto 0);\n", i)
+	}
+	src.WriteString("  end module;\n")
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&src, "  channel C%d : P%d writes V%d;\n", i, i, i)
+	}
+	src.WriteString("end system;\n")
+	req, err := json.Marshal(&Request{Op: OpSynthesize, Spec: src.String(), Options: Options{ForceWidth: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := postJSON(t, ts.URL+"/v1/query", string(req))
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "32768 word transfers") ||
+		!strings.Contains(string(body), "16384") {
+		t.Fatalf("status %d, body %.300s; want a job error refusing 32768 transfers at the limit of 16384", resp.StatusCode, body)
+	}
+	healthy(t, ts.URL)
+	resp, body = postJSON(t, ts.URL+"/v1/query", `{"op":"synthesize","workload":"pq"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// TestHostileOptions: option values a short request controls must not
+// choose how much the daemon allocates. A max_retries near 1<<62 is a
+// legal budget and must synthesize; a table of shared integer literals
+// indexed by value would panic on a job worker at that size and kill
+// the daemon. A force_width past the widest legal vector asked the
+// parity generator for a slice as wide as the bus, and a max_width
+// near 1<<62 panicked sizing the sweep's grid on a job worker; each
+// must be a 400. Either way the daemon must stay up.
+func TestHostileOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, c := range []struct {
+		body   string
+		status int
+		want   string
+	}{
+		{`{"op":"synthesize","workload":"pq","options":{"robust":true,"max_retries":4611686018427387904}}`,
+			http.StatusOK, `"vhdl_sha256"`},
+		{`{"op":"synthesize","workload":"pq","options":{"robust":true,"parity":true,"force_width":1073741824}}`,
+			http.StatusBadRequest, "force_width 1073741824 is wider than 4096 bits"},
+		{`{"op":"sweep","workload":"pq","options":{"max_width":4611686018427387904}}`,
+			http.StatusBadRequest, "max_width 4611686018427387904 is wider than 4096 bits"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/query", c.body)
+		if resp.StatusCode != c.status || !strings.Contains(string(body), c.want) {
+			t.Fatalf("%s: status %d, body %.300s; want %d with %q", c.body, resp.StatusCode, body, c.status, c.want)
 		}
 		healthy(t, ts.URL)
 	}

@@ -2,12 +2,16 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/spec"
+	"repro/internal/vhdlgen"
 )
 
 // inlineRequest renders a synthesize request carrying the .sys file's
@@ -103,5 +107,67 @@ func TestMissExecutesKeyedSystem(t *testing.T) {
 	}
 	if !<-got {
 		t.Fatal("executor did not receive the system the key hashed")
+	}
+}
+
+// TestPooledListingBuffer: a miss renders its listing into a pooled
+// buffer and hashes it there. One worker serves a robust 6x6 mesh at
+// width 1 (a 1.7 MB listing, whose buffer is too large to pool), then
+// PQ twice; every reply must carry the digest and size of the listing
+// Emit renders for the same synthesis.
+func TestPooledListingBuffer(t *testing.T) {
+	cases := []struct {
+		workload string
+		o        Options
+	}{
+		{"mesh-6", Options{Robust: true, ForceWidth: 1}},
+		{"pq", Options{}},
+		{"pq", Options{Robust: true, Parity: true}},
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, tc := range cases {
+		req, err := json.Marshal(Request{Op: OpSynthesize, Workload: tc.workload, Options: tc.o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/query", string(req))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", req, resp.StatusCode, body)
+		}
+		var res ResultJSON
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+
+		sys, err := (&Request{Workload: tc.workload}).resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, err := tc.o.coreOptions(OpSynthesize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Synthesize(sys, opts); err != nil {
+			t.Fatal(err)
+		}
+		vhdl := vhdlgen.Emit(sys)
+		sum := sha256.Sum256([]byte(vhdl))
+		if want := hex.EncodeToString(sum[:]); res.VHDLSHA256 != want || res.VHDLBytes != len(vhdl) {
+			t.Errorf("%s: vhdl_sha256 %s (%d bytes), Emit gives %s (%d bytes)", req, res.VHDLSHA256, res.VHDLBytes, want, len(vhdl))
+		}
+	}
+}
+
+// TestPutListingDropsLargeBuffers: a buffer that grew past 1 MiB is
+// not pooled, so one large listing does not stay resident.
+func TestPutListingDropsLargeBuffers(t *testing.T) {
+	for _, c := range []struct {
+		capacity int
+		kept     bool
+	}{{8 << 10, true}, {maxPooledListing, true}, {maxPooledListing + 1, false}, {3 << 20, false}} {
+		buf := make([]byte, 100, c.capacity)
+		if got := putListing(new([]byte), buf); got != c.kept {
+			t.Errorf("capacity %d: kept %v, want %v", c.capacity, got, c.kept)
+		}
 	}
 }

@@ -154,6 +154,17 @@ func (r *Request) validate() error {
 	if _, err := r.Options.protocol(); err != nil {
 		return err
 	}
+	// A bus's DATA lines are a bit_vector, so no width option may pass
+	// the widest one; the sweep sizes its grid by the width range.
+	o := r.Options
+	for _, w := range []struct {
+		name string
+		v    int
+	}{{"force_width", o.ForceWidth}, {"min_width", o.MinWidth}, {"max_width", o.MaxWidth}} {
+		if w.v > spec.MaxVectorWidth {
+			return fmt.Errorf("%s %d is wider than %d bits", w.name, w.v, spec.MaxVectorWidth)
+		}
+	}
 	return nil
 }
 

@@ -9,6 +9,19 @@
 // Narayan & Gajski (DAC'94): the input to system partitioning, bus
 // generation and protocol generation, and the output ("refined
 // specification") of protocol generation, which internal/sim can execute.
+//
+// Expression and statement nodes are immutable once built: no pass
+// changes a node after building it. RewriteStmts builds new compound
+// statements instead of editing the old ones, and Clone copies. So one
+// node may sit at several positions of a system, and a refinement
+// shares the nodes it repeats: protocol generation builds each bus-line
+// read, literal, handshake condition and leaf statement such as
+// "B.START <= '1'" once per call and places it in every word of every
+// channel that uses it. Code reading a system must therefore not key a
+// map on an expression or statement node, nor compare two by identity;
+// the declarations (*Variable, *Behavior, *Channel, *Procedure,
+// *Module) are the identities. Clone gives each position of a shared
+// node its own copy.
 package spec
 
 import (
@@ -75,6 +88,12 @@ var Bool = BoolType{}
 
 // Integer is the canonical 32-bit IntegerType instance.
 var Integer = IntegerType{Width: 32}
+
+// MaxVectorWidth bounds the width of a bit_vector a specification
+// declares, and so the width of a bus's DATA lines. A wider value would
+// let a short untrusted request choose how much memory every value and
+// every generated word takes.
+const MaxVectorWidth = 4096
 
 // BitVector returns a BitVectorType of the given width.
 func BitVector(width int) BitVectorType { return BitVectorType{Width: width} }

@@ -103,26 +103,31 @@ func digestListings(t *testing.T) [][2]string {
 		add("testdata/"+f+".sys", Emit(synthesized(t, sys, core.Options{Workers: 1})))
 	}
 
-	// Seeded random systems at forced widths, with the legal option
-	// combinations drawn from the seed: parity needs robust, and both
-	// parity and retries need the full handshake.
+	// Seeded random systems at forced widths.
 	for seed := int64(1); seed <= 50; seed++ {
-		opts := core.Options{Workers: 1, ForceWidth: 1 + int(seed*7%16), Arbitrate: seed%3 == 0}
-		if seed%2 == 0 {
-			opts.Bus.Protocol = spec.HalfHandshake
-		}
-		if seed%4 == 1 || seed%4 == 2 {
-			opts.Robust = true
-			opts.TimeoutClocks = []int64{0, 8, 16, 64}[seed%4]
-			if opts.Bus.Protocol == spec.FullHandshake {
-				opts.MaxRetries = int(seed % 4)
-				opts.Parity = seed%5 < 2
-			}
-		}
 		sys := difftest.Generate(seed, difftest.DefaultGenConfig())
-		add(fmt.Sprintf("difftest/%d", seed), Emit(synthesized(t, sys, opts)))
+		add(fmt.Sprintf("difftest/%d", seed), Emit(synthesized(t, sys, difftestOptions(seed))))
 	}
 	return out
+}
+
+// difftestOptions draws a forced width and a legal option combination
+// from the seed: parity needs robust, and both parity and retries need
+// the full handshake.
+func difftestOptions(seed int64) core.Options {
+	opts := core.Options{Workers: 1, ForceWidth: 1 + int(seed*7%16), Arbitrate: seed%3 == 0}
+	if seed%2 == 0 {
+		opts.Bus.Protocol = spec.HalfHandshake
+	}
+	if seed%4 == 1 || seed%4 == 2 {
+		opts.Robust = true
+		opts.TimeoutClocks = []int64{0, 8, 16, 64}[seed%4]
+		if opts.Bus.Protocol == spec.FullHandshake {
+			opts.MaxRetries = int(seed % 4)
+			opts.Parity = seed%5 < 2
+		}
+	}
+	return opts
 }
 
 // TestEmitDigests pins Emit, EmitBehavior and EmitProcedure byte for

@@ -28,7 +28,14 @@ import (
 // Emit renders the whole system.
 func Emit(sys *spec.System) string {
 	// 8 KiB holds PQ's 6.9 KB listing without regrowing.
-	e := emitter{buf: make([]byte, 0, 8<<10)}
+	return string(AppendEmit(make([]byte, 0, 8<<10), sys))
+}
+
+// AppendEmit appends the listing Emit renders to dst and returns the
+// extended buffer. A caller that only hashes or writes the listing can
+// render into a buffer it reuses, with no string copy.
+func AppendEmit(dst []byte, sys *spec.System) []byte {
+	e := emitter{buf: dst}
 	e.line("-- System ", sys.Name, " (refined specification)")
 	e.line("-- Generated by interface synthesis: bus + protocol generation.")
 	e.blank()
@@ -87,7 +94,7 @@ func Emit(sys *spec.System) string {
 			e.close(" addr bits)")
 		}
 	}
-	return string(e.buf)
+	return e.buf
 }
 
 // EmitBehavior renders a single behavior as a process.
