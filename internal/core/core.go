@@ -43,6 +43,20 @@ const (
 	maxParityTerms = 131072
 )
 
+// InputError marks a refusal the input causes: an invalid system, one
+// with no inter-module communication, a refinement past the size
+// bounds above, or a system or configuration protocol generation
+// refuses. Error returns the wrapped text unchanged.
+type InputError struct{ Err error }
+
+func (e *InputError) Error() string { return e.Err.Error() }
+func (e *InputError) Unwrap() error { return e.Err }
+
+// inputErrorf formats an InputError.
+func inputErrorf(format string, a ...any) error {
+	return &InputError{fmt.Errorf(format, a...)}
+}
+
 // Options parameterizes Synthesize.
 type Options struct {
 	// Grouping selects the channel-grouping policy (default SingleBus,
@@ -176,7 +190,7 @@ func SynthesizeCtx(ctx context.Context, sys *spec.System, opts Options) (*Report
 		return nil, err
 	}
 	if errs := sys.Validate(); len(errs) > 0 {
-		return nil, fmt.Errorf("core: invalid input system: %w", errs[0])
+		return nil, inputErrorf("core: invalid input system: %w", errs[0])
 	}
 	if !opts.Bus.QuantizeRates && opts.Bus.Constraints == nil && opts.Bus.MaxWidth == 0 {
 		// Zero value: upgrade to the paper's defaults.
@@ -200,7 +214,7 @@ func SynthesizeCtx(ctx context.Context, sys *spec.System, opts Options) (*Report
 		rep.ChannelsDerived = created
 	}
 	if len(sys.Channels) == 0 {
-		return nil, fmt.Errorf("core: system %s has no inter-module communication", sys.Name)
+		return nil, inputErrorf("core: system %s has no inter-module communication", sys.Name)
 	}
 	rep.Estimator = estimate.New(sys.Channels)
 
@@ -243,17 +257,17 @@ func SynthesizeCtx(ctx context.Context, sys *spec.System, opts Options) (*Report
 	words, terms := 0, 0
 	for _, br := range rep.Buses {
 		if br.Bus.Width > spec.MaxVectorWidth {
-			return nil, fmt.Errorf("core: bus %s is %d bits wide, above the limit of %d", br.Bus.Name, br.Bus.Width, spec.MaxVectorWidth)
+			return nil, inputErrorf("core: bus %s is %d bits wide, above the limit of %d", br.Bus.Name, br.Bus.Width, spec.MaxVectorWidth)
 		}
 		n := protogen.WordTransfers(br.Bus)
 		words += n
 		terms += n * (br.Bus.Width + br.Bus.IDBits())
 	}
 	if words > maxWordTransfers {
-		return nil, fmt.Errorf("core: the buses unroll %d word transfers, above the limit of %d", words, maxWordTransfers)
+		return nil, inputErrorf("core: the buses unroll %d word transfers, above the limit of %d", words, maxWordTransfers)
 	}
 	if opts.Parity && terms > maxParityTerms {
-		return nil, fmt.Errorf("core: the parity trees cover %d bus lines, above the limit of %d", terms, maxParityTerms)
+		return nil, inputErrorf("core: the parity trees cover %d bus lines, above the limit of %d", terms, maxParityTerms)
 	}
 
 	// baseCfg is the protocol-generation config for one bus; the repair
@@ -294,7 +308,7 @@ func SynthesizeCtx(ctx context.Context, sys *spec.System, opts Options) (*Report
 				bcfg.BusSignalName = opts.BusSignalPrefix + bus.Name
 				ref, err := protogen.Generate(c, bus, bcfg)
 				if err != nil {
-					return nil, nil, err
+					return nil, nil, &InputError{err}
 				}
 				aborts = append(aborts, ref.AbortKeys()...)
 			}
@@ -328,7 +342,7 @@ func SynthesizeCtx(ctx context.Context, sys *spec.System, opts Options) (*Report
 			bcfg.BusSignalName = opts.BusSignalPrefix + br.Bus.Name
 			ref, err := protogen.Generate(sys, br.Bus, bcfg)
 			if err != nil {
-				return nil, fmt.Errorf("core: bus %s: %w", br.Bus.Name, err)
+				return nil, inputErrorf("core: bus %s: %w", br.Bus.Name, err)
 			}
 			br.Ref = ref
 		}
@@ -343,7 +357,7 @@ func SynthesizeCtx(ctx context.Context, sys *spec.System, opts Options) (*Report
 		br := &rep.Buses[i]
 		ref, err := protogen.Generate(sys, br.Bus, baseCfg(br.Bus.Name))
 		if err != nil {
-			return nil, fmt.Errorf("core: bus %s: %w", br.Bus.Name, err)
+			return nil, inputErrorf("core: bus %s: %w", br.Bus.Name, err)
 		}
 		br.Ref = ref
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -429,5 +431,43 @@ func TestParityTermBound(t *testing.T) {
 	}
 	if _, err := Synthesize(writers(31, 1), hardened); err != nil {
 		t.Fatalf("31 channels: %v", err)
+	}
+}
+
+// TestRefusalsAreInputErrors: every refusal the input causes is an
+// *InputError whose text is the refusal's own, so ifsynd can answer it
+// with 400; a canceled run is not one.
+func TestRefusalsAreInputErrors(t *testing.T) {
+	dupModule := writers(1, 8)
+	dupModule.AddModule("src")
+	silent := spec.NewSystem("Silent")
+	silent.AddModule("m")
+	for _, c := range []struct {
+		name string
+		sys  *spec.System
+		opts Options
+		want string
+	}{
+		{"invalid system", dupModule, Options{}, `core: invalid input system: duplicate module name "src"`},
+		{"no communication", silent, Options{}, "core: system Silent has no inter-module communication"},
+		{"bus width", writers(1, 8), Options{ForceWidth: 1 << 30}, "core: bus B is 1073741824 bits wide, above the limit of 4096"},
+		{"word transfers", writers(8, 4096), Options{ForceWidth: 1}, "core: the buses unroll 32768 word transfers, above the limit of 16384"},
+		{"parity lines", writers(32, 1), Options{ForceWidth: 4096, Robust: true, Parity: true}, "core: the parity trees cover 131232 bus lines, above the limit of 131072"},
+		{"protogen config", writers(1, 8), Options{Parity: true}, "core: bus B: protogen: Parity requires Robust"},
+		{"protogen config, repair", writers(1, 8), Options{Parity: true, Repair: true}, "core: repair: repair: iteration 0: generate: protogen: Parity requires Robust"},
+	} {
+		c.opts.Workers = 1
+		_, err := Synthesize(c.sys, c.opts)
+		var ie *InputError
+		if !errors.As(err, &ie) || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: err = %v (%T), want an *InputError reading %q", c.name, err, err, c.want)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := SynthesizeCtx(ctx, writers(1, 8), Options{Workers: 1})
+	var ie *InputError
+	if err == nil || errors.As(err, &ie) {
+		t.Errorf("canceled run: err = %v, want a non-input error", err)
 	}
 }

@@ -8,7 +8,9 @@ package par
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -19,6 +21,11 @@ import (
 // every iteration has completed. fn must be safe for concurrent calls
 // with distinct indices; iterations are claimed from a shared atomic
 // counter, so scheduling is dynamic but each index runs exactly once.
+//
+// A panic in fn reaches For's caller, as it would from a loop. On a
+// worker goroutine it is recovered, no worker claims another index,
+// and once every worker has returned For re-raises it as a
+// *WorkerPanic, so a caller's recover can catch it.
 //
 // Degenerate inputs are guarded rather than left to wedge the pool: a
 // negative or zero n is an empty range (For returns immediately, fn is
@@ -109,10 +116,24 @@ func DefaultWorkers() int {
 	return 1
 }
 
+// WorkerPanic is the value For and its variants re-raise when fn
+// panicked on a worker goroutine: the panic's value and the stack of
+// the worker it was raised on, which the re-raise would otherwise lose.
+// A panic re-raised through nested loops keeps the innermost worker's
+// stack.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
+}
+
 // forRange claims indices from a shared counter until the range is
-// exhausted or done (which may be nil) is closed. The done check
-// happens before each claim, so cancellation stops new work promptly
-// without interrupting iterations already in flight.
+// exhausted, done (which may be nil) is closed, or fn has panicked on
+// a worker. The checks happen before each claim, so cancellation stops
+// new work promptly without interrupting iterations already in flight.
 func forRange(done <-chan struct{}, n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -140,12 +161,25 @@ func forRange(done <-chan struct{}, n, workers int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	var panicked atomic.Pointer[WorkerPanic]
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					wp, ok := p.(*WorkerPanic)
+					if !ok {
+						wp = &WorkerPanic{Value: p, Stack: debug.Stack()}
+					}
+					panicked.CompareAndSwap(nil, wp)
+				}
+			}()
 			for {
+				if panicked.Load() != nil {
+					return
+				}
 				if done != nil {
 					select {
 					case <-done:
@@ -162,4 +196,7 @@ func forRange(done <-chan struct{}, n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 }

@@ -2,8 +2,10 @@ package par
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -252,5 +254,73 @@ func TestForCtxNilAndUncanceled(t *testing.T) {
 	ran.Store(0)
 	if err := ForCtx(context.Background(), 100, 4, func(int) { ran.Add(1) }); err != nil || ran.Load() != 100 {
 		t.Fatalf("background ctx: err=%v ran=%d", err, ran.Load())
+	}
+}
+
+// catch runs f and returns what it panicked with, or nil.
+func catch(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// TestForWorkerPanic: at two workers, index 1 panics while index 0 is
+// still running. For must wait for index 0 to finish, stop handing out
+// indices, and re-raise the panic to its caller as a *WorkerPanic
+// carrying the worker's stack; nothing runs after it returns.
+func TestForWorkerPanic(t *testing.T) {
+	const n = 1000
+	panicking := make(chan struct{})
+	var zeroDone atomic.Bool
+	var ran atomic.Int64
+	p := catch(func() {
+		For(n, 2, func(i int) {
+			ran.Add(1)
+			switch i {
+			case 0:
+				<-panicking
+				time.Sleep(time.Millisecond)
+				zeroDone.Store(true)
+			case 1:
+				close(panicking)
+				panic("boom")
+			default:
+				time.Sleep(100 * time.Microsecond)
+			}
+		})
+	})
+	wp, ok := p.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %v (%T), want a *WorkerPanic", p, p)
+	}
+	if wp.Value != "boom" || !strings.Contains(string(wp.Stack), "TestForWorkerPanic") ||
+		!strings.HasPrefix(wp.Error(), "boom") {
+		t.Fatalf("WorkerPanic value %v, stack:\n%s", wp.Value, wp.Stack)
+	}
+	if !zeroDone.Load() {
+		t.Fatal("For re-raised before index 0 returned")
+	}
+	after := ran.Load()
+	if after >= n {
+		t.Fatalf("%d of %d indices ran: the panic did not stop the loop", after, n)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if got := ran.Load(); got != after {
+		t.Fatalf("%d indices started after For returned", got-after)
+	}
+
+	// A panic re-raised through a nested loop keeps the inner worker's
+	// value and stack rather than wrapping them again.
+	p = catch(func() {
+		For(2, 2, func(i int) {
+			For(2, 2, func(j int) {
+				if i == 1 && j == 1 {
+					panic("inner")
+				}
+			})
+		})
+	})
+	if wp, ok := p.(*WorkerPanic); !ok || wp.Value != "inner" {
+		t.Fatalf("nested: recovered %v (%T), want a *WorkerPanic of \"inner\"", p, p)
 	}
 }

@@ -102,7 +102,7 @@ func sweepInto(ctx context.Context, res *ResultJSON, sys *spec.System, o Options
 		}
 	}
 	if len(sys.Channels) == 0 {
-		return fmt.Errorf("system %s has no inter-module communication to sweep", sys.Name)
+		return &core.InputError{Err: fmt.Errorf("system %s has no inter-module communication to sweep", sys.Name)}
 	}
 	channels := sys.Channels
 	if len(sys.Buses) > 0 && len(sys.Buses[0].Channels) > 0 {

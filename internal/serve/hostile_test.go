@@ -1,12 +1,19 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/par"
+	"repro/internal/spec"
 )
 
 // specBody is a query body carrying inline .sys text.
@@ -51,8 +58,9 @@ func TestDeepNestingIsBadRequest(t *testing.T) {
 
 // TestUnsupportedRemoteAccessIsAnError: protocol generation once
 // panicked on these parsed, valid specs, on a job worker goroutine
-// with no recover, so one request killed the daemon. Each must get an
-// error reply, and the next request must still succeed.
+// with no recover, so one request killed the daemon. Each must get a
+// 400 naming protogen's refusal, and the next request must still
+// succeed.
 func TestUnsupportedRemoteAccessIsAnError(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, src := range []string{
@@ -81,8 +89,8 @@ end system;
 end system;
 `} {
 		resp, body := postJSON(t, ts.URL+"/v1/query", specBody(t, OpSynthesize, src))
-		if resp.StatusCode == http.StatusOK || !strings.Contains(string(body), "protogen:") {
-			t.Fatalf("status %d, body %s; want a protogen error", resp.StatusCode, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "protogen:") {
+			t.Fatalf("status %d, body %s; want 400 with a protogen error", resp.StatusCode, body)
 		}
 		resp, body = postJSON(t, ts.URL+"/v1/query", `{"op":"synthesize","workload":"pq"}`)
 		if resp.StatusCode != http.StatusOK {
@@ -139,9 +147,9 @@ end system;
 
 // TestWordTransferBoundIsAnError: eight 4,096-bit writes forced to
 // width 1 unroll 32,768 bus-word transfers, twice the synthesis bound.
-// The request is refused with a job error naming the total and the
-// bound, and the daemon stays up. Sixty-four such channels, a 268 KB
-// body, once took the daemon's heap to 2.78 GB.
+// The request is refused with a 400 naming the total and the bound,
+// and the daemon stays up. Sixty-four such channels, a 268 KB body,
+// once took the daemon's heap to 2.78 GB.
 func TestWordTransferBoundIsAnError(t *testing.T) {
 	var src strings.Builder
 	src.WriteString("system Wide is\n  module src is\n")
@@ -164,9 +172,9 @@ func TestWordTransferBoundIsAnError(t *testing.T) {
 
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, body := postJSON(t, ts.URL+"/v1/query", string(req))
-	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "32768 word transfers") ||
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "32768 word transfers") ||
 		!strings.Contains(string(body), "16384") {
-		t.Fatalf("status %d, body %.300s; want a job error refusing 32768 transfers at the limit of 16384", resp.StatusCode, body)
+		t.Fatalf("status %d, body %.300s; want 400 refusing 32768 transfers at the limit of 16384", resp.StatusCode, body)
 	}
 	healthy(t, ts.URL)
 	resp, body = postJSON(t, ts.URL+"/v1/query", `{"op":"synthesize","workload":"pq"}`)
@@ -202,5 +210,68 @@ func TestHostileOptions(t *testing.T) {
 			t.Fatalf("%s: status %d, body %.300s; want %d with %q", c.body, resp.StatusCode, body, c.status, c.want)
 		}
 		healthy(t, ts.URL)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the daemon's logger to write
+// while a test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestJobPanicIsAnError: a panic on a job path, raised on the job's
+// goroutine or on a par worker the job started, must fail that job
+// with a 500 and a logged stack, and leave the daemon serving: the
+// next request gets a 200. Either panic used to kill the process.
+func TestJobPanicIsAnError(t *testing.T) {
+	var logged lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+		switch req.Workload {
+		case "pq":
+			panic("executor bug")
+		case "pq-solo":
+			par.For(2, 2, func(i int) {
+				if i == 1 {
+					panic("worker bug")
+				}
+			})
+		}
+		return []byte("{}\n"), nil
+	})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, c := range []struct{ workload, want string }{{"pq", "executor bug"}, {"pq-solo", "worker bug"}} {
+		resp, body := postJSON(t, ts.URL+"/v1/query", `{"op":"synthesize","workload":"`+c.workload+`"}`)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panicked: "+c.want+`"`) {
+			t.Fatalf("%s: status %d, body %s; want 500 naming the panic", c.workload, resp.StatusCode, body)
+		}
+		healthy(t, ts.URL)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/query", `{"op":"synthesize","workload":"flc"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status %d, body %s", resp.StatusCode, body)
+	}
+	if n := s.jobsFailed.Load(); n != 2 {
+		t.Fatalf("jobs failed = %d, want 2", n)
+	}
+	for _, want := range []string{"panicked: executor bug", "panicked: worker bug", "worker goroutine stack:"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Fatalf("log lacks %q:\n%s", want, logged.String())
+		}
 	}
 }

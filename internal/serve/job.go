@@ -29,11 +29,16 @@ type job struct {
 	id       string
 	key      Key
 	specHash spec.Digest
-	req      *Request
-	// sys is the system the request's key resolved: parsed once in
-	// submit, refined by the run, and dropped when run returns so the
-	// retained jobs never pin refined systems. Only the worker running
-	// the job touches it after submit.
+	// digest is the digest of the request that created the job; its
+	// completed body enters the cache under it. Dedup joiners share
+	// the job but record nothing.
+	digest reqDigest
+	// req and sys are the request and the system its key resolved:
+	// parsed once in submit, refined by the run, and both dropped when
+	// run returns, so the retained jobs pin neither request text nor
+	// refined systems. Only the worker running the job touches them
+	// after submit.
+	req *Request
 	sys *spec.System
 
 	ctx    context.Context
@@ -54,10 +59,10 @@ type job struct {
 	maxEvents int
 }
 
-func newJob(id string, key Key, req *Request, parent context.Context) *job {
+func newJob(id string, key Key, digest reqDigest, req *Request, parent context.Context) *job {
 	ctx, cancel := context.WithCancel(parent)
 	return &job{
-		id: id, key: key, req: req,
+		id: id, key: key, digest: digest, req: req,
 		ctx: ctx, cancel: cancel,
 		done:      make(chan struct{}),
 		refs:      1,

@@ -69,10 +69,10 @@ func TestSynthesizeVHDLPins(t *testing.T) {
 }
 
 // TestCompletedJobDropsSystem: a miss resolves its spec once, in
-// submit, and the job carries that system to the run; once the run
-// returns, the job — retained for /v1/jobs lookups — must no longer
-// reference it, so up to maxRetainedJobs refined systems are not
-// pinned.
+// submit, and the job carries that system and its request to the run;
+// once the run returns, the job — retained for /v1/jobs lookups — must
+// reference neither, so up to maxRetainedJobs refined systems and
+// request texts of up to maxRequestBytes each are not pinned.
 func TestCompletedJobDropsSystem(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	resp, body := postJSON(t, ts.URL+"/v1/query", inlineRequest(t, "../../testdata/pq.sys", Options{}))
@@ -86,6 +86,9 @@ func TestCompletedJobDropsSystem(t *testing.T) {
 	<-j.done
 	if j.sys != nil {
 		t.Fatal("completed job still references its *spec.System")
+	}
+	if j.req != nil {
+		t.Fatal("completed job still references its *Request")
 	}
 	if j.err != nil || len(j.body) == 0 {
 		t.Fatalf("job body %q, err %v", j.body, j.err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -257,4 +258,30 @@ func (r *Request) key() (Key, spec.Digest, *spec.System, error) {
 	var k Key
 	h.Sum(k[:0])
 	return k, sh, sys, nil
+}
+
+// reqDigest is a request's digest: sha256 over its fields as decoded.
+// It indexes the RAM cache beside the Key, so a repeated request is
+// answered without resolving or hashing its spec again.
+type reqDigest [sha256.Size]byte
+
+// digestFrame versions the digest's encoding.
+const digestFrame = "ifsynd/request/v1\x00"
+
+// digest frames exactly the fields key is a function of: the op, the
+// workload name and the spec text, each length-prefixed so that no two
+// field tuples give the same bytes, then the canonical options. key
+// resolves the spec deterministically and spec.Hash is canonical, so
+// equal digests mean equal keys. The converse does not hold: a
+// differently spelled spec with the same meaning has its own digest
+// and reaches the shared entry through its key.
+func (r *Request) digest() reqDigest {
+	opts := r.Options.canonical()
+	b := make([]byte, 0, len(digestFrame)+3*binary.MaxVarintLen64+len(r.Op)+len(r.Workload)+len(r.Spec)+len(opts))
+	b = append(b, digestFrame...)
+	for _, f := range [...]string{r.Op, r.Workload, r.Spec} {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	return sha256.Sum256(append(b, opts...))
 }

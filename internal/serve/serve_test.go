@@ -629,7 +629,8 @@ func TestExplicitJobCancel(t *testing.T) {
 	waitFor(t, "job canceled", func() bool { return s.jobsCanceled.Load() == 1 })
 }
 
-// TestBadRequests covers the rejection surface.
+// TestBadRequests covers the rejection surface: requests that fail to
+// decode, validate or resolve, and jobs refused for their input.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -641,6 +642,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", `{"op":"synthesize","workload":"pq","bogus":1}`},
 		{"bad protocol", `{"op":"synthesize","workload":"pq","options":{"protocol":"quarter"}}`},
 		{"unknown workload", `{"op":"synthesize","workload":"hypercube"}`},
+		{"parity without robust", `{"op":"synthesize","workload":"pq","options":{"parity":true}}`},
+		{"sweep without communication", `{"op":"sweep","spec":"system S is\n  module M is\n  end module;\nend system;\n"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -667,6 +670,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 	for _, line := range []string{
 		"ifsynd_requests_total 2",
 		"ifsynd_cache_hits_total 1",
+		"ifsynd_cache_digest_hits_total 1",
 		"ifsynd_jobs_done_total 1",
 		"ifsynd_workers 2",
 	} {
@@ -678,31 +682,47 @@ func TestMetricsAndHealthz(t *testing.T) {
 	healthy(t, ts.URL)
 }
 
-// TestCacheLRU exercises the store's bounds directly.
+// TestCacheLRU exercises the store's bounds directly, and the digest
+// index that follows them.
 func TestCacheLRU(t *testing.T) {
 	c := newResultCache(2, 1<<20, nil)
 	k := func(i byte) Key { return Key{i} }
-	c.put(k(1), []byte("one"))
-	c.put(k(2), []byte("two"))
-	if _, ok := c.get(k(1)); !ok {
+	d := func(i byte) reqDigest { return reqDigest{i} }
+	c.put(k(1), d(1), []byte("one"))
+	c.put(k(2), d(2), []byte("two"))
+	if _, ok := c.get(k(1), d(1)); !ok {
 		t.Fatal("k1 missing")
 	}
-	c.put(k(3), []byte("three")) // evicts k2 (LRU), not k1 (just touched)
-	if _, ok := c.get(k(2)); ok {
+	c.put(k(3), d(3), []byte("three")) // evicts k2 (LRU), not k1 (just touched)
+	if _, ok := c.getDigest(d(2)); ok {
+		t.Fatal("the evicted entry's digest still hits")
+	}
+	if _, ok := c.get(k(2), d(2)); ok {
 		t.Fatal("k2 should have been evicted")
 	}
-	if _, ok := c.get(k(1)); !ok {
+	if _, ok := c.get(k(1), d(11)); !ok {
 		t.Fatal("k1 evicted out of LRU order")
 	}
-	entries, _, _, _, evictions := c.stats()
-	if entries != 2 || evictions != 1 {
-		t.Fatalf("entries=%d evictions=%d, want 2/1", entries, evictions)
+	// The key hit re-pointed k1's digest: the index holds one digest
+	// per entry, never more than the LRU holds entries.
+	if _, ok := c.getDigest(d(1)); ok {
+		t.Fatal("k1's replaced digest still hits")
+	}
+	if body, ok := c.getDigest(d(11)); !ok || string(body) != "one" {
+		t.Fatalf("digest 11: %q, %v", body, ok)
+	}
+	if len(c.byDigest) != 2 {
+		t.Fatalf("%d digests for 2 entries", len(c.byDigest))
+	}
+	if st := c.stats(); st.entries != 2 || st.evictions != 1 || st.hits != 3 || st.digestHits != 1 || st.misses != 1 {
+		t.Fatalf("entries %d, evictions %d, hits %d, digest hits %d, misses %d; want 2, 1, 3, 1, 1",
+			st.entries, st.evictions, st.hits, st.digestHits, st.misses)
 	}
 
 	// Byte bound: an oversized body is skipped, not cached.
 	small := newResultCache(16, 8, nil)
-	small.put(k(9), []byte("far too large for the bound"))
-	if _, ok := small.get(k(9)); ok {
+	small.put(k(9), d(9), []byte("far too large for the bound"))
+	if _, ok := small.get(k(9), d(9)); ok {
 		t.Fatal("oversized body should not be cached")
 	}
 }

@@ -5,11 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/par"
 )
 
 // Config parameterizes a Server.
@@ -137,13 +142,9 @@ func (s *Server) run(j *job) {
 	var err error
 	if err = j.ctx.Err(); err == nil {
 		j.publish("started", "", 0, 0)
-		defaultWorkers := runtime.GOMAXPROCS(0) / s.cfg.Workers
-		if defaultWorkers < 1 {
-			defaultWorkers = 1
-		}
-		body, err = executeFn(j.ctx, j.req, j.sys, j.key, j.specHash, defaultWorkers, j.progressHook())
+		body, err = s.exec(j)
 	}
-	j.sys = nil
+	j.req, j.sys = nil, nil
 	ended := time.Now()
 	if lat := j.cancelLatency(ended); lat > 0 {
 		s.cancelNsSum.Add(lat.Nanoseconds())
@@ -164,7 +165,7 @@ func (s *Server) run(j *job) {
 	switch {
 	case err == nil:
 		j.body = body
-		s.cache.put(j.key, body)
+		s.cache.put(j.key, j.digest, body)
 		s.jobsDone.Add(1)
 		j.publish("done", "", 0, 0)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -178,6 +179,27 @@ func (s *Server) run(j *job) {
 	}
 	close(j.done)
 	j.cancel()
+}
+
+// exec runs the job's request through executeFn. A panic on the
+// job path, raised on this goroutine or re-raised here by a par loop
+// whose worker panicked, is logged with its stack and becomes the
+// job's error, so one request cannot take the daemon down.
+func (s *Server) exec(j *job) (body []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("serve: job %s panicked: %v\n%s", j.id, p, debug.Stack())
+			if wp, ok := p.(*par.WorkerPanic); ok {
+				p = wp.Value
+			}
+			body, err = nil, fmt.Errorf("job %s panicked: %v", j.id, p)
+		}
+	}()
+	defaultWorkers := runtime.GOMAXPROCS(0) / s.cfg.Workers
+	if defaultWorkers < 1 {
+		defaultWorkers = 1
+	}
+	return executeFn(j.ctx, j.req, j.sys, j.key, j.specHash, defaultWorkers, j.progressHook())
 }
 
 // errBusy reports a full queue; mapped to 503.
@@ -194,13 +216,19 @@ const (
 
 // submit routes one request: cache hit (body returned directly),
 // in-flight dedup (joins the existing job with a new reference), or a
-// fresh job enqueued on the pool.
+// fresh job enqueued on the pool. A request whose digest the cache
+// knows is a hit before its spec is resolved, so a repeat skips the
+// parse and spec.Hash.
 func (s *Server) submit(req *Request) (*job, []byte, submitStatus, error) {
+	d := req.digest()
+	if body, ok := s.cache.getDigest(d); ok {
+		return nil, body, statusHit, nil
+	}
 	key, specHash, sys, err := req.key()
 	if err != nil {
 		return nil, nil, "", err
 	}
-	if body, ok := s.cache.get(key); ok {
+	if body, ok := s.cache.get(key, d); ok {
 		return nil, body, statusHit, nil
 	}
 
@@ -215,7 +243,7 @@ func (s *Server) submit(req *Request) (*job, []byte, submitStatus, error) {
 		return j, nil, statusDedup, nil
 	}
 	id := fmt.Sprintf("j%06d", s.nextID.Add(1))
-	j := newJob(id, key, req, s.baseCtx)
+	j := newJob(id, key, d, req, s.baseCtx)
 	j.specHash = specHash
 	j.sys = sys
 	s.inflight[key] = j
@@ -233,7 +261,7 @@ func (s *Server) submit(req *Request) (*job, []byte, submitStatus, error) {
 			delete(s.inflight, key)
 		}
 		s.mu.Unlock()
-		j.sys = nil
+		j.req, j.sys = nil, nil
 		j.err = errBusy
 		close(j.done)
 		j.cancel()
@@ -332,8 +360,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case <-j.done:
 		if j.err != nil {
 			code := http.StatusInternalServerError
-			if errors.Is(j.err, context.Canceled) {
+			var inErr *core.InputError
+			switch {
+			case errors.Is(j.err, context.Canceled):
 				code = http.StatusServiceUnavailable
+			case errors.As(j.err, &inErr):
+				code = http.StatusBadRequest
 			}
 			httpError(w, code, j.err.Error())
 			return
@@ -458,14 +490,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	entries, bytes, hits, misses, evictions := s.cache.stats()
+	cs := s.cache.stats()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "ifsynd_requests_total %d\n", s.requests.Load())
-	fmt.Fprintf(w, "ifsynd_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "ifsynd_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "ifsynd_cache_entries %d\n", entries)
-	fmt.Fprintf(w, "ifsynd_cache_bytes %d\n", bytes)
-	fmt.Fprintf(w, "ifsynd_cache_evictions_total %d\n", evictions)
+	fmt.Fprintf(w, "ifsynd_cache_hits_total %d\n", cs.hits)
+	fmt.Fprintf(w, "ifsynd_cache_digest_hits_total %d\n", cs.digestHits)
+	fmt.Fprintf(w, "ifsynd_cache_misses_total %d\n", cs.misses)
+	fmt.Fprintf(w, "ifsynd_cache_entries %d\n", cs.entries)
+	fmt.Fprintf(w, "ifsynd_cache_bytes %d\n", cs.bytes)
+	fmt.Fprintf(w, "ifsynd_cache_evictions_total %d\n", cs.evictions)
 	var dHits, dMisses, dWrites, dErrs int64
 	if s.cache.disk != nil {
 		dHits, dMisses, dWrites, dErrs = s.cache.disk.stats()
