@@ -18,7 +18,8 @@
 //	                    [-cache-entries N] [-cache-mb N] [-cache-dir D]
 //
 //	-addr A           listen address (default 127.0.0.1:8047)
-//	-jobs N           concurrent jobs (0 = all CPUs)
+//	-jobs N           concurrent jobs (0 = one per CPU); running jobs
+//	                  share the CPUs, a lone job's checker using them all
 //	-queue N          queued-job bound before 503 (default 256)
 //	-cache-entries N  result-cache entry bound (default 1024)
 //	-cache-mb N       result-cache byte bound in MiB (default 64)
@@ -42,7 +43,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8047", "listen address")
-	jobs := flag.Int("jobs", 0, "concurrent jobs (0 = all CPUs)")
+	jobs := flag.Int("jobs", 0, "concurrent jobs (0 = one per CPU); running jobs share the CPUs, and a lone job's checker uses them all")
 	queue := flag.Int("queue", 0, "queued-job bound (0 = 256)")
 	cacheEntries := flag.Int("cache-entries", 0, "result cache entry bound (0 = 1024)")
 	cacheMB := flag.Int64("cache-mb", 0, "result cache byte bound in MiB (0 = 64)")

@@ -16,6 +16,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/busgen"
@@ -44,9 +45,10 @@ const (
 )
 
 // InputError marks a refusal the input causes: an invalid system, one
-// with no inter-module communication, a refinement past the size
-// bounds above, or a system or configuration protocol generation
-// refuses. Error returns the wrapped text unchanged.
+// with no inter-module communication, a channel group no bus width can
+// carry (busgen.ErrInfeasible), a refinement past the size bounds
+// above, or a system or configuration protocol generation refuses.
+// Error returns the wrapped text unchanged.
 type InputError struct{ Err error }
 
 func (e *InputError) Error() string { return e.Err.Error() }
@@ -85,8 +87,10 @@ type Options struct {
 	TimeoutClocks int64
 	MaxRetries    int
 	// Workers bounds the goroutines used by the estimation and
-	// bus-generation sweeps: 0 means GOMAXPROCS, 1 means serial. The
-	// synthesized result is identical either way.
+	// bus-generation sweeps and the checker: 0 means GOMAXPROCS, 1
+	// means serial. Under a par.Share in SynthesizeCtx's context the
+	// checker's loops run on the share's idle CPUs, at most Workers of
+	// them (0: no cap). The synthesized result is identical either way.
 	Workers int
 	// Verify model-checks the refined system after synthesis: exhaustive
 	// interleaving exploration for deadlocks, driver conflicts, bounded
@@ -241,6 +245,9 @@ func SynthesizeCtx(ctx context.Context, sys *spec.System, opts Options) (*Report
 			bus.Width = opts.ForceWidth
 		} else if bus.Width == 0 {
 			gen, err := busgen.Generate(bus.Channels, rep.Estimator, opts.Bus)
+			if errors.Is(err, busgen.ErrInfeasible) {
+				return nil, inputErrorf("core: bus %s: %w", bus.Name, err)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("core: bus %s: %w", bus.Name, err)
 			}

@@ -44,6 +44,11 @@ func For(n, workers int, fn func(i int)) {
 // return time, so callers must treat any non-nil result as "output
 // slots may be unwritten" — a cancellation that races the final
 // iteration still reports the cancel.
+//
+// When ctx carries a Share (WithShare), workers is a cap rather than a
+// count (workers <= 0 caps at the share's CPUs): the loop runs on its
+// caller's CPU plus the CPUs of the share that are idle when it starts,
+// and gives those back when it returns.
 func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if ctx == nil {
 		forRange(nil, n, workers, fn)
@@ -52,6 +57,8 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	workers, giveBack := borrow(ctx, workers, n)
+	defer giveBack()
 	forRange(ctx.Done(), n, workers, fn)
 	return ctx.Err()
 }
@@ -77,7 +84,8 @@ func ForChunks(n, workers, chunk int, fn func(lo, hi int)) {
 // ForChunksCtx is ForChunks with cooperative cancellation, with the
 // same contract as ForCtx: once ctx is done no further chunk starts,
 // and the ctx error is returned instead of draining the remaining
-// chunks. A nil ctx behaves like ForChunks and returns nil.
+// chunks, and a Share in ctx lends the loop its idle CPUs. A nil ctx
+// behaves like ForChunks and returns nil.
 func ForChunksCtx(ctx context.Context, n, workers, chunk int, fn func(lo, hi int)) error {
 	if n <= 0 {
 		return nil

@@ -324,3 +324,92 @@ func TestForWorkerPanic(t *testing.T) {
 		t.Fatalf("nested: recovered %v (%T), want a *WorkerPanic of \"inner\"", p, p)
 	}
 }
+
+// TestShareLendsIdleCPUs pins the share's accounting: a lone job's loop
+// borrows every CPU, a second job waits for that loan to come back, a
+// loop then gets only what neither job holds, the worker count and the
+// iteration count cap a loan, and a context without a share lends
+// nothing.
+func TestShareLendsIdleCPUs(t *testing.T) {
+	sh := NewShare(4)
+	ctx := WithShare(context.Background(), sh)
+	leaveA := sh.Join()
+	n, giveBack := borrow(ctx, 0, 64)
+	if n != 4 {
+		t.Fatalf("lone job borrowed to %d workers, want 4", n)
+	}
+	joined := make(chan func())
+	go func() { joined <- sh.Join() }()
+	select {
+	case <-joined:
+		t.Fatal("a second job joined while the first held every CPU")
+	case <-time.After(20 * time.Millisecond):
+	}
+	giveBack()
+	leaveB := <-joined
+	if n, giveBack := borrow(ctx, 0, 64); n != 3 {
+		t.Fatalf("beside a second job a loop got %d workers, want 3", n)
+	} else {
+		giveBack()
+	}
+	if n, giveBack := borrow(ctx, 2, 64); n != 2 {
+		t.Fatalf("a loop capped at 2 got %d workers", n)
+	} else {
+		giveBack()
+	}
+	leaveB()
+	leaveA()
+	if n, giveBack := borrow(ctx, 0, 2); n != 2 {
+		t.Fatalf("a two-iteration loop got %d workers, want 2", n)
+	} else {
+		giveBack()
+	}
+	if n, _ := borrow(context.Background(), 7, 64); n != 7 {
+		t.Fatalf("without a share a loop got %d workers, want the 7 asked", n)
+	}
+}
+
+// TestForCtxUnderShare: a ForCtx loop under a share runs on its caller's
+// CPU plus the idle ones, and gives them back when it returns, also
+// when a worker panics.
+func TestForCtxUnderShare(t *testing.T) {
+	sh := NewShare(3)
+	ctx := WithShare(context.Background(), sh)
+	leaveA, leaveB := sh.Join(), sh.Join()
+	var active, peak atomic.Int32
+	if err := ForCtx(ctx, 64, 0, func(int) {
+		v := active.Add(1)
+		for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+		}
+		time.Sleep(100 * time.Microsecond)
+		active.Add(-1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("%d iterations ran at once with one idle CPU, want at most 2", p)
+	}
+	leaveB()
+	if n, giveBack := borrow(ctx, 0, 64); n != 3 {
+		t.Fatalf("after the loop returned a lone job's loop got %d workers, want 3", n)
+	} else {
+		giveBack()
+	}
+
+	// A loop whose worker panics gives its loan back as the panic
+	// leaves it.
+	func() {
+		defer func() {
+			if _, ok := recover().(*WorkerPanic); !ok {
+				t.Fatal("the worker's panic did not reach the loop's caller")
+			}
+		}()
+		ForCtx(ctx, 64, 0, func(int) { panic("boom") }) //nolint:errcheck // it panics
+	}()
+	if n, giveBack := borrow(ctx, 0, 64); n != 3 {
+		t.Fatalf("after a loop panicked a lone job's loop got %d workers, want 3", n)
+	} else {
+		giveBack()
+	}
+	leaveA()
+}

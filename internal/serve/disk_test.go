@@ -68,7 +68,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 func TestDiskCachePersistsAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	var execs atomic.Int64
-	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 		execs.Add(1)
 		return []byte(`{"verdict":"clean","fingerprint":"abcd-ef01"}` + "\n"), nil
 	})

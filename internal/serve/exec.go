@@ -27,10 +27,11 @@ var executeFn = execute
 // op, options minus Workers): no timestamps, no durations, no worker
 // counts — that is what licenses the cache to replay it byte for byte.
 //
-// defaultWorkers replaces a zero Options.Workers so concurrent jobs
-// split the CPUs instead of each claiming all of them; results are
-// worker-invariant, so this affects latency only.
-func execute(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+// ctx carries the server's CPU share, so each of the checker's
+// parallel loops runs on the CPUs no other job is using when it starts,
+// capped by a non-zero Options.Workers; results are worker-invariant,
+// so this affects latency only.
+func execute(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 	res := &ResultJSON{
 		Op:       req.Op,
 		SpecHash: specHash.String(),
@@ -39,7 +40,7 @@ func execute(ctx context.Context, req *Request, sys *spec.System, key Key, specH
 	}
 
 	if req.Op == OpSweep {
-		if err := sweepInto(ctx, res, sys, req.Options, defaultWorkers); err != nil {
+		if err := sweepInto(ctx, res, sys, req.Options); err != nil {
 			return nil, err
 		}
 		return encodeBody(res)
@@ -48,9 +49,6 @@ func execute(ctx context.Context, req *Request, sys *spec.System, key Key, specH
 	opts, err := req.Options.coreOptions(req.Op)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Workers == 0 {
-		opts.Workers = defaultWorkers
 	}
 	opts.VerifyProgress = progress
 	rep, err := core.SynthesizeCtx(ctx, sys, opts)
@@ -95,7 +93,7 @@ func putListing(bp *[]byte, buf []byte) bool {
 // sweepInto runs the design-space exploration op: derive channels if
 // the spec declared none, sweep the first bus group (or the whole
 // channel set), and report the grid plus its Pareto frontier.
-func sweepInto(ctx context.Context, res *ResultJSON, sys *spec.System, o Options, defaultWorkers int) error {
+func sweepInto(ctx context.Context, res *ResultJSON, sys *spec.System, o Options) error {
 	if len(sys.Channels) == 0 {
 		if _, err := partition.DeriveChannels(sys); err != nil {
 			return err
@@ -108,18 +106,22 @@ func sweepInto(ctx context.Context, res *ResultJSON, sys *spec.System, o Options
 	if len(sys.Buses) > 0 && len(sys.Buses[0].Channels) > 0 {
 		channels = sys.Buses[0].Channels
 	}
-	workers := o.Workers
-	if workers == 0 {
-		workers = defaultWorkers
-	}
 	sp, err := explore.SweepCtx(ctx, channels, estimate.New(sys.Channels), explore.Config{
 		MinWidth:      o.MinWidth,
 		MaxWidth:      o.MaxWidth,
 		IncludeRobust: o.IncludeRobust,
-		Workers:       workers,
+		// The grid takes well under a millisecond and measured slower
+		// at two workers than at one, so by default it runs on the
+		// job's own CPU rather than borrow idle ones.
+		Workers: max(o.Workers, 1),
 	})
 	if err != nil {
-		return err
+		if ctx.Err() != nil {
+			return err
+		}
+		// Besides stopping on ctx, SweepCtx fails only on its input: an
+		// empty width range, or a group without message bits to bound it.
+		return &core.InputError{Err: err}
 	}
 	for _, p := range sp.Points {
 		res.Points = append(res.Points, newPointJSON(p))

@@ -99,7 +99,7 @@ func TestCompletedJobDropsSystem(t *testing.T) {
 // key resolved and hashed, so a miss parses its spec once.
 func TestMissExecutesKeyedSystem(t *testing.T) {
 	got := make(chan bool, 1)
-	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 		got <- sys != nil && spec.Hash(sys) == specHash
 		return []byte("{}\n"), nil
 	})

@@ -65,8 +65,11 @@ type Options struct {
 	MinWidth      int  `json:"min_width,omitempty"`
 	MaxWidth      int  `json:"max_width,omitempty"`
 	IncludeRobust bool `json:"include_robust,omitempty"`
-	// Workers bounds each stage's goroutines (0 = GOMAXPROCS). Results
-	// are byte-identical at any value; excluded from the cache key.
+	// Workers caps each parallel loop's goroutines. At 0 the checker's
+	// loops take every CPU no other job is using, and the sweep grid
+	// and bus generation's width trials, too short to pay for a second
+	// worker, run on the job's own CPU. Results are byte-identical at
+	// any value; excluded from the cache key.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -90,7 +93,10 @@ func (o Options) coreOptions(op string) (core.Options, error) {
 		return core.Options{}, err
 	}
 	opts := core.Options{
-		Bus:           busgen.Config{Protocol: p},
+		// Bus generation's width trials take well under a millisecond
+		// and measured slower at two workers than at one, so by default
+		// they run on the job's own CPU; a non-zero Workers replaces it.
+		Bus:           busgen.Config{Protocol: p, Workers: 1},
 		ForceWidth:    o.ForceWidth,
 		Arbitrate:     o.Arbitrate,
 		Robust:        o.Robust,

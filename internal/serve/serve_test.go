@@ -62,7 +62,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // swapExecutor installs a test executor and restores the real one on
 // cleanup. Tests using it cannot run in parallel with each other.
-func swapExecutor(t *testing.T, fn func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error)) {
+func swapExecutor(t *testing.T, fn func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error)) {
 	t.Helper()
 	old := executeFn
 	executeFn = fn
@@ -294,7 +294,7 @@ func TestKeyWorkerInvariance(t *testing.T) {
 func TestInflightDedup(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -357,7 +357,7 @@ func TestInflightDedup(t *testing.T) {
 // unwinds, and the cancel latency lands in the metrics.
 func TestCancelOnDisconnect(t *testing.T) {
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		<-ctx.Done() // a canceled engine run returns ctx.Err(), never a body
 		return nil, ctx.Err()
@@ -404,7 +404,7 @@ func TestCancelOnDisconnect(t *testing.T) {
 func TestDedupSurvivesOneWaiterLeaving(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -462,7 +462,7 @@ func TestDedupSurvivesOneWaiterLeaving(t *testing.T) {
 func TestQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -504,7 +504,7 @@ func TestQueueFull(t *testing.T) {
 func TestAsyncJobLifecycle(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		progress(50000, 40) // past the throttle thresholds → published
 		select {
@@ -597,7 +597,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 // TestExplicitJobCancel: DELETE on a sole-waiter job cancels it.
 func TestExplicitJobCancel(t *testing.T) {
 	started := make(chan struct{}, 8)
-	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, defaultWorkers int, progress func(states, depth int)) ([]byte, error) {
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -644,6 +644,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown workload", `{"op":"synthesize","workload":"hypercube"}`},
 		{"parity without robust", `{"op":"synthesize","workload":"pq","options":{"parity":true}}`},
 		{"sweep without communication", `{"op":"sweep","spec":"system S is\n  module M is\n  end module;\nend system;\n"}`},
+		{"sweep over an empty width range", `{"op":"sweep","workload":"pq","options":{"min_width":9,"max_width":3}}`},
+		{"no feasible bus width", `{"op":"verify","workload":"mesh-6","options":{"verify_states":1000}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,8 +20,11 @@ import (
 // Config parameterizes a Server.
 type Config struct {
 	// Workers is the number of jobs executed concurrently (0 =
-	// GOMAXPROCS). Each job's internal parallelism defaults to
-	// GOMAXPROCS / Workers so a full pool saturates the CPUs once.
+	// GOMAXPROCS). Running jobs share GOMAXPROCS CPUs (par.Share): each
+	// holds one, and each BFS layer of its checker borrows the CPUs idle
+	// when the layer starts, so a lone job's checker uses them all and
+	// a full pool runs one worker per job. A request's non-zero workers
+	// option caps its loops.
 	Workers int
 	// QueueDepth bounds queued-but-not-running jobs (0 = 256); past
 	// it, submissions are rejected with 503 rather than buffered
@@ -44,6 +47,9 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	cache *resultCache
+	// cpus is the CPU share the running jobs divide; job contexts
+	// carry it to their loops.
+	cpus *par.Share
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -91,10 +97,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	cpus := par.NewShare(runtime.GOMAXPROCS(0))
+	ctx, cancel := context.WithCancel(par.WithShare(context.Background(), cpus))
 	s := &Server{
 		cfg:        cfg,
 		cache:      newResultCache(cfg.CacheEntries, cfg.CacheBytes, disk),
+		cpus:       cpus,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *job, cfg.QueueDepth),
@@ -181,11 +189,14 @@ func (s *Server) run(j *job) {
 	j.cancel()
 }
 
-// exec runs the job's request through executeFn. A panic on the
-// job path, raised on this goroutine or re-raised here by a par loop
-// whose worker panicked, is logged with its stack and becomes the
-// job's error, so one request cannot take the daemon down.
+// exec runs the job's request through executeFn, on a CPU of the
+// server's share. A panic on the job path, raised on this goroutine or
+// re-raised here by a par loop whose worker panicked, is logged with
+// its stack and becomes the job's error, so one request cannot take
+// the daemon down.
 func (s *Server) exec(j *job) (body []byte, err error) {
+	leave := s.cpus.Join()
+	defer leave()
 	defer func() {
 		if p := recover(); p != nil {
 			log.Printf("serve: job %s panicked: %v\n%s", j.id, p, debug.Stack())
@@ -195,11 +206,7 @@ func (s *Server) exec(j *job) (body []byte, err error) {
 			body, err = nil, fmt.Errorf("job %s panicked: %v", j.id, p)
 		}
 	}()
-	defaultWorkers := runtime.GOMAXPROCS(0) / s.cfg.Workers
-	if defaultWorkers < 1 {
-		defaultWorkers = 1
-	}
-	return executeFn(j.ctx, j.req, j.sys, j.key, j.specHash, defaultWorkers, j.progressHook())
+	return executeFn(j.ctx, j.req, j.sys, j.key, j.specHash, j.progressHook())
 }
 
 // errBusy reports a full queue; mapped to 503.

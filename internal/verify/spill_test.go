@@ -2,6 +2,9 @@ package verify
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,25 +18,46 @@ import (
 )
 
 // checkDigest flattens everything a verdict asserts — counts, depth,
-// fingerprint and the full violation list — into one comparable value.
+// fingerprint, the full violation list and each counterexample's steps
+// and loop start — into one comparable value. A counterexample is the
+// path of parents from the violating node back to the initial state, so
+// cex pins which arrival of a state became its node, not only how many
+// nodes there are.
 type checkDigest struct {
 	states, depth int
 	transitions   int64
 	fingerprint   string
 	incomplete    string
 	violations    string
+	cex           string
 }
 
 func digestOf(rep *Report) checkDigest {
 	var vs []string
+	var cex strings.Builder
 	for _, v := range rep.Violations {
 		vs = append(vs, v.Kind.String()+": "+v.Message)
+		if v.Cex == nil {
+			cex.WriteString("no counterexample\n")
+			continue
+		}
+		fmt.Fprintf(&cex, "loop start %d\n", v.Cex.LoopStart)
+		for _, s := range v.Cex.Steps {
+			fmt.Fprintf(&cex, "%s|%s|%d|%s\n", s.Proc, s.Drop, s.Clocks, s.Desc)
+		}
 	}
 	return checkDigest{
 		states: rep.States, depth: rep.Depth, transitions: rep.Transitions,
 		fingerprint: rep.Fingerprint, incomplete: rep.IncompleteReason,
-		violations: strings.Join(vs, "\n"),
+		violations: strings.Join(vs, "\n"), cex: cex.String(),
 	}
+}
+
+// sum is a short digest of the violation list and the counterexamples,
+// for pinning a run's verdict in a table.
+func (d checkDigest) sum() string {
+	h := sha256.Sum256([]byte(d.violations + "\x00" + d.cex))
+	return hex.EncodeToString(h[:8])
 }
 
 // TestSpillInvariance is the tentpole's acceptance pin: verdicts,

@@ -41,7 +41,9 @@ type Config struct {
 	// MaxStates bounds the number of distinct stored states; 0 means the
 	// default of 250000. Exceeding it makes the report Incomplete.
 	MaxStates int
-	// Workers is the exploration worker count; 0 uses every CPU. The
+	// Workers is the exploration worker count; 0 uses every CPU. When
+	// CheckCtx's context carries a par.Share it is a cap instead, and
+	// each BFS layer expands on the CPUs the share has idle. The
 	// verdict, state count and transition count are identical at any
 	// worker count: layers are expanded in parallel but merged in a
 	// fixed order.

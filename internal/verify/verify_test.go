@@ -254,25 +254,62 @@ func TestBaselineDroppedDataCorruption(t *testing.T) {
 // deterministic — identical state count, transition count, depth and
 // violation list at any worker count.
 func TestWorkerInvariance(t *testing.T) {
-	type digest struct {
-		states, depth int
+	t.Run("baseline-drop1", func(t *testing.T) {
+		mk := func(workers int) checkDigest {
+			sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
+			return digestOf(mustCheck(t, sys, Config{MaxDrops: 1, Workers: workers}))
+		}
+		ref := mk(1)
+		for _, workers := range []int{2, 8} {
+			if got := mk(workers); got != ref {
+				t.Fatalf("workers=%d diverged:\n%+v\nwant (workers=1):\n%+v", workers, got, ref)
+			}
+		}
+	})
+	// The robust drop-1 runs stop partway through a layer's merge, on a
+	// state bound or a violation cap, and each is compared with a table.
+	// States that share a key can differ in their array tails (ROADMAP
+	// item 1), so the first arrival of a state in merge order must win:
+	// it fixes the node's number, its parent and the row its successors
+	// expand from. A numbering that moved would change which states the
+	// cut admits, so the counts and the fingerprint would show it; the
+	// counterexamples follow the winning parents.
+	cases := []struct {
+		name          string
+		ref           protogen.Config
+		cfg           Config
+		states        int
 		transitions   int64
-		violations    string
+		fingerprint   string
+		incomplete    string
+		violationsSum string
+	}{
+		{"robust-drop1-max-states",
+			protogen.Config{Protocol: spec.FullHandshake, Robust: true}, Config{MaxStates: 60_000},
+			60_001, 72_719, "8b22eb2c86c7eace-daa65b565f392dba", "state bound 60000 reached", "60a0cb18beed0b1d"},
+		{"robust-drop1-max-violations",
+			protogen.Config{Protocol: spec.FullHandshake, Robust: true, TimeoutClocks: 6, MaxRetries: 1},
+			Config{MaxStates: 1_000_000, MaxViolations: 2},
+			156_982, 191_792, "424af04f21b24652-23ec748d0b5c4606", "violation cap 2 reached", "0549305418b8a9a1"},
 	}
-	mk := func(workers int) digest {
-		sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
-		rep := mustCheck(t, sys, Config{MaxDrops: 1, Workers: workers})
-		var vs []string
-		for _, v := range rep.Violations {
-			vs = append(vs, v.Kind.String()+": "+v.Message)
-		}
-		return digest{rep.States, rep.Depth, rep.Transitions, strings.Join(vs, "\n")}
-	}
-	ref := mk(1)
-	for _, workers := range []int{2, 8} {
-		if got := mk(workers); got != ref {
-			t.Fatalf("workers=%d diverged:\n%+v\nwant (workers=1):\n%+v", workers, got, ref)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("four robust drop-1 explorations")
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				sys, r := refinePQ(t, tc.ref)
+				cfg := tc.cfg
+				cfg.MaxDrops, cfg.AbortVars, cfg.Workers = 1, r.AbortKeys(), workers
+				d := digestOf(mustCheck(t, sys, cfg))
+				if d.states != tc.states || d.transitions != tc.transitions || d.fingerprint != tc.fingerprint ||
+					d.incomplete != tc.incomplete || d.sum() != tc.violationsSum {
+					t.Errorf("%d workers: %d states, %d transitions, fingerprint %s, %q, violations %s; want %d, %d, %s, %q, %s",
+						workers, d.states, d.transitions, d.fingerprint, d.incomplete, d.sum(),
+						tc.states, tc.transitions, tc.fingerprint, tc.incomplete, tc.violationsSum)
+				}
+			}
+		})
 	}
 }
 
