@@ -252,10 +252,12 @@ func (r *Request) key() (Key, spec.Digest, *spec.System, error) {
 	}
 	sh := spec.Hash(sys)
 	h := sha256.New()
-	// v2: verify bodies gained the reachable-set fingerprint, and keys
-	// now address a persistent store — the frame must change whenever
-	// body shapes do, so a daemon upgrade can never serve a stale shape.
-	h.Write([]byte("ifsynd/v2\x00"))
+	// The frame must change whenever what a body holds does, so a daemon
+	// upgrade can never serve a stale body from a persistent store. v2:
+	// verify bodies gained the reachable-set fingerprint. v3: the checker
+	// keys states on every array element and hashes rows anew, which
+	// moves state counts and every fingerprint.
+	h.Write([]byte("ifsynd/v3\x00"))
 	h.Write(sh[:])
 	h.Write([]byte{0})
 	h.Write([]byte(r.Op))

@@ -287,6 +287,25 @@ func TestKeyWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestVerifyKeyPinned pins one verify request's key. Verify bodies
+// carry state counts and the reachable-set fingerprint, and a
+// -cache-dir store outlives the daemon, so a checker change that moves
+// them must bump the key frame (request.go), and this pin with it:
+// otherwise a daemon restarted on an old store serves the old counts
+// as hits. The frame was ifsynd/v2 until the checker keyed states on
+// every array element, when this key was
+// 78e37a6a31b214810747d8089818ae1ced5211c1abf1a4a6786db62bfeeb1815.
+func TestVerifyKeyPinned(t *testing.T) {
+	r := &Request{Op: OpVerify, Workload: "pq-solo", Options: Options{VerifyDrops: 1}}
+	k, _, _, err := r.key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := k.String(), "993926bd828861b3b00bf283eb7a438a5a7e6f8d37948c886d6d7c69f0507672"; got != want {
+		t.Fatalf("verify key %s, want %s", got, want)
+	}
+}
+
 // TestInflightDedup is satellite 4's server half: two identical
 // concurrent requests must share one job and produce two identical
 // responses. The test executor blocks until released, so the

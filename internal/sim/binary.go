@@ -8,17 +8,13 @@ import (
 
 // AppendBinary appends a compact, self-delimiting binary rendering of v
 // to dst and returns the extended slice. It is the model checker's
-// state-key codec: no intermediate strings, no fmt, one append stream.
+// value codec: no intermediate strings, no fmt, one append stream.
 //
-// The contract is equivalence with the String renderings the legacy
-// string keys were built from: for two values stored in the same slot
-// (hence of the same specification type), the appended bytes are equal
-// exactly when the String() renderings are equal. Deduplication over
-// binary keys therefore partitions states identically to the string
-// store it replaces — state counts cannot drift. In particular, array
-// elements past index 8 are summarized by the element count alone,
-// mirroring ArrayVal.String's tail truncation (the equivalence classes
-// must match; a finer key would split states the string store merged).
+// For two values of one specification type (hence one storage slot),
+// the appended bytes are equal exactly when the values are Equal: every
+// array element is encoded, however long the array. The rendering
+// leaves out what the type fixes, each array's Lo and each record's
+// type, so a decoder restores those from the slot's declared type.
 //
 // Each encoding starts with a kind tag, so values of different kinds
 // landing in one slot (e.g. an integer overwritten by a vector) never
@@ -38,12 +34,8 @@ func AppendBinary(dst []byte, v Value) []byte {
 		return v.V.AppendBytes(dst)
 	case ArrayVal:
 		dst = appendU32(append(dst, 'a'), uint32(len(v.Elems)))
-		n := len(v.Elems)
-		if n > arrayHeadElems {
-			n = arrayHeadElems
-		}
-		for i := 0; i < n; i++ {
-			dst = AppendBinary(dst, v.Elems[i])
+		for _, e := range v.Elems {
+			dst = AppendBinary(dst, e)
 		}
 		return dst
 	case RecordVal:
@@ -56,156 +48,40 @@ func AppendBinary(dst []byte, v Value) []byte {
 	panic("sim: AppendBinary on unknown value kind")
 }
 
-// arrayHeadElems is how many leading array elements ArrayVal.String
-// renders before summarizing the tail as "... N elems" (indices 0..8).
-const arrayHeadElems = 9
-
-// AppendFullBinary is AppendBinary without the array-tail truncation:
-// every array element is encoded, recursively. The rendering is not a
-// dedup key (it splits states AppendBinary merges) — it exists so a
-// value can be reconstructed exactly, and is the element codec for the
-// tail stream AppendBinaryTails emits.
-func AppendFullBinary(dst []byte, v Value) []byte {
-	switch v := v.(type) {
-	case IntVal, BoolVal, VecVal:
-		return AppendBinary(dst, v)
-	case ArrayVal:
-		dst = appendU32(append(dst, 'a'), uint32(len(v.Elems)))
-		for _, e := range v.Elems {
-			dst = AppendFullBinary(dst, e)
-		}
-		return dst
-	case RecordVal:
-		dst = appendU32(append(dst, 'r'), uint32(len(v.Fields)))
-		for _, f := range v.Fields {
-			dst = AppendFullBinary(dst, f)
-		}
-		return dst
-	}
-	panic("sim: AppendFullBinary on unknown value kind")
-}
-
-// AppendBinaryTails walks v in AppendBinary's traversal order and
-// appends full encodings of exactly the elements AppendBinary omits
-// (array elements past the head). The pair (AppendBinary,
-// AppendBinaryTails) is therefore lossless: DecodeBinary rebuilds the
-// value from the key stream, pulling omitted elements from the tail
-// stream in the order this writer emitted them.
-func AppendBinaryTails(dst []byte, v Value) []byte {
-	switch v := v.(type) {
-	case ArrayVal:
-		n := len(v.Elems)
-		if n > arrayHeadElems {
-			n = arrayHeadElems
-		}
-		for i := 0; i < n; i++ {
-			dst = AppendBinaryTails(dst, v.Elems[i])
-		}
-		for i := n; i < len(v.Elems); i++ {
-			dst = AppendFullBinary(dst, v.Elems[i])
-		}
-	case RecordVal:
-		for _, f := range v.Fields {
-			dst = AppendBinaryTails(dst, f)
-		}
-	}
-	return dst
-}
-
-// DecodeBinary decodes one value from a key stream produced by
-// AppendBinary, consuming omitted array-tail elements from the extras
-// stream produced by AppendBinaryTails. It returns the value and the
-// unconsumed remainders of both streams. Every malformed input returns
-// an error — the streams come off disk in the model checker's spill
-// store, where a torn write must be detected, never misread.
-func DecodeBinary(key, extras []byte) (Value, []byte, []byte, error) {
-	if len(key) == 0 {
-		return nil, nil, nil, fmt.Errorf("sim: decode: empty value stream")
-	}
-	switch tag := key[0]; tag {
-	case 'i':
-		if len(key) < 9 {
-			return nil, nil, nil, fmt.Errorf("sim: decode: truncated int")
-		}
-		return IntVal{V: int64(leU64(key[1:]))}, key[9:], extras, nil
-	case 'b':
-		if len(key) < 2 {
-			return nil, nil, nil, fmt.Errorf("sim: decode: truncated bool")
-		}
-		return BoolVal{V: key[1] != 0}, key[2:], extras, nil
-	case 'v':
-		if len(key) < 5 {
-			return nil, nil, nil, fmt.Errorf("sim: decode: truncated vector header")
-		}
-		w := int(leU32(key[1:]))
-		nb := (w + 7) / 8
-		if len(key) < 5+nb {
-			return nil, nil, nil, fmt.Errorf("sim: decode: truncated width-%d vector", w)
-		}
-		vec, err := bits.FromBytes(key[5:5+nb], w)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("sim: decode: %w", err)
-		}
-		return VecVal{V: vec}, key[5+nb:], extras, nil
-	case 'a':
-		if len(key) < 5 {
-			return nil, nil, nil, fmt.Errorf("sim: decode: truncated array header")
-		}
-		n := int(leU32(key[1:]))
-		if n > maxDecodeElems {
-			return nil, nil, nil, fmt.Errorf("sim: decode: array length %d exceeds sanity bound", n)
-		}
-		key = key[5:]
-		head := n
-		if head > arrayHeadElems {
-			head = arrayHeadElems
-		}
-		elems := make([]Value, n)
-		var err error
-		for i := 0; i < head; i++ {
-			if elems[i], key, extras, err = DecodeBinary(key, extras); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		for i := head; i < n; i++ {
-			if elems[i], extras, err = DecodeFullBinary(extras); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		return ArrayVal{Elems: elems}, key, extras, nil
-	case 'r':
-		if len(key) < 5 {
-			return nil, nil, nil, fmt.Errorf("sim: decode: truncated record header")
-		}
-		n := int(leU32(key[1:]))
-		if n > maxDecodeElems {
-			return nil, nil, nil, fmt.Errorf("sim: decode: record arity %d exceeds sanity bound", n)
-		}
-		key = key[5:]
-		fields := make([]Value, n)
-		var err error
-		for i := 0; i < n; i++ {
-			if fields[i], key, extras, err = DecodeBinary(key, extras); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		return RecordVal{Fields: fields}, key, extras, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("sim: decode: unknown value tag %q", tag)
-	}
-}
-
-// DecodeFullBinary decodes one value from an AppendFullBinary stream
-// (no omitted elements), returning the value and the remainder.
-func DecodeFullBinary(b []byte) (Value, []byte, error) {
+// DecodeBinary decodes one value from a stream produced by
+// AppendBinary and returns it with the unconsumed remainder. Every
+// malformed input returns an error — the stream comes off disk in the
+// model checker's spill store, where a torn write must be detected,
+// never misread.
+func DecodeBinary(b []byte) (Value, []byte, error) {
 	if len(b) == 0 {
-		return nil, nil, fmt.Errorf("sim: decode: empty full-value stream")
+		return nil, nil, fmt.Errorf("sim: decode: empty value stream")
 	}
 	switch tag := b[0]; tag {
-	case 'i', 'b', 'v':
-		// DecodeBinary never touches extras for scalar kinds.
-		v, rest, _, err := DecodeBinary(b, nil)
-		return v, rest, err
+	case 'i':
+		if len(b) < 9 {
+			return nil, nil, fmt.Errorf("sim: decode: truncated int")
+		}
+		return IntVal{V: int64(leU64(b[1:]))}, b[9:], nil
+	case 'b':
+		if len(b) < 2 {
+			return nil, nil, fmt.Errorf("sim: decode: truncated bool")
+		}
+		return BoolVal{V: b[1] != 0}, b[2:], nil
+	case 'v':
+		if len(b) < 5 {
+			return nil, nil, fmt.Errorf("sim: decode: truncated vector header")
+		}
+		w := int(leU32(b[1:]))
+		nb := (w + 7) / 8
+		if len(b) < 5+nb {
+			return nil, nil, fmt.Errorf("sim: decode: truncated width-%d vector", w)
+		}
+		vec, err := bits.FromBytes(b[5:5+nb], w)
+		if err != nil {
+			return nil, nil, fmt.Errorf("sim: decode: %w", err)
+		}
+		return VecVal{V: vec}, b[5+nb:], nil
 	case 'a', 'r':
 		if len(b) < 5 {
 			return nil, nil, fmt.Errorf("sim: decode: truncated container header")
@@ -217,8 +93,8 @@ func DecodeFullBinary(b []byte) (Value, []byte, error) {
 		rest := b[5:]
 		elems := make([]Value, n)
 		var err error
-		for i := 0; i < n; i++ {
-			if elems[i], rest, err = DecodeFullBinary(rest); err != nil {
+		for i := range elems {
+			if elems[i], rest, err = DecodeBinary(rest); err != nil {
 				return nil, nil, err
 			}
 		}

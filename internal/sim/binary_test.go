@@ -12,12 +12,13 @@ func vec(width int, val uint64) VecVal {
 	return VecVal{V: bits.FromUint(val, width)}
 }
 
-// TestAppendBinaryMatchesStringEquivalence pins the codec contract: for
-// values of one specification type, AppendBinary renderings are equal
-// exactly when the String renderings are equal — including the
-// deliberate conflation of array tails past index 8, which String
-// summarizes and the binary codec must therefore summarize too.
-func TestAppendBinaryMatchesStringEquivalence(t *testing.T) {
+// TestAppendBinaryMatchesEqual pins the codec contract: for values of
+// one specification type, AppendBinary renderings are equal exactly
+// when the values are Equal — array elements past index 8, which
+// String summarizes as "... N elems", included — and DecodeBinary
+// gives back an Equal value from every rendering and an error from
+// every proper prefix of one.
+func TestAppendBinaryMatchesEqual(t *testing.T) {
 	bigArr := func(tweak int, delta uint64) ArrayVal {
 		elems := make([]Value, 12)
 		for i := range elems {
@@ -35,40 +36,44 @@ func TestAppendBinaryMatchesStringEquivalence(t *testing.T) {
 		return RecordVal{Type: recT, Fields: []Value{vec(4, a), BoolVal{V: b}}}
 	}
 	// Groups of same-type values; every pair within a group must agree
-	// between String equality and binary equality.
+	// between Equal and binary equality.
 	groups := [][]Value{
 		{IntVal{V: 0}, IntVal{V: 1}, IntVal{V: -1}, IntVal{V: 1}},
 		{BoolVal{V: true}, BoolVal{V: false}, BoolVal{V: true}},
 		{vec(16, 0), vec(16, 1), vec(16, 0xffff), vec(16, 1)},
-		{bigArr(-1, 0), bigArr(3, 7), bigArr(8, 7), // head differences split
-			bigArr(9, 7), bigArr(11, 7), bigArr(-1, 0)}, // tail differences conflate
+		{bigArr(-1, 0), bigArr(3, 7), bigArr(8, 7), bigArr(9, 7), bigArr(11, 7),
+			bigArr(11, 200), bigArr(-1, 0), bigArr(9, 7)},
 		{rec(1, true), rec(1, false), rec(2, true), rec(1, true)},
 	}
 	for gi, g := range groups {
-		for i, a := range g {
-			for j, b := range g {
-				sEq := a.String() == b.String()
-				bEq := bytes.Equal(AppendBinary(nil, a), AppendBinary(nil, b))
-				if sEq != bEq {
-					t.Errorf("group %d (%s vs %s): String equal=%v, binary equal=%v",
-						gi, a, b, sEq, bEq)
+		for _, a := range g {
+			enc := AppendBinary(nil, a)
+			dec, rest, err := DecodeBinary(enc)
+			if err != nil || len(rest) != 0 || !dec.Equal(a) {
+				t.Fatalf("group %d: %s decoded to (%v, %d bytes left, %v)", gi, a, dec, len(rest), err)
+			}
+			for n := range enc {
+				if _, _, err := DecodeBinary(enc[:n]); err == nil {
+					t.Fatalf("group %d: %s: the %d-byte prefix of its %d-byte rendering decoded", gi, a, n, len(enc))
 				}
-				_ = i
-				_ = j
+			}
+			for _, b := range g {
+				if eq, bEq := a.Equal(b), bytes.Equal(enc, AppendBinary(nil, b)); eq != bEq {
+					t.Errorf("group %d (%s vs %s): Equal=%v, binary equal=%v", gi, a, b, eq, bEq)
+				}
 			}
 		}
 	}
-
-	// The tail conflation, spelled out: length 12 arrays differing only
-	// at index 10 render identically both ways.
+	// The tail, spelled out: length 12 arrays differing only at index 10
+	// render identically as strings but not as bytes.
 	if got, want := bigArr(10, 7).String(), bigArr(-1, 0).String(); got != want {
-		t.Fatalf("String no longer conflates array tails: %q vs %q — update the codec contract", got, want)
+		t.Fatalf("String renders array tails: %q vs %q", got, want)
 	}
-	if !bytes.Equal(AppendBinary(nil, bigArr(10, 7)), AppendBinary(nil, bigArr(-1, 0))) {
-		t.Fatal("binary codec splits array-tail states that String conflates")
+	if bytes.Equal(AppendBinary(nil, bigArr(10, 7)), AppendBinary(nil, bigArr(-1, 0))) {
+		t.Fatal("binary codec merges arrays that differ past index 8")
 	}
-	// ...while the element count still separates arrays of different
-	// lengths whose printed heads agree.
+	// The element count separates arrays of different lengths whose
+	// elements agree as far as the shorter goes.
 	short := ArrayVal{Elems: bigArr(-1, 0).Elems[:10]}
 	if bytes.Equal(AppendBinary(nil, short), AppendBinary(nil, bigArr(-1, 0))) {
 		t.Fatal("binary codec conflates arrays of different lengths")

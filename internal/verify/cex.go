@@ -40,7 +40,7 @@ type Counterexample struct {
 	sys       *spec.System
 	order     []string // process priority, first appearance in the trace
 	maxClocks int64
-	golden    map[string]string
+	golden    map[string]sim.Value
 	abortKeys []string
 }
 
@@ -50,7 +50,7 @@ type Counterexample struct {
 // counts them in the simulator — including dropped transitions, which
 // the injector counts even as it suppresses them — so each dropped
 // step's ordinal becomes a replayable DropEvent fault.
-func buildCex(m *machine, sr *searcher, site *violationSite, golden map[string]string, abortKeys []string, maxClocks int64) (*Counterexample, error) {
+func buildCex(m *machine, sr *searcher, site *violationSite, golden map[string]sim.Value, abortKeys []string, maxClocks int64) (*Counterexample, error) {
 	steps := sr.pathTo(site.node)
 	loopStart := -1
 	if len(site.loop) > 0 {
@@ -237,7 +237,7 @@ func (c *Counterexample) Replay() (*ReplayResult, error) {
 		}
 		aborted := false
 		for _, k := range c.abortKeys {
-			if v := res.Finals[k]; v != nil && c.golden[k] != "" && v.String() != c.golden[k] {
+			if v, want := res.Finals[k], c.golden[k]; v != nil && want != nil && !v.Equal(want) {
 				aborted = true
 			}
 		}
@@ -255,7 +255,7 @@ func (c *Counterexample) Replay() (*ReplayResult, error) {
 			if skip[k] {
 				continue
 			}
-			if got, want := res.Finals[k], c.golden[k]; got == nil || got.String() != want {
+			if got, want := res.Finals[k], c.golden[k]; got == nil || !got.Equal(want) {
 				bad = append(bad, fmt.Sprintf("%s = %v, want %s", k, got, want))
 			}
 		}

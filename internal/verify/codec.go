@@ -7,13 +7,13 @@ import (
 	"repro/internal/spec"
 )
 
-// This file is the binary state codec: the dedup key the searcher's
-// store hashes and confirms. encodeInto must partition states exactly
-// like the legacy string encode() — two states get equal byte keys iff
-// their encode() strings are equal — because the recorded state counts
-// (EXPERIMENTS.md) depend on the store's equivalence classes, not just
-// on correctness. codec_test.go pins the equivalence over a generated
-// corpus.
+// This file is the binary state codec: the state key the spill tier
+// writes as a sealed state's record and compares a probe's key with.
+// Two states have equal keys exactly when their slots are Equal, a local
+// that was never written counting as its initial value, and their
+// control and tail bytes are equal; the hot tier's row comparison
+// (rowLayout.sameKey) is the same relation, so a state is the same
+// state in either tier.
 //
 // Layout (all integers little-endian, fixed width):
 //
@@ -26,15 +26,12 @@ import (
 // No per-field delimiters are needed: the machine fixes the global
 // count, the process count and each process's local count, and every
 // sim.AppendBinary rendering is self-delimiting, so the stream is
-// uniquely decodable by position. A local that was never written keys
-// as its initial value.
+// uniquely decodable by position.
 //
-// The searcher never calls encodeInto on its hot path: it stores rows
-// of interned value ids (row.go), and builds the same bytes by
-// concatenating each value's cached encoding (rowLayout.appendKey), or
-// hashes them without building them (rowLayout.hash). encodeInto is
-// the definition those must match, and the spill tier's decoder is its
-// inverse.
+// The searcher never calls encodeInto: it stores rows of interned value
+// ids (row.go), and builds the same bytes by concatenating each value's
+// cached encoding (rowLayout.appendKey). encodeInto is the definition
+// that must match, and decodeState is its inverse.
 
 // encodeInto appends s's canonical binary key to dst and returns the
 // extended slice. It allocates only when dst's capacity is exceeded.
@@ -67,36 +64,18 @@ func (s *state) encodeInto(dst []byte) []byte {
 	return append(dst, byte(s.budget), byte(s.budget>>8))
 }
 
-// encodeTailsInto appends the extras stream that makes the dedup key
-// losslessly decodable: full encodings of every array element the key
-// omits (sim.AppendBinary conflates array tails past index 8 so that
-// dedup classes match the legacy string store). The spill store
-// persists key‖extras per sealed state; decodeState consumes both.
-func (s *state) encodeTailsInto(dst []byte) []byte {
-	for _, v := range s.g {
-		dst = sim.AppendBinaryTails(dst, v)
-	}
-	for p := range s.l {
-		for i := range s.l[p] {
-			dst = sim.AppendBinaryTails(dst, s.keyLocal(p, i))
-		}
-	}
-	return dst
-}
-
-// decodeState rebuilds a state into st from its key and extras streams
-// — the inverse of (encodeInto, encodeTailsInto). The streams leave out
-// each array's Lo and each record's type, which indexing and field
-// stores need, so every slot is decoded against its declared type
-// (declared). A local that was never written decodes as its initial
-// value, the value it keys as. Malformed input (a torn spill record
-// that passed its checksum by fluke, or a software bug) returns an
-// error; the decoder never guesses.
-func decodeState(m *machine, key, extras []byte, st *state) error {
+// decodeState rebuilds a state into st from its key — the inverse of
+// encodeInto. The key leaves out each array's Lo and each record's
+// type, which indexing and field stores need, so every slot is decoded
+// against its declared type (declared). A local that was never written
+// decodes as its initial value, the value it keys as. Malformed input
+// (a torn spill record that passed its checksum by fluke, or a software
+// bug) returns an error; the decoder never guesses.
+func decodeState(m *machine, key []byte, st *state) error {
 	var err error
 	var v sim.Value
 	for i := range st.g {
-		if v, key, extras, err = sim.DecodeBinary(key, extras); err != nil {
+		if v, key, err = sim.DecodeBinary(key); err != nil {
 			return fmt.Errorf("verify: decode state global %d: %w", i, err)
 		}
 		if st.g[i], err = declared(v, m.globals[i].Type); err != nil {
@@ -116,7 +95,7 @@ func decodeState(m *machine, key, extras []byte, st *state) error {
 		}
 		key = key[13:]
 		for i, lv := range prog.locals {
-			if v, key, extras, err = sim.DecodeBinary(key, extras); err != nil {
+			if v, key, err = sim.DecodeBinary(key); err != nil {
 				return fmt.Errorf("verify: decode state proc %d local %d: %w", p, i, err)
 			}
 			if st.l[p][i], err = declared(v, lv.Type); err != nil {
@@ -132,8 +111,8 @@ func decodeState(m *machine, key, extras []byte, st *state) error {
 	}
 	key = key[m.nTrack:]
 	st.budget = int16(uint16(key[0]) | uint16(key[1])<<8)
-	if len(key) != 2 || len(extras) != 0 {
-		return fmt.Errorf("verify: decode state: %d key and %d extras bytes left over", len(key)-2, len(extras))
+	if len(key) != 2 {
+		return fmt.Errorf("verify: decode state: %d bytes left over", len(key)-2)
 	}
 	clear(st.written)
 	return nil
@@ -175,18 +154,24 @@ func declared(v sim.Value, t spec.Type) (sim.Value, error) {
 	return v, nil
 }
 
-// FNV-1a, 64-bit. Inlined rather than hash/fnv so hashing a key is a
-// single pass over the bytes with no Hash64 allocation per state.
+// FNV-1a, 64-bit: the hash of each value-table entry's key and of each
+// violation message. Inlined rather than hash/fnv, so it allocates no
+// Hash64.
 const (
 	fnvOffset64 = 1469598103934665603
 	fnvPrime64  = 1099511628211
 )
 
-// hashKey returns the 64-bit FNV-1a hash of a binary state key — the
-// datum the store indexes states by.
-func hashKey(key []byte) uint64 { return fnvAppend(fnvOffset64, key) }
+// fnvAppend continues an FNV-1a hash over b.
+func fnvAppend(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
+}
 
-// hashString is hashKey for strings (violation-message dedup) without
+// hashString is fnvAppend for strings (violation-message dedup) without
 // a []byte conversion allocation.
 func hashString(s string) uint64 {
 	h := uint64(fnvOffset64)

@@ -11,23 +11,40 @@ import (
 	"repro/internal/spec"
 )
 
-// The binary codec's single obligation: it must partition states into
-// exactly the equivalence classes of the legacy string encode() — equal
-// bytes iff equal strings. These tests check the obligation three ways:
-// pairwise over states harvested from real explorations, over crafted
-// array-tail states (where the string rendering deliberately conflates
-// distinct values), and over fuzz-generated state pairs.
+// The state codec's obligation: two states get equal keys exactly when
+// their slots are Equal, an unset local counted as its initial value,
+// and their control and tail bytes are equal — and the hot tier's rows
+// compare and hash by the same relation. sameState is that relation,
+// written against sim.Value.Equal; these tests hold the codec and the
+// rows to it over crafted array-tail states and fuzz-generated state
+// pairs.
 
-// exploreStates runs the searcher and returns every stored state.
-func exploreStates(t *testing.T, pcfg protogen.Config, vcfg Config) []*state {
-	t.Helper()
-	sys, _ := refinePQ(t, pcfg)
-	m := newTestMachine(t, sys, vcfg)
-	sr := newSearcher(m)
-	if err := sr.run(); err != nil {
-		t.Fatal(err)
+// sameState is the reference equality of two states of one machine.
+func sameState(a, b *state) bool {
+	for i := range a.g {
+		if !a.g[i].Equal(b.g[i]) {
+			return false
+		}
 	}
-	return storedStates(t, sr)
+	for p := range a.l {
+		if a.ps[p] != b.ps[p] {
+			return false
+		}
+		for i := range a.l[p] {
+			if !a.keyLocal(p, i).Equal(b.keyLocal(p, i)) {
+				return false
+			}
+		}
+	}
+	return string(lastWBytes(a)) == string(lastWBytes(b)) && a.budget == b.budget
+}
+
+func lastWBytes(st *state) []byte {
+	b := make([]byte, len(st.lastW))
+	for i, w := range st.lastW {
+		b[i] = byte(w)
+	}
+	return b
 }
 
 // storedStates materializes every state a finished search stored.
@@ -43,96 +60,51 @@ func storedStates(t testing.TB, sr *searcher) []*state {
 	return states
 }
 
-func checkPairwise(t *testing.T, label string, states []*state) {
-	t.Helper()
-	strs := make([]string, len(states))
-	bins := make([][]byte, len(states))
-	for i, st := range states {
-		strs[i] = st.encode()
-		bins[i] = st.encodeInto(nil)
-	}
-	for i := range states {
-		for j := i; j < len(states); j++ {
-			sEq := strs[i] == strs[j]
-			bEq := bytes.Equal(bins[i], bins[j])
-			if sEq != bEq {
-				t.Fatalf("%s: states %d/%d: string equal=%v, binary equal=%v\nstr i: %q\nstr j: %q",
-					label, i, j, sEq, bEq, strs[i], strs[j])
-			}
-			if bEq && hashKey(bins[i]) != hashKey(bins[j]) {
-				t.Fatalf("%s: states %d/%d: equal keys hash differently", label, i, j)
-			}
+// TestCodecKeepsArrayTails: two PQ states that differ only in
+// comp2.MEM(60), an element past the nine String renders, are two
+// states. Their keys differ, and the store keeps both: neither finds
+// the other, by its own hash or when forced onto the other's.
+func TestCodecKeepsArrayTails(t *testing.T) {
+	sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
+	m := newTestMachine(t, sys, Config{})
+	slot := -1
+	for i, name := range m.gname {
+		if name == "comp2.MEM" {
+			slot = i
 		}
 	}
-}
-
-// TestCodecMatchesLegacyEncode harvests every state of the baseline
-// drop-budget exploration plus a slice of the hardened protocol's
-// space, and asserts pairwise that encodeInto and encode() induce the
-// same equality relation. (The searcher dedups on the binary key, so
-// all harvested states are pairwise distinct under it — the test's
-// teeth are that the legacy strings must then be pairwise distinct
-// too, plus the self-comparisons.)
-func TestCodecMatchesLegacyEncode(t *testing.T) {
-	base := exploreStates(t, protogen.Config{Protocol: spec.FullHandshake}, Config{MaxDrops: 1})
-	checkPairwise(t, "baseline-drop1", base)
-
-	robust := exploreStates(t, robustCfg(false), Config{MaxStates: 1500})
-	if len(robust) > 400 {
-		// Pairwise over every robust state would be O(62k^2); a strided
-		// sample keeps the cross-section while staying fast.
-		stride := len(robust)/400 + 1
-		var sample []*state
-		for i := 0; i < len(robust); i += stride {
-			sample = append(sample, robust[i])
-		}
-		robust = sample
+	if slot < 0 {
+		t.Fatal("PQ has no comp2.MEM")
 	}
-	checkPairwise(t, "robust", robust)
-}
+	a := m.initialState()
+	b := m.newState()
+	b.copyFrom(a)
+	mem := a.g[slot].(sim.ArrayVal)
+	elems := append([]sim.Value(nil), mem.Elems...)
+	elems[60] = sim.VecVal{V: bits.FromUint(9, 16)}
+	b.setG(slot, sim.ArrayVal{Lo: mem.Lo, Elems: elems})
 
-// arrayTailState builds a minimal one-process state whose only global
-// is a 12-element array; tweak >= 9 lands in the tail the string
-// rendering summarizes away.
-func arrayTailState(tweak int, delta uint64) *state {
-	elems := make([]sim.Value, 12)
-	for i := range elems {
-		elems[i] = sim.VecVal{V: bits.FromUint(uint64(i), 8)}
+	if bytes.Equal(a.encodeInto(nil), b.encodeInto(nil)) {
+		t.Fatal("states differing only in MEM(60) have equal keys")
 	}
-	if tweak >= 0 {
-		elems[tweak] = sim.VecVal{V: bits.FromUint(uint64(tweak)+delta, 8)}
+	s := newSearcher(m)
+	rowA, rowB := s.probe(a), s.probe(b)
+	hA, hB := s.lay.hash(s.seq.in, rowA), s.lay.hash(s.seq.in, rowB)
+	ja := s.put(hA, a)
+	if j, ok, _ := s.lookup(s.seq, hB, rowB); ok {
+		t.Fatalf("the MEM(60) state found node %d, the state it differs from", j)
 	}
-	return &state{
-		g:      []sim.Value{sim.ArrayVal{Elems: elems}},
-		l:      [][]sim.Value{nil},
-		ps:     []procState{{pc: 3, blocked: true, rem: -1}},
-		budget: 1,
+	if j, ok, _ := s.lookup(s.seq, hA, rowB); ok {
+		t.Fatalf("forced onto its sibling's hash, the MEM(60) state matched node %d", j)
 	}
-}
-
-// TestCodecConflatesArrayTails pins the deliberate imprecision: states
-// differing only past array index 8 were one state to the string store,
-// so they must stay one state to the binary store — a finer codec would
-// silently change every recorded state count.
-func TestCodecConflatesArrayTails(t *testing.T) {
-	ref := arrayTailState(-1, 0)
+	jb := s.put(hB, b)
 	for _, tc := range []struct {
-		name   string
-		other  *state
-		sameAs bool
-	}{
-		{"tail-9", arrayTailState(9, 7), true},
-		{"tail-11", arrayTailState(11, 200), true},
-		{"head-0", arrayTailState(0, 7), false},
-		{"head-8", arrayTailState(8, 7), false},
-	} {
-		sEq := ref.encode() == tc.other.encode()
-		bEq := bytes.Equal(ref.encodeInto(nil), tc.other.encodeInto(nil))
-		if sEq != tc.sameAs {
-			t.Fatalf("%s: legacy encode equal=%v, expected %v — ArrayVal.String changed; realign the codec", tc.name, sEq, tc.sameAs)
-		}
-		if bEq != tc.sameAs {
-			t.Fatalf("%s: binary encode equal=%v, want %v", tc.name, bEq, tc.sameAs)
+		h    uint64
+		row  []byte
+		want int32
+	}{{hA, rowA, ja}, {hB, rowB, jb}} {
+		if j, ok, _ := s.lookup(s.seq, tc.h, tc.row); !ok || j != tc.want {
+			t.Fatalf("lookup = (%d, %v), want (%d, true)", j, ok, tc.want)
 		}
 	}
 }
@@ -223,33 +195,58 @@ type fuzzLayout struct {
 	gts    []*slotType
 	lts    [][]*slotType
 	nTrack int
+	// lay gives the states their row geometry and each local's initial
+	// value, drawn once per layout.
+	lay *rowLayout
 }
 
 func genLayout(g *gsrc) *fuzzLayout {
-	lay := &fuzzLayout{}
+	fl := &fuzzLayout{}
 	for i, n := 0, 1+int(g.byte()%3); i < n; i++ {
-		lay.gts = append(lay.gts, genType(g, 0))
+		fl.gts = append(fl.gts, genType(g, 0))
 	}
+	var nLocals []int
 	for p, n := 0, 1+int(g.byte()%2); p < n; p++ {
 		var ts []*slotType
 		for i, nl := 0, int(g.byte()%3); i < nl; i++ {
 			ts = append(ts, genType(g, 0))
 		}
-		lay.lts = append(lay.lts, ts)
+		fl.lts = append(fl.lts, ts)
+		nLocals = append(nLocals, len(ts))
 	}
-	lay.nTrack = int(g.byte() % 3)
-	return lay
+	fl.nTrack = int(g.byte() % 3)
+	lay := newRowLayout(len(fl.gts), nLocals, fl.nTrack)
+	for _, ts := range fl.lts {
+		var init []sim.Value
+		for _, t := range ts {
+			init = append(init, genVal(g, t))
+		}
+		lay.init = append(lay.init, init)
+	}
+	fl.lay = &lay
+	return fl
 }
 
-func genState(g *gsrc, lay *fuzzLayout) *state {
-	st := &state{}
-	for _, t := range lay.gts {
+// genLocal draws a local: unset, its initial value, or a fresh value.
+func genLocal(g *gsrc, fl *fuzzLayout, p, i int) sim.Value {
+	switch g.byte() % 4 {
+	case 0:
+		return nil
+	case 1:
+		return fl.lay.init[p][i]
+	}
+	return genVal(g, fl.lts[p][i])
+}
+
+func genState(g *gsrc, fl *fuzzLayout) *state {
+	st := &state{lay: fl.lay, written: make([]uint64, (fl.lay.nIDs+63)/64)}
+	for _, t := range fl.gts {
 		st.g = append(st.g, genVal(g, t))
 	}
-	for _, ts := range lay.lts {
-		var ls []sim.Value
-		for _, t := range ts {
-			ls = append(ls, genVal(g, t))
+	for p, ts := range fl.lts {
+		ls := make([]sim.Value, len(ts))
+		for i := range ts {
+			ls[i] = genLocal(g, fl, p, i)
 		}
 		st.l = append(st.l, ls)
 		st.ps = append(st.ps, procState{
@@ -259,7 +256,7 @@ func genState(g *gsrc, lay *fuzzLayout) *state {
 			rem:     int64(int8(g.byte())),
 		})
 	}
-	for i := 0; i < lay.nTrack; i++ {
+	for i := 0; i < fl.nTrack; i++ {
 		st.lastW = append(st.lastW, int8(g.byte()%5)-1)
 	}
 	st.budget = int16(g.byte() % 4)
@@ -270,11 +267,13 @@ func genState(g *gsrc, lay *fuzzLayout) *state {
 // and shared, slices are fresh) the mutation modes below can edit.
 func copyState(s *state) *state {
 	ns := &state{
-		g:      append([]sim.Value(nil), s.g...),
-		l:      make([][]sim.Value, len(s.l)),
-		ps:     append([]procState(nil), s.ps...),
-		lastW:  append([]int8(nil), s.lastW...),
-		budget: s.budget,
+		g:       append([]sim.Value(nil), s.g...),
+		l:       make([][]sim.Value, len(s.l)),
+		ps:      append([]procState(nil), s.ps...),
+		lastW:   append([]int8(nil), s.lastW...),
+		budget:  s.budget,
+		lay:     s.lay,
+		written: make([]uint64, len(s.written)),
 	}
 	for i := range s.l {
 		ns.l[i] = append([]sim.Value(nil), s.l[i]...)
@@ -282,50 +281,84 @@ func copyState(s *state) *state {
 	return ns
 }
 
+// genPair draws a layout and two states over it: independently drawn,
+// identical, one global slot regenerated, one local redrawn (unset,
+// initial or fresh), or one array element past index 9 regenerated.
+func genPair(g *gsrc) (a, b *state) {
+	fl := genLayout(g)
+	a = genState(g, fl)
+	b = copyState(a)
+	switch g.byte() % 5 {
+	case 0:
+		b = genState(g, fl)
+	case 1:
+	case 2:
+		slot := int(g.byte()) % len(fl.gts)
+		b.g[slot] = genVal(g, fl.gts[slot])
+	case 3:
+		p := int(g.byte()) % len(fl.lts)
+		if n := len(fl.lts[p]); n > 0 {
+			i := int(g.byte()) % n
+			b.l[p][i] = genLocal(g, fl, p, i)
+		}
+	default:
+		for slot, ty := range fl.gts {
+			if ty.kind == 3 && ty.alen > 10 {
+				av := a.g[slot].(sim.ArrayVal)
+				elems := append([]sim.Value(nil), av.Elems...)
+				idx := 10 + int(g.byte())%(ty.alen-10)
+				elems[idx] = genVal(g, ty.elem)
+				b.g[slot] = sim.ArrayVal{Elems: elems}
+				break
+			}
+		}
+	}
+	return a, b
+}
+
 // FuzzStateCodec generates a typed layout plus two states over it from
-// the input bytes — independently drawn, identical, single-slot
-// mutated, or array-tail mutated — and asserts the codec equivalence:
-// binary keys equal iff legacy string keys equal.
+// the input bytes (genPair) and holds the key and the rows to the
+// reference: keys equal iff sameState, and rows interned into one table
+// compare equal iff sameState, and then hash alike — in that table and
+// in a fresh one, where the values get other ids.
 func FuzzStateCodec(f *testing.F) {
 	f.Add([]byte{})
-	// One 12-element vec(8) array global, one process, tail mutation.
-	f.Add([]byte{0x00, 0x03, 0x0c, 0x02, 0x07, 0x00, 0x00, 0x00,
-		1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 3})
+	// One 12-element vec(8) array global holding 0..11 and one process
+	// without locals; then the tail mutation, storing 42 into element 11.
+	tail := []byte{0x00, 0x03, 0x0c, 0x02, 0x07, 0x00, 0x00, 0x00}
+	for i := 0; i < 12; i++ {
+		tail = append(tail, 0, 0, 0, 0, 0, 0, 0, byte(i))
+	}
+	f.Add(append(tail, 3, 1, 0, 0xff, 1, 4, 1, 0, 0, 0, 0, 0, 0, 0, 42))
 	f.Add([]byte("\x02\x04\x01\x00\x01\x02\x10records and bools and vectors, oh my"))
 	f.Add([]byte{0x01, 0x02, 0x45, 0x01, 0x02, 0x02, 0x11, 0x02, 0x22,
 		0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66, 0x55, 0x44, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := &gsrc{data: data}
-		lay := genLayout(g)
-		a := genState(g, lay)
-		var b *state
-		switch g.byte() % 4 {
-		case 0: // independent draw
-			b = genState(g, lay)
-		case 1: // identical
-			b = copyState(a)
-		case 2: // one global slot regenerated
-			b = copyState(a)
-			slot := int(g.byte()) % len(lay.gts)
-			b.g[slot] = genVal(g, lay.gts[slot])
-		default: // array-tail mutation: strings must stay equal
-			b = copyState(a)
-			for slot, ty := range lay.gts {
-				if ty.kind == 3 && ty.alen > 10 {
-					av := a.g[slot].(sim.ArrayVal)
-					elems := append([]sim.Value(nil), av.Elems...)
-					idx := 10 + int(g.byte())%(ty.alen-10)
-					elems[idx] = genVal(g, ty.elem)
-					b.g[slot] = sim.ArrayVal{Elems: elems}
-					break
-				}
-			}
+		a, b := genPair(&gsrc{data: data})
+		want := sameState(a, b)
+		if got := bytes.Equal(a.encodeInto(nil), b.encodeInto(nil)); got != want {
+			t.Fatalf("keys equal=%v, states equal=%v\na: %x\nb: %x", got, want, a.encodeInto(nil), b.encodeInto(nil))
 		}
-		sEq := a.encode() == b.encode()
-		bEq := bytes.Equal(a.encodeInto(nil), b.encodeInto(nil))
-		if sEq != bEq {
-			t.Fatalf("codec divergence: string equal=%v, binary equal=%v\nstr a: %q\nstr b: %q",
-				sEq, bEq, a.encode(), b.encode())
+		lay := a.lay
+		in := newInterner(newValueTable())
+		rowA, rowB := make([]byte, lay.size), make([]byte, lay.size)
+		lay.rowOf(in, rowB, b)
+		lay.rowOf(in, rowA, a)
+		if got := lay.sameKey(in, rowA, rowB); got != want {
+			t.Fatalf("rows equal=%v, states equal=%v", got, want)
+		}
+		if !bytes.Equal(lay.appendKey(in, nil, rowA), a.encodeInto(nil)) {
+			t.Fatal("row key differs from the state's")
+		}
+		fresh := newInterner(newValueTable())
+		rowF := make([]byte, lay.size)
+		lay.rowOf(fresh, rowF, a)
+		hA := lay.hash(in, rowA)
+		if lay.hash(fresh, rowF) != hA {
+			t.Fatal("a row's hash depends on its table's ids")
+		}
+		if want && lay.hash(in, rowB) != hA {
+			t.Fatal("equal states hash differently")
 		}
 	})
 }

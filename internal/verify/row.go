@@ -148,48 +148,41 @@ func (lay *rowLayout) appendKey(in *interner, dst, row []byte) []byte {
 	return append(dst, row[lay.tail:lay.size]...)
 }
 
-// appendTails appends row's extras stream: the bytes encodeTailsInto
-// gives for the state the row holds.
-func (lay *rowLayout) appendTails(in *interner, dst, row []byte) []byte {
-	for i := 0; i < lay.nIDs; i++ {
-		dst = append(dst, in.entry(rowID(row, i)).tails...)
-	}
-	return dst
-}
-
-// hash is hashKey(appendKey(row)), computed over the entries' cached
-// key bytes without building the key.
+// hash is the row's state hash: each value slot's entry hash, then the
+// control and tail bytes a word at a time, mixed in row order. Entry
+// hashes depend only on the values, so two rows that hold equal states
+// hash alike whichever worker interned their values.
 func (lay *rowLayout) hash(in *interner, row []byte) uint64 {
-	h := uint64(fnvOffset64)
-	nG := lay.nIDs
-	if len(lay.lbase) > 0 {
-		nG = lay.lbase[0]
+	h := uint64(hashSeed)
+	for i := 0; i < lay.nIDs; i++ {
+		h = mixWord(h, in.entry(rowID(row, i)).hash)
 	}
-	for i := 0; i < nG; i++ {
-		h = fnvAppend(h, in.entry(rowID(row, i)).key)
+	b := row[lay.ctl:lay.size]
+	for ; len(b) >= 8; b = b[8:] {
+		h = mixWord(h, binary.LittleEndian.Uint64(b))
 	}
-	for p, base := range lay.lbase {
-		end := lay.nIDs
-		if p+1 < len(lay.lbase) {
-			end = lay.lbase[p+1]
-		}
-		c := lay.ctl + procCtl*p
-		h = fnvAppend(h, row[c:c+procCtl])
-		for i := base; i < end; i++ {
-			h = fnvAppend(h, in.entry(rowID(row, i)).key)
-		}
+	var w uint64
+	for i, c := range b {
+		w |= uint64(c) << (8 * i)
 	}
-	return fnvAppend(h, row[lay.tail:lay.size])
+	return mixWord(h, w)
 }
 
-// sameKey reports whether rows a and b hold states with equal keys:
-// value ids equal up to key class, control and tail bytes equal. Rows
-// whose values differ only where the key does not look (array elements
-// past the head) compare equal, exactly as their keys do.
+// hashSeed starts a row hash; mixWord folds one word into it. Each step
+// is a bijection of the running hash, so two rows whose hashed words
+// differ in one place never collide.
+const hashSeed = 0x9e3779b97f4a7c15
+
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// sameKey reports whether rows a and b hold equal states: value ids
+// equal up to keyID, control and tail bytes equal.
 func (lay *rowLayout) sameKey(in *interner, a, b []byte) bool {
 	for i := 0; i < lay.nIDs; i++ {
-		x, y := rowID(a, i), rowID(b, i)
-		if x != y && in.entry(x).class != in.entry(y).class {
+		if x, y := rowID(a, i), rowID(b, i); x != y && in.keyID(x) != in.keyID(y) {
 			return false
 		}
 	}
@@ -280,15 +273,6 @@ func (s *slab[T]) dropBelow(i int) {
 		}
 		s.chunks[k] = nil
 	}
-}
-
-// fnvAppend continues an FNV-1a hash over b.
-func fnvAppend(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
 }
 
 // slot returns value slot i of st (row order).

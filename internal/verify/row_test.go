@@ -43,9 +43,10 @@ func replayStored(t *testing.T, sr *searcher) []*state {
 
 // TestRowsMatchStates: a stored row holds exactly the state it was
 // built from. For every state of a bounded robust drop-1 search, the
-// materialized row encodes — key and tails — to the same bytes as the
-// state replayed along its BFS path, its row hashes as that key does,
-// and every enabled process steps from both to the same successor key.
+// materialized row keys as the state replayed along its BFS path, the
+// stored row hashes as that state's row interned into a fresh table
+// (whose ids differ) does, and every enabled process steps from both to
+// the same successor key.
 func TestRowsMatchStates(t *testing.T) {
 	sys, ref := refinePQ(t, robustCfg(false))
 	m := newTestMachine(t, sys, Config{MaxDrops: 1, MaxStates: 20_000, AbortVars: ref.AbortKeys()})
@@ -55,6 +56,8 @@ func TestRowsMatchStates(t *testing.T) {
 	}
 	want := replayStored(t, sr)
 	ec := m.newExecCtx()
+	fresh := newInterner(newValueTable())
+	freshRow := make([]byte, sr.lay.size)
 	row, a, b := m.newState(), m.newState(), m.newState()
 	steps := 0
 	for j, st := range want {
@@ -65,15 +68,13 @@ func TestRowsMatchStates(t *testing.T) {
 		if got := row.encodeInto(nil); !bytes.Equal(got, key) {
 			t.Fatalf("node %d: row keys as\n%x\nwant\n%x", j, got, key)
 		}
-		if got, want := row.encodeTailsInto(nil), st.encodeTailsInto(nil); !bytes.Equal(got, want) {
-			t.Fatalf("node %d: row tails differ from the state's", j)
-		}
 		stored := sr.rows.at(j)
 		if got := sr.lay.appendKey(sr.seq.in, nil, stored); !bytes.Equal(got, key) {
 			t.Fatalf("node %d: appendKey differs from encodeInto", j)
 		}
-		if got := sr.lay.hash(sr.seq.in, stored); got != hashKey(key) {
-			t.Fatalf("node %d: row hash %x, key hash %x", j, got, hashKey(key))
+		sr.lay.rowOf(fresh, freshRow, st)
+		if got, want := sr.lay.hash(sr.seq.in, stored), sr.lay.hash(fresh, freshRow); got != want {
+			t.Fatalf("node %d: stored row hash %x, the state's row in a fresh table %x", j, got, want)
 		}
 		mask, err := m.enabledMask(ec, st)
 		if err != nil {

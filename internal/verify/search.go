@@ -258,19 +258,17 @@ func (s *searcher) maybeSpill() error {
 	return nil
 }
 
-// sealNode moves one node's state to the spill tier: write its key and
-// extras from the row (the same bytes encodeInto and encodeTailsInto
-// give), append the record and drop the hot index entry. The node keeps
-// all its search bookkeeping — only the state bytes leave RAM.
+// sealNode moves one node's state to the spill tier: write its key
+// from the row (the bytes encodeInto gives), append the record and drop
+// the hot index entry. The node keeps all its search bookkeeping — only
+// the state bytes leave RAM.
 func (s *searcher) sealNode(idx int32, layer int) error {
 	row := s.rows.at(int(idx))
 	in := s.seq.in
 	s.sealBuf = s.lay.appendKey(in, s.sealBuf[:0], row)
-	keyLen := len(s.sealBuf)
-	s.sealBuf = s.lay.appendTails(in, s.sealBuf, row)
-	h := hashKey(s.sealBuf[:keyLen])
+	h := s.lay.hash(in, row)
 	s.store.removeHot(h, idx)
-	if err := s.store.spill.add(h, idx, layer, s.sealBuf, keyLen); err != nil {
+	if err := s.store.spill.add(h, idx, layer, s.sealBuf); err != nil {
 		return err
 	}
 	s.hotBytes -= s.stateEst
@@ -466,10 +464,10 @@ func (s *searcher) emit(w *wctx, via step, st *state, row []byte, sleep uint32, 
 	return nil
 }
 
-// lookup finds the stored node whose key equals the probe row's. A hot
-// candidate with the same hash is confirmed by comparing rows up to key
-// class (rowLayout.sameKey); the spill tier, when the Bloom filter lets
-// the probe through, compares the probe's key bytes with the record's.
+// lookup finds the stored node whose state equals the probe row's. A
+// hot candidate with the same hash is confirmed by comparing rows
+// (rowLayout.sameKey); the spill tier, when the Bloom filter lets the
+// probe through, compares the probe's key bytes with the record's.
 // The error is always nil without a spill tier; with one, it surfaces
 // torn or corrupt spill files.
 func (s *searcher) lookup(w *wctx, h uint64, probe []byte) (int32, bool, error) {

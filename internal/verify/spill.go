@@ -21,9 +21,9 @@ import (
 // overwhelmingly common miss never touches disk.
 //
 // Soundness contract: in exact mode a hash hit in the index is only a
-// candidate — the record is read back and its key section compared
-// byte-for-byte against the probe's key, the same equality the hot
-// tier confirms on rows. The Bloom filter has no false negatives, so
+// candidate — the record, which is the sealed state's key, is read back
+// and compared byte-for-byte with the probe's key, the same equality
+// the hot tier confirms on rows. The Bloom filter has no false negatives, so
 // it can only suppress reads that would have missed anyway. In lossy
 // mode (Config.Lossy) the 64-bit hash match itself is accepted and the
 // verdict carries an omission probability, SPIN-bitstate style.
@@ -80,7 +80,7 @@ type spillShard struct {
 	gen     int
 	count   int
 	bloom   bloomFilter
-	// bases caches every per-(layer,shard) delta base payload by its
+	// bases caches every per-(layer,shard) delta base key by its
 	// data offset: one entry per layer, read-only outside the seal
 	// phase. Misses (possible only if the cache were ever bounded) fall
 	// back to a disk read.
@@ -137,12 +137,12 @@ func (sp *spillStore) close() {
 // states reports how many sealed states the store holds.
 func (sp *spillStore) states() int { return len(sp.locs) }
 
-// add seals one node: payload is key‖extras (keyLen marking the
-// split), appended to the node's shard as a checksummed record,
-// delta-compressed against the shard's current per-layer base. Nodes
-// must be added in node-id order — the sealed set stays a contiguous
-// prefix. Only called from the sequential seal phase.
-func (sp *spillStore) add(h uint64, nodeID int32, layer int, payload []byte, keyLen int) error {
+// add seals one node: its state key is appended to the node's shard as
+// a checksummed record, delta-compressed against the shard's current
+// per-layer base. Nodes must be added in node-id order — the sealed set
+// stays a contiguous prefix. Only called from the sequential seal
+// phase.
+func (sp *spillStore) add(h uint64, nodeID int32, layer int, key []byte) error {
 	if int(nodeID) != len(sp.locs) {
 		return fmt.Errorf("verify: spill: sealing node %d out of order (next is %d)", nodeID, len(sp.locs))
 	}
@@ -155,21 +155,19 @@ func (sp *spillStore) add(h uint64, nodeID int32, layer int, payload []byte, key
 		// First record of this layer in this shard: written full, and it
 		// becomes the delta base for the rest of the layer.
 		body = append(body, recFull)
-		body = binary.AppendUvarint(body, uint64(keyLen))
-		body = append(body, payload...)
+		body = append(body, key...)
 		sh.baseLayer = layer
 		sh.baseOff = off
-		sh.base = append(sh.base[:0], payload...)
-		sh.bases[off] = append([]byte(nil), payload...)
+		sh.base = append(sh.base[:0], key...)
+		sh.bases[off] = append([]byte(nil), key...)
 	} else {
-		prefix := commonPrefix(payload, sh.base)
-		suffix := commonSuffix(payload[prefix:], sh.base[prefix:])
+		prefix := commonPrefix(key, sh.base)
+		suffix := commonSuffix(key[prefix:], sh.base[prefix:])
 		body = append(body, recDelta)
-		body = binary.AppendUvarint(body, uint64(keyLen))
 		body = binary.AppendUvarint(body, uint64(sh.baseOff))
 		body = binary.AppendUvarint(body, uint64(prefix))
 		body = binary.AppendUvarint(body, uint64(suffix))
-		body = append(body, payload[prefix:len(payload)-suffix]...)
+		body = append(body, key[prefix:len(key)-suffix]...)
 	}
 	sp.recBuf = body[:0]
 
@@ -304,9 +302,9 @@ func (sp *spillStore) mayHold(h uint64) bool {
 }
 
 // lookup probes the cold tier for a state with the given hash and key.
-// In exact mode every same-hash entry's record is read back and its key
-// section byte-compared; in lossy mode the hash match is final. Safe
-// for concurrent use during expansion.
+// In exact mode every same-hash entry's record is read back and
+// byte-compared with the key; in lossy mode the hash match is final.
+// Safe for concurrent use during expansion.
 func (sp *spillStore) lookup(h uint64, key []byte, lossy bool) (int32, bool, error) {
 	sh := sp.shards[h&(spillShards-1)]
 	if sh.count == 0 || !sh.bloom.has(h) {
@@ -321,11 +319,11 @@ func (sp *spillStore) lookup(h uint64, key []byte, lossy bool) (int32, bool, err
 		if lossy {
 			return e.node, true, nil
 		}
-		payload, keyLen, err := sh.readRecord(e.off, 0)
+		rec, err := sh.readRecord(e.off, 0)
 		if err != nil {
 			return 0, false, err
 		}
-		if keyLen == len(key) && bytes.Equal(payload[:keyLen], key) {
+		if bytes.Equal(rec, key) {
 			return e.node, true, nil
 		}
 	}
@@ -339,89 +337,77 @@ func (sp *spillStore) readState(m *machine, nodeID int32, st *state) error {
 		return fmt.Errorf("verify: spill: node %d is not sealed", nodeID)
 	}
 	loc := sp.locs[nodeID]
-	payload, keyLen, err := sp.shards[loc.shard()].readRecord(loc.off(), 0)
+	key, err := sp.shards[loc.shard()].readRecord(loc.off(), 0)
 	if err != nil {
 		return err
 	}
-	return decodeState(m, payload[:keyLen], payload[keyLen:], st)
+	return decodeState(m, key, st)
 }
 
 // readRecord reads and verifies the record at off, reconstructing a
-// delta against its base. The returned payload is freshly allocated
-// (or aliases the base cache only via copy). depth guards against
-// corrupt delta chains.
-func (sh *spillShard) readRecord(off int64, depth int) (payload []byte, keyLen int, err error) {
+// delta against its base, and returns the state key it holds. The key
+// is freshly allocated (or aliases the base cache only via copy).
+// depth guards against corrupt delta chains.
+func (sh *spillShard) readRecord(off int64, depth int) ([]byte, error) {
 	if depth > 1 {
-		return nil, 0, fmt.Errorf("verify: spill: delta record based on another delta (corrupt index)")
+		return nil, fmt.Errorf("verify: spill: delta record based on another delta (corrupt index)")
 	}
 	if off < 0 || off+8 > sh.size {
-		return nil, 0, fmt.Errorf("verify: spill: record offset %d outside data file (%d bytes): torn or corrupt spill file", off, sh.size)
+		return nil, fmt.Errorf("verify: spill: record offset %d outside data file (%d bytes): torn or corrupt spill file", off, sh.size)
 	}
 	var hdr [8]byte
 	if _, err := sh.data.ReadAt(hdr[:], off); err != nil {
-		return nil, 0, fmt.Errorf("verify: spill read: %w", err)
+		return nil, fmt.Errorf("verify: spill read: %w", err)
 	}
 	blen := int64(binary.LittleEndian.Uint32(hdr[0:]))
 	check := binary.LittleEndian.Uint32(hdr[4:])
 	if blen > spillMaxRecord || off+8+blen > sh.size {
-		return nil, 0, fmt.Errorf("verify: spill: record at %d claims %d bytes past end of data file: torn or corrupt spill file", off, blen)
+		return nil, fmt.Errorf("verify: spill: record at %d claims %d bytes past end of data file: torn or corrupt spill file", off, blen)
 	}
 	body := make([]byte, blen)
 	if _, err := sh.data.ReadAt(body, off+8); err != nil {
-		return nil, 0, fmt.Errorf("verify: spill read: %w", err)
+		return nil, fmt.Errorf("verify: spill read: %w", err)
 	}
 	if fnv32(body) != check {
-		return nil, 0, fmt.Errorf("verify: spill: record at %d fails its checksum: torn or corrupt spill file", off)
+		return nil, fmt.Errorf("verify: spill: record at %d fails its checksum: torn or corrupt spill file", off)
 	}
 	if len(body) < 1 {
-		return nil, 0, fmt.Errorf("verify: spill: empty record body at %d", off)
+		return nil, fmt.Errorf("verify: spill: empty record body at %d", off)
 	}
 	kind, body := body[0], body[1:]
-	kl, n := binary.Uvarint(body)
-	if n <= 0 || kl > uint64(spillMaxRecord) {
-		return nil, 0, fmt.Errorf("verify: spill: corrupt key length at %d", off)
-	}
-	body = body[n:]
 	switch kind {
 	case recFull:
-		if uint64(len(body)) < kl {
-			return nil, 0, fmt.Errorf("verify: spill: full record at %d shorter than its key", off)
-		}
-		return body, int(kl), nil
+		return body, nil
 	case recDelta:
 		baseOff, n1 := binary.Uvarint(body)
 		if n1 <= 0 {
-			return nil, 0, fmt.Errorf("verify: spill: corrupt delta base at %d", off)
+			return nil, fmt.Errorf("verify: spill: corrupt delta base at %d", off)
 		}
 		prefix, n2 := binary.Uvarint(body[n1:])
 		if n2 <= 0 {
-			return nil, 0, fmt.Errorf("verify: spill: corrupt delta prefix at %d", off)
+			return nil, fmt.Errorf("verify: spill: corrupt delta prefix at %d", off)
 		}
 		suffix, n3 := binary.Uvarint(body[n1+n2:])
 		if n3 <= 0 {
-			return nil, 0, fmt.Errorf("verify: spill: corrupt delta suffix at %d", off)
+			return nil, fmt.Errorf("verify: spill: corrupt delta suffix at %d", off)
 		}
 		mid := body[n1+n2+n3:]
 		base, ok := sh.bases[int64(baseOff)]
 		if !ok {
-			base, _, err = sh.readRecord(int64(baseOff), depth+1)
-			if err != nil {
-				return nil, 0, err
+			var err error
+			if base, err = sh.readRecord(int64(baseOff), depth+1); err != nil {
+				return nil, err
 			}
 		}
 		if prefix+suffix > uint64(len(base)) || prefix+suffix > uint64(spillMaxRecord) {
-			return nil, 0, fmt.Errorf("verify: spill: delta at %d trims more than its base holds", off)
+			return nil, fmt.Errorf("verify: spill: delta at %d trims more than its base holds", off)
 		}
-		payload = make([]byte, 0, int(prefix)+len(mid)+int(suffix))
-		payload = append(payload, base[:prefix]...)
-		payload = append(payload, mid...)
-		payload = append(payload, base[uint64(len(base))-suffix:]...)
-		if uint64(len(payload)) < kl {
-			return nil, 0, fmt.Errorf("verify: spill: delta record at %d shorter than its key", off)
-		}
-		return payload, int(kl), nil
+		key := make([]byte, 0, int(prefix)+len(mid)+int(suffix))
+		key = append(key, base[:prefix]...)
+		key = append(key, mid...)
+		return append(key, base[uint64(len(base))-suffix:]...), nil
 	default:
-		return nil, 0, fmt.Errorf("verify: spill: unknown record kind %d at %d", kind, off)
+		return nil, fmt.Errorf("verify: spill: unknown record kind %d at %d", kind, off)
 	}
 }
 

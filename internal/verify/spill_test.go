@@ -151,13 +151,15 @@ func TestLossyMode(t *testing.T) {
 
 // TestDecodeRoundTrip: every state of a real exploration must survive
 // encode → decode → re-encode byte-identically — the property that
-// makes sealed states re-expandable at all — and the decoded state must
-// step like the original: every enabled process reaches a successor
-// with the same key, or fails with the same error. The key leaves out
-// each array's Lo and each record's type, which field stores and
-// indexing read, so a decoder that restored neither failed most steps
-// ("store to unknown field ID"). The array-lo case keys an array
-// declared array(1 to 4) and stores into A(4).
+// makes sealed states re-expandable at all — the decoded state must be
+// the same state (sameState), and it must step like the original: every
+// enabled process reaches a successor with the same key, or fails with
+// the same error. No two stored states may share a key: the store keeps
+// each state once. The key leaves out each array's Lo and each record's
+// type, which field stores and indexing read, so a decoder that
+// restored neither failed most steps ("store to unknown field ID"). The
+// array-lo case keys an array declared array(1 to 4) and stores into
+// A(4).
 func TestDecodeRoundTrip(t *testing.T) {
 	const arrayLo = `
 system ArrayLo is
@@ -201,17 +203,21 @@ end system;`
 			ec := m.newExecCtx()
 			dec, a, b := m.newState(), m.newState(), m.newState()
 			steps := 0
+			seen := make(map[string]int)
 			for i, st := range storedStates(t, sr) {
 				key := st.encodeInto(nil)
-				extras := st.encodeTailsInto(nil)
-				if err := decodeState(m, key, extras, dec); err != nil {
+				if j, dup := seen[string(key)]; dup {
+					t.Fatalf("states %d and %d are one state, stored twice", j, i)
+				}
+				seen[string(key)] = i
+				if err := decodeState(m, key, dec); err != nil {
 					t.Fatalf("state %d: decode: %v", i, err)
 				}
 				if got := dec.encodeInto(nil); !bytes.Equal(got, key) {
 					t.Fatalf("state %d: re-encoded key differs\ngot:  %x\nwant: %x", i, got, key)
 				}
-				if got := dec.encodeTailsInto(nil); !bytes.Equal(got, extras) {
-					t.Fatalf("state %d: re-encoded extras differ", i)
+				if !sameState(dec, st) {
+					t.Fatalf("state %d: decoded to another state", i)
 				}
 				for g, v := range st.g {
 					if av, ok := v.(sim.ArrayVal); ok && dec.g[g].(sim.ArrayVal).Lo != av.Lo {
@@ -267,10 +273,10 @@ func newTestSpill(t *testing.T) *spillStore {
 	return sp
 }
 
-// spillAdd seals one payload, failing the test on error.
-func spillAdd(t *testing.T, sp *spillStore, h uint64, node int32, layer int, payload []byte, keyLen int) {
+// spillAdd seals one key, failing the test on error.
+func spillAdd(t *testing.T, sp *spillStore, h uint64, node int32, layer int, key []byte) {
 	t.Helper()
-	if err := sp.add(h, node, layer, payload, keyLen); err != nil {
+	if err := sp.add(h, node, layer, key); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -285,8 +291,8 @@ func TestSpillCrashRecovery(t *testing.T) {
 
 	build := func(t *testing.T) *spillStore {
 		sp := newTestSpill(t)
-		spillAdd(t, sp, hA, 0, 0, append(keyA, "-extras"...), len(keyA))
-		spillAdd(t, sp, hB, 1, 0, append(keyB, "-extras"...), len(keyB))
+		spillAdd(t, sp, hA, 0, 0, keyA)
+		spillAdd(t, sp, hB, 1, 0, keyB)
 		if err := sp.finishBatch(); err != nil {
 			t.Fatal(err)
 		}
@@ -370,10 +376,11 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 	}
 }
 
-// FuzzSpillRecord drives generated payloads through the on-disk record
-// format — full records, delta compression against per-layer bases,
-// index merge, Bloom filter and checksummed read-back — and asserts
-// the payload round-trips byte-identically and lookups confirm exactly.
+// FuzzSpillRecord drives generated state keys through the on-disk
+// record format — full records, delta compression against per-layer
+// bases, index merge, Bloom filter and checksummed read-back — and
+// asserts each key round-trips byte-identically and each lookup finds a
+// node holding the same state (sameState).
 func FuzzSpillRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("several states sharing a long common middle section"))
@@ -384,21 +391,20 @@ func FuzzSpillRecord(f *testing.F) {
 		sp := newTestSpill(t)
 		n := 1 + int(g.byte()%6)
 		type rec struct {
-			h       uint64
-			payload []byte
-			keyLen  int
+			st  *state
+			h   uint64
+			key []byte
 		}
 		var recs []rec
 		for i := 0; i < n; i++ {
 			st := genState(g, lay)
 			key := st.encodeInto(nil)
-			payload := st.encodeTailsInto(key)
-			h := hashKey(payload[:len(key)])
+			h := fnvAppend(fnvOffset64, key)
 			layer := int(g.byte() % 3)
-			if err := sp.add(h, int32(i), layer, payload, len(key)); err != nil {
+			if err := sp.add(h, int32(i), layer, key); err != nil {
 				t.Fatal(err)
 			}
-			recs = append(recs, rec{h, payload, len(key)})
+			recs = append(recs, rec{st, h, key})
 			if g.byte()%4 == 0 {
 				if err := sp.finishBatch(); err != nil {
 					t.Fatal(err)
@@ -410,22 +416,21 @@ func FuzzSpillRecord(f *testing.F) {
 		}
 		for i, r := range recs {
 			loc := sp.locs[i]
-			payload, keyLen, err := sp.shards[loc.shard()].readRecord(loc.off(), 0)
+			key, err := sp.shards[loc.shard()].readRecord(loc.off(), 0)
 			if err != nil {
 				t.Fatalf("record %d: %v", i, err)
 			}
-			if keyLen != r.keyLen || !bytes.Equal(payload, r.payload) {
-				t.Fatalf("record %d: round-trip mismatch\ngot:  %d %x\nwant: %d %x",
-					i, keyLen, payload, r.keyLen, r.payload)
+			if !bytes.Equal(key, r.key) {
+				t.Fatalf("record %d: round-trip mismatch\ngot:  %x\nwant: %x", i, key, r.key)
 			}
-			node, ok, err := sp.lookup(r.h, r.payload[:r.keyLen], false)
+			node, ok, err := sp.lookup(r.h, r.key, false)
 			if err != nil {
 				t.Fatalf("record %d: lookup: %v", i, err)
 			}
 			// Duplicate generated states may legitimately resolve to an
-			// earlier node with the same key.
-			if !ok || !bytes.Equal(recs[node].payload[:recs[node].keyLen], r.payload[:r.keyLen]) {
-				t.Fatalf("record %d: lookup = (%d, %v), want a node with the same key", i, node, ok)
+			// earlier node holding the same state.
+			if !ok || !sameState(recs[node].st, r.st) {
+				t.Fatalf("record %d: lookup = (%d, %v), want a node holding the same state", i, node, ok)
 			}
 		}
 	})

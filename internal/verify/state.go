@@ -410,30 +410,6 @@ func (st *state) keyLocal(p, i int) sim.Value {
 	return st.lay.init[p][i]
 }
 
-// encode renders the state as a canonical string key. It is the legacy
-// store key, retained as the oracle for the binary codec's equivalence
-// test (codec_test.go); the searcher keys on the bytes encodeInto gives
-// (codec.go), which it builds from rows (row.go).
-func (s *state) encode() string {
-	var b strings.Builder
-	for _, v := range s.g {
-		b.WriteString(v.String())
-		b.WriteByte(0)
-	}
-	for p := range s.l {
-		fmt.Fprintf(&b, "#%d:%d:%t:%t:%d;", p, s.ps[p].pc, s.ps[p].blocked, s.ps[p].fin, s.ps[p].rem)
-		for i := range s.l[p] {
-			b.WriteString(s.keyLocal(p, i).String())
-			b.WriteByte(0)
-		}
-	}
-	for _, w := range s.lastW {
-		fmt.Fprintf(&b, "%d,", w)
-	}
-	fmt.Fprintf(&b, "|%d", s.budget)
-	return b.String()
-}
-
 // verifyFail is panicked by a Frame on runtime errors and recovered at
 // the segment boundary.
 type verifyFail struct{ err error }

@@ -5,15 +5,15 @@ package verify
 const storeShards = 64
 
 // store is the searcher's deduplicating state index, in the hash-
-// compaction lineage: it maps the 64-bit FNV-1a hash of each hot
-// state's key to its node index, across storeShards shard maps keyed by
-// the hash's low bits, and retains no key. Two distinct states can
-// share a hash, so a hash hit is a candidate, not an answer: the
+// compaction lineage: it maps the 64-bit hash of each hot state's row
+// (rowLayout.hash) to its node index, across storeShards shard maps
+// keyed by the hash's low bits, and retains no key. Two distinct states
+// can share a hash, so a hash hit is a candidate, not an answer: the
 // searcher (searcher.lookup) confirms it against the candidate's row,
-// comparing value ids up to key class plus the control bytes — exactly
-// key equality, without building either key. Unlike SPIN's
-// probabilistic bitstate mode, a collision costs one row comparison,
-// never a soundness hole. The rare confirmed-distinct same-hash states
+// comparing value ids (an unset local as its initial value's) plus the
+// control bytes — exactly key equality, without building either key.
+// Unlike SPIN's probabilistic bitstate mode, a collision costs one row
+// comparison, never a soundness hole. The rare confirmed-distinct same-hash states
 // chain through the overflow map, allocated lazily on the first
 // confirmed collision.
 //

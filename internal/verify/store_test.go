@@ -68,14 +68,15 @@ func TestStoreConfirmsOnCollision(t *testing.T) {
 
 // TestStoreShardsByHash checks states land in the shard their hash's
 // low bits select, so the per-shard maps stay balanced and disjoint,
-// and that a row hashes exactly as its state's key does.
+// and that a row's hash does not depend on its table's ids.
 func TestStoreShardsByHash(t *testing.T) {
-	s := newRowStore()
+	s, other := newRowStore(), newRowStore()
+	other.probe(intState(-1)) // shift the other table's ids
 	for i := int64(0); i < 200; i++ {
 		st := intState(i)
-		h := hashKey(st.encodeInto(nil))
-		if got := s.lay.hash(s.seq.in, s.probe(st)); got != h {
-			t.Fatalf("state %d: row hash %x, key hash %x", i, got, h)
+		h := s.lay.hash(s.seq.in, s.probe(st))
+		if got := other.lay.hash(other.seq.in, other.probe(st)); got != h {
+			t.Fatalf("state %d: row hash %x in one table, %x in another", i, h, got)
 		}
 		s.put(h, st)
 	}
@@ -96,11 +97,12 @@ func TestStoreShardsByHash(t *testing.T) {
 		t.Fatalf("stored %d hashes across shards, want 200 (overflow: %d)", total, len(s.store.overflow))
 	}
 	if occupied < storeShards/2 {
-		t.Fatalf("only %d/%d shards occupied — FNV low bits are not spreading", occupied, storeShards)
+		t.Fatalf("only %d/%d shards occupied — the row hash's low bits are not spreading", occupied, storeShards)
 	}
 	for i := int64(0); i < 200; i++ {
 		st := intState(i)
-		j, ok, _ := s.lookup(s.seq, hashKey(st.encodeInto(nil)), s.probe(st))
+		row := s.probe(st)
+		j, ok, _ := s.lookup(s.seq, s.lay.hash(s.seq.in, row), row)
 		if !ok || j != int32(i) {
 			t.Fatalf("state %d: lookup = (%d, %v)", i, j, ok)
 		}
@@ -115,14 +117,13 @@ func TestOverflowLazyAllocation(t *testing.T) {
 	if st.overflow != nil {
 		t.Fatal("overflow map allocated before any insert")
 	}
-	for i := int64(0); i < 100; i++ {
-		s := intState(i)
-		st.insert(hashKey(s.encodeInto(nil)), int32(i))
+	for i := uint64(0); i < 100; i++ {
+		st.insert(bloomMix(i), int32(i))
 	}
 	if st.overflow != nil {
 		t.Fatalf("overflow map allocated without a collision (%d entries)", len(st.overflow))
 	}
-	st.insert(hashKey(intState(0).encodeInto(nil)), 100)
+	st.insert(bloomMix(0), 100)
 	if len(st.overflow) != 1 {
 		t.Fatalf("collision did not populate overflow: %d entries", len(st.overflow))
 	}

@@ -16,31 +16,32 @@ import (
 // COLLAPSE mode stores states as indices into component tables.
 //
 // A value is interned by its full content: its complete encoding plus
-// what sim.AppendBinary leaves out (ArrayVal.Lo, the elements past an
-// array's head, and RecordVal.Type), so materializing an id gives back
-// a value that executes exactly like the one interned. Each entry also
-// caches the value's share of the state key (sim.AppendBinary) and of a
-// spill record's extras (sim.AppendBinaryTails), and its key class: the
-// first id whose key bytes are the same. Two rows have equal keys
-// exactly when their ids agree slot by slot up to key class and their
-// control bytes are equal, which is how the store confirms a hash hit
-// without rebuilding either key.
+// what sim.AppendBinary leaves out (ArrayVal.Lo and RecordVal.Type), so
+// materializing an id gives back a value that executes exactly like the
+// one interned. A slot's type fixes Lo and the record type, so within
+// one slot distinct ids hold values that are not Equal, and a stored
+// row's identity is its ids. The one exception is an unset local, the
+// value of a local that was never written: it materializes as nil but
+// keys as its initial value, so its entry names that value's id. Each
+// entry caches the value's share of the state key (sim.AppendBinary),
+// which the spill tier writes and compares, and a 64-bit hash of it,
+// which the row hash mixes.
 //
 // One table per search. Workers intern concurrently: each keeps a
 // private cache in front of the shared table and a snapshot of its
 // entries. Ids depend on which worker interned a value first, so
 // nothing observable may depend on their order; keys, hashes and
-// verdicts depend only on the entries' bytes.
+// verdicts depend only on the entries' contents.
 
 // valueEntry is one interned value. Entries never change once
 // published.
 type valueEntry struct {
-	// val is nil for an unset entry: the value of a local that was never
-	// written, which keys as the local's initial value.
-	val   sim.Value
-	key   []byte // sim.AppendBinary bytes
-	tails []byte // sim.AppendBinaryTails bytes
-	class uint32 // first id with the same key bytes
+	// val is nil for an unset entry, which keys as the value with id
+	// init and shares that entry's key and hash.
+	val  sim.Value
+	key  []byte // sim.AppendBinary bytes
+	hash uint64 // of key; never of an id
+	init uint32
 }
 
 // recType identifies a record type by the backing array of its fields:
@@ -64,48 +65,39 @@ func recTypeOf(t spec.RecordType) recType {
 // header, and readers load it without locking (entries below a
 // published length are never written again).
 type valueTable struct {
-	mu      sync.Mutex
-	ids     map[string]uint32 // full content → id
-	classes map[string]uint32 // key bytes → class
-	types   map[recType]uint32
-	ents    []valueEntry
-	snap    atomic.Pointer[[]valueEntry]
+	mu    sync.Mutex
+	ids   map[string]uint32 // full content → id
+	types map[recType]uint32
+	ents  []valueEntry
+	snap  atomic.Pointer[[]valueEntry]
 }
 
 func newValueTable() *valueTable {
 	t := &valueTable{
-		ids:     make(map[string]uint32),
-		classes: make(map[string]uint32),
-		types:   make(map[recType]uint32),
+		ids:   make(map[string]uint32),
+		types: make(map[recType]uint32),
 	}
 	t.snap.Store(&t.ents)
 	return t
 }
 
 // add interns the value whose full content is full, building its entry
-// from val (nil with like for an unset entry, keyed as like) on a miss.
-func (t *valueTable) add(full []byte, val, like sim.Value) uint32 {
+// from val on a miss; a nil val is an unset entry keyed as the value
+// with id init.
+func (t *valueTable) add(full []byte, val sim.Value, init uint32) uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if id, ok := t.ids[string(full)]; ok {
 		return id
 	}
 	id := uint32(len(t.ents))
-	keyed := val
-	if keyed == nil {
-		keyed = like
+	e := valueEntry{val: val, init: init}
+	if val == nil {
+		e.key, e.hash = t.ents[init].key, t.ents[init].hash
+	} else {
+		e.key = sim.AppendBinary(nil, val)
+		e.hash = bloomMix(fnvAppend(fnvOffset64, e.key))
 	}
-	e := valueEntry{
-		val:   val,
-		key:   sim.AppendBinary(nil, keyed),
-		tails: sim.AppendBinaryTails(nil, keyed),
-	}
-	class, ok := t.classes[string(e.key)]
-	if !ok {
-		class = id
-		t.classes[string(e.key)] = id
-	}
-	e.class = class
 	t.ids[string(full)] = id
 	t.ents = append(t.ents, e)
 	ents := t.ents
@@ -159,33 +151,45 @@ func (in *interner) entry(id uint32) *valueEntry {
 	return &in.ents[id]
 }
 
+// keyID is the id an entry keys as: its own, or an unset entry's
+// initial value's. Two rows hold equal states exactly when their ids
+// agree slot by slot up to keyID and their control bytes are equal.
+func (in *interner) keyID(id uint32) uint32 {
+	if e := in.entry(id); e.val == nil {
+		return e.init
+	}
+	return id
+}
+
 // intern returns v's id. v must not be nil.
 func (in *interner) intern(v sim.Value) uint32 {
 	in.buf = in.appendFull(in.buf[:0], v)
 	if id, ok := in.ids[string(in.buf)]; ok {
 		return id
 	}
-	id := in.t.add(in.buf, v, nil)
+	id := in.t.add(in.buf, v, 0)
 	in.ids[string(in.buf)] = id
 	in.refresh()
 	return id
 }
 
 // internUnset returns the id of an unset local whose initial value is
-// like: it materializes as nil but keys as like.
+// like: it materializes as nil but keys as like. Its full content is
+// like's id, which is unique in the table.
 func (in *interner) internUnset(like sim.Value) uint32 {
-	in.buf = in.appendFull(append(in.buf[:0], 'n'), like)
+	init := in.intern(like)
+	in.buf = appendU32(append(in.buf[:0], 'n'), init)
 	if id, ok := in.ids[string(in.buf)]; ok {
 		return id
 	}
-	id := in.t.add(in.buf, nil, like)
+	id := in.t.add(in.buf, nil, init)
 	in.ids[string(in.buf)] = id
 	in.refresh()
 	return id
 }
 
 // appendFull appends v's full content: sim.AppendBinary's layout with
-// every array element, each array's Lo and each record's type.
+// each array's Lo and each record's type added.
 func (in *interner) appendFull(dst []byte, v sim.Value) []byte {
 	switch v := v.(type) {
 	case sim.ArrayVal:

@@ -253,7 +253,7 @@ func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error
 	}
 
 	goldenClocks := int64(-1)
-	var goldenFinals map[string]string
+	var goldenFinals map[string]sim.Value
 	replayClocks := cfg.MaxClocks
 	if res, runErr := eng.Run(sim.Config{MaxClocks: cfg.MaxClocks}); runErr == nil {
 		goldenClocks = res.Clocks
@@ -265,9 +265,8 @@ func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error
 			slotOf[n] = i
 		}
 		m.expected = make([]sim.Value, len(m.globals))
-		goldenFinals = make(map[string]string, len(res.Finals))
+		goldenFinals = res.Finals
 		for k, v := range res.Finals {
-			goldenFinals[k] = v.String()
 			if slot, ok := slotOf[k]; ok {
 				m.expected[slot] = v
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hdl"
 	"repro/internal/protogen"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -268,12 +269,13 @@ func TestWorkerInvariance(t *testing.T) {
 	})
 	// The robust drop-1 runs stop partway through a layer's merge, on a
 	// state bound or a violation cap, and each is compared with a table.
-	// States that share a key can differ in their array tails (ROADMAP
-	// item 1), so the first arrival of a state in merge order must win:
-	// it fixes the node's number, its parent and the row its successors
-	// expand from. A numbering that moved would change which states the
-	// cut admits, so the counts and the fingerprint would show it; the
-	// counterexamples follow the winning parents.
+	// States that share a key can still differ in a local that one of
+	// them never wrote (it keys as its initial value, but a store into
+	// it fails), so the first arrival of a state in merge order must
+	// win: it fixes the node's number, its parent and the row its
+	// successors expand from. A numbering that moved would change which
+	// states the cut admits, so the counts and the fingerprint would
+	// show it; the counterexamples follow the winning parents.
 	cases := []struct {
 		name          string
 		ref           protogen.Config
@@ -286,11 +288,11 @@ func TestWorkerInvariance(t *testing.T) {
 	}{
 		{"robust-drop1-max-states",
 			protogen.Config{Protocol: spec.FullHandshake, Robust: true}, Config{MaxStates: 60_000},
-			60_001, 72_719, "8b22eb2c86c7eace-daa65b565f392dba", "state bound 60000 reached", "60a0cb18beed0b1d"},
+			60_001, 72_713, "1808c2b55f56cc44-667039eef0c14504", "state bound 60000 reached", "60a0cb18beed0b1d"},
 		{"robust-drop1-max-violations",
 			protogen.Config{Protocol: spec.FullHandshake, Robust: true, TimeoutClocks: 6, MaxRetries: 1},
 			Config{MaxStates: 1_000_000, MaxViolations: 2},
-			156_982, 191_792, "424af04f21b24652-23ec748d0b5c4606", "violation cap 2 reached", "0549305418b8a9a1"},
+			159_862, 195_320, "2824df4e8304bb68-3286658b4349b500", "violation cap 2 reached", "0549305418b8a9a1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -537,5 +539,49 @@ func TestCorruptionReplayOrder(t *testing.T) {
 		if !r.Reproduced || !strings.HasPrefix(r.Outcome, "silent data corruption: ") || mem < 0 || x < mem {
 			t.Fatalf("replay %d: %s\nwant comp2.MEM, then comp2.X", i, r.Outcome)
 		}
+	}
+}
+
+// TestReplayComparesFullFinals: a corruption whose finals differ from
+// the golden run's only in comp2.MEM(60) replays as reproduced. P and Q
+// race to store MEM(60); the golden run lets Q store last, and the
+// checker finds the order where P does (P's local V, which saw Q's
+// store, keeps that terminal state apart from the golden one under any
+// state key). MEM renders only its first nine elements as a string, so
+// a replay that compared renderings would report that the finals match
+// the golden run.
+func TestReplayComparesFullFinals(t *testing.T) {
+	sys, err := hdl.Parse(`
+system Race is
+  module comp1 is
+    behavior P is
+      variable V : bit_vector(15 downto 0);
+    begin
+      V := MEM(60);
+      MEM(60) := 1;
+    end behavior;
+    behavior Q is
+    begin
+      MEM(60) := 2;
+    end behavior;
+  end module;
+  module comp2 is
+    variable MEM : array(0 to 63) of bit_vector(15 downto 0);
+  end module;
+end system;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := mustCheck(t, sys, Config{})
+	v := hasKind(rep, Corruption)
+	if v == nil {
+		t.Fatalf("no corruption found:\n%s", rep.Format())
+	}
+	r, err := v.Cex.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Reproduced || !strings.HasPrefix(r.Outcome, "silent data corruption: comp2.MEM = ") {
+		t.Fatalf("replay: reproduced=%v, %s\ncex:\n%s", r.Reproduced, r.Outcome, v.Cex.Format())
 	}
 }
