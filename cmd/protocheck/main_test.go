@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -137,5 +138,13 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code := run([]string{"-expect", "maybe"}, &out, &errb); code != 2 {
 		t.Fatalf("bad -expect: exit %d, want 2", code)
+	}
+	// A drop budget outside the checker's 16 bits once wrapped and
+	// checked the fault-free space: -drops 65536 read 178 clean states.
+	for _, drops := range []string{"65536", "-1"} {
+		errb.Reset()
+		if code := run([]string{"-drops", drops}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "drop budget "+drops+" is outside 0 to 32767") {
+			t.Fatalf("-drops %s: exit %d, stderr %q; want 2 with a refusal", drops, code, errb.String())
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 )
 
@@ -33,9 +34,23 @@ type diskCache struct {
 // stale bodies from older builds can never be served.
 const diskMagic = "IFSYNDC1"
 
+// newDiskCache opens the cache directory, creating it if need be, and
+// deletes the temp files that puts of a killed daemon left behind,
+// which nothing else would ever remove. A second daemon sharing the
+// directory loses at most its one in-flight put, whose failed rename
+// is counted and dropped like any other write failure.
 func newDiskCache(dir string) (*diskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache dir: %w", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("cache dir: %w", err)
+	}
+	for _, e := range ents {
+		if n := e.Name(); strings.HasPrefix(n, "put-") && strings.HasSuffix(n, ".tmp") {
+			os.Remove(filepath.Join(dir, n))
+		}
 	}
 	return &diskCache{dir: dir}, nil
 }
@@ -75,9 +90,10 @@ func (d *diskCache) corrupt(k Key) {
 
 // put writes the body through atomically: temp file in the same
 // directory, then rename, so a crashed daemon leaves either the old
-// entry, the new entry, or a stray .tmp — never a half-written
-// readable file. Write failures are counted and dropped; the disk
-// tier degrades to the RAM tier, it never fails a request.
+// entry, the new entry, or a stray .tmp that the next newDiskCache
+// deletes — never a half-written readable file. Write failures are
+// counted and dropped; the disk tier degrades to the RAM tier, it
+// never fails a request.
 func (d *diskCache) put(k Key, body []byte) {
 	f, err := os.CreateTemp(d.dir, "put-*.tmp")
 	if err != nil {

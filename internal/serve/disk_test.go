@@ -115,3 +115,50 @@ func TestDiskCachePersistsAcrossRestarts(t *testing.T) {
 		t.Fatal("recomputed body differs from the original")
 	}
 }
+
+// TestDiskCacheKilledMidWrite: a daemon killed between creating a put's
+// temp file and renaming it leaves the temp file behind. The next
+// daemon on the directory must delete it at startup and still serve
+// the valid entry beside it byte-identically from disk; a torn entry
+// must still be recomputed.
+func TestDiskCacheKilledMidWrite(t *testing.T) {
+	dir := t.TempDir()
+	var execs atomic.Int64
+	swapExecutor(t, func(ctx context.Context, req *Request, sys *spec.System, key Key, specHash spec.Digest, progress func(states, depth int)) ([]byte, error) {
+		execs.Add(1)
+		return []byte(`{"verdict":"clean","fingerprint":"abcd-ef01"}` + "\n"), nil
+	})
+	req := `{"op":"verify","workload":"pq-solo","options":{"verify_drops":1}}`
+	half := filepath.Join(dir, "put-1234567.tmp")
+	restart := func(t *testing.T, wantCache string, wantExecs int64) []byte {
+		t.Helper()
+		if err := os.WriteFile(half, []byte(diskMagic+"half a digest"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+		if _, err := os.Stat(half); !os.IsNotExist(err) {
+			t.Fatalf("half-written temp file survived a restart: %v", err)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/query", req)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != wantCache || execs.Load() != wantExecs {
+			t.Fatalf("status %d, X-Cache %q, %d executions; want 200, %s, %d",
+				resp.StatusCode, resp.Header.Get("X-Cache"), execs.Load(), wantCache, wantExecs)
+		}
+		return body
+	}
+
+	fresh := restart(t, "miss", 1)
+	if got := restart(t, "hit", 1); !bytes.Equal(got, fresh) {
+		t.Fatalf("disk-served body differs:\nfresh: %s\ndisk:  %s", fresh, got)
+	}
+	ents, err := filepath.Glob(filepath.Join(dir, "*.res"))
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("cache dir entries = %v (%v), want exactly one", ents, err)
+	}
+	if err := os.Truncate(ents[0], 20); err != nil {
+		t.Fatal(err)
+	}
+	if got := restart(t, "miss", 2); !bytes.Equal(got, fresh) {
+		t.Fatal("recomputed body differs from the original")
+	}
+}

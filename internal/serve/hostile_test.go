@@ -190,7 +190,9 @@ func TestWordTransferBoundIsAnError(t *testing.T) {
 // the daemon. A force_width past the widest legal vector asked the
 // parity generator for a slice as wide as the bus, and a max_width
 // near 1<<62 panicked sizing the sweep's grid on a job worker; each
-// must be a 400. Either way the daemon must stay up.
+// must be a 400, as must a drop budget outside the checker's 16 bits
+// and a state bound above the daemon's limit. Either way the daemon
+// must stay up.
 func TestHostileOptions(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, c := range []struct {
@@ -204,6 +206,18 @@ func TestHostileOptions(t *testing.T) {
 			http.StatusBadRequest, "force_width 1073741824 is wider than 4096 bits"},
 		{`{"op":"sweep","workload":"pq","options":{"max_width":4611686018427387904}}`,
 			http.StatusBadRequest, "max_width 4611686018427387904 is wider than 4096 bits"},
+		// A drop budget past 16 bits used to wrap to the fault-free
+		// budget and report "clean", and that answer was cached.
+		{`{"op":"verify","workload":"pq","options":{"verify_drops":65536}}`,
+			http.StatusBadRequest, "verify_drops 65536 is outside 0 to 32767"},
+		{`{"op":"repair","workload":"pq-solo","options":{"verify_drops":-1}}`,
+			http.StatusBadRequest, "verify_drops -1 is outside 0 to 32767"},
+		// An unbounded state bound let one request exhaust the daemon's
+		// memory.
+		{`{"op":"verify","workload":"pq","options":{"verify_states":4611686018427387904}}`,
+			http.StatusBadRequest, "verify_states 4611686018427387904 is above the limit of 5000000"},
+		{`{"op":"synthesize","workload":"pq","options":{"verify":true,"verify_states":5000001}}`,
+			http.StatusBadRequest, "verify_states 5000001 is above the limit of 5000000"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/query", c.body)
 		if resp.StatusCode != c.status || !strings.Contains(string(body), c.want) {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -136,6 +137,12 @@ func (o Options) canonical() []byte {
 	return b
 }
 
+// maxVerifyStates is the largest state bound a request may ask for, so
+// that no one request can explore until the daemon runs out of memory.
+// Five million is the largest bound any recorded run uses (the drop-2
+// robust PQ space holds 4,108,347 states).
+const maxVerifyStates = 5_000_000
+
 // Request is one query: a spec (inline text or named workload) plus an
 // op and options.
 type Request struct {
@@ -171,6 +178,15 @@ func (r *Request) validate() error {
 		if w.v > spec.MaxVectorWidth {
 			return fmt.Errorf("%s %d is wider than %d bits", w.name, w.v, spec.MaxVectorWidth)
 		}
+	}
+	// The checker refuses a drop budget its states cannot hold, but only
+	// once a job runs; refusing it here keeps it out of every cache
+	// lookup, so no entry an older build stored for it can be served.
+	if o.VerifyDrops < 0 || o.VerifyDrops > math.MaxInt16 {
+		return fmt.Errorf("verify_drops %d is outside 0 to %d", o.VerifyDrops, math.MaxInt16)
+	}
+	if o.VerifyStates > maxVerifyStates {
+		return fmt.Errorf("verify_states %d is above the limit of %d", o.VerifyStates, maxVerifyStates)
 	}
 	return nil
 }

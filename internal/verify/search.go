@@ -159,7 +159,9 @@ type expandOut struct {
 }
 
 // hotIndexBytes is a hot state's share of the hot index beyond its
-// row: the hash, the node id and the map's slack.
+// row: an 8-byte slot in a table a quarter to half full, 16 to 32
+// bytes. The estimate keeps the low end: it fixes where layers seal,
+// and every recorded spill count depends on that.
 const hotIndexBytes = 16
 
 func newSearcher(m *machine) *searcher {
@@ -305,7 +307,7 @@ func (s *searcher) run() error {
 
 	for len(s.frontier) > 0 && s.incomplete == "" {
 		s.depth++
-		if s.m.cfg.MaxDepth > 0 && s.depth > int32(s.m.cfg.MaxDepth) {
+		if s.m.cfg.MaxDepth > 0 && int(s.depth) > s.m.cfg.MaxDepth {
 			s.incomplete = fmt.Sprintf("depth bound %d reached", s.m.cfg.MaxDepth)
 			break
 		}
@@ -464,22 +466,18 @@ func (s *searcher) emit(w *wctx, via step, st *state, row []byte, sleep uint32, 
 	return nil
 }
 
-// lookup finds the stored node whose state equals the probe row's. A
-// hot candidate with the same hash is confirmed by comparing rows
+// lookup finds the stored node whose state equals the probe row's. It
+// scans h's probe run in the hot table up to the first empty slot, and
+// confirms each slot whose tag matches h's against that node's row
 // (rowLayout.sameKey); the spill tier, when the Bloom filter lets the
 // probe through, compares the probe's key bytes with the record's.
 // The error is always nil without a spill tier; with one, it surfaces
 // torn or corrupt spill files.
 func (s *searcher) lookup(w *wctx, h uint64, probe []byte) (int32, bool, error) {
 	st := s.store
-	if j, ok := st.first(h); ok {
-		if st.lossy || s.lay.sameKey(w.in, probe, s.rows.at(int(j))) {
-			return j, true, nil
-		}
-		for _, k := range st.overflow[h] {
-			if s.lay.sameKey(w.in, probe, s.rows.at(int(k))) {
-				return k, true, nil
-			}
+	for i := h >> st.shift; st.slots[i] != 0; i = st.next(i) {
+		if e := st.slots[i]; e>>32 == h>>32 && s.confirm(w, h, probe, slotNode(e)) {
+			return slotNode(e), true, nil
 		}
 	}
 	// A hash living in the hot tier does not preclude a same-hash
@@ -489,6 +487,17 @@ func (s *searcher) lookup(w *wctx, h uint64, probe []byte) (int32, bool, error) 
 		return sp.lookup(h, w.key, st.lossy)
 	}
 	return 0, false, nil
+}
+
+// confirm reports whether hot node j holds the probe's state: its row
+// equals the probe row up to keyID, or, in lossy mode, its row hashes
+// to h — a match on the tag alone is never a hit.
+func (s *searcher) confirm(w *wctx, h uint64, probe []byte, j int32) bool {
+	row := s.rows.at(int(j))
+	if s.store.lossy {
+		return s.lay.hash(w.in, row) == h
+	}
+	return s.lay.sameKey(w.in, probe, row)
 }
 
 // merge folds one expansion into the store, in deterministic order.

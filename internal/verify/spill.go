@@ -36,9 +36,9 @@ import (
 // data file.
 
 const (
-	// spillShards splits the spill store by the hash's low bits. Fewer
-	// than the hot tier's 64: each shard costs file descriptors and an
-	// index mapping, and disk shards only need to bound merge sizes.
+	// spillShards splits the spill store by the hash's low bits. Each
+	// shard costs file descriptors and an index mapping, and disk shards
+	// only need to bound merge sizes.
 	spillShards = 16
 	// spillIdxEntry is one index entry: hash u64 | offset u64 | node u32.
 	spillIdxEntry = 20

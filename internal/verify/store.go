@@ -1,29 +1,28 @@
 package verify
 
-// storeShards is the shard count of the dedup store; a power of two so
-// shard selection is a mask of the hash's low bits.
-const storeShards = 64
-
 // store is the searcher's deduplicating state index, in the hash-
-// compaction lineage: it maps the 64-bit hash of each hot state's row
-// (rowLayout.hash) to its node index, across storeShards shard maps
-// keyed by the hash's low bits, and retains no key. Two distinct states
-// can share a hash, so a hash hit is a candidate, not an answer: the
-// searcher (searcher.lookup) confirms it against the candidate's row,
-// comparing value ids (an unset local as its initial value's) plus the
-// control bytes — exactly key equality, without building either key.
-// Unlike SPIN's probabilistic bitstate mode, a collision costs one row
-// comparison, never a soundness hole. The rare confirmed-distinct same-hash states
-// chain through the overflow map, allocated lazily on the first
-// confirmed collision.
+// compaction lineage: one open-addressing table mapping the 64-bit hash
+// of each hot state's row (rowLayout.hash) to its node index, retaining
+// no key. A slot is 8 bytes, the hash's high 32 bits (its tag) over
+// node+1, so 0 is empty. The table is a power of two long, a slot's
+// home is its hash's top bits (which the tag holds, so a doubling
+// re-homes every slot from the slot alone), probing is linear, and the
+// table doubles before it passes half load.
+//
+// A tag match is a candidate, not an answer: searcher.lookup confirms
+// it against the candidate's row, comparing value ids (an unset local
+// as its initial value's) plus the control bytes — exactly key
+// equality, without building either key. Unlike SPIN's bitstate mode,
+// a collision costs one row comparison, never a soundness hole; states
+// sharing a tag, or a whole hash, take successive slots.
 //
 // With a memory budget (Config.MemBudget) the store is tiered: the
-// shard maps index only the hot (resident) nodes, and sealed nodes
-// move to the spill tier — a hot miss falls through to it, where the
-// probe's key bytes are compared with the record's (spill.go). In
-// lossy mode (Config.Lossy) the confirm is skipped in both tiers and a
-// hash match is final, which trades a quantified omission probability
-// for never comparing states on a hit.
+// table indexes only the hot (resident) nodes, and sealed nodes move to
+// the spill tier — a hot miss falls through to it, where the probe's
+// key bytes are compared with the record's (spill.go). In lossy mode
+// (Config.Lossy) a full 64-bit hash match is final in both tiers (the
+// hot tier recomputes the candidate row's hash), which trades a
+// quantified omission probability for never comparing states.
 //
 // Concurrency contract: insert and removeHot only run in sequential
 // phases (merge, seal). During parallel expansion the store is frozen,
@@ -32,72 +31,86 @@ const storeShards = 64
 // inserted the state — but a hit is final, states are never removed
 // from the store, only moved between tiers).
 type store struct {
-	shards   [storeShards]map[uint64]int32
-	overflow map[uint64][]int32
-	lossy    bool
-	spill    *spillStore // nil when no memory budget is set
+	slots []uint64
+	// shift brings a hash's or a slot's top bits down to its home; with
+	// int32 node ids the table stays under 2^32 slots, so it is >= 32.
+	shift uint
+	n     int // occupied slots
+	lossy bool
+	spill *spillStore // nil when no memory budget is set
 }
+
+// storeMinBits sizes a new table: 1,024 slots, 8 KiB.
+const storeMinBits = 10
 
 func newStore() *store {
-	st := &store{}
-	for i := range st.shards {
-		st.shards[i] = make(map[uint64]int32)
-	}
-	return st
+	return &store{slots: make([]uint64, 1<<storeMinBits), shift: 64 - storeMinBits}
 }
 
-// first returns the first hot node stored under hash h; the rest of
-// its collision chain is overflow[h].
-func (st *store) first(h uint64) (int32, bool) {
-	j, ok := st.shards[h&(storeShards-1)][h]
-	return j, ok
-}
+// slotOf packs node j under hash h.
+func slotOf(h uint64, j int32) uint64 { return h>>32<<32 | uint64(uint32(j)+1) }
 
-// insert records node j as (another) state hashing to h. The caller has
-// already established via searcher.lookup that j's state is not
-// present.
+// slotNode is the node an occupied slot holds.
+func slotNode(e uint64) int32 { return int32(uint32(e) - 1) }
+
+// next is the slot after i, wrapping at the table's end.
+func (st *store) next(i uint64) uint64 { return (i + 1) & uint64(len(st.slots)-1) }
+
+// insert records node j under hash h. The caller has already
+// established via searcher.lookup that j's state is not present.
 func (st *store) insert(h uint64, j int32) {
-	sh := st.shards[h&(storeShards-1)]
-	if _, exists := sh[h]; exists {
-		if st.overflow == nil {
-			st.overflow = make(map[uint64][]int32)
-		}
-		st.overflow[h] = append(st.overflow[h], j)
-		return
+	if 2*(st.n+1) > len(st.slots) {
+		st.grow()
 	}
-	sh[h] = j
+	st.place(slotOf(h, j))
+	st.n++
 }
 
-// removeHot drops node j from the hot tier ahead of sealing it into
-// the spill tier, promoting the next overflow entry if j headed a
-// collision chain. Only called from the sequential seal phase; nodes
-// seal in insertion order, so j heads its chain whenever one exists.
-func (st *store) removeHot(h uint64, j int32) {
-	sh := st.shards[h&(storeShards-1)]
-	cur, ok := sh[h]
-	if !ok {
-		return
+// place puts e in the first empty slot from its home on.
+func (st *store) place(e uint64) {
+	i := e >> st.shift
+	for st.slots[i] != 0 {
+		i = st.next(i)
 	}
-	if cur == j {
-		if ov := st.overflow[h]; len(ov) > 0 {
-			sh[h] = ov[0]
-			if len(ov) == 1 {
-				delete(st.overflow, h)
-			} else {
-				st.overflow[h] = ov[1:]
-			}
-		} else {
-			delete(sh, h)
+	st.slots[i] = e
+}
+
+// grow doubles the table, re-homing every slot.
+func (st *store) grow() {
+	old := st.slots
+	st.slots = make([]uint64, 2*len(old))
+	st.shift--
+	for _, e := range old {
+		if e != 0 {
+			st.place(e)
 		}
-		return
 	}
-	for i, k := range st.overflow[h] {
-		if k == j {
-			st.overflow[h] = append(st.overflow[h][:i], st.overflow[h][i+1:]...)
-			if len(st.overflow[h]) == 0 {
-				delete(st.overflow, h)
-			}
+}
+
+// removeHot drops node j, stored under hash h, from the hot tier ahead
+// of sealing it into the spill tier. The hole it leaves is filled by
+// backward shifting: each later slot of the probe run whose home lies
+// at or before the hole moves into it, so every remaining slot stays
+// reachable from its home without tombstones. Only called from the
+// sequential seal phase.
+func (st *store) removeHot(h uint64, j int32) {
+	e := slotOf(h, j)
+	i := h >> st.shift
+	for st.slots[i] != e {
+		if st.slots[i] == 0 {
 			return
 		}
+		i = st.next(i)
 	}
+	mask := uint64(len(st.slots) - 1)
+	for k := st.next(i); st.slots[k] != 0; k = st.next(k) {
+		// Slot k may fill the hole at i when its probe distance from
+		// its home is at least the hole's distance behind k.
+		if (k-st.slots[k]>>st.shift)&mask >= (k-i)&mask {
+			st.slots[i] = st.slots[k]
+			i = k
+		}
+	}
+	st.slots[i] = 0
+	st.n--
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -40,7 +41,7 @@ func (s *searcher) probe(st *state) []byte {
 // TestStoreConfirmsOnCollision forces distinct states onto one hash
 // (inserting them under the same h, as a real 64-bit collision would)
 // and checks that lookup confirms on the rows — returning each state's
-// own node, chaining through the overflow list, and rejecting a
+// own node from successive slots of the probe run, and rejecting a
 // same-hash stranger instead of aliasing it to a stored state.
 func TestStoreConfirmsOnCollision(t *testing.T) {
 	s := newRowStore()
@@ -66,66 +67,132 @@ func TestStoreConfirmsOnCollision(t *testing.T) {
 	}
 }
 
-// TestStoreShardsByHash checks states land in the shard their hash's
-// low bits select, so the per-shard maps stay balanced and disjoint,
-// and that a row's hash does not depend on its table's ids.
-func TestStoreShardsByHash(t *testing.T) {
+// TestStoreMatchesReference drives the table through seeded inserts and
+// removals against a map[uint64][]int32 reference, checking every
+// lookup after each step. Node j holds the state intState(j) under a
+// hash drawn from a pool built to stress the table: whole 64-bit hashes
+// shared by several states, tags shared by hashes with different low
+// halves, and tags whose home is the table's last slots, so their probe
+// runs wrap to its start. Removals run both oldest first, as sealing
+// removes nodes, and at random. The table starts at 4 slots, so it
+// doubles at least nine times on the way.
+func TestStoreMatchesReference(t *testing.T) {
+	// A row's hash does not depend on its table's ids.
 	s, other := newRowStore(), newRowStore()
 	other.probe(intState(-1)) // shift the other table's ids
 	for i := int64(0); i < 200; i++ {
-		st := intState(i)
-		h := s.lay.hash(s.seq.in, s.probe(st))
-		if got := other.lay.hash(other.seq.in, other.probe(st)); got != h {
+		row := s.probe(intState(i))
+		if h, got := s.lay.hash(s.seq.in, row), other.lay.hash(other.seq.in, other.probe(intState(i))); got != h {
 			t.Fatalf("state %d: row hash %x in one table, %x in another", i, h, got)
 		}
-		s.put(h, st)
 	}
-	total := 0
-	occupied := 0
-	for i, sh := range s.store.shards {
-		for h := range sh {
-			if h&(storeShards-1) != uint64(i) {
-				t.Fatalf("hash %x stored in shard %d", h, i)
+
+	rng := rand.New(rand.NewSource(1))
+	var pool []uint64
+	for _, tag := range []uint64{0, 1, 0x7fffffff, 0xfffffffe, 0xffffffff} {
+		for k := 0; k < 3; k++ {
+			pool = append(pool, tag<<32|uint64(rng.Uint32()))
+		}
+	}
+	for k := 0; k < 20; k++ {
+		pool = append(pool, rng.Uint64())
+	}
+	hashOf := func() uint64 {
+		if rng.Intn(4) == 0 {
+			return rng.Uint64()
+		}
+		return pool[rng.Intn(len(pool))]
+	}
+
+	s = newRowStore()
+	s.store = &store{slots: make([]uint64, 4), shift: 62}
+	ref := make(map[uint64][]int32)
+	var hashes []uint64 // by node
+	var probes [][]byte // by node: its row
+	var live []int32    // in insertion order
+	stranger := s.probe(intState(-2))
+	check := func(step int) {
+		t.Helper()
+		n := 0
+		for h, js := range ref {
+			n += len(js)
+			for _, j := range js {
+				if got, ok, _ := s.lookup(s.seq, h, probes[j]); !ok || got != j {
+					t.Fatalf("step %d: node %d under %x: lookup = (%d, %v)", step, j, h, got, ok)
+				}
+			}
+			if got, ok, _ := s.lookup(s.seq, h, stranger); ok {
+				t.Fatalf("step %d: stranger under %x matched node %d", step, h, got)
 			}
 		}
-		total += len(sh)
-		if len(sh) > 0 {
-			occupied++
+		if s.store.n != n || 2*n > len(s.store.slots) || len(s.store.slots) != 1<<(64-s.store.shift) {
+			t.Fatalf("step %d: %d occupied of %d slots homed by shift %d, reference holds %d",
+				step, s.store.n, len(s.store.slots), s.store.shift, n)
 		}
 	}
-	if total != 200 {
-		t.Fatalf("stored %d hashes across shards, want 200 (overflow: %d)", total, len(s.store.overflow))
-	}
-	if occupied < storeShards/2 {
-		t.Fatalf("only %d/%d shards occupied — the row hash's low bits are not spreading", occupied, storeShards)
-	}
-	for i := int64(0); i < 200; i++ {
-		st := intState(i)
-		row := s.probe(st)
-		j, ok, _ := s.lookup(s.seq, s.lay.hash(s.seq.in, row), row)
-		if !ok || j != int32(i) {
-			t.Fatalf("state %d: lookup = (%d, %v)", i, j, ok)
+	remove := func(step, at int) {
+		j := live[at]
+		live = append(live[:at], live[at+1:]...)
+		h := hashes[j]
+		s.store.removeHot(h, j)
+		js := ref[h]
+		for i, k := range js {
+			if k == j {
+				js = append(js[:i], js[i+1:]...)
+				break
+			}
 		}
+		if len(js) == 0 {
+			delete(ref, h)
+		} else {
+			ref[h] = js
+		}
+		if got, ok, _ := s.lookup(s.seq, h, probes[j]); ok {
+			t.Fatalf("step %d: removed node %d still found as %d", step, j, got)
+		}
+	}
+	for step := 0; step < 1800; step++ {
+		// Eight in ten steps insert while the table fills, three in ten
+		// once it drains.
+		inserts := 8
+		if step >= 1000 {
+			inserts = 3
+		}
+		switch r := rng.Intn(10); {
+		case r < inserts || len(live) == 0:
+			h := hashOf()
+			j := s.put(h, intState(int64(len(hashes))))
+			hashes = append(hashes, h)
+			probes = append(probes, s.probe(intState(int64(j))))
+			live = append(live, j)
+			ref[h] = append(ref[h], j)
+		case r%2 == 0:
+			remove(step, 0)
+		default:
+			remove(step, rng.Intn(len(live)))
+		}
+		check(step)
+	}
+	if len(s.store.slots) < 4<<9 {
+		t.Fatalf("table reached %d slots; the run was meant to double it at least nine times", len(s.store.slots))
 	}
 }
 
-// TestOverflowLazyAllocation pins the satellite fix: the overflow map
-// exists only after a real 64-bit hash collision, so the common
-// collision-free run carries no empty map.
-func TestOverflowLazyAllocation(t *testing.T) {
-	st := newStore()
-	if st.overflow != nil {
-		t.Fatal("overflow map allocated before any insert")
+// TestStoreLossyConfirmsFullHash: in lossy mode a hash match is final,
+// even for another state, but a slot whose tag matches a probe hash
+// whose low half differs is not a hit: the candidate's row hash is
+// recomputed and compared whole.
+func TestStoreLossyConfirmsFullHash(t *testing.T) {
+	s := newRowStore()
+	s.store.lossy = true
+	row := s.probe(intState(5))
+	h := s.lay.hash(s.seq.in, row)
+	j := s.put(h, intState(5))
+	if got, ok, _ := s.lookup(s.seq, h, s.probe(intState(6))); !ok || got != j {
+		t.Fatalf("lossy lookup on the full hash = (%d, %v), want (%d, true)", got, ok, j)
 	}
-	for i := uint64(0); i < 100; i++ {
-		st.insert(bloomMix(i), int32(i))
-	}
-	if st.overflow != nil {
-		t.Fatalf("overflow map allocated without a collision (%d entries)", len(st.overflow))
-	}
-	st.insert(bloomMix(0), 100)
-	if len(st.overflow) != 1 {
-		t.Fatalf("collision did not populate overflow: %d entries", len(st.overflow))
+	if got, ok, _ := s.lookup(s.seq, h^1, row); ok {
+		t.Fatalf("lossy lookup matched node %d on its tag alone", got)
 	}
 }
 

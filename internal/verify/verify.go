@@ -50,7 +50,8 @@ type Config struct {
 	Workers int
 	// MaxDrops is the wire-fault budget: along any one path, at most
 	// this many tracked bus-line transitions may be dropped. 0 checks
-	// the fault-free system only.
+	// the fault-free system only; CheckCtx refuses a budget outside 0
+	// to math.MaxInt16.
 	MaxDrops int
 	// DropFields names the record fields whose transitions may be
 	// dropped; empty means START and DONE.
@@ -241,6 +242,11 @@ func Check(sys *spec.System, cfg Config) (*Report, error) {
 // up". Cancellation reaches mid-layer via par.ForCtx, so even one huge
 // BFS layer aborts promptly.
 func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error) {
+	// A state holds its remaining drop budget in 16 bits; a budget past
+	// them would silently check another one.
+	if cfg.MaxDrops < 0 || cfg.MaxDrops > math.MaxInt16 {
+		return nil, fmt.Errorf("verify: drop budget %d is outside 0 to %d", cfg.MaxDrops, math.MaxInt16)
+	}
 	cfg = withDefaults(cfg)
 	start := time.Now()
 	eng, err := sim.NewEngine(sys)

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -109,6 +110,33 @@ func TestFaultFreeHalfHandshakeClean(t *testing.T) {
 	rep := mustCheck(t, sys, Config{})
 	if !rep.Clean() {
 		t.Fatalf("half handshake single-writer not clean:\n%s", rep.Format())
+	}
+}
+
+// TestBoundsOutOfRange: a drop budget outside 0 to math.MaxInt16 used
+// to wrap in the state's 16-bit budget, so 65536 checked the fault-free
+// space and reported it clean; it must be refused. A depth bound past
+// 32 bits used to wrap too, stopping the search at depth 1.
+func TestBoundsOutOfRange(t *testing.T) {
+	sys, bus := singleWriteSystem()
+	if _, err := protogen.Generate(sys, bus, protogen.Config{Protocol: spec.FullHandshake}); err != nil {
+		t.Fatal(err)
+	}
+	for _, drops := range []int{-1, math.MaxInt16 + 1, 65536} {
+		if rep, err := Check(sys, Config{MaxDrops: drops}); err == nil || !strings.Contains(err.Error(), "drop budget") {
+			t.Fatalf("MaxDrops %d: err = %v, report %v; want a refusal", drops, err, rep != nil)
+		}
+	}
+	one := mustCheck(t, sys, Config{MaxDrops: 1})
+	most := mustCheck(t, sys, Config{MaxDrops: math.MaxInt16})
+	if hasKind(most, Deadlock) == nil || most.Incomplete || most.States != one.States {
+		t.Fatalf("MaxDrops %d: %d states, incomplete %v, deadlock %v; drop budget 1 reads %d states with a deadlock",
+			math.MaxInt16, most.States, most.Incomplete, hasKind(most, Deadlock) != nil, one.States)
+	}
+	free := mustCheck(t, sys, Config{})
+	deep := mustCheck(t, sys, Config{MaxDepth: 1 << 32})
+	if deep.Incomplete || deep.States != free.States {
+		t.Fatalf("MaxDepth 2^32: %d states, incomplete %q; unbounded reads %d states", deep.States, deep.IncompleteReason, free.States)
 	}
 }
 
