@@ -220,39 +220,6 @@ func (x Vector) AppendBytes(dst []byte) []byte {
 	return dst
 }
 
-// FromBytes rebuilds a vector of the given width from its AppendBytes
-// rendering: exactly ceil(width/8) little-endian bytes. It is the
-// decode half of the spill-store record codec — FromBytes(AppendBytes
-// nil, w) must Equal the original for every vector. Small values route
-// through FromUint so decoded vectors hit the interning table like
-// freshly constructed ones.
-func FromBytes(b []byte, width int) (Vector, error) {
-	n := (width + 7) / 8
-	if len(b) != n {
-		return Vector{}, fmt.Errorf("bits: FromBytes got %d bytes for width %d (want %d)", len(b), width, n)
-	}
-	if width <= 64 {
-		var v uint64
-		for i := n - 1; i >= 0; i-- {
-			v = v<<8 | uint64(b[i])
-		}
-		if v&^maskLow(width) != 0 {
-			return Vector{}, fmt.Errorf("bits: FromBytes width-%d encoding has bits above the width", width)
-		}
-		return FromUint(v, width), nil
-	}
-	x := New(width)
-	for i, c := range b {
-		x.words[i/8] |= uint64(c) << (8 * (i % 8))
-	}
-	before := x.words[len(x.words)-1]
-	x.mask()
-	if x.words[len(x.words)-1] != before {
-		return Vector{}, fmt.Errorf("bits: FromBytes width-%d encoding has bits above the width", width)
-	}
-	return x, nil
-}
-
 // Uint64 returns the value of the low 64 bits of x, zero-extended.
 func (x Vector) Uint64() uint64 {
 	if len(x.words) == 0 {

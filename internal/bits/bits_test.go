@@ -432,45 +432,6 @@ func TestQuickShiftsMatchUint64(t *testing.T) {
 	}
 }
 
-// TestFromBytesRoundTrip: FromBytes must invert AppendBytes at every
-// width (the spill-store codec depends on it) and reject renderings
-// with bits set above the width or the wrong byte count.
-func TestFromBytesRoundTrip(t *testing.T) {
-	for _, w := range []int{1, 5, 8, 9, 16, 33, 63, 64, 65, 70, 100, 128, 129} {
-		x := New(w)
-		for i := 0; i < w; i += 3 {
-			x = x.SetBit(i, true)
-		}
-		got, err := FromBytes(x.AppendBytes(nil), w)
-		if err != nil {
-			t.Fatalf("width %d: %v", w, err)
-		}
-		if !got.Equal(x) || got.Width() != w {
-			t.Fatalf("width %d: round-trip %s != %s", w, got, x)
-		}
-	}
-	f := func(v uint64, widthSeed uint8) bool {
-		w := int(widthSeed)%64 + 1
-		x := FromUint(v, w)
-		got, err := FromBytes(x.AppendBytes(nil), w)
-		return err == nil && got.Equal(x)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromBytes([]byte{1, 2}, 8); err == nil {
-		t.Fatal("wrong byte count accepted")
-	}
-	// Width 12 leaves the top 4 bits of the second byte dead; a set
-	// dead bit is a corrupt encoding, not a value.
-	if _, err := FromBytes([]byte{0xff, 0xf0}, 12); err == nil {
-		t.Fatal("bits above the width accepted (narrow path)")
-	}
-	if _, err := FromBytes(append(make([]byte, 8), 0xf0), 68); err == nil {
-		t.Fatal("bits above the width accepted (wide path)")
-	}
-}
-
 // opCases applies each word-level operation to operands of width w (at
 // least 4) seeded from v.
 func opCases(w int, v uint64) []struct {

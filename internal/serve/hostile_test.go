@@ -218,6 +218,14 @@ func TestHostileOptions(t *testing.T) {
 			http.StatusBadRequest, "verify_states 4611686018427387904 is above the limit of 5000000"},
 		{`{"op":"synthesize","workload":"pq","options":{"verify":true,"verify_states":5000001}}`,
 			http.StatusBadRequest, "verify_states 5000001 is above the limit of 5000000"},
+		// Negative bounds read as the default and as unbounded, and each
+		// keyed, ran and cached the same verdict apart.
+		{`{"op":"verify","workload":"pq-solo","options":{"verify_states":-1}}`,
+			http.StatusBadRequest, "verify_states -1 is negative"},
+		{`{"op":"verify","workload":"pq-solo","options":{"verify_depth":-5}}`,
+			http.StatusBadRequest, "verify_depth -5 is negative"},
+		{`{"op":"synthesize","workload":"pq","options":{"verify":true,"verify_depth":-9223372036854775808}}`,
+			http.StatusBadRequest, "verify_depth -9223372036854775808 is negative"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/query", c.body)
 		if resp.StatusCode != c.status || !strings.Contains(string(body), c.want) {

@@ -188,6 +188,17 @@ func (r *Request) validate() error {
 	if o.VerifyStates > maxVerifyStates {
 		return fmt.Errorf("verify_states %d is above the limit of %d", o.VerifyStates, maxVerifyStates)
 	}
+	// The checker reads a negative state bound as its default and a
+	// negative depth as unbounded, but each value keys apart, so each
+	// would compute and cache the same verdict again.
+	for _, b := range []struct {
+		name string
+		v    int
+	}{{"verify_states", o.VerifyStates}, {"verify_depth", o.VerifyDepth}} {
+		if b.v < 0 {
+			return fmt.Errorf("%s %d is negative", b.name, b.v)
+		}
+	}
 	return nil
 }
 

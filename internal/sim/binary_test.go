@@ -15,9 +15,7 @@ func vec(width int, val uint64) VecVal {
 // TestAppendBinaryMatchesEqual pins the codec contract: for values of
 // one specification type, AppendBinary renderings are equal exactly
 // when the values are Equal — array elements past index 8, which
-// String summarizes as "... N elems", included — and DecodeBinary
-// gives back an Equal value from every rendering and an error from
-// every proper prefix of one.
+// String summarizes as "... N elems", included.
 func TestAppendBinaryMatchesEqual(t *testing.T) {
 	bigArr := func(tweak int, delta uint64) ArrayVal {
 		elems := make([]Value, 12)
@@ -48,15 +46,6 @@ func TestAppendBinaryMatchesEqual(t *testing.T) {
 	for gi, g := range groups {
 		for _, a := range g {
 			enc := AppendBinary(nil, a)
-			dec, rest, err := DecodeBinary(enc)
-			if err != nil || len(rest) != 0 || !dec.Equal(a) {
-				t.Fatalf("group %d: %s decoded to (%v, %d bytes left, %v)", gi, a, dec, len(rest), err)
-			}
-			for n := range enc {
-				if _, _, err := DecodeBinary(enc[:n]); err == nil {
-					t.Fatalf("group %d: %s: the %d-byte prefix of its %d-byte rendering decoded", gi, a, n, len(enc))
-				}
-			}
 			for _, b := range g {
 				if eq, bEq := a.Equal(b), bytes.Equal(enc, AppendBinary(nil, b)); eq != bEq {
 					t.Errorf("group %d (%s vs %s): Equal=%v, binary equal=%v", gi, a, b, eq, bEq)

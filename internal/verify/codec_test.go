@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -11,13 +10,13 @@ import (
 	"repro/internal/spec"
 )
 
-// The state codec's obligation: two states get equal keys exactly when
-// their slots are Equal, an unset local counted as its initial value,
-// and their control and tail bytes are equal — and the hot tier's rows
-// compare and hash by the same relation. sameState is that relation,
-// written against sim.Value.Equal; these tests hold the codec and the
-// rows to it over crafted array-tail states and fuzz-generated state
-// pairs.
+// The row's obligation: two states' rows compare equal
+// (rowLayout.sameKey) exactly when their slots are Equal, an unset
+// local counted as its initial value, and their control and tail bytes
+// are equal, and equal states' rows hash alike in any value table.
+// sameState is that relation, written against sim.Value.Equal; these
+// tests hold the rows to it over crafted array-tail states and
+// fuzz-generated state pairs, in both tiers of the store.
 
 // sameState is the reference equality of two states of one machine.
 func sameState(a, b *state) bool {
@@ -39,6 +38,15 @@ func sameState(a, b *state) bool {
 	return string(lastWBytes(a)) == string(lastWBytes(b)) && a.budget == b.budget
 }
 
+// keyLocal is process p's local i as sameState compares it: a local
+// that was never written counts as its initial value.
+func (st *state) keyLocal(p, i int) sim.Value {
+	if v := st.l[p][i]; v != nil {
+		return v
+	}
+	return st.lay.init[p][i]
+}
+
 func lastWBytes(st *state) []byte {
 	b := make([]byte, len(st.lastW))
 	for i, w := range st.lastW {
@@ -47,22 +55,9 @@ func lastWBytes(st *state) []byte {
 	return b
 }
 
-// storedStates materializes every state a finished search stored.
-func storedStates(t testing.TB, sr *searcher) []*state {
-	t.Helper()
-	states := make([]*state, sr.count())
-	for i := range states {
-		states[i] = sr.m.newState()
-		if err := sr.loadState(sr.seq.in, int32(i), states[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return states
-}
-
 // TestCodecKeepsArrayTails: two PQ states that differ only in
 // comp2.MEM(60), an element past the nine String renders, are two
-// states. Their keys differ, and the store keeps both: neither finds
+// states. Their rows differ, and the store keeps both: neither finds
 // the other, by its own hash or when forced onto the other's.
 func TestCodecKeepsArrayTails(t *testing.T) {
 	sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
@@ -84,11 +79,11 @@ func TestCodecKeepsArrayTails(t *testing.T) {
 	elems[60] = sim.VecVal{V: bits.FromUint(9, 16)}
 	b.setG(slot, sim.ArrayVal{Lo: mem.Lo, Elems: elems})
 
-	if bytes.Equal(a.encodeInto(nil), b.encodeInto(nil)) {
-		t.Fatal("states differing only in MEM(60) have equal keys")
-	}
 	s := newSearcher(m)
 	rowA, rowB := s.probe(a), s.probe(b)
+	if s.lay.sameKey(s.seq.in, rowA, rowB) {
+		t.Fatal("states differing only in MEM(60) have equal rows")
+	}
 	hA, hB := s.lay.hash(s.seq.in, rowA), s.lay.hash(s.seq.in, rowB)
 	ja := s.put(hA, a)
 	if j, ok, _ := s.lookup(s.seq, hB, rowB); ok {
@@ -317,10 +312,10 @@ func genPair(g *gsrc) (a, b *state) {
 }
 
 // FuzzStateCodec generates a typed layout plus two states over it from
-// the input bytes (genPair) and holds the key and the rows to the
-// reference: keys equal iff sameState, and rows interned into one table
-// compare equal iff sameState, and then hash alike — in that table and
-// in a fresh one, where the values get other ids.
+// the input bytes (genPair) and holds the rows to the reference: rows
+// interned into one table compare equal iff sameState, and then hash
+// alike — in that table and in a fresh one, where the values get other
+// ids.
 func FuzzStateCodec(f *testing.F) {
 	f.Add([]byte{})
 	// One 12-element vec(8) array global holding 0..11 and one process
@@ -336,9 +331,6 @@ func FuzzStateCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := genPair(&gsrc{data: data})
 		want := sameState(a, b)
-		if got := bytes.Equal(a.encodeInto(nil), b.encodeInto(nil)); got != want {
-			t.Fatalf("keys equal=%v, states equal=%v\na: %x\nb: %x", got, want, a.encodeInto(nil), b.encodeInto(nil))
-		}
 		lay := a.lay
 		in := newInterner(newValueTable())
 		rowA, rowB := make([]byte, lay.size), make([]byte, lay.size)
@@ -346,9 +338,6 @@ func FuzzStateCodec(f *testing.F) {
 		lay.rowOf(in, rowA, a)
 		if got := lay.sameKey(in, rowA, rowB); got != want {
 			t.Fatalf("rows equal=%v, states equal=%v", got, want)
-		}
-		if !bytes.Equal(lay.appendKey(in, nil, rowA), a.encodeInto(nil)) {
-			t.Fatal("row key differs from the state's")
 		}
 		fresh := newInterner(newValueTable())
 		rowF := make([]byte, lay.size)

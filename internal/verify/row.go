@@ -13,14 +13,13 @@ import (
 //	ids      one uint32 value id (values.go) per global slot, then per
 //	         process per local slot
 //	control  per process pc uint32 · flags byte (bit0 blocked, bit1
-//	         fin) · rem uint64, the state key's process header
-//	tail     lastW, one byte per tracked bus field · budget uint16,
-//	         the state key's trailer
+//	         fin) · rem uint64
+//	tail     lastW, one byte per tracked bus field · budget uint16
 //
-// all little-endian, so the control and tail bytes are copied into the
-// key as they are. Rows live in chunked slabs the collector never
-// scans, and a node finds its row by its index. Verify-deep's proof
-// (38 value slots, 4 processes, 4 tracked fields) stores 210 bytes per
+// all little-endian. Rows live in chunked slabs the collector never
+// scans, and a node finds its row by its index; a sealed node's row
+// moves to the spill tier as it is (spill.go). Verify-deep's proof (38
+// value slots, 4 processes, 4 tracked fields) stores 210 bytes per
 // state.
 
 // rowLayout is the machine's row geometry.
@@ -124,30 +123,6 @@ func (lay *rowLayout) build(in *interner, dst, base []byte, st *state) {
 	lay.putControl(dst, st)
 }
 
-// appendKey appends row's state key: the bytes encodeInto gives for the
-// state the row holds.
-func (lay *rowLayout) appendKey(in *interner, dst, row []byte) []byte {
-	nG := lay.nIDs
-	if len(lay.lbase) > 0 {
-		nG = lay.lbase[0]
-	}
-	for i := 0; i < nG; i++ {
-		dst = append(dst, in.entry(rowID(row, i)).key...)
-	}
-	for p, base := range lay.lbase {
-		end := lay.nIDs
-		if p+1 < len(lay.lbase) {
-			end = lay.lbase[p+1]
-		}
-		c := lay.ctl + procCtl*p
-		dst = append(dst, row[c:c+procCtl]...)
-		for i := base; i < end; i++ {
-			dst = append(dst, in.entry(rowID(row, i)).key...)
-		}
-	}
-	return append(dst, row[lay.tail:lay.size]...)
-}
-
 // hash is the row's state hash: each value slot's entry hash, then the
 // control and tail bytes a word at a time, mixed in row order. Entry
 // hashes depend only on the values, so two rows that hold equal states
@@ -190,8 +165,8 @@ func (lay *rowLayout) sameKey(in *interner, a, b []byte) bool {
 }
 
 // rowOf interns every slot of st into dst: the row of a state that has
-// no base row (the initial state, a state decoded from a spill record).
-// A nil local is unset: it keys as the local's initial value.
+// no base row, the initial state. A nil local is unset: it keys as the
+// local's initial value.
 func (lay *rowLayout) rowOf(in *interner, dst []byte, st *state) {
 	for i := range st.g {
 		putRowID(dst, i, in.intern(st.g[i]))

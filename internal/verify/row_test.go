@@ -1,7 +1,7 @@
 package verify
 
 import (
-	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -42,38 +42,77 @@ func replayStored(t *testing.T, sr *searcher) []*state {
 }
 
 // TestRowsMatchStates: a stored row holds exactly the state it was
-// built from. For every state of a bounded robust drop-1 search, the
-// materialized row keys as the state replayed along its BFS path, the
-// stored row hashes as that state's row interned into a fresh table
-// (whose ids differ) does, and every enabled process steps from both to
-// the same successor key.
+// built from, in either tier. A robust drop-1 search of 20,000 states
+// runs in RAM and under a 4 KiB budget that seals all but its newest
+// layers. For every stored node, the state loadState materializes (from
+// its hot row, or from its spill record once sealed) is the state
+// replayed along the node's BFS path: the same state (sameState) with
+// the same locals unset, stepping to the same successor, or failing with
+// the same error, on every enabled process. The node's row hashes as the
+// replayed state's row interned into a fresh table, whose ids differ. A
+// store into a never-written local fails (sim.Frame.writable), so a
+// sealed state must keep its unset locals unset.
 func TestRowsMatchStates(t *testing.T) {
-	sys, ref := refinePQ(t, robustCfg(false))
-	m := newTestMachine(t, sys, Config{MaxDrops: 1, MaxStates: 20_000, AbortVars: ref.AbortKeys()})
+	for _, budget := range []int64{0, 4096} {
+		name := "ram"
+		if budget > 0 {
+			name = "spill"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys, ref := refinePQ(t, robustCfg(false))
+			m := newTestMachine(t, sys, Config{MaxDrops: 1, MaxStates: 20_000, AbortVars: ref.AbortKeys()})
+			checkStoredRows(t, runStored(t, m, budget))
+		})
+	}
+}
+
+// runStored runs m's search to its end, under a spill store and a
+// budget of budget bytes when budget > 0, and fails if that budget
+// sealed nothing.
+func runStored(t *testing.T, m *machine, budget int64) *searcher {
+	t.Helper()
+	m.cfg.MemBudget = budget
 	sr := newSearcher(m)
+	if budget > 0 {
+		sr.store.spill = newTestSpill(t, m.lay.size)
+	}
 	if err := sr.run(); err != nil {
 		t.Fatal(err)
 	}
-	want := replayStored(t, sr)
+	t.Logf("%d states, %d sealed", sr.count(), sr.sealed)
+	if budget > 0 && sr.sealed == 0 {
+		t.Fatalf("budget %d sealed nothing", budget)
+	}
+	return sr
+}
+
+// checkStoredRows holds every node of a finished search to the state
+// replayed along its path (TestRowsMatchStates) and returns the
+// replayed states, indexed by node.
+func checkStoredRows(t *testing.T, sr *searcher) []*state {
+	t.Helper()
+	m := sr.m
 	ec := m.newExecCtx()
 	fresh := newInterner(newValueTable())
 	freshRow := make([]byte, sr.lay.size)
-	row, a, b := m.newState(), m.newState(), m.newState()
+	rec := make([]byte, sr.lay.size+recSum)
+	got, a, b := m.newState(), m.newState(), m.newState()
 	steps := 0
-	for j, st := range want {
-		if err := sr.loadState(sr.seq.in, int32(j), row); err != nil {
+	states := replayStored(t, sr)
+	for j, st := range states {
+		if err := sr.loadState(sr.seq, int32(j), got); err != nil {
 			t.Fatal(err)
 		}
-		key := st.encodeInto(nil)
-		if got := row.encodeInto(nil); !bytes.Equal(got, key) {
-			t.Fatalf("node %d: row keys as\n%x\nwant\n%x", j, got, key)
+		if same, unset := sameState(got, st), sameUnset(got, st); !same || !unset {
+			t.Fatalf("node %d (sealed %v) loaded as another state: same state %v, same unset locals %v",
+				j, int32(j) < sr.sealed, same, unset)
 		}
-		stored := sr.rows.at(j)
-		if got := sr.lay.appendKey(sr.seq.in, nil, stored); !bytes.Equal(got, key) {
-			t.Fatalf("node %d: appendKey differs from encodeInto", j)
+		row, err := sr.row(int32(j), rec)
+		if err != nil {
+			t.Fatal(err)
 		}
 		sr.lay.rowOf(fresh, freshRow, st)
-		if got, want := sr.lay.hash(sr.seq.in, stored), sr.lay.hash(fresh, freshRow); got != want {
+		if got, want := sr.lay.hash(sr.seq.in, row), sr.lay.hash(fresh, freshRow); got != want {
 			t.Fatalf("node %d: stored row hash %x, the state's row in a fresh table %x", j, got, want)
 		}
 		mask, err := m.enabledMask(ec, st)
@@ -85,17 +124,30 @@ func TestRowsMatchStates(t *testing.T) {
 				continue
 			}
 			steps++
-			wantKey, wantErr := stepKey(m, ec, st, a, p)
-			gotKey, gotErr := stepKey(m, ec, row, b, p)
-			if gotErr != wantErr || !bytes.Equal(gotKey, wantKey) {
-				t.Fatalf("node %d, process %s: row stepped to (%x, %q), state to (%x, %q)",
-					j, m.progs[p].beh.Name, gotKey, gotErr, wantKey, wantErr)
+			_, wantErr := m.exec(ec, st, a, p)
+			_, gotErr := m.exec(ec, got, b, p)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || wantErr == nil && !(sameState(a, b) && sameUnset(a, b)) {
+				t.Fatalf("node %d, process %s: loaded state stepped to (%s, %v), replayed to (%s, %v)",
+					j, m.progs[p].beh.Name, m.describeState(b), gotErr, m.describeState(a), wantErr)
 			}
 		}
 	}
 	if steps == 0 {
 		t.Fatal("no enabled process stepped")
 	}
+	return states
+}
+
+// sameUnset reports whether a and b leave the same locals unset (nil).
+func sameUnset(a, b *state) bool {
+	for p := range a.l {
+		for i := range a.l[p] {
+			if (a.l[p][i] == nil) != (b.l[p][i] == nil) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestRowInvariance: the robust drop-1 scenario at a 100,000-state

@@ -17,7 +17,8 @@ type step struct {
 }
 
 // node is one stored state's search bookkeeping; its state is row i of
-// the searcher's row slab while hot, a spill record once sealed.
+// the searcher's row slab while hot, and the same row in the spill tier
+// once sealed.
 // parent/via record the first (hence shortest, BFS) path for
 // counterexamples. A node holds no pointers.
 type node struct {
@@ -101,7 +102,6 @@ type searcher struct {
 	layerEnds   []int32
 	sealed      int32
 	sealedLayer int
-	sealBuf     []byte
 	// Reachable-set fingerprint: order-independent (xor + sum of mixed
 	// state hashes), so it is identical at any worker count and any
 	// memory budget — the invariant the persistent verify cache leans on.
@@ -124,10 +124,11 @@ type wctx struct {
 	in *interner
 	// cur is the node being expanded, norm a process's normal successor
 	// and alt a drop variant of norm or the quiescent tick; nrow and arow
-	// hold norm's and alt's rows, and prow a sealed parent's.
+	// hold norm's and alt's rows. prow holds a sealed parent's spill
+	// record, and crow a sealed candidate's.
 	cur, norm, alt   *state
 	prow, nrow, arow []byte
-	key              []byte // a probe's key, for the spill tier
+	crow             []byte
 	succs            []succOut
 	rows             []byte
 }
@@ -193,9 +194,10 @@ func (s *searcher) newWorker() *wctx {
 		cur:  s.m.newState(),
 		norm: s.m.newState(),
 		alt:  s.m.newState(),
-		prow: make([]byte, s.lay.size),
+		prow: make([]byte, s.lay.size+recSum),
 		nrow: make([]byte, s.lay.size),
 		arow: make([]byte, s.lay.size),
+		crow: make([]byte, s.lay.size+recSum),
 	}
 }
 
@@ -219,16 +221,26 @@ func (s *searcher) putWorker(w *wctx) {
 	s.mu.Unlock()
 }
 
-// loadState materializes node j into st: from its row while hot, from
-// its spill record once sealed. Safe for concurrent use during
-// expansion (st and in belong to the caller): rows and sealed records
-// are immutable then, and the spill read path is lock-free.
-func (s *searcher) loadState(in *interner, j int32, st *state) error {
+// row returns node j's row: its hot row, or once sealed its spill
+// record read into rec, a record buffer of the caller's. Safe for
+// concurrent use during expansion: rows and sealed records are
+// immutable then, and the spill read path is lock-free.
+func (s *searcher) row(j int32, rec []byte) ([]byte, error) {
 	if j >= s.sealed {
-		s.lay.materialize(in, s.rows.at(int(j)), st)
-		return nil
+		return s.rows.at(int(j)), nil
 	}
-	return s.store.spill.readState(s.m, j, st)
+	return s.store.spill.read(j, rec)
+}
+
+// loadState materializes node j into st through w's interner and
+// parent record buffer.
+func (s *searcher) loadState(w *wctx, j int32, st *state) error {
+	row, err := s.row(j, w.prow)
+	if err != nil {
+		return err
+	}
+	s.lay.materialize(w.in, row, st)
+	return nil
 }
 
 // maybeSpill seals whole BFS layers, oldest first, whenever hot states
@@ -245,7 +257,7 @@ func (s *searcher) maybeSpill() error {
 	for s.sealedLayer < len(s.layerEnds)-1 && s.hotBytes > target {
 		end := s.layerEnds[s.sealedLayer]
 		for idx := s.sealed; idx < end; idx++ {
-			if err := s.sealNode(idx, s.sealedLayer); err != nil {
+			if err := s.sealNode(idx); err != nil {
 				return err
 			}
 		}
@@ -260,17 +272,14 @@ func (s *searcher) maybeSpill() error {
 	return nil
 }
 
-// sealNode moves one node's state to the spill tier: write its key
-// from the row (the bytes encodeInto gives), append the record and drop
-// the hot index entry. The node keeps all its search bookkeeping — only
-// the state bytes leave RAM.
-func (s *searcher) sealNode(idx int32, layer int) error {
+// sealNode moves one node's row to the spill tier and drops its hot
+// index entry. The node keeps all its search bookkeeping — only the
+// row leaves RAM.
+func (s *searcher) sealNode(idx int32) error {
 	row := s.rows.at(int(idx))
-	in := s.seq.in
-	s.sealBuf = s.lay.appendKey(in, s.sealBuf[:0], row)
-	h := s.lay.hash(in, row)
+	h := s.lay.hash(s.seq.in, row)
 	s.store.removeHot(h, idx)
-	if err := s.store.spill.add(h, idx, layer, s.sealBuf); err != nil {
+	if err := s.store.spill.add(h, idx, row); err != nil {
 		return err
 	}
 	s.hotBytes -= s.stateEst
@@ -365,19 +374,14 @@ func (s *searcher) expand(w *wctx, idx int32) (out expandOut) {
 	m, lay := s.m, s.lay
 	out = expandOut{maskUsed: n.pendingMask, tickUsed: n.needsTick, w: w, lo: int32(len(w.succs))}
 	defer func() { out.hi = int32(len(w.succs)) }()
-	// A sealed node re-opened by fold is decoded from its spill record
-	// and interned into a row of its own; a hot node expands from its
-	// stored row.
-	prow := w.prow
-	if idx >= s.sealed {
-		prow = s.rows.at(int(idx))
-		lay.materialize(w.in, prow, w.cur)
-	} else if err := s.loadState(w.in, idx, w.cur); err != nil {
+	// A sealed node re-opened by fold expands from its spill record's
+	// row exactly as a hot node does from its stored row.
+	prow, err := s.row(idx, w.prow)
+	if err != nil {
 		out.err = err
 		return out
-	} else {
-		lay.rowOf(w.in, prow, w.cur)
 	}
+	lay.materialize(w.in, prow, w.cur)
 	cur := w.cur
 	// disallowed = the node's effective sleep set relative to enabled.
 	disallowed := n.enabled &^ (n.pendingMask | n.explored)
@@ -470,7 +474,7 @@ func (s *searcher) emit(w *wctx, via step, st *state, row []byte, sleep uint32, 
 // scans h's probe run in the hot table up to the first empty slot, and
 // confirms each slot whose tag matches h's against that node's row
 // (rowLayout.sameKey); the spill tier, when the Bloom filter lets the
-// probe through, compares the probe's key bytes with the record's.
+// probe through, confirms its candidates' rows the same way.
 // The error is always nil without a spill tier; with one, it surfaces
 // torn or corrupt spill files.
 func (s *searcher) lookup(w *wctx, h uint64, probe []byte) (int32, bool, error) {
@@ -482,9 +486,8 @@ func (s *searcher) lookup(w *wctx, h uint64, probe []byte) (int32, bool, error) 
 	}
 	// A hash living in the hot tier does not preclude a same-hash
 	// sealed state: the tiers split by node age, not by hash.
-	if sp := st.spill; sp != nil && sp.mayHold(h) {
-		w.key = s.lay.appendKey(w.in, w.key[:0], probe)
-		return sp.lookup(h, w.key, st.lossy)
+	if sp := st.spill; sp != nil {
+		return sp.lookup(s.lay, w.in, h, probe, w.crow, st.lossy)
 	}
 	return 0, false, nil
 }
@@ -753,7 +756,7 @@ func (s *searcher) checkLiveness() error {
 				}
 				loop = append(loop, s.edges[ei])
 				st := s.seq.cur
-				if err := s.loadState(s.seq.in, to, st); err != nil {
+				if err := s.loadState(s.seq, to, st); err != nil {
 					return err
 				}
 				desc := s.m.describeState(st)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/hdl"
 	"repro/internal/protogen"
-	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -63,16 +62,20 @@ func (d checkDigest) sum() string {
 // TestSpillInvariance is the tentpole's acceptance pin: verdicts,
 // state counts and the reachable-set fingerprint must be identical
 // whether the store lives in RAM or spills under a budget far smaller
-// than the state space, at every worker count.
+// than the state space, at every worker count. A sealed state is one
+// fixed-size record, its row and checksum, so the spill size is a
+// function of the sealed-state count alone.
 func TestSpillInvariance(t *testing.T) {
+	cfg := Config{MaxDrops: 1}
 	run := func(budget int64, workers int) (checkDigest, *Report) {
 		sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
-		rep := mustCheck(t, sys, Config{
-			MaxDrops: 1, Workers: workers,
-			MemBudget: budget, SpillDir: t.TempDir(),
-		})
+		cfg := cfg
+		cfg.Workers, cfg.MemBudget, cfg.SpillDir = workers, budget, t.TempDir()
+		rep := mustCheck(t, sys, cfg)
 		return digestOf(rep), rep
 	}
+	sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
+	rec := int64(newTestMachine(t, sys, cfg).lay.size + recSum)
 	ref, _ := run(0, 1)
 	if ref.fingerprint == "" {
 		t.Fatal("no fingerprint in the in-RAM report")
@@ -93,6 +96,10 @@ func TestSpillInvariance(t *testing.T) {
 		if rep.SpilledStates >= rep.States {
 			t.Fatalf("spilled %d of %d states: the newest layer must stay hot", rep.SpilledStates, rep.States)
 		}
+		if want := int64(rep.SpilledStates) * rec; rep.SpillBytes != want {
+			t.Fatalf("spill workers=%d: %d bytes for %d sealed states, want %d (%d B records)",
+				workers, rep.SpillBytes, rep.SpilledStates, want, rec)
+		}
 	}
 }
 
@@ -101,8 +108,8 @@ func TestSpillInvariance(t *testing.T) {
 // budget: a realistically deep exploration where nearly every layer
 // seals and every hit on a sealed state is confirmed against its spill
 // record, and still proves the same verdict. (No sealed node is re-opened
-// here, so nothing is re-expanded through the decode path;
-// TestDecodeRoundTrip covers that.)
+// here, so nothing re-expands from a spill record; TestDecodeRoundTrip
+// and TestRowsMatchStates cover that.)
 func TestSpillMatchesInRAMRobust(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second exploration")
@@ -150,16 +157,16 @@ func TestLossyMode(t *testing.T) {
 }
 
 // TestDecodeRoundTrip: every state of a real exploration must survive
-// encode → decode → re-encode byte-identically — the property that
-// makes sealed states re-expandable at all — the decoded state must be
-// the same state (sameState), and it must step like the original: every
-// enabled process reaches a successor with the same key, or fails with
-// the same error. No two stored states may share a key: the store keeps
-// each state once. The key leaves out each array's Lo and each record's
-// type, which field stores and indexing read, so a decoder that
-// restored neither failed most steps ("store to unknown field ID"). The
-// array-lo case keys an array declared array(1 to 4) and stores into
-// A(4).
+// sealing and re-opening — the property that makes sealed states
+// re-expandable at all. Each search runs under a budget that seals all
+// but its newest layers, and every node, re-opened from its spill
+// record or materialized from its hot row, must be the state replayed
+// along its BFS path, keep the same locals unset, and step like it on
+// every enabled process (checkStoredRows). No two stored nodes may be
+// one state (sameState): the store keeps each state once, across both
+// tiers. A record holds value ids, so a re-opened array keeps its Lo and
+// a record its type, which indexing and field stores read; the array-lo
+// case stores into A(4) of an array declared array(1 to 4).
 func TestDecodeRoundTrip(t *testing.T) {
 	const arrayLo = `
 system ArrayLo is
@@ -174,19 +181,20 @@ system ArrayLo is
   end module;
 end system;`
 	for _, tc := range []struct {
-		name string
-		sys  func() *spec.System
-		cfg  Config
+		name   string
+		budget int64
+		sys    func() *spec.System
+		cfg    Config
 	}{
-		{"baseline-drop1", func() *spec.System {
+		{"baseline-drop1", 4096, func() *spec.System {
 			sys, _ := refinePQ(t, protogen.Config{Protocol: spec.FullHandshake})
 			return sys
 		}, Config{MaxDrops: 1}},
-		{"robust-drop1", func() *spec.System {
+		{"robust-drop1", 4096, func() *spec.System {
 			sys, _ := refinePQ(t, robustCfg(false))
 			return sys
 		}, Config{MaxDrops: 1, MaxStates: 5000}},
-		{"array-lo", func() *spec.System {
+		{"array-lo", 1, func() *spec.System {
 			sys, err := hdl.Parse(arrayLo)
 			if err != nil {
 				t.Fatal(err)
@@ -195,77 +203,35 @@ end system;`
 		}, Config{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newTestMachine(t, tc.sys(), tc.cfg)
-			sr := newSearcher(m)
-			if err := sr.run(); err != nil {
-				t.Fatal(err)
-			}
-			ec := m.newExecCtx()
-			dec, a, b := m.newState(), m.newState(), m.newState()
-			steps := 0
-			seen := make(map[string]int)
-			for i, st := range storedStates(t, sr) {
-				key := st.encodeInto(nil)
-				if j, dup := seen[string(key)]; dup {
-					t.Fatalf("states %d and %d are one state, stored twice", j, i)
-				}
-				seen[string(key)] = i
-				if err := decodeState(m, key, dec); err != nil {
-					t.Fatalf("state %d: decode: %v", i, err)
-				}
-				if got := dec.encodeInto(nil); !bytes.Equal(got, key) {
-					t.Fatalf("state %d: re-encoded key differs\ngot:  %x\nwant: %x", i, got, key)
-				}
-				if !sameState(dec, st) {
-					t.Fatalf("state %d: decoded to another state", i)
-				}
-				for g, v := range st.g {
-					if av, ok := v.(sim.ArrayVal); ok && dec.g[g].(sim.ArrayVal).Lo != av.Lo {
-						t.Fatalf("state %d: global %d decoded with Lo %d, want %d", i, g, dec.g[g].(sim.ArrayVal).Lo, av.Lo)
+			sr := runStored(t, newTestMachine(t, tc.sys(), tc.cfg), tc.budget)
+			states := checkStoredRows(t, sr)
+			fresh := newInterner(newValueTable())
+			row := make([]byte, sr.lay.size)
+			byHash := make(map[uint64][]int)
+			for j, st := range states {
+				sr.lay.rowOf(fresh, row, st)
+				h := sr.lay.hash(fresh, row)
+				for _, i := range byHash[h] {
+					if sameState(states[i], st) {
+						t.Fatalf("nodes %d and %d are one state, stored twice", i, j)
 					}
 				}
-				mask, err := m.enabledMask(ec, st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for p := range m.progs {
-					if mask&(1<<uint(p)) == 0 {
-						continue
-					}
-					steps++
-					want, wantErr := stepKey(m, ec, st, a, p)
-					got, gotErr := stepKey(m, ec, dec, b, p)
-					if gotErr != wantErr || !bytes.Equal(got, want) {
-						t.Fatalf("state %d, process %s: decoded state stepped to (%x, %q), original to (%x, %q)",
-							i, m.progs[p].beh.Name, got, gotErr, want, wantErr)
-					}
-				}
-			}
-			if steps == 0 {
-				t.Fatal("no enabled process stepped")
+				byHash[h] = append(byHash[h], j)
 			}
 		})
 	}
 }
 
-// stepKey runs process p from `from` into `to` and returns the
-// successor's key, or the step's error.
-func stepKey(m *machine, ec *execCtx, from, to *state, p int) ([]byte, string) {
-	if _, err := m.exec(ec, from, to, p); err != nil {
-		return nil, err.Error()
-	}
-	return to.encodeInto(nil), ""
-}
-
-// newTestSpill builds a spillStore in a throwaway subdirectory (close
-// removes the directory, so it must own it).
-func newTestSpill(t *testing.T) *spillStore {
+// newTestSpill builds a spillStore for rows of rowSize bytes in a
+// throwaway subdirectory (close removes the directory, so it must own
+// it).
+func newTestSpill(t *testing.T, rowSize int) *spillStore {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "spill")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := newSpillStore(dir)
+	sp, err := newSpillStore(dir, rowSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,63 +239,69 @@ func newTestSpill(t *testing.T) *spillStore {
 	return sp
 }
 
-// spillAdd seals one key, failing the test on error.
-func spillAdd(t *testing.T, sp *spillStore, h uint64, node int32, layer int, key []byte) {
-	t.Helper()
-	if err := sp.add(h, node, layer, key); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSpillCrashRecovery: a torn or bit-flipped spill file must surface
 // as an error, never as a silently wrong membership answer.
 func TestSpillCrashRecovery(t *testing.T) {
-	keyA := []byte("key-aaaaaaaaaaaaaaaaaaaaaaaa")
-	keyB := []byte("key-bbbbbbbbbbbbbbbbbbbbbbbb")
-	// Same low 4 hash bits → same shard; B is layer 0's delta against A.
+	s := newRowStore()
+	rowA, rowB := s.probe(intState(1)), s.probe(intState(2))
 	const hA, hB = uint64(0x10), uint64(0x20)
 
 	build := func(t *testing.T) *spillStore {
-		sp := newTestSpill(t)
-		spillAdd(t, sp, hA, 0, 0, keyA)
-		spillAdd(t, sp, hB, 1, 0, keyB)
+		sp := newTestSpill(t, s.lay.size)
+		for j, r := range []struct {
+			h   uint64
+			row []byte
+		}{{hA, rowA}, {hB, rowB}} {
+			if err := sp.add(r.h, int32(j), r.row); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := sp.finishBatch(); err != nil {
 			t.Fatal(err)
 		}
 		return sp
+	}
+	lookup := func(sp *spillStore, h uint64, probe []byte) (int32, bool, error) {
+		return sp.lookup(s.lay, s.seq.in, h, probe, make([]byte, sp.rec), false)
+	}
+	// rewrite applies f to the data file's bytes on disk.
+	rewrite := func(t *testing.T, sp *spillStore, f func([]byte) []byte) {
+		path := filepath.Join(sp.dir, "rows.dat")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, f(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	t.Run("intact", func(t *testing.T) {
 		sp := build(t)
 		for _, tc := range []struct {
 			h    uint64
-			key  []byte
+			row  []byte
 			node int32
-		}{{hA, keyA, 0}, {hB, keyB, 1}} {
-			node, ok, err := sp.lookup(tc.h, tc.key, false)
+		}{{hA, rowA, 0}, {hB, rowB, 1}} {
+			node, ok, err := lookup(sp, tc.h, tc.row)
 			if err != nil || !ok || node != tc.node {
 				t.Fatalf("lookup(%x) = (%d, %v, %v), want (%d, true, nil)", tc.h, node, ok, err, tc.node)
 			}
 		}
-		if _, ok, err := sp.lookup(hA, keyB, false); err != nil || ok {
-			t.Fatalf("same-hash different-key probe = (%v, %v), want miss", ok, err)
+		if _, ok, err := lookup(sp, hA, rowB); err != nil || ok {
+			t.Fatalf("same-hash different-row probe = (%v, %v), want miss", ok, err)
 		}
 	})
 
 	t.Run("bit-flip", func(t *testing.T) {
 		sp := build(t)
-		// Flip one byte inside the second record's body: its checksum
-		// must catch it.
-		path := filepath.Join(sp.dir, "shard00.dat")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)-3] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := sp.lookup(hB, keyB, false); err == nil ||
+		// Flip one byte of the second record's row: its checksum must
+		// catch it.
+		rewrite(t, sp, func(data []byte) []byte {
+			data[sp.rec] ^= 0xff
+			return data
+		})
+		if _, _, err := lookup(sp, hB, rowB); err == nil ||
 			!strings.Contains(err.Error(), "corrupt") {
 			t.Fatalf("corrupted record lookup err = %v, want checksum failure", err)
 		}
@@ -338,15 +310,8 @@ func TestSpillCrashRecovery(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		sp := build(t)
 		// Tear the file mid-record, as a crashed writer would.
-		path := filepath.Join(sp.dir, "shard00.dat")
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, fi.Size()-5); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := sp.lookup(hB, keyB, false); err == nil {
+		rewrite(t, sp, func(data []byte) []byte { return data[:len(data)-5] })
+		if _, _, err := lookup(sp, hB, rowB); err == nil {
 			t.Fatal("truncated record lookup succeeded, want error")
 		}
 	})
@@ -376,35 +341,42 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 	}
 }
 
-// FuzzSpillRecord drives generated state keys through the on-disk
-// record format — full records, delta compression against per-layer
-// bases, index merge, Bloom filter and checksummed read-back — and
-// asserts each key round-trips byte-identically and each lookup finds a
-// node holding the same state (sameState).
+// FuzzSpillRecord seals generated rows, all interned into one value
+// table, through the on-disk format — fixed-size records in node order,
+// batched index merges, the Bloom filter and checksummed read-back —
+// and asserts each row reads back byte-identically and each lookup
+// finds a node holding the same state (sameState). Some rows are sealed
+// under an earlier row's hash, so a lookup must confirm its candidates
+// on their rows.
 func FuzzSpillRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("several states sharing a long common middle section"))
 	f.Add([]byte{0x01, 0x02, 0x45, 0x01, 0x02, 0x02, 0x11, 0x02, 0x22, 0xff, 0x00, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &gsrc{data: data}
-		lay := genLayout(g)
-		sp := newTestSpill(t)
+		fl := genLayout(g)
+		lay := fl.lay
+		in := newInterner(newValueTable())
+		sp := newTestSpill(t, lay.size)
 		n := 1 + int(g.byte()%6)
 		type rec struct {
 			st  *state
 			h   uint64
-			key []byte
+			row []byte
 		}
 		var recs []rec
 		for i := 0; i < n; i++ {
-			st := genState(g, lay)
-			key := st.encodeInto(nil)
-			h := fnvAppend(fnvOffset64, key)
-			layer := int(g.byte() % 3)
-			if err := sp.add(h, int32(i), layer, key); err != nil {
+			st := genState(g, fl)
+			row := make([]byte, lay.size)
+			lay.rowOf(in, row, st)
+			h := lay.hash(in, row)
+			if i > 0 && g.byte()%4 == 0 {
+				h = recs[0].h
+			}
+			if err := sp.add(h, int32(i), row); err != nil {
 				t.Fatal(err)
 			}
-			recs = append(recs, rec{st, h, key})
+			recs = append(recs, rec{st, h, row})
 			if g.byte()%4 == 0 {
 				if err := sp.finishBatch(); err != nil {
 					t.Fatal(err)
@@ -414,16 +386,16 @@ func FuzzSpillRecord(f *testing.F) {
 		if err := sp.finishBatch(); err != nil {
 			t.Fatal(err)
 		}
+		buf := make([]byte, sp.rec)
 		for i, r := range recs {
-			loc := sp.locs[i]
-			key, err := sp.shards[loc.shard()].readRecord(loc.off(), 0)
+			row, err := sp.read(int32(i), buf)
 			if err != nil {
 				t.Fatalf("record %d: %v", i, err)
 			}
-			if !bytes.Equal(key, r.key) {
-				t.Fatalf("record %d: round-trip mismatch\ngot:  %x\nwant: %x", i, key, r.key)
+			if !bytes.Equal(row, r.row) {
+				t.Fatalf("record %d: round-trip mismatch\ngot:  %x\nwant: %x", i, row, r.row)
 			}
-			node, ok, err := sp.lookup(r.h, r.key, false)
+			node, ok, err := sp.lookup(lay, in, r.h, r.row, buf, false)
 			if err != nil {
 				t.Fatalf("record %d: lookup: %v", i, err)
 			}

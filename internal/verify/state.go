@@ -401,15 +401,6 @@ func (st *state) setL(p, i int, v sim.Value) {
 	st.written[j>>6] |= 1 << uint(j&63)
 }
 
-// keyLocal is process p's local i as the state key sees it: a local
-// that was never written keys as its initial value.
-func (st *state) keyLocal(p, i int) sim.Value {
-	if v := st.l[p][i]; v != nil {
-		return v
-	}
-	return st.lay.init[p][i]
-}
-
 // verifyFail is panicked by a Frame on runtime errors and recovered at
 // the segment boundary.
 type verifyFail struct{ err error }

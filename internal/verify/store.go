@@ -17,9 +17,9 @@ package verify
 // sharing a tag, or a whole hash, take successive slots.
 //
 // With a memory budget (Config.MemBudget) the store is tiered: the
-// table indexes only the hot (resident) nodes, and sealed nodes move to
-// the spill tier — a hot miss falls through to it, where the probe's
-// key bytes are compared with the record's (spill.go). In lossy mode
+// table indexes only the hot (resident) nodes, and sealed nodes' rows
+// move to the spill tier — a hot miss falls through to it, where each
+// candidate's row is confirmed the same way (spill.go). In lossy mode
 // (Config.Lossy) a full 64-bit hash match is final in both tiers (the
 // hot tier recomputes the candidate row's hash), which trades a
 // quantified omission probability for never comparing states.

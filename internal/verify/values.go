@@ -23,24 +23,22 @@ import (
 // row's identity is its ids. The one exception is an unset local, the
 // value of a local that was never written: it materializes as nil but
 // keys as its initial value, so its entry names that value's id. Each
-// entry caches the value's share of the state key (sim.AppendBinary),
-// which the spill tier writes and compares, and a 64-bit hash of it,
-// which the row hash mixes.
+// entry caches a 64-bit hash of the value's sim.AppendBinary encoding,
+// taken once when the value is interned, which the row hash mixes.
 //
 // One table per search. Workers intern concurrently: each keeps a
 // private cache in front of the shared table and a snapshot of its
 // entries. Ids depend on which worker interned a value first, so
-// nothing observable may depend on their order; keys, hashes and
-// verdicts depend only on the entries' contents.
+// nothing observable may depend on their order; hashes and verdicts
+// depend only on the entries' contents.
 
 // valueEntry is one interned value. Entries never change once
 // published.
 type valueEntry struct {
 	// val is nil for an unset entry, which keys as the value with id
-	// init and shares that entry's key and hash.
+	// init and shares that entry's hash.
 	val  sim.Value
-	key  []byte // sim.AppendBinary bytes
-	hash uint64 // of key; never of an id
+	hash uint64 // of val's sim.AppendBinary bytes; never of an id
 	init uint32
 }
 
@@ -93,10 +91,9 @@ func (t *valueTable) add(full []byte, val sim.Value, init uint32) uint32 {
 	id := uint32(len(t.ents))
 	e := valueEntry{val: val, init: init}
 	if val == nil {
-		e.key, e.hash = t.ents[init].key, t.ents[init].hash
+		e.hash = t.ents[init].hash
 	} else {
-		e.key = sim.AppendBinary(nil, val)
-		e.hash = bloomMix(fnvAppend(fnvOffset64, e.key))
+		e.hash = bloomMix(fnvAppend(fnvOffset64, sim.AppendBinary(nil, val)))
 	}
 	t.ids[string(full)] = id
 	t.ents = append(t.ents, e)
@@ -218,4 +215,32 @@ func (in *interner) appendFull(dst []byte, v sim.Value) []byte {
 
 func appendU32(dst []byte, v uint32) []byte {
 	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
+
+// FNV-1a, 64-bit: the hash of each value-table entry's encoding and of
+// each violation message. Inlined rather than hash/fnv, so it allocates
+// no Hash64.
+const (
+	fnvOffset64 = 1469598103934665603
+	fnvPrime64  = 1099511628211
+)
+
+// fnvAppend continues an FNV-1a hash over b.
+func fnvAppend(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// hashString is fnvAppend for strings (violation-message dedup) without
+// a []byte conversion allocation.
+func hashString(s string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }

@@ -78,10 +78,10 @@ type Config struct {
 	// it seal to a disk spill store under SpillDir. It does not bound
 	// the process: every state's node bookkeeping stays in RAM, sealed
 	// or not, and the liveness edges, each layer's worker outputs, the
-	// value table and the spill tier's record map and Bloom filters are
-	// not counted. The verdict, state count and transition count are
-	// byte-identical at any budget: the spill tier confirms candidates
-	// exactly like the hot tier.
+	// value table and the spill tier's Bloom filter are not counted.
+	// The verdict, state count and transition count are byte-identical
+	// at any budget: the spill tier confirms candidates exactly like
+	// the hot tier.
 	MemBudget int64
 	// SpillDir is where spill scratch files live (a fresh subdirectory
 	// is created per run and removed afterwards); "" uses the system
@@ -297,7 +297,7 @@ func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error
 		if err != nil {
 			return nil, fmt.Errorf("verify: spill dir: %w", err)
 		}
-		sp, err := newSpillStore(sub)
+		sp, err := newSpillStore(sub, m.lay.size)
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +327,7 @@ func CheckCtx(ctx context.Context, sys *spec.System, cfg Config) (*Report, error
 	}
 	if sp := sr.store.spill; sp != nil {
 		rep.SpilledStates = sp.states()
-		rep.SpillBytes = sp.bytes
+		rep.SpillBytes = sp.bytes()
 	}
 	if cfg.Lossy {
 		n := float64(sr.count())
